@@ -372,11 +372,13 @@ def _run_counterexample(plan, threads):
     heights = src.config.tower_heights()
     floors = rotation.ratio_floors(src.config)
     rows = [(cp.level, cp.n, cp.m, cp.v, cp.ratio) for cp in sched]
-    # the floor is proven only where no higher level was met earlier
+    # the floor and M = 1 + h_level are proven only at record checkpoints,
+    # where no higher level was met earlier
+    records = [cp for i, cp in enumerate(sched)
+               if all(e.level < cp.level for e in sched[:i])]
     above_floor = all(Fraction(cp.m * cp.m, cp.v) >= floors[cp.level - 1]
-                      for i, cp in enumerate(sched)
-                      if all(e.level < cp.level for e in sched[:i]))
-    m_exact = all(cp.m == 1 + heights[cp.level - 1] for cp in sched)
+                      for cp in records)
+    m_exact = all(cp.m == 1 + heights[cp.level - 1] for cp in records)
     summary = {"levels_reported": len(sched),
                "ratios": [cp.ratio for cp in sched],
                "ratio_floors": [float(f) for f in floors],
@@ -409,7 +411,8 @@ def _run_variance(plan, threads):
 
 def run_selftest() -> dict:
     """Small oracle suite: streaming ledger against the quadratic oracle,
-    convergent quality, and the grid Parseval identity."""
+    convergent quality, the grid Parseval identity, and the axis-split
+    return series against the Fourier grid."""
     results = {}
     ok = True
     for trial in range(20):
@@ -432,6 +435,15 @@ def run_selftest() -> dict:
     led.record_many([(i % 7,) for i in range(30)])
     pars = abs(spectral.kernel_grid_mean(led, 13) - led.self_intersections)
     results["parseval"] = pars < 1e-6 * led.self_intersections
+    rs_err = 0.0
+    for d in (2, 3):
+        law = sources.simple_walk(d)
+        lags = [(0,) * d, (1,) + (0,) * (d - 1)]
+        want = spectral._requested_lags(law, 30, lags)
+        rs_err = max(rs_err, float(np.max(np.abs(
+            spectral._axis_probs(law, 30, want)
+            - spectral._grid_probs(law, 30, want)))))
+    results["return_series"] = rs_err <= 1e-15
     results["ok"] = all(results.values())
     return results
 

@@ -8,6 +8,7 @@ consume the same uniforms in the same order, so they agree bitwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -65,6 +66,9 @@ class StepDistribution:
         x = self.support().astype(np.float64) - self.mean()
         return (x * self.probs()[:, None]).T @ x
 
+    def is_centered(self) -> bool:
+        return bool(np.all(np.abs(self.mean()) < 1e-15))
+
     def radius(self) -> int:
         return int(np.abs(self.support()).max())
 
@@ -102,15 +106,16 @@ def _extgcd(a: int, b: int) -> tuple[int, int, int]:
     return (g, t, s - (a // b) * t)
 
 
-def _lattice_is_full(vectors: list[list[int]], d: int) -> bool:
-    """Whether a set of integer vectors generates all of Z^d.
+def lattice_basis(vectors, d: int) -> list[list[int] | None]:
+    """Echelon basis of the lattice a set of integer vectors generates.
 
-    Builds a triangular basis by unimodular row operations; the lattice is
-    full iff every pivot exists and the diagonal product is +-1.
+    Row j is None or a generator whose first nonzero entry sits at position
+    j.  Unimodular row operations keep the lattice; its rank is the number
+    of rows that are not None.
     """
     basis: list[list[int] | None] = [None] * d
     for v in vectors:
-        v = list(v)
+        v = [int(c) for c in v]
         for j in range(d):
             if v[j] == 0:
                 continue
@@ -122,33 +127,46 @@ def _lattice_is_full(vectors: list[list[int]], d: int) -> bool:
             new_b = [s * bi + t * vi for bi, vi in zip(b, v)]
             v = [(b[j] // g) * vi - (v[j] // g) * bi for bi, vi in zip(b, v)]
             basis[j] = new_b
-    det = 1
-    for j in range(d):
-        if basis[j] is None:
+    return basis
+
+
+def lattice_index(basis: list[list[int] | None]) -> int:
+    """Index in Z^d of the lattice of an echelon basis; 0 below full rank."""
+    if any(b is None for b in basis):
+        return 0
+    return abs(math.prod(b[j] for j, b in enumerate(basis)))
+
+
+def lattice_contains(basis: list[list[int] | None], x) -> bool:
+    """Whether the integer vector x lies in the lattice of an echelon basis."""
+    x = [int(c) for c in x]
+    for j, b in enumerate(basis):
+        if x[j] == 0:
+            continue
+        if b is None or x[j] % b[j]:
             return False
-        det *= basis[j][j]
-    return abs(det) == 1
+        f = x[j] // b[j]
+        x = [xi - f * bi for xi, bi in zip(x, b)]
+    return True
 
 
 def classify(dist: StepDistribution) -> Classification:
     """Recurrence/aperiodicity classification of the random walk with law mu.
 
     The walk is ruled out as degenerate when the law is a single atom;
-    aperiodic means the differences of the support generate Z^d together
-    with the support translated to the origin (walk not confined to a coset
-    of a proper sublattice); a centered aperiodic walk is recurrent iff
-    d <= 2, and any walk with nonzero mean in d >= 1 is transient.
+    aperiodic means the support generates Z^d (walk not confined to a
+    coset of a proper sublattice).  A centered walk is recurrent iff its
+    support spans at most two dimensions, whatever d is (Chung-Fuchs), and
+    any walk with nonzero mean is transient.
     """
     atoms = [(a, p) for a, p in dist.atoms if p > 0]
     d = dist.d
     if len(atoms) == 1:
         return Classification("deterministic-excluded", False)
-    support = [a for a, _ in atoms]
-    diffs = [[x - y for x, y in zip(a, support[0])] for a in support[1:]]
-    aperiodic = _lattice_is_full(diffs + [list(support[0])], d)
-    mean = dist.mean()
-    centered = bool(np.all(np.abs(mean) < 1e-15))
-    if centered and d <= 2:
+    basis = lattice_basis([a for a, _ in atoms], d)
+    aperiodic = lattice_index(basis) == 1
+    rank = sum(b is not None for b in basis)
+    if dist.is_centered() and rank <= 2:
         rec = "recurrent"
     else:
         rec = "transient"

@@ -1,11 +1,22 @@
 """Fourier-side quantities: occupation kernels, characteristic functions,
 return-probability series and the transient variance prediction.
 
-The return-probability series is evaluated exactly on a discrete Fourier
-grid: for a step law with support radius r, P(Z_k = l) is a trigonometric
-polynomial of degree <= k r, so averaging psi(t)^k e^{-2 pi i <l, t>} over
-the rank-G product grid reproduces the convolution power exactly whenever
-G > k r + |l|_inf (no aliasing).
+The return-probability series P(Z_k = l), k <= kmax, is exact along one of
+two routes, chosen from the law's atoms:
+
+* axis split, for laws whose atoms each move at most one coordinate (every
+  simple walk, every 1-D law, lazy walks): the k steps are shared among the
+  axes with binomial weights and the per-axis 1-D convolution powers are
+  merged, O(d kmax^2) per lag with no grid;
+* Fourier grid, for any other law: P(Z_k = l) is a trigonometric polynomial
+  of degree <= k r for support radius r, so averaging
+  psi(t)^k e^{-2 pi i <l, t>} over the rank-G product grid reproduces it
+  whenever G > kmax r + |l|_inf (no aliasing).
+
+The sum over k > kmax is estimated, not bounded: by the leading local-CLT
+term, summed in closed form over the times the walk can be at l, for
+centered laws (decay k^(-d/2)), and by a geometric fit to the last terms for
+laws with a drift (exponential decay).
 """
 
 from __future__ import annotations
@@ -15,6 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import zeta
 
 from . import rng, sources
 from .ledger import LocalTimeLedger
@@ -154,7 +166,7 @@ def phi_lambda(dist: StepDistribution, t: Sequence[float], lam: float) -> float:
 @dataclass(frozen=True)
 class ReturnSeries:
     """P(Z_k = l) for k = 0..kmax at the requested lags (and their
-    negatives), with geometric tail extrapolation from the last terms."""
+    negatives), with a per-lag estimate of the tail sum over k > kmax."""
 
     kmax: int
     lags: tuple[Site, ...]
@@ -200,19 +212,60 @@ def _geometric_tail(p: np.ndarray) -> float:
     return float(vals[-1] * r / (1 - r))
 
 
-def return_series(dist: StepDistribution, kmax: int,
-                  lags: Sequence[Sequence[int]] = ((0,),)) -> ReturnSeries:
-    """Exact convolution-power probabilities via the discrete Fourier grid.
+def _clt_tails(dist: StepDistribution, kmax: int,
+               lags: Sequence[Site]) -> np.ndarray:
+    """Leading local-CLT term of sum_{k > kmax} P(Z_k = l), centered laws.
 
-    The grid has rank G = 2 * kmax * radius + 1 along every axis, large
-    enough that no convolution mass aliases for k <= kmax and the requested
-    lags.  Lags along later axes are grouped so the grid is swept once.
+    With L the lattice generated by the differences of the support, p its
+    index in Z^d and a any atom, the walk at time k lives on k a + L, and
+    there P(Z_k = l) = p (2 pi k)^(-d/2) det(Sigma)^(-1/2)
+    exp(-l' Sigma^-1 l / 2k) + o(k^(-d/2)) (Lawler & Limic, Random Walk: A
+    Modern Introduction, 2010).  On each residue class k = p j + r that
+    reaches l, expanding the exponential in powers of 1/k sums the term in
+    closed form through Hurwitz zeta functions.  The sum diverges for
+    d <= 2 (recurrence); a law that is not genuinely d-dimensional has no
+    estimate (NaN).
     """
     d = dist.d
+    support = dist.support()[dist.probs() > 0]
+    basis = sources.lattice_basis(support[1:] - support[0], d)
+    period = sources.lattice_index(basis)
+    if period == 0:
+        return np.full(len(lags), math.nan)
+    cov = dist.covariance()
+    pref = period / math.sqrt(np.linalg.det(2 * math.pi * cov))
+    s = d / 2
+    tails = np.zeros(len(lags))
+    for li, lag in enumerate(lags):
+        x = np.array(lag)
+        c = 0.5 * float(x @ np.linalg.solve(cov, x))
+        for r in range(period):
+            if not sources.lattice_contains(basis, x - r * support[0]):
+                continue
+            if s <= 1:
+                tails[li] = math.inf
+                break
+            # sum_{k = p j + r > kmax} k^-s e^{-c/k}: terms with k < 4c one
+            # by one, the rest by 30 terms of the expansion (c/k <= 1/4)
+            j0 = (kmax - r) // period + 1
+            j1 = max(j0, math.ceil((4 * c - r) / period))
+            k = period * np.arange(j0, j1) + r
+            head = float(np.sum(k ** -s * np.exp(-c / k)))
+            n = np.arange(30)
+            coef = np.cumprod(np.concatenate(([1.0], -c / n[1:])))
+            tail = float(np.sum(coef * period ** -(s + n)
+                                * zeta(s + n, j1 + r / period)))
+            tails[li] += pref * (head + tail)
+    return tails
+
+
+def _requested_lags(dist: StepDistribution, kmax: int,
+                    lags: Sequence[Sequence[int]]) -> list[Site]:
+    """The lags and their negatives, once each, checked against the reach."""
     want: list[Site] = []
     for lag in lags:
         lag = tuple(int(c) for c in lag)
-        if len(lag) != d:
+        if len(lag) != dist.d:
             raise ValueError("lag dimension mismatch")
         for cand in (lag, tuple(-c for c in lag)):
             if cand not in want:
@@ -220,7 +273,85 @@ def return_series(dist: StepDistribution, kmax: int,
     radius = max(dist.radius(), 1)
     if any(abs(c) > kmax * radius for lag in want for c in lag):
         raise ValueError("lag outside the reachable range for kmax")
-    g = 2 * kmax * radius + 1
+    return want
+
+
+def _axis_probs(dist: StepDistribution, kmax: int,
+                want: Sequence[Site]) -> np.ndarray:
+    """P(Z_k = l) for a law whose atoms each move at most one coordinate.
+
+    Such a step picks axis j with weight w_j and moves along it by a 1-D
+    law mu_j; the zero atom counts as a lazy step on axis 0.  Each axis
+    gives the 1-D series a_j(m) = P_{mu_j}(S_m = l_j) by direct
+    convolution, and axes merge two at a time: with q = W_A / (W_A + W_B),
+    c(k) = sum_m C(k, m) q^m (1 - q)^(k - m) a(m) b(k - m).
+    """
+    d = dist.d
+    lags = np.array(want, dtype=np.int64)
+    weights = np.zeros(d)
+    kernels = [{} for _ in range(d)]
+    for a, p in dist.atoms:
+        j = next((i for i, c in enumerate(a) if c != 0), 0)
+        weights[j] += p
+        kernels[j][a[j]] = kernels[j].get(a[j], 0.0) + p
+    out, w_out = None, 0.0
+    for j in range(d):
+        if weights[j] == 0.0:
+            continue  # the walk never moves along axis j
+        series = _one_axis_series(kernels[j], weights[j], kmax, lags[:, j])
+        if out is None:
+            out = series
+        else:
+            out = _binomial_merge(out, series, w_out / (w_out + weights[j]))
+        w_out += weights[j]
+    still = weights == 0.0
+    return out * np.all(lags[:, still] == 0, axis=1)[:, None]
+
+
+def _one_axis_series(kernel: dict[int, float], weight: float, kmax: int,
+                     targets: np.ndarray) -> np.ndarray:
+    """P(S_m = t) for m = 0..kmax and each target t, S a 1-D walk with step
+    law kernel / weight."""
+    r = max(abs(o) for o in kernel)
+    kern = np.zeros(2 * r + 1)
+    for o, p in kernel.items():
+        kern[r + o] += p / weight
+    width = 2 * kmax * r + 1
+    inside = np.abs(targets) <= kmax * r
+    idx = np.where(inside, targets + kmax * r, 0)
+    vec = np.zeros(width)
+    vec[kmax * r] = 1.0
+    out = np.empty((targets.size, kmax + 1))
+    for m in range(kmax + 1):
+        if m:
+            vec = np.convolve(vec, kern, mode="same")
+        out[:, m] = vec[idx] * inside
+    return out
+
+
+def _binomial_merge(a: np.ndarray, b: np.ndarray, q: float) -> np.ndarray:
+    """c[:, k] = sum_m P(Bin(k, q) = m) a[:, m] b[:, k - m]."""
+    out = np.empty_like(a)
+    pmf = np.ones(1)
+    for k in range(a.shape[1]):
+        if k:
+            # Pascal's rule: positive terms only, no cancellation
+            pmf = np.append(0.0, q * pmf) + np.append((1 - q) * pmf, 0.0)
+        out[:, k] = (a[:, :k + 1] * b[:, k::-1]) @ pmf
+    return out
+
+
+def _grid_probs(dist: StepDistribution, kmax: int,
+                want: Sequence[Site]) -> np.ndarray:
+    """P(Z_k = l) by averaging psi^k e^{-2 pi i <l, t>} over a Fourier grid.
+
+    P(Z_k = x) vanishes for |x|_inf > k r, so the rank-G grid with
+    G = kmax r + max |l|_inf + 1 aliases no mass onto the requested lags.
+    Lags along later axes are grouped so the grid is swept once.
+    """
+    d = dist.d
+    radius = max(dist.radius(), 1)
+    g = kmax * radius + max(abs(c) for lag in want for c in lag) + 1
 
     support = dist.support()
     probs = dist.probs()
@@ -298,7 +429,27 @@ def return_series(dist: StepDistribution, kmax: int,
         vals = (sums[gi] @ w1).real / g**d
         out[li] = np.clip(vals, 0.0, 1.0)
 
-    tails = np.array([_geometric_tail(out[li]) for li in range(len(want))])
+    return out
+
+
+def return_series(dist: StepDistribution, kmax: int,
+                  lags: Sequence[Sequence[int]] = ((0,),)) -> ReturnSeries:
+    """Exact convolution-power probabilities, plus a tail estimate.
+
+    A law whose atoms each move at most one coordinate (every simple walk,
+    every 1-D law, lazy walks) takes the binomial axis split; any other law
+    the Fourier grid.  Centered laws get the local-CLT tail, laws with a
+    drift (exponential decay) a geometric fit to the last terms.
+    """
+    want = _requested_lags(dist, kmax, lags)
+    if all(sum(c != 0 for c in a) <= 1 for a, _ in dist.atoms):
+        out = _axis_probs(dist, kmax, want)
+    else:
+        out = _grid_probs(dist, kmax, want)
+    if dist.is_centered():
+        tails = _clt_tails(dist, kmax, want)
+    else:
+        tails = np.array([_geometric_tail(row) for row in out])
     return ReturnSeries(kmax=kmax, lags=tuple(want), probs=out, tails=tails)
 
 
@@ -307,6 +458,8 @@ class TransientVarianceReport:
     mc_estimate: float
     mc_stderr: float
     series_prediction: float
+    # sum_lags |cov(lag)| (tail(lag) + tail(-lag)): the size of the
+    # extrapolated part of the prediction, not a proven error bound
     tail_bound: float
     defect_estimate: float
     positive: bool
@@ -340,6 +493,12 @@ def transient_variance_report(dist: StepDistribution, field, n: int,
     if cls.recurrence != "transient":
         raise ValueError(f"law is {cls.recurrence}, need transient")
     d = dist.d
+    # the local-CLT tail of a centered law needs det(Sigma) > 0
+    support = dist.support()[dist.probs() > 0]
+    if (dist.is_centered()
+            and sources.lattice_index(sources.lattice_basis(support, d)) == 0):
+        raise ValueError("law is not genuinely d-dimensional: its support "
+                         f"spans fewer than {d} dimensions")
     lags = _field_lags(field, d)
     if series is None:
         series = return_series(dist, kmax, lags)

@@ -125,6 +125,20 @@ def test_cli_counterexample_three_levels_pass(tmp_path):
                              "m_equals_tower_height_plus_1": True}
 
 
+def test_cli_counterexample_levels_out_of_order_pass(tmp_path):
+    # from x = 1/40 the orbit meets level 2 before level 1, so the level-1
+    # checkpoint is no record and its M exceeds 1 + h_1
+    plan = write_plan(tmp_path, {
+        "experiment": "counterexample",
+        "source": {"variant": "special-flow", "cf": {"periodic": [1]},
+                   "levels": 3, "x": "1/40"}})
+    code = main(["run", str(plan), "--assert", "--out", str(tmp_path / "o")])
+    assert code == 0
+    rows = (tmp_path / "o" / "counterexample.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["2", "1", "3"]
+    assert rows[2].split(",")[2] == "14"
+
+
 def test_cli_variance_plan_comparison_record(tmp_path):
     plan = write_plan(tmp_path, {
         "experiment": "variance",
@@ -168,6 +182,7 @@ def test_cli_gc_threads_deterministic(tmp_path):
 def test_selftest_passes():
     results = run_selftest()
     assert results["ok"]
+    assert results["return_series"]
 
 
 def test_console_entry_point():

@@ -122,6 +122,21 @@ def test_classify_cases():
     assert classify(tri).aperiodic
 
 
+def test_classify_lower_dimensional_centered_laws_are_recurrent():
+    # a centered walk is recurrent iff its support spans at most a plane,
+    # whatever the ambient dimension
+    line = StepDistribution([((1, 0, 0), 0.5), ((-1, 0, 0), 0.5)])
+    assert classify(line).recurrence == "recurrent"
+    plane = StepDistribution([((1, 0, 0), 0.25), ((-1, 0, 0), 0.25),
+                              ((0, 1, 0), 0.25), ((0, -1, 0), 0.25)])
+    assert classify(plane).recurrence == "recurrent"
+    assert not classify(plane).aperiodic
+    # the simple walk of Z^3 inside Z^4 spans three dimensions
+    space = StepDistribution([((a, b, c, 0), p) for (a, b, c), p
+                              in simple_walk(3).atoms])
+    assert classify(space).recurrence == "transient"
+
+
 def test_step_frequencies_match_law():
     law = StepDistribution([((0,), 0.2), ((1,), 0.5), ((5,), 0.3)])
     cfg = RandomWalkSource(law, seed=77)

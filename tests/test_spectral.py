@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from selab import spectral
 from selab import (LocalTimeLedger, RandomWalkSource, StepDistribution,
                    generate, kernel_from_ledger, kernel_grid_mean,
                    lag_correlation, phi, phi_lambda, psi, quadratic_form,
@@ -10,6 +11,11 @@ from selab import (LocalTimeLedger, RandomWalkSource, StepDistribution,
 from selab.fields import MovingAverageField, UniformField
 
 PM1 = StepDistribution([((1,), 0.5), ((-1,), 0.5)])
+# G(3) - 1 for the simple walk on Z^3 from Watson's closed form
+# G(3) = sqrt(6) / (32 pi^3) Gamma(1/24) Gamma(5/24) Gamma(7/24) Gamma(11/24)
+WATSON_G3_MINUS_1 = (math.sqrt(6) / (32 * math.pi**3) * math.gamma(1 / 24)
+                     * math.gamma(5 / 24) * math.gamma(7 / 24)
+                     * math.gamma(11 / 24) - 1)
 
 
 def make_ledger(sites):
@@ -99,24 +105,63 @@ def test_return_series_d1_exact_central_binomials():
 
 
 def test_return_series_matches_direct_convolution_d2():
-    law = StepDistribution([((1, 0), 0.4), ((-1, 0), 0.2), ((0, 1), 0.3),
-                            ((0, -1), 0.1)])
+    axis_law = StepDistribution([((1, 0), 0.4), ((-1, 0), 0.2),
+                                 ((0, 1), 0.3), ((0, -1), 0.1)])
+    # diagonal atoms take the Fourier grid
+    diagonal_law = StepDistribution([((1, 1), 0.3), ((-1, 0), 0.25),
+                                     ((0, -1), 0.2), ((0, 0), 0.1),
+                                     ((-1, -1), 0.15)])
     kmax = 6
-    rs = return_series(law, kmax, [(0, 0), (1, 0), (0, -1)])
-    # dense convolution oracle on a box
-    size = 2 * kmax + 1
-    box = np.zeros((size, size))
-    box[kmax, kmax] = 1.0
-    for k in range(1, kmax + 1):
-        nxt = np.zeros_like(box)
-        for (a, b), p in law.atoms:
-            # support radius stays below kmax, so np.roll never wraps mass
-            nxt += p * np.roll(box, (a, b), axis=(0, 1))
-        box = nxt
-        for lag in [(0, 0), (1, 0), (0, -1)]:
-            want = box[kmax + lag[0], kmax + lag[1]]
-            got = rs.probs[rs.lags.index(lag)][k]
-            assert got == pytest.approx(want, abs=1e-12)
+    for law in (axis_law, diagonal_law):
+        rs = return_series(law, kmax, [(0, 0), (1, 0), (0, -1)])
+        # dense convolution oracle on a box
+        size = 2 * kmax + 1
+        box = np.zeros((size, size))
+        box[kmax, kmax] = 1.0
+        for k in range(1, kmax + 1):
+            nxt = np.zeros_like(box)
+            for (a, b), p in law.atoms:
+                # support radius stays below kmax, so np.roll never wraps mass
+                nxt += p * np.roll(box, (a, b), axis=(0, 1))
+            box = nxt
+            for lag in [(0, 0), (1, 0), (0, -1)]:
+                want = box[kmax + lag[0], kmax + lag[1]]
+                got = rs.probs[rs.lags.index(lag)][k]
+                assert got == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("law, lags", [
+    (PM1, [(0,), (3,)]),
+    # lazy, asymmetric, radius 2
+    (StepDistribution([((-2,), 0.1), ((0,), 0.3), ((1,), 0.6)]),
+     [(0,), (-3,)]),
+    (simple_walk(2), [(0, 0), (1, 1)]),
+    (StepDistribution([((1, 0), 0.4), ((-1, 0), 0.2), ((0, 1), 0.3),
+                       ((0, -1), 0.1)]), [(0, 0), (2, -1)]),
+    (simple_walk(3), [(0, 0, 0), (1, 0, 0)]),
+    # lazy asymmetric walk in Z^3 with a radius-2 axis and an unused atom
+    (StepDistribution([((0, 0, 0), 0.2), ((2, 0, 0), 0.1), ((-1, 0, 0), 0.2),
+                       ((0, 1, 0), 0.15), ((0, -1, 0), 0.15),
+                       ((0, 0, 1), 0.2), ((0, 0, -1), 0.0)]),
+     [(0, 0, 0), (1, -1, 2)]),
+    # never moves along axis 1
+    (StepDistribution([((1, 0), 0.5), ((-1, 0), 0.5)]), [(0, 0), (1, 1)]),
+])
+def test_axis_route_matches_grid_route(law, lags):
+    kmax = 24
+    want = spectral._requested_lags(law, kmax, lags)
+    axis = spectral._axis_probs(law, kmax, want)
+    grid = spectral._grid_probs(law, kmax, want)
+    assert np.max(np.abs(axis - grid)) <= 1e-15
+
+
+def test_return_series_reproduces_watson_g3():
+    rs = return_series(simple_walk(3), 200, [(0, 0, 0), (1, 0, 0)])
+    assert abs(rs.partial_sum((0, 0, 0)) - WATSON_G3_MINUS_1) < 2e-4
+    # G(e_1) = G(0) - 1; visits to a neighbour fall on odd times only
+    assert abs(rs.partial_sum((1, 0, 0)) - WATSON_G3_MINUS_1) < 2e-4
+    # the tail carries about a tenth of the sum at kmax = 200
+    assert rs.tails[rs.lags.index((0, 0, 0))] > 0.04
 
 
 def test_return_series_deterministic_drift_never_returns():
@@ -132,11 +177,25 @@ def test_return_series_partial_sums_monotone():
     p = rs.probs[rs.lags.index((0, 0))]
     assert np.all(p >= -1e-15)
     assert rs.partial_sum((0, 0), with_tail=False) >= 0
+    # the planar walk is recurrent: its return series diverges
+    assert math.isinf(rs.partial_sum((0, 0)))
 
 
 def test_transient_variance_requires_transient():
     with pytest.raises(ValueError, match="transient"):
         transient_variance_report(simple_walk(2), UniformField(), 100, 10, 1)
+
+
+@pytest.mark.parametrize("law", [
+    StepDistribution([((1, 0, 0), 0.5), ((-1, 0, 0), 0.5)]),
+    StepDistribution([((1, 0, 0), 0.25), ((-1, 0, 0), 0.25),
+                      ((0, 1, 0), 0.25), ((0, -1, 0), 0.25)]),
+    StepDistribution([((a, b, c, 0), p) for (a, b, c), p
+                      in simple_walk(3).atoms]),
+])
+def test_transient_variance_rejects_lower_dimensional_laws(law):
+    with pytest.raises(ValueError, match="recurrent|dimensional"):
+        transient_variance_report(law, UniformField(), 100, 10, 1, kmax=10)
 
 
 def test_transient_variance_small_run():
