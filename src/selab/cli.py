@@ -9,7 +9,9 @@ bytes (CSV) are a pure function of the plan.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
+import itertools
 import json
 import math
 import os
@@ -229,21 +231,26 @@ def _checkpoints(plan: dict, n: int) -> list[int]:
     return cps
 
 
-def _ledger_rows(source, n: int, checkpoints: list[int]) -> list[tuple]:
+def _checkpoint_ledgers(source, checkpoints: list[int]) -> list:
+    """One ledger snapshot (a shallow copy) per checkpoint.
+
+    Blocks from ``sources.stream`` hold min(steps to the next checkpoint,
+    max(4096, distinct sites so far)) steps: the trajectory is never held
+    whole, and each block costs about as much as re-sorting the sites.
+    """
     led = ledger.LocalTimeLedger(source.d)
-    rows = []
-    want = iter(checkpoints)
-    nxt = next(want, None)
-    for site in sources.stream(source):
-        led.record(site)
-        if led.n == nxt:
-            rows.append(led.snapshot_row())
-            nxt = next(want, None)
-            if nxt is None:
-                break
-    if nxt is not None:
-        raise PlanError("source exhausted before the last checkpoint")
-    return rows
+    it = itertools.chain.from_iterable(sources.stream(source))
+    snaps = []
+    for c in checkpoints:
+        while led.n < c:
+            size = min(c - led.n, max(4096, led.range_card))
+            block = np.fromiter(itertools.islice(it, size * source.d),
+                                dtype=np.int64)
+            if block.size < size * source.d:
+                raise PlanError("source exhausted before the last checkpoint")
+            led.record_block(block.reshape(size, source.d))
+        snaps.append(copy.copy(led))
+    return snaps
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -261,7 +268,8 @@ def _write_csv(path: Path, header, rows) -> None:
 def _run_stats(plan, threads):
     n = plan["n"]
     cps = _checkpoints(plan, n)
-    rows = _ledger_rows(plan["_source"], n, cps)
+    rows = [led.snapshot_row()
+            for led in _checkpoint_ledgers(plan["_source"], cps)]
     summary = {"final": dict(zip(STATS_HEADER, rows[-1])),
                "op": "ledger.LocalTimeLedger.snapshot_row"}
     checks = {}
@@ -277,19 +285,8 @@ def _run_stats(plan, threads):
 def _run_gc(plan, threads):
     n, reps = plan["n"], plan["replicates"]
     cps = _checkpoints(plan, n)
-    src, field = plan["_source"], plan["_field"]
-    leds = {}
-    led = ledger.LocalTimeLedger(src.d)
-    it = sources.stream(src)
-    for c in cps:
-        while led.n < c:
-            led.record(next(it))
-        snap = ledger.LocalTimeLedger(src.d)
-        snap.counts = dict(led.counts)
-        snap.n, snap.max_count = led.n, led.max_count
-        snap.self_intersections, snap.range_card = (led.self_intersections,
-                                                    led.range_card)
-        leds[c] = snap
+    field = plan["_field"]
+    leds = dict(zip(cps, _checkpoint_ledgers(plan["_source"], cps)))
 
     def one(rep: int):
         fseed = rng.derive(plan["seed_base"], "field", rep)
@@ -357,7 +354,7 @@ def _run_rw_asym(plan, threads):
 def _run_rotation(plan, threads):
     src = plan["_source"]
     cps = [int(c) for c in plan["checkpoints"]]
-    rows = _ledger_rows(src, cps[-1], cps)
+    rows = [led.snapshot_row() for led in _checkpoint_ledgers(src, cps)]
     norm = [r[2] * math.sqrt(math.log(r[0])) / r[0] ** 2 for r in rows]
     summary = {"v_sqrtlog_over_n2": norm,
                "near_breakpoint_hits": getattr(src, "near_hits", 0),
@@ -398,6 +395,7 @@ def _run_variance(plan, threads):
         src.dist, plan["_field"], plan["n"], plan["replicates"],
         plan["seed_base"], kmax=plan.get("kmax", 200))
     summary = {"comparison": rep.record(),
+               "finite_n_mean": rep.finite_n_mean,
                "op": "spectral.transient_variance_report"}
     checks = {"positive": rep.positive,
               "defect_small": abs(rep.defect_estimate)
@@ -410,7 +408,7 @@ def _run_variance(plan, threads):
 
 
 def run_selftest() -> dict:
-    """Small oracle suite: streaming ledger against the quadratic oracle,
+    """Small oracle suite: the block-fed ledger against the quadratic oracle,
     convergent quality, the grid Parseval identity, and the axis-split
     return series against the Fourier grid."""
     results = {}
@@ -420,7 +418,10 @@ def run_selftest() -> dict:
         cfg = sources.RandomWalkSource(sources.simple_walk(d), seed=1000 + trial)
         coords = sources.generate(cfg, 300)
         led = ledger.LocalTimeLedger(d)
-        led.record_many(map(tuple, coords))
+        # blocks of 1..64 steps, so most of them meet a nonempty prior
+        cuts = np.cumsum(1 + (64 * rng.uniforms(2000 + trial, 300)).astype(int))
+        for block in np.split(coords, cuts[cuts < coords.shape[0]]):
+            led.record_block(block)
         v, m, counts = ledger.brute_force_stats(coords)
         led.rescan()
         if (v, m) != (led.self_intersections, led.max_count) or counts != led.counts:

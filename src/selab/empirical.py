@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng, sources
-from .ledger import LocalTimeLedger
+from .ledger import LocalTimeLedger, trajectory_stats
 
 
 @dataclass(frozen=True)
@@ -48,11 +48,8 @@ class WeightedEcdf:
 
 
 def ledger_arrays(ledger: LocalTimeLedger) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct sites as an array, their local times), insertion order."""
-    coords = np.array(list(ledger.counts.keys()), dtype=np.int64)
-    counts = np.fromiter(ledger.counts.values(), dtype=np.int64,
-                         count=len(ledger.counts))
-    return coords, counts
+    """(distinct sites, their local times), first-visit order."""
+    return ledger.sites, ledger.local_times
 
 
 def sampled_ecdf(field, field_seed: int, ledger: LocalTimeLedger) -> WeightedEcdf:
@@ -147,9 +144,7 @@ def mc_fclt(field, source_config, n: int, grid: Sequence[float],
         cfg = source_config
         if not quenched:
             cfg = _reseed(source_config, rng.derive(seed_base, "trajectory", rep))
-        led = LocalTimeLedger(cfg.d)
-        led.record_many(map(tuple, sources.generate(cfg, n)))
-        return led
+        return LocalTimeLedger.from_trajectory(sources.generate(cfg, n))
 
     shared = make_ledger(0) if quenched else None
     g = grid.size
@@ -218,7 +213,6 @@ def lil_margins(field, field_seed: int, source_config, s: float,
     f = float(np.asarray(field.cdf(s)))
     centered = (x <= s).astype(np.float64) - f
     partial = np.cumsum(centered)
-    from .ledger import trajectory_stats
     v = trajectory_stats(coords).v
     margins = []
     for c in checkpoints:

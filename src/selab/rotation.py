@@ -52,10 +52,6 @@ class ContinuedFraction:
             raise IndexError(f"only {len(self._coeffs)} partial quotients available")
         return self._periodic[(k - 1 - len(self._coeffs)) % len(self._periodic)]
 
-    @property
-    def finite_depth(self) -> int | None:
-        return None if self._periodic else len(self._coeffs)
-
     def convergents(self, depth: int) -> list[tuple[int, int]]:
         """[(p_1, q_1), ..., (p_depth, q_depth)] via the standard recursion
         q_k = a_k q_{k-1} + q_{k-2} started from (p_0, q_0) = (0, 1),

@@ -29,32 +29,17 @@ import numpy as np
 from scipy.special import zeta
 
 from . import rng, sources
-from .ledger import LocalTimeLedger
+from .ledger import LocalTimeLedger, local_time_block, pack_sites
 from .sources import RandomWalkSource, StepDistribution, classify
 
 Site = tuple[int, ...]
 
 
-def kernel_eval(coords: np.ndarray, counts: np.ndarray,
-                t_points: np.ndarray) -> np.ndarray:
-    """K_n(t) = |sum_sites N(site) e^{2 pi i <site, t>}|^2 on given points."""
-    coords = np.asarray(coords, dtype=np.float64)
-    if coords.ndim == 1:
-        coords = coords[:, None]
-    t_points = np.asarray(t_points, dtype=np.float64)
-    if t_points.ndim == 1:
-        t_points = t_points[:, None]
-    phase = np.exp(2j * np.pi * (t_points @ coords.T))
-    amp = phase @ counts.astype(np.float64)
-    return np.abs(amp) ** 2
-
-
 def kernel_from_ledger(ledger: LocalTimeLedger, t_points) -> np.ndarray:
-    coords = np.array(list(ledger.counts.keys()), dtype=np.int64)
-    counts = np.fromiter(ledger.counts.values(), dtype=np.int64,
-                         count=len(ledger.counts))
-    return kernel_eval(coords, counts, np.atleast_2d(np.asarray(t_points,
-                                                                dtype=np.float64)))
+    """K_n(t) = |sum_sites N(site) e^{2 pi i <site, t>}|^2 on given points."""
+    t_points = np.atleast_2d(np.asarray(t_points, dtype=np.float64))
+    phase = np.exp(2j * np.pi * (t_points @ ledger.sites.T.astype(np.float64)))
+    return np.abs(phase @ ledger.local_times.astype(np.float64)) ** 2
 
 
 def kernel_grid_mean(ledger: LocalTimeLedger, q: int) -> float:
@@ -69,34 +54,14 @@ def kernel_grid_mean(ledger: LocalTimeLedger, q: int) -> float:
     return float(kernel_from_ledger(ledger, pts).mean())
 
 
-def _pack_with_strides(coords: np.ndarray, margin: int) -> tuple[np.ndarray, list[int]]:
-    lo = coords.min(axis=0) - margin
-    hi = coords.max(axis=0) + margin
-    widths = [int(h - l) + 1 for l, h in zip(lo, hi)]
-    bits = sum(max(1, w - 1).bit_length() for w in widths)
-    if bits > 62:
-        raise OverflowError("site spread too large to pack")
-    d = coords.shape[1]
-    strides = [1] * d
-    for j in range(d - 2, -1, -1):
-        strides[j] = strides[j + 1] * widths[j + 1]
-    key = np.zeros(coords.shape[0], dtype=np.int64)
-    for j in range(d):
-        key += (coords[:, j] - int(lo[j])) * strides[j]
-    return key, strides
-
-
 def lag_correlation(coords: np.ndarray, counts: np.ndarray,
                     lag: Sequence[int]) -> int:
     """sum_r N(r + lag) N(r) over the visited range."""
-    coords = np.asarray(coords, dtype=np.int64)
-    if coords.ndim == 1:
-        coords = coords[:, None]
     lag = tuple(int(c) for c in lag)
     margin = max((abs(c) for c in lag), default=0)
-    key, strides = _pack_with_strides(coords, margin)
+    key, strides = pack_sites(coords, margin)
     order = np.argsort(key)
-    key_s, cnt_s = key[order], counts[order]
+    key_s, cnt_s = key[order], np.asarray(counts)[order]
     offset = sum(c * s for c, s in zip(lag, strides))
     shifted = key_s + offset
     idx = np.searchsorted(key_s, shifted)
@@ -108,10 +73,8 @@ def lag_correlation(coords: np.ndarray, counts: np.ndarray,
 def quadratic_form(ledger: LocalTimeLedger, field) -> float:
     """sum_lags cov(lag) * sum_r N(r + lag) N(r), the exact sampling
     variance numerator of sum N(site) X(site) for the fixed ledger."""
-    coords = np.array(list(ledger.counts.keys()), dtype=np.int64)
-    counts = np.fromiter(ledger.counts.values(), dtype=np.int64,
-                         count=len(ledger.counts))
-    return _quadratic_form_arrays(coords, counts, field, ledger.d)
+    return _quadratic_form_arrays(ledger.sites, ledger.local_times, field,
+                                  ledger.d)
 
 
 def _field_lags(field, d: int) -> list[Site]:
@@ -194,22 +157,63 @@ class ReturnSeries:
         return s
 
 
-def _geometric_tail(p: np.ndarray) -> float:
-    """Extrapolate sum_{k > kmax} from the last ~10 nonzero terms."""
+def _geometric_fit(p: np.ndarray) -> tuple[int, float, float, int] | None:
+    """(last k, P_k there, per-step ratio, step gap) of a geometric fit to
+    the last ~10 nonzero terms; None when fewer than 3 terms are nonzero."""
     # ignore grid round-off: exact zeros come back as ~1e-17
     nz = np.flatnonzero(p[1:] > 1e-13) + 1
     if nz.size < 3:
-        return 0.0
+        return None
     ks = nz[-10:]
     vals = p[ks]
     slope = np.polyfit(ks.astype(np.float64), np.log(vals), 1)[0]
-    rho_step = math.exp(slope)
+    gap = int(round(np.diff(ks).mean()))
+    return int(ks[-1]), float(vals[-1]), math.exp(slope), max(gap, 1)
+
+
+def _geometric_tail(p: np.ndarray) -> float:
+    """Extrapolate sum_{k > kmax} from the last ~10 nonzero terms."""
+    fit = _geometric_fit(p)
+    if fit is None:
+        return 0.0
+    _, last, rho_step, gap = fit
     if rho_step >= 1.0:
         return math.inf
-    gap = int(round(np.diff(ks).mean()))
-    gap = max(gap, 1)
     r = rho_step**gap
-    return float(vals[-1] * r / (1 - r))
+    return float(last * r / (1 - r))
+
+
+def _clt_law(dist: StepDistribution):
+    """(an atom a, a basis of the lattice L of support differences, its
+    index p, the local-CLT prefactor p det(2 pi Sigma)^(-1/2)); p = 0 and
+    a NaN prefactor when L has lower rank."""
+    support = dist.support()[dist.probs() > 0]
+    basis = sources.lattice_basis(support[1:] - support[0], dist.d)
+    period = sources.lattice_index(basis)
+    if period == 0:
+        return support[0], basis, 0, math.nan
+    pref = period / math.sqrt(np.linalg.det(2 * math.pi * dist.covariance()))
+    return support[0], basis, period, pref
+
+
+def _clt_terms(dist: StepDistribution, lags: Sequence[Site],
+               ks: np.ndarray) -> np.ndarray:
+    """The leading local-CLT term of P(Z_k = l) (see :func:`_clt_tails`) at
+    the times ks, 0 at times k with l outside k a + L."""
+    a0, basis, period, pref = _clt_law(dist)
+    if period == 0:
+        return np.full((len(lags), ks.size), math.nan)
+    out = np.zeros((len(lags), ks.size))
+    cov = dist.covariance()
+    k = ks.astype(np.float64)
+    for li, lag in enumerate(lags):
+        x = np.array(lag)
+        c = 0.5 * float(x @ np.linalg.solve(cov, x))
+        for r in range(period):
+            if sources.lattice_contains(basis, x - r * a0):
+                on = ks % period == r
+                out[li, on] = pref * k[on] ** (-dist.d / 2) * np.exp(-c / k[on])
+    return out
 
 
 def _clt_tails(dist: StepDistribution, kmax: int,
@@ -226,21 +230,17 @@ def _clt_tails(dist: StepDistribution, kmax: int,
     d <= 2 (recurrence); a law that is not genuinely d-dimensional has no
     estimate (NaN).
     """
-    d = dist.d
-    support = dist.support()[dist.probs() > 0]
-    basis = sources.lattice_basis(support[1:] - support[0], d)
-    period = sources.lattice_index(basis)
+    a0, basis, period, pref = _clt_law(dist)
     if period == 0:
         return np.full(len(lags), math.nan)
     cov = dist.covariance()
-    pref = period / math.sqrt(np.linalg.det(2 * math.pi * cov))
-    s = d / 2
+    s = dist.d / 2
     tails = np.zeros(len(lags))
     for li, lag in enumerate(lags):
         x = np.array(lag)
         c = 0.5 * float(x @ np.linalg.solve(cov, x))
         for r in range(period):
-            if not sources.lattice_contains(basis, x - r * support[0]):
+            if not sources.lattice_contains(basis, x - r * a0):
                 continue
             if s <= 1:
                 tails[li] = math.inf
@@ -257,6 +257,23 @@ def _clt_tails(dist: StepDistribution, kmax: int,
                                 * zeta(s + n, j1 + r / period)))
             tails[li] += pref * (head + tail)
     return tails
+
+
+def _terms_beyond(dist: StepDistribution, series: ReturnSeries,
+                  ks: np.ndarray) -> np.ndarray:
+    """Estimates of P(Z_k = l) at times ks > kmax for every lag of the
+    series: the leading local-CLT term for centered laws, the geometric fit
+    of :func:`_geometric_tail` continued for laws with a drift."""
+    if dist.is_centered():
+        return _clt_terms(dist, series.lags, ks)
+    out = np.zeros((len(series.lags), ks.size))
+    for i, row in enumerate(series.probs):
+        fit = _geometric_fit(row)
+        if fit is not None:
+            last_k, last, rho_step, gap = fit
+            on = (ks - last_k) % gap == 0
+            out[i, on] = last * rho_step ** (ks[on] - last_k)
+    return out
 
 
 def _requested_lags(dist: StepDistribution, kmax: int,
@@ -461,6 +478,8 @@ class TransientVarianceReport:
     # sum_lags |cov(lag)| (tail(lag) + tail(-lag)): the size of the
     # extrapolated part of the prediction, not a proven error bound
     tail_bound: float
+    # E[V_n(field)] / n at the report's n, the mean the Monte Carlo estimates
+    finite_n_mean: float
     defect_estimate: float
     positive: bool
     n: int
@@ -482,49 +501,58 @@ def transient_variance_report(dist: StepDistribution, field, n: int,
                               kmax: int = 200,
                               series: ReturnSeries | None = None
                               ) -> TransientVarianceReport:
-    """Two independent routes to lim V_n(field)/n for a transient walk.
+    """Two independent routes to V_n(field)/n for a transient walk.
 
     Route (a): Monte Carlo over walk realizations of the exact quadratic
     form (field covariance contracted against lag correlations of the
-    local times), divided by n.  Route (b): the return-probability series
-    sum_lags cov(lag) I(lag).  The defect estimate is (a) - (b).
+    local times), divided by n.  Route (b): the return-probability series,
+    both at the report's n,
+
+        E[V_n] / n = sum_lags cov(lag) [1{lag=0} + sum_{k=1}^{n-1} (1 - k/n)
+                     (P(Z_k = lag) + P(Z_k = -lag))],
+
+    exact for k <= kmax and from the estimated terms beyond, and as the
+    n -> oo limit sum_lags cov(lag) I(lag) (``series_prediction``).  The
+    defect estimate is (a) minus the finite-n mean.
     """
     cls = classify(dist)
     if cls.recurrence != "transient":
         raise ValueError(f"law is {cls.recurrence}, need transient")
     d = dist.d
-    # the local-CLT tail of a centered law needs det(Sigma) > 0
-    support = dist.support()[dist.probs() > 0]
-    if (dist.is_centered()
-            and sources.lattice_index(sources.lattice_basis(support, d)) == 0):
+    # the local-CLT terms of a centered law need det(Sigma) > 0; centered,
+    # its support spans what its differences span
+    if dist.is_centered() and _clt_law(dist)[2] == 0:
         raise ValueError("law is not genuinely d-dimensional: its support "
                          f"spans fewer than {d} dimensions")
     lags = _field_lags(field, d)
     if series is None:
         series = return_series(dist, kmax, lags)
+    ks = np.arange(1, n)
+    exact = ks <= series.kmax
+    probs = np.concatenate([series.probs[:, ks[exact]],
+                            _terms_beyond(dist, series, ks[~exact])], axis=1)
+    weights = 1 - ks / n
     prediction = 0.0
     tail_bound = 0.0
+    finite = 0.0
     for lag in lags:
         c = field.covariance(lag)
         if c == 0.0:
             continue
         prediction += c * series.i_value(lag, with_tail=True)
-        neg = tuple(-x for x in lag)
-        tail_bound += abs(c) * float(series.tails[series.lags.index(lag)]
-                                     + series.tails[series.lags.index(neg)])
+        i, j = series.lags.index(lag), series.lags.index(tuple(-x for x in lag))
+        tail_bound += abs(c) * float(series.tails[i] + series.tails[j])
+        finite += c * (all(x == 0 for x in lag)
+                       + float(weights @ (probs[i] + probs[j])))
     vals = np.empty(replicates)
     for rep in range(replicates):
         cfg = RandomWalkSource(dist, rng.derive(seed_base, "walk", rep))
-        coords = sources.generate(cfg, n)
-        key, _ = _pack_with_strides(coords, 0)
-        _, inv, cnt = np.unique(key, return_inverse=True, return_counts=True)
-        first = np.zeros(cnt.size, dtype=np.int64)
-        first[inv[::-1]] = np.arange(n - 1, -1, -1)
-        uniq_coords = coords[first]
-        vals[rep] = _quadratic_form_arrays(uniq_coords, cnt, field, d) / n
+        _, sites, times = local_time_block(sources.generate(cfg, n))
+        vals[rep] = _quadratic_form_arrays(sites, times, field, d) / n
     mc = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(replicates))
     return TransientVarianceReport(
         mc_estimate=mc, mc_stderr=stderr, series_prediction=prediction,
-        tail_bound=tail_bound, defect_estimate=mc - prediction,
+        tail_bound=tail_bound, finite_n_mean=finite,
+        defect_estimate=mc - finite,
         positive=prediction > 0, n=n, replicates=replicates)

@@ -89,6 +89,9 @@ def test_cli_main_run_and_exit_codes(tmp_path, capsys):
     assert main(["run", str(plan), "--out", str(tmp_path / "o")]) == 0
     bad = write_plan(tmp_path, dict(STATS_PLAN, stride=1), "bad.json")
     assert main(["run", str(bad)]) == 1
+    short = write_plan(tmp_path, dict(STATS_PLAN, n=5, checkpoints=[2, 5]),
+                       "short.json")
+    assert main(["run", str(short), "--out", str(tmp_path / "s")]) == 1
     assert main(["run", str(tmp_path / "missing.json")]) == 1
 
 
@@ -182,6 +185,7 @@ def test_cli_gc_threads_deterministic(tmp_path):
 def test_selftest_passes():
     results = run_selftest()
     assert results["ok"]
+    assert results["ledger_vs_brute_force"]
     assert results["return_series"]
 
 
@@ -190,3 +194,18 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "ledger_vs_brute_force: ok" in proc.stdout
+
+
+def test_cli_short_variance_plan_compares_with_the_finite_n_mean(tmp_path):
+    # at n = 300 the Monte Carlo mean of V_n/n sits near the exact finite-n
+    # mean 1.887, about 0.15 below the n -> oo limit
+    plan = parse_plan(json.dumps({
+        "experiment": "variance",
+        "source": {"variant": "rw", "simple": 3, "seed": 1},
+        "field": {"variant": "gaussian"}, "n": 300, "replicates": 60,
+        "seed_base": 2, "kmax": 40}))
+    summary, checks = run_plan(plan, tmp_path)
+    assert checks == {"positive": True, "defect_small": True}
+    rec = summary["comparison"]
+    assert abs(summary["finite_n_mean"] - 1.887) < 2e-3
+    assert rec["defect_estimate"] == rec["mc_estimate"] - summary["finite_n_mean"]

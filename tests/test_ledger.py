@@ -171,3 +171,64 @@ def test_from_trajectory_matches_record_many():
     assert a.counts == b.counts
     assert a.snapshot_row()[:5] == b.snapshot_row()[:5]
     assert a.pqd_partial_sum == pytest.approx(b.pqd_partial_sum, rel=1e-12)
+
+
+# sites whose raw coordinate spread needs more than 62 bits of key
+EXTREME_TRAJECTORIES = [
+    [(-(1 << 62),), (1 << 62,), (-(1 << 62),)],
+    [(-(1 << 63), 0), ((1 << 63) - 1, 5), (-(1 << 63), 0), (0, 0),
+     ((1 << 63) - 1, 5), ((1 << 63) - 1, 5)],
+]
+
+
+def _dict_oracle(sites):
+    counts, v, m = {}, [], []
+    for s in sites:
+        counts[s] = counts.get(s, 0) + 1
+        v.append(sum(c * c for c in counts.values()))
+        m.append(max(counts.values()))
+    return counts, v, m
+
+
+@pytest.mark.parametrize("sites", EXTREME_TRAJECTORIES)
+def test_extreme_coordinates_in_every_route(sites):
+    counts, v, m = _dict_oracle(sites)
+    led = LocalTimeLedger(len(sites[0]))
+    for s in sites:
+        led.record(s)
+    bulk = LocalTimeLedger.from_trajectory(sites)
+    for got in (led, bulk):
+        assert got.counts == counts
+        assert (got.self_intersections, got.max_count) == (v[-1], m[-1])
+    ts = trajectory_stats(sites)
+    assert ts.v.tolist() == v
+    assert ts.m.tolist() == m
+    assert brute_force_stats(sites) == (v[-1], m[-1], counts)
+
+
+coordinates = st.one_of(st.integers(-3, 3),
+                        st.sampled_from([-(1 << 63), (1 << 63) - 1, 1 << 62]))
+
+
+@given(st.lists(st.tuples(coordinates, coordinates), min_size=1,
+                max_size=80),
+       st.lists(st.integers(1, 30), min_size=1, max_size=80))
+@settings(max_examples=60, deadline=None)
+def test_record_block_splits_agree_with_brute_force(sites, sizes):
+    led = LocalTimeLedger(2)
+    bounds = np.cumsum([0] + sizes + [len(sites)])
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        led.record_block(np.array(sites[a:b], dtype=np.int64).reshape(-1, 2))
+    v, m, counts = brute_force_stats(sites)
+    assert (led.n, led.self_intersections, led.max_count, led.range_card) \
+        == (len(sites), v, m, len(counts))
+    assert led.counts == counts
+    assert [tuple(s) for s in led.sites.tolist()] == list(dict.fromkeys(sites))
+    # sequential compensated sum of M_k / k^2, term by term
+    total = comp = 0.0
+    for k, m_k in enumerate(_dict_oracle(sites)[2], start=1):
+        term = m_k / (k * k) - comp
+        new = total + term
+        comp = (new - total) - term
+        total = new
+    assert led.pqd_partial_sum == total

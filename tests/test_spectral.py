@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from selab import (LocalTimeLedger, RandomWalkSource, StepDistribution,
                    generate, kernel_from_ledger, kernel_grid_mean,
                    lag_correlation, phi, phi_lambda, psi, quadratic_form,
                    return_series, simple_walk, transient_variance_report)
-from selab.fields import MovingAverageField, UniformField
+from selab.fields import GaussianField, MovingAverageField, UniformField
 
 PM1 = StepDistribution([((1,), 0.5), ((-1,), 0.5)])
 # G(3) - 1 for the simple walk on Z^3 from Watson's closed form
@@ -206,3 +207,63 @@ def test_transient_variance_small_run():
     assert rep.series_prediction == pytest.approx(
         rs.i_value((0, 0, 0)) / 12, rel=1e-12)
     assert abs(rep.defect_estimate) < 0.1 * rep.series_prediction
+
+
+@pytest.mark.filterwarnings("error")
+def test_lag_correlation_at_the_int64_edge():
+    top = (1 << 63) - 1
+    assert lag_correlation([[top - 1], [top]], [1, 1], (1,)) == 1
+    assert lag_correlation([[-top - 1], [-top]], [2, 3], (-1,)) == 6
+    with pytest.raises(OverflowError):
+        lag_correlation([[-top - 1], [top]], [1, 1], (1,))
+
+
+def _enumerated_variance(field, n: int) -> float:
+    """E[sum_{i,j<n} cov(z_i - z_j)] / n over all 6^n simple-walk paths."""
+    steps = np.array([a for a, _ in simple_walk(3).atoms])
+    paths = np.array(list(itertools.product(range(6), repeat=n)))
+    z = np.cumsum(steps[paths], axis=1)  # (6^n, n, 3)
+    diff = z[:, :, None, :] - z[:, None, :, :]
+    total = 0.0
+    for lag in spectral._field_lags(field, 3):
+        c = field.covariance(lag)
+        if c != 0.0:
+            total += c * np.count_nonzero(np.all(diff == lag, axis=-1))
+    return total / (6**n * n)
+
+
+@pytest.mark.parametrize("field", [UniformField(),
+                                   MovingAverageField([1.0, 0.5, 0.25])])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_finite_n_variance_matches_path_enumeration(field, n):
+    # kmax = n - 1 where the field's lags allow: every term is exact
+    rep = transient_variance_report(simple_walk(3), field, n, 2, seed_base=1,
+                                    kmax=max(n - 1, 2))
+    assert rep.finite_n_mean == pytest.approx(_enumerated_variance(field, n),
+                                              rel=1e-12)
+    assert rep.defect_estimate == rep.mc_estimate - rep.finite_n_mean
+
+
+def test_finite_n_variance_beyond_kmax_uses_the_clt_terms():
+    # E[V_n]/n of the d=3 simple walk at n = 300 is 1.887, well below the
+    # n -> oo limit 2 G(3) - 1 = 2.033
+    exact = transient_variance_report(simple_walk(3), GaussianField(), 300,
+                                      2, seed_base=1, kmax=299)
+    assert exact.finite_n_mean == pytest.approx(1.887, abs=5e-4)
+    assert exact.series_prediction > 2.03
+    short = transient_variance_report(simple_walk(3), GaussianField(), 300,
+                                      2, seed_base=1, kmax=40)
+    assert short.finite_n_mean == pytest.approx(exact.finite_n_mean, abs=2e-3)
+    assert short.mc_estimate == exact.mc_estimate
+
+
+def test_finite_n_variance_with_drift_continues_the_geometric_fit():
+    law = StepDistribution([((1,), 0.7), ((-1,), 0.3)])
+    exact = transient_variance_report(law, GaussianField(), 200, 2,
+                                      seed_base=1, kmax=199)
+    short = transient_variance_report(law, GaussianField(), 200, 2,
+                                      seed_base=1, kmax=60)
+    # the limit is 2 / |2p - 1| - 1 = 4; the finite-n mean sits below it
+    assert short.series_prediction == pytest.approx(4.0, abs=1e-3)
+    assert exact.finite_n_mean < 3.9
+    assert short.finite_n_mean == pytest.approx(exact.finite_n_mean, abs=1e-3)
