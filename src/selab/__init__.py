@@ -6,7 +6,7 @@ from .ledger import (LocalTimeLedger, TrajectoryStats, brute_force_stats,
                      subset_lower_bound, trajectory_stats)
 from .sources import (Classification, CoboundarySource, ExplicitSource,
                       RandomWalkSource, StepDistribution, WindowFunctional,
-                      classify, generate, simple_walk, stream)
+                      classify, cursor, generate, simple_walk, stream)
 from .rotation import (ContinuedFraction, RotationCocycle, SpecialFlowConfig,
                        SpecialFlowSource, StepFunction,
                        counterexample_ratio_schedule, denjoy_koksma_check,

@@ -11,12 +11,12 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
-import itertools
 import json
 import math
 import os
 import sys
 import time
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -231,24 +231,23 @@ def _checkpoints(plan: dict, n: int) -> list[int]:
     return cps
 
 
-def _checkpoint_ledgers(source, checkpoints: list[int]) -> list:
-    """One ledger snapshot (a shallow copy) per checkpoint.
+def _checkpoint_ledgers(cur, checkpoints: list[int]) -> list:
+    """One ledger snapshot (a shallow copy) per checkpoint, fed by the
+    source cursor ``cur``.
 
-    Blocks from ``sources.stream`` hold min(steps to the next checkpoint,
-    max(4096, distinct sites so far)) steps: the trajectory is never held
-    whole, and each block costs about as much as re-sorting the sites.
+    Blocks hold min(steps to the next checkpoint, max(4096, distinct sites
+    so far)) steps: the trajectory is never held whole, and each block
+    costs about as much as re-sorting the sites.
     """
-    led = ledger.LocalTimeLedger(source.d)
-    it = itertools.chain.from_iterable(sources.stream(source))
+    led = ledger.LocalTimeLedger(cur.d)
     snaps = []
     for c in checkpoints:
         while led.n < c:
             size = min(c - led.n, max(4096, led.range_card))
-            block = np.fromiter(itertools.islice(it, size * source.d),
-                                dtype=np.int64)
-            if block.size < size * source.d:
+            block = cur.take(size)
+            if len(block) < size:
                 raise PlanError("source exhausted before the last checkpoint")
-            led.record_block(block.reshape(size, source.d))
+            led.record_block(block)
         snaps.append(copy.copy(led))
     return snaps
 
@@ -268,8 +267,8 @@ def _write_csv(path: Path, header, rows) -> None:
 def _run_stats(plan, threads):
     n = plan["n"]
     cps = _checkpoints(plan, n)
-    rows = [led.snapshot_row()
-            for led in _checkpoint_ledgers(plan["_source"], cps)]
+    rows = [led.snapshot_row() for led in
+            _checkpoint_ledgers(sources.cursor(plan["_source"]), cps)]
     summary = {"final": dict(zip(STATS_HEADER, rows[-1])),
                "op": "ledger.LocalTimeLedger.snapshot_row"}
     checks = {}
@@ -286,7 +285,8 @@ def _run_gc(plan, threads):
     n, reps = plan["n"], plan["replicates"]
     cps = _checkpoints(plan, n)
     field = plan["_field"]
-    leds = dict(zip(cps, _checkpoint_ledgers(plan["_source"], cps)))
+    leds = dict(zip(cps, _checkpoint_ledgers(sources.cursor(plan["_source"]),
+                                             cps)))
 
     def one(rep: int):
         fseed = rng.derive(plan["seed_base"], "field", rep)
@@ -352,12 +352,12 @@ def _run_rw_asym(plan, threads):
 
 
 def _run_rotation(plan, threads):
-    src = plan["_source"]
+    cur = sources.cursor(plan["_source"])
     cps = [int(c) for c in plan["checkpoints"]]
-    rows = [led.snapshot_row() for led in _checkpoint_ledgers(src, cps)]
+    rows = [led.snapshot_row() for led in _checkpoint_ledgers(cur, cps)]
     norm = [r[2] * math.sqrt(math.log(r[0])) / r[0] ** 2 for r in rows]
     summary = {"v_sqrtlog_over_n2": norm,
-               "near_breakpoint_hits": getattr(src, "near_hits", 0),
+               "near_breakpoint_hits": getattr(cur, "near_hits", 0),
                "op": "ledger.LocalTimeLedger.snapshot_row"}
     return {"rotation.csv": (STATS_HEADER, rows)}, summary, {}
 
@@ -409,8 +409,9 @@ def _run_variance(plan, threads):
 
 def run_selftest() -> dict:
     """Small oracle suite: the block-fed ledger against the quadratic oracle,
-    convergent quality, the grid Parseval identity, and the axis-split
-    return series against the Fourier grid."""
+    convergent quality, the grid Parseval identity, the axis-split return
+    series against the Fourier grid, and the two-limb rotation orbit
+    against the 128-bit scalar loop."""
     results = {}
     ok = True
     for trial in range(20):
@@ -445,8 +446,40 @@ def run_selftest() -> dict:
             spectral._axis_probs(law, 30, want)
             - spectral._grid_probs(law, 30, want)))))
     results["return_series"] = rs_err <= 1e-15
+    results["source_blocks"] = _selftest_source_blocks()
     results["ok"] = all(results.values())
     return results
+
+
+def _selftest_source_blocks(n: int = 2000) -> bool:
+    """The two-limb orbit and the cocycle cursor, fed blocks of 1..64
+    steps, against a step-by-step loop on 128-bit ints: orbit points, sums
+    and near-breakpoint hits."""
+    f = rotation.StepFunction([0, Fraction(1, 5), Fraction(1, 2),
+                               Fraction(4, 5)], [1, -2, 2, -1])
+    bps = f.breakpoints_fp() + [rotation.ONE]
+    ok = True
+    for k in range(3):
+        rc = rotation.RotationCocycle(rotation.ContinuedFraction.golden(), f,
+                                      rotation.point_from_seed(k))
+        alpha = rc.alpha_fp
+        pos, total, near, points, sums = rc.x_fp, 0, 0, [], []
+        for _ in range(n):
+            total += f.values[bisect_right(bps, pos) - 1]
+            near += any(abs(pos - b) < rotation.NEAR_THRESHOLD for b in bps)
+            points.append(pos)
+            sums.append(total)
+            pos = (pos + alpha) % rotation.ONE
+        cuts = np.cumsum(1 + (64 * rng.uniforms(3000 + k, n)).astype(int))
+        bounds = [0, *cuts[cuts < n].tolist(), n]
+        cur = rc.cursor()
+        for a, b in zip(bounds, bounds[1:]):
+            hi, lo = rotation._orbit(points[a], alpha, b - a)
+            orbit = [(h << 64) | l for h, l in zip(hi.tolist(), lo.tolist())]
+            ok = (ok and orbit == points[a:b]
+                  and cur.take(b - a)[:, 0].tolist() == sums[a:b])
+        ok = ok and cur.near_hits == near
+    return ok
 
 
 _RUNNERS = {"stats": _run_stats, "gc": _run_gc, "fclt": _run_fclt,

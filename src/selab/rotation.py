@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import rng
+from . import rng, sources
 
 FIXED_BITS = 128
 ONE = 1 << FIXED_BITS
@@ -154,13 +154,44 @@ class StepFunction:
         return self.values[bisect_right(self.breakpoints, x) - 1]
 
 
+_M64 = (1 << 64) - 1
+
+
+def _orbit(start: int, alpha: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """start + j * alpha mod 2^128 for j < count, as (hi, lo) uint64 limbs.
+
+    The low limb wraps mod 2^64; it carries into the high limb exactly when
+    it decreases, because each step adds less than 2^64 to it.
+    """
+    j = np.arange(count, dtype=np.uint64)
+    lo = np.uint64(start & _M64) + j * np.uint64(alpha & _M64)
+    carry = np.zeros(count, dtype=np.uint64)
+    np.cumsum(lo[1:] < lo[:-1], dtype=np.uint64, out=carry[1:])
+    hi = np.uint64(start >> 64) + j * np.uint64(alpha >> 64) + carry
+    return hi, lo
+
+
+def _at_least(hi: np.ndarray, lo: np.ndarray, v: int) -> np.ndarray:
+    """Mask of orbit points >= v, for 0 <= v <= ONE."""
+    if v >= ONE:
+        return np.zeros(hi.shape, dtype=bool)
+    v_hi, v_lo = np.uint64(v >> 64), np.uint64(v & _M64)
+    return (hi > v_hi) | ((hi == v_hi) & (lo >= v_lo))
+
+
+def _in_interval(hi: np.ndarray, lo: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Mask of orbit points in [a, b), for 0 <= a <= b <= ONE."""
+    return _at_least(hi, lo, a) & ~_at_least(hi, lo, b)
+
+
 class RotationCocycle:
     """Source emitting z_k = sum_{j<=k} f(x + j*alpha mod 1), k = 0, 1, ...
 
     One-dimensional lattice sequence; requires f to have exact zero mean
     (otherwise the sums drift and the sequence is a walk, not a cocycle).
-    ``near_hits`` counts evaluations within ~2^-100 of a breakpoint, where
-    the fixed-point orbit could disagree with the irrational one.
+    Its cursors count ``near_hits``, the evaluations within ~2^-100 of a
+    breakpoint, where the fixed-point orbit could disagree with the
+    irrational one.
     """
 
     d = 1
@@ -175,44 +206,15 @@ class RotationCocycle:
         self.x_fp = x_fp & _FP_MASK
         self._bps = f.breakpoints_fp()
         self._vals = f.values
-        self.near_hits = 0
 
-    def _near(self, pos: int) -> bool:
-        for b in self._bps + [ONE]:
-            if abs(pos - b) < NEAR_THRESHOLD:
-                return True
-        return False
+    def cursor(self) -> "CocycleCursor":
+        return CocycleCursor(self)
 
     def generate(self, n: int) -> np.ndarray:
-        out = np.empty((n, 1), dtype=np.int64)
-        pos = self.x_fp
-        alpha = self.alpha_fp
-        bps, vals = self._bps, self._vals
-        two = len(bps) == 2
-        b1 = bps[1] if two else None
-        s = 0
-        near = 0
-        for k in range(n):
-            if two:
-                s += vals[0] if pos < b1 else vals[1]
-            else:
-                s += vals[bisect_right(bps, pos) - 1]
-            if self._near(pos):
-                near += 1
-            out[k, 0] = s
-            pos = (pos + alpha) & _FP_MASK
-        self.near_hits += near
-        return out
+        return self.cursor().take(n)
 
     def stream(self) -> Iterator[tuple[int]]:
-        pos = self.x_fp
-        s = 0
-        while True:
-            s += self._vals[bisect_right(self._bps, pos) - 1]
-            if self._near(pos):
-                self.near_hits += 1
-            yield (s,)
-            pos = (pos + self.alpha_fp) & _FP_MASK
+        return sources.stream(self)
 
     def birkhoff_sum(self, length: int, x_fp: int | None = None) -> int:
         """S_length f(x) = sum_{j<length} f(x + j*alpha), without the
@@ -223,6 +225,41 @@ class RotationCocycle:
             s += self._vals[bisect_right(self._bps, pos) - 1]
             pos = (pos + self.alpha_fp) & _FP_MASK
         return s
+
+
+class CocycleCursor:
+    """Block path of a :class:`RotationCocycle`: the orbit as two uint64
+    limbs, the pieces of f by limb compares, and the running sum and
+    ``near_hits`` of this realization carried across blocks."""
+
+    d = 1
+
+    def __init__(self, cocycle: RotationCocycle):
+        self._alpha = cocycle.alpha_fp
+        self._pos = cocycle.x_fp
+        self._sum = 0
+        self.near_hits = 0
+        self._bps = cocycle._bps[1:]  # the first breakpoint is 0
+        self._vals = np.array(cocycle._vals, dtype=np.int64)
+        # |pos - b| < NEAR_THRESHOLD, as intervals clipped to the circle
+        self._near = [(max(b - NEAR_THRESHOLD + 1, 0),
+                       min(b + NEAR_THRESHOLD, ONE))
+                      for b in cocycle._bps + [ONE]]
+
+    def take(self, count: int) -> np.ndarray:
+        hi, lo = _orbit(self._pos, self._alpha, count)
+        piece = np.zeros(count, dtype=np.intp)
+        for b in self._bps:
+            piece += _at_least(hi, lo, b)
+        near = np.zeros(count, dtype=bool)
+        for a, b in self._near:
+            near |= _in_interval(hi, lo, a, b)
+        self.near_hits += int(np.count_nonzero(near))
+        out = np.cumsum(self._vals[piece]) + self._sum
+        if count:
+            self._sum = int(out[-1])
+        self._pos = (self._pos + count * self._alpha) & _FP_MASK
+        return out.reshape(count, 1)
 
 
 def denjoy_koksma_check(cf: ContinuedFraction, f: StepFunction,
@@ -373,24 +410,58 @@ class SpecialFlowSource:
                 return n
         return 0
 
-    def stream(self) -> Iterator[tuple[int]]:
-        pos = self.config.x_fp
-        m = 0
-        while True:
-            m += 1
-            for _ in range(self.roof(pos)):
-                yield (m,)
-            pos = (pos + self.alpha_fp) & _FP_MASK
+    def cursor(self) -> "FlowCursor":
+        return FlowCursor(self)
 
     def generate(self, n: int) -> np.ndarray:
-        out = np.empty((n, 1), dtype=np.int64)
-        k = 0
-        for site in self.stream():
-            out[k, 0] = site[0]
-            k += 1
-            if k == n:
-                return out
-        raise AssertionError("unreachable")
+        return self.cursor().take(n)
+
+    def stream(self) -> Iterator[tuple[int]]:
+        return sources.stream(self)
+
+
+class FlowCursor:
+    """Block path of a :class:`SpecialFlowSource`.
+
+    A block of ``count`` steps needs at most ``count`` base points, since
+    every roof is at least 1; each roof is clipped to ``count`` before the
+    towers are laid out with ``np.repeat``, so no block holds more than
+    ``count`` steps however tall the towers are.  The unfinished tower is
+    carried as a Python int (heights reach 2^57 at five golden levels).
+    """
+
+    d = 1
+
+    def __init__(self, src: SpecialFlowSource):
+        self._alpha = src.alpha_fp
+        self._pos = src.config.x_fp  # base point of the next tower
+        self._towers = 0  # towers started, = the current site
+        self._left = 0    # steps still due on the current tower
+        self._levels = list(zip(src._intervals, src._heights))
+
+    def take(self, count: int) -> np.ndarray:
+        head = min(self._left, count)
+        self._left -= head
+        rest = count - head
+        if rest == 0:
+            return np.full((count, 1), self._towers, dtype=np.int64)
+        hi, lo = _orbit(self._pos, self._alpha, rest)
+        roofs = np.ones(rest, dtype=np.int64)
+        for (a, b), h in self._levels:
+            roofs[_in_interval(hi, lo, a, b)] += h
+        reps = np.minimum(roofs, rest)
+        ends = np.cumsum(reps)
+        k = int(np.searchsorted(ends, rest))  # the tower this block ends in
+        reps = reps[:k + 1]
+        reps[k] -= ends[k] - rest
+        self._left = int(roofs[k]) - int(reps[k])
+        first = self._towers + 1
+        self._towers += k + 1
+        self._pos = (self._pos + (k + 1) * self._alpha) & _FP_MASK
+        out = np.empty((count, 1), dtype=np.int64)
+        out[:head] = first - 1
+        out[head:, 0] = np.repeat(np.arange(first, self._towers + 1), reps)
+        return out
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
 """Generators of stationary site sequences on Z^d.
 
 Every source is a frozen configuration; realizations are pure functions of
-(config, seed), produced either step by step (:func:`stream`) or in bulk as
-an (n, d) int64 array (:func:`generate`).  Bulk and streaming generation
-consume the same uniforms in the same order, so they agree bitwise.
+(config, seed).  Each variant has one generation path, a block path:
+:func:`cursor` returns a cursor whose ``take(count)`` draws the next
+``count`` sites as a (count, d) int64 array.  The randomness is
+counter-based, so the block at any offset is a pure function of (seed,
+offset) and any split into blocks gives the same sites.  :func:`generate`
+is one block from a fresh cursor, and :func:`stream` is an adapter that
+yields the cursor's blocks as tuples, one site at a time.
 """
 
 from __future__ import annotations
@@ -263,115 +267,112 @@ SourceConfig = (RandomWalkSource | CoboundarySource | WindowFunctional |
                 ExplicitSource)
 
 
-def _inner_cum(inner: tuple[tuple[int, float], ...]) -> np.ndarray:
-    cum = np.cumsum([p for _, p in inner])
+class Cursor:
+    """A position in one realization; ``take`` draws the next block of sites.
+
+    ``block(offset, count)`` gives the sites (or, when ``cumulative``, the
+    steps) at indices offset .. offset + count - 1 as a (count, d) int64
+    array, a pure function of (config, offset); the cursor carries only the
+    offset and the last position, so any split into blocks gives the same
+    sites.  A finite source returns a short block once it runs out.
+    """
+
+    def __init__(self, d: int, block, cumulative: bool):
+        self.d = d
+        self.offset = 0
+        self._block = block
+        self._pos = np.zeros(d, dtype=np.int64) if cumulative else None
+
+    def take(self, count: int) -> np.ndarray:
+        """The next ``count`` sites as a (count, d) int64 array."""
+        out = self._block(self.offset, count)
+        if self._pos is not None:
+            out = np.cumsum(out, axis=0)
+            out += self._pos
+            if len(out):
+                self._pos = out[-1].copy()
+        self.offset += len(out)
+        return out
+
+
+def _law_block(law: StepDistribution, seed: int):
+    support = law.support()
+    # rng.uniforms is looked up per call, so wrappers installed on it see
+    # every draw
+    return lambda offset, count: support[
+        law.sample_indices(rng.uniforms(seed, count, offset))]
+
+
+def _window_block(config: WindowFunctional):
+    """Steps g(xi_k, ..., xi_{k+r-1}) through a lookup table indexed by the
+    base-|alphabet| code of each window of symbol indices."""
+    cum = np.cumsum([p for _, p in config.inner])
     cum[-1] = 1.0
-    return cum
+    sym_pos = {a: i for i, (a, _) in enumerate(config.inner)}
+    base, r = len(sym_pos), config.r
+    lut = np.empty((base ** r, config.d), dtype=np.int64)
+    for w, s in config.table:
+        c = 0
+        for x in w:
+            c = c * base + sym_pos[x]
+        lut[c] = s
+
+    def block(offset, count):
+        sym = np.searchsorted(cum, rng.uniforms(config.seed, count + r - 1,
+                                                offset), side="right")
+        code = np.zeros(count, dtype=np.int64)
+        for j in range(r):
+            code = code * base + sym[j:j + count]
+        return lut[code]
+    return block
+
+
+def cursor(config):
+    """A fresh :class:`Cursor` (or a rotation source's own cursor) at the
+    start of the realization."""
+    if isinstance(config, RandomWalkSource):
+        return Cursor(config.d, _law_block(config.dist, config.seed), True)
+    if isinstance(config, CoboundarySource):
+        psi = _law_block(config.law, config.seed)
+        psi0 = psi(0, 1)[0]
+        return Cursor(config.d, lambda offset, count: psi(offset, count) - psi0,
+                      False)
+    if isinstance(config, WindowFunctional):
+        return Cursor(config.d, _window_block(config), True)
+    if isinstance(config, ExplicitSource):
+        sites = np.array(config.sites, dtype=np.int64)
+        return Cursor(config.d,
+                      lambda offset, count: sites[offset:offset + count], False)
+    # rotation-driven sources live in selab.rotation; duck-type on cursor()
+    make = getattr(config, "cursor", None)
+    if make is not None:
+        return make()
+    raise TypeError(f"unknown source config {type(config).__name__}")
 
 
 def generate(config, n: int) -> np.ndarray:
     """First n sites of the realization as an (n, d) int64 array."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if isinstance(config, RandomWalkSource):
-        u = rng.uniforms(config.seed, n)
-        idx = config.dist.sample_indices(u)
-        steps = config.dist.support()[idx]
-        return np.cumsum(steps, axis=0)
-    if isinstance(config, CoboundarySource):
-        u = rng.uniforms(config.seed, n)
-        idx = config.law.sample_indices(u)
-        psi = config.law.support()[idx]
-        return psi - psi[0]
-    if isinstance(config, WindowFunctional):
-        u = rng.uniforms(config.seed, n + config.r - 1)
-        cum = _inner_cum(config.inner)
-        sym_idx = np.searchsorted(cum, u, side="right")
-        # map every length-r window of symbol indices to its increment
-        word_index: dict[tuple[int, ...], int] = {}
-        symbols = [a for a, _ in config.inner]
-        sym_pos = {a: i for i, a in enumerate(symbols)}
-        outputs = np.empty((len(config.table), config.d), dtype=np.int64)
-        for i, (w, s) in enumerate(config.table):
-            word_index[tuple(sym_pos[x] for x in w)] = i
-            outputs[i] = s
-        base = len(symbols)
-        code = np.zeros(n, dtype=np.int64)
-        for j in range(config.r):
-            code = code * base + sym_idx[j:j + n]
-        lut = np.empty(base ** config.r, dtype=np.int64)
-        for w, i in word_index.items():
-            c = 0
-            for x in w:
-                c = c * base + x
-            lut[c] = i
-        steps = outputs[lut[code]]
-        return np.cumsum(steps, axis=0)
-    if isinstance(config, ExplicitSource):
-        if n > len(config.sites):
-            raise ValueError(f"explicit source exhausted: has {len(config.sites)} "
-                             f"sites, {n} requested")
-        return np.array(config.sites[:n], dtype=np.int64)
-    # rotation-driven sources live in selab.rotation; duck-type on generate()
-    gen = getattr(config, "generate", None)
-    if gen is not None:
-        return gen(n)
-    raise TypeError(f"unknown source config {type(config).__name__}")
+    out = cursor(config).take(n)
+    if len(out) < n:
+        raise ValueError(f"source exhausted: has {len(out)} sites, "
+                         f"{n} requested")
+    return out
 
 
-def _pick(cum: np.ndarray, u: float) -> int:
-    return int(np.searchsorted(cum, u, side="right"))
+_STREAM_BLOCK = 4096
 
 
 def stream(config) -> Iterator[Site]:
-    """Yield the realization site by site (unbounded where the law allows).
+    """Yield the realization site by site, as tuples of ints.
 
-    Consumes the same uniform stream as :func:`generate`, so the first n
-    yields equal ``generate(config, n)`` exactly.
+    An adapter over :func:`cursor` blocks, so the first n yields equal
+    ``generate(config, n)``; it ends only where a finite source runs out.
     """
-    if isinstance(config, ExplicitSource):
-        yield from config.sites
-        return
-    if isinstance(config, RandomWalkSource):
-        cum = np.cumsum(config.dist.probs())
-        cum[-1] = 1.0
-        support = config.dist.support()
-        pos = [0] * config.d
-        k = 0
-        while True:
-            a = support[_pick(cum, rng.uniform_at(config.seed, k))]
-            pos = [p + int(x) for p, x in zip(pos, a)]
-            yield tuple(pos)
-            k += 1
-    elif isinstance(config, CoboundarySource):
-        cum = np.cumsum(config.law.probs())
-        cum[-1] = 1.0
-        support = config.law.support()
-        psi0 = support[_pick(cum, rng.uniform_at(config.seed, 0))]
-        yield tuple(0 for _ in range(config.d))
-        k = 1
-        while True:
-            psi = support[_pick(cum, rng.uniform_at(config.seed, k))]
-            yield tuple(int(a - b) for a, b in zip(psi, psi0))
-            k += 1
-    elif isinstance(config, WindowFunctional):
-        cum = _inner_cum(config.inner)
-        symbols = [a for a, _ in config.inner]
-        table = {w: s for w, s in config.table}
-        window = [symbols[_pick(cum, rng.uniform_at(config.seed, j))]
-                  for j in range(config.r - 1)]
-        pos = [0] * config.d
-        k = 0
-        while True:
-            window.append(symbols[_pick(cum, rng.uniform_at(config.seed,
-                                                            k + config.r - 1))])
-            step = table[tuple(window)]
-            window.pop(0)
-            pos = [p + c for p, c in zip(pos, step)]
-            yield tuple(pos)
-            k += 1
-    else:
-        it = getattr(config, "stream", None)
-        if it is None:
-            raise TypeError(f"unknown source config {type(config).__name__}")
-        yield from it()
+    cur = cursor(config)
+    while True:
+        block = cur.take(_STREAM_BLOCK)
+        yield from map(tuple, block.tolist())
+        if len(block) < _STREAM_BLOCK:
+            return

@@ -56,8 +56,11 @@ def kernel_grid_mean(ledger: LocalTimeLedger, q: int) -> float:
 
 def lag_correlation(coords: np.ndarray, counts: np.ndarray,
                     lag: Sequence[int]) -> int:
-    """sum_r N(r + lag) N(r) over the visited range."""
+    """sum_r N(r + lag) N(r) over the visited range (distinct sites)."""
     lag = tuple(int(c) for c in lag)
+    if not any(lag):
+        counts = np.asarray(counts)
+        return int(np.sum(counts * counts))
     margin = max((abs(c) for c in lag), default=0)
     key, strides = pack_sites(coords, margin)
     order = np.argsort(key)

@@ -182,11 +182,25 @@ def test_cli_gc_threads_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_rotation_plan_summary_does_not_depend_on_earlier_runs(tmp_path):
+    # from x = 0 the first orbit point sits on the breakpoint 0: one near hit
+    # per realization, however often the parsed plan runs
+    plan = parse_plan(json.dumps({
+        "experiment": "rotation",
+        "source": {"variant": "rotation", "cf": {"periodic": [1]}, "x": "0"},
+        "checkpoints": [10, 100]}))
+    first = run_plan(plan, tmp_path / "a")
+    second = run_plan(plan, tmp_path / "b")
+    assert first == second
+    assert first[0]["near_breakpoint_hits"] == 1
+
+
 def test_selftest_passes():
     results = run_selftest()
     assert results["ok"]
     assert results["ledger_vs_brute_force"]
     assert results["return_series"]
+    assert results["source_blocks"]
 
 
 def test_console_entry_point():

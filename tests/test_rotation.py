@@ -1,13 +1,17 @@
+from bisect import bisect_right
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from selab import LocalTimeLedger
+from selab import LocalTimeLedger, generate
 from selab.rotation import (ContinuedFraction, RotationCocycle,
                             SpecialFlowConfig, SpecialFlowSource, StepFunction,
                             counterexample_ratio_schedule, denjoy_koksma_check,
                             fraction_to_fp, minimal_lambda_indices,
-                            point_from_seed, ratio_floors, ONE)
+                            point_from_seed, ratio_floors, NEAR_THRESHOLD, ONE,
+                            _orbit)
 
 GOLDEN = ContinuedFraction.golden()
 
@@ -167,3 +171,118 @@ def test_counterexample_budget_error():
     cfg = SpecialFlowConfig(GOLDEN, 2, (4, 9, 20), 0)
     with pytest.raises(RuntimeError, match="budget"):
         counterexample_ratio_schedule(cfg, budget=10)
+
+
+# ---------------------------------------------------------------------------
+# block paths against step-by-step loops on 128-bit ints
+
+ANGLES = (GOLDEN, ContinuedFraction(periodic=(2,)),
+          ContinuedFraction(coeffs=(3, 1, 4), periodic=(1, 5, 9)))
+STEP_FUNCTIONS = (StepFunction.square_wave(),
+                  StepFunction([0, Fraction(1, 5), Fraction(1, 2),
+                                Fraction(4, 5)], [1, -2, 2, -1]))
+LOW_LIMB = (1 << 64) - 1
+
+
+def cocycle_oracle(rc, n):
+    """Partial sums of f along the orbit and the near-breakpoint count."""
+    bps = rc.f.breakpoints_fp()
+    pos, total, near, out = rc.x_fp, 0, 0, []
+    for _ in range(n):
+        total += rc.f.values[bisect_right(bps, pos) - 1]
+        near += any(abs(pos - b) < NEAR_THRESHOLD for b in bps + [ONE])
+        out.append(total)
+        pos = (pos + rc.alpha_fp) % ONE
+    return out, near
+
+
+def flow_oracle(src, n):
+    cfg = src.config
+    levels = list(zip(cfg.intervals_fp(), cfg.tower_heights()))
+    pos, tower, out = cfg.x_fp, 0, []
+    while len(out) < n:
+        tower += 1
+        roof = 1 + sum(h for (a, b), h in levels if a <= pos < b)
+        out.extend([tower] * min(roof, n - len(out)))
+        pos = (pos + src.alpha_fp) % ONE
+    return out
+
+
+def take_in_blocks(cur, n, sizes):
+    parts, taken = [], 0
+    for size in sizes:
+        size = min(size, n - taken)
+        parts.append(cur.take(size))
+        taken += size
+    parts.append(cur.take(n - taken))
+    return np.concatenate(parts)
+
+
+@st.composite
+def circle_points(draw, breakpoints, alpha):
+    """Seeded points and the carry edges: a low limb of 2^64 - 1, a point
+    on a breakpoint or within (or just outside) 2^28 of one, and a point
+    whose j-th successor lands on a breakpoint."""
+    seeded = point_from_seed(draw(st.integers(0, 2**32)))
+    b = draw(st.sampled_from(breakpoints + [ONE]))
+    return draw(st.sampled_from([
+        seeded, seeded | LOW_LIMB, b % ONE,
+        (b - draw(st.integers(1, NEAR_THRESHOLD))) % ONE,
+        (b + draw(st.integers(0, NEAR_THRESHOLD))) % ONE,
+        (b - draw(st.integers(1, 2000)) * alpha) % ONE]))
+
+
+@given(st.data(), st.sampled_from(ANGLES), st.sampled_from(STEP_FUNCTIONS),
+       st.integers(1, 2000), st.lists(st.integers(0, 300), max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_cocycle_blocks_match_the_128_bit_loop(data, cf, f, n, sizes):
+    alpha = cf.angle_fixed_point()
+    x = data.draw(circle_points(f.breakpoints_fp(), alpha))
+    rc = RotationCocycle(cf, f, x)
+    cur = rc.cursor()
+    got = take_in_blocks(cur, n, sizes)
+    want, near = cocycle_oracle(rc, n)
+    assert got.dtype == np.int64 and got.shape == (n, 1)
+    assert got[:, 0].tolist() == want
+    assert cur.near_hits == near
+    assert np.array_equal(got, generate(rc, n))
+    hi, lo = _orbit(x, alpha, n)
+    assert [(h << 64) | l for h, l in zip(hi.tolist(), lo.tolist())] \
+        == [(x + j * alpha) % ONE for j in range(n)]
+
+
+def test_cocycle_near_hits_at_the_threshold():
+    f = StepFunction.square_wave()
+    half = fraction_to_fp(Fraction(1, 2))
+    for x, hits in ((0, 1), (half - NEAR_THRESHOLD + 1, 1),
+                    (half - NEAR_THRESHOLD, 0), (half + NEAR_THRESHOLD - 1, 1),
+                    (half + NEAR_THRESHOLD, 0), (ONE - NEAR_THRESHOLD + 1, 1),
+                    (ONE - NEAR_THRESHOLD, 0)):
+        cur = RotationCocycle(GOLDEN, f, x).cursor()
+        cur.take(1)
+        assert cur.near_hits == hits, x
+
+
+@given(st.sampled_from(ANGLES), st.integers(1, 3), st.integers(0, 50),
+       st.integers(1, 3000), st.lists(st.integers(0, 800), max_size=12))
+@settings(max_examples=40, deadline=None)
+def test_special_flow_blocks_match_the_tower_loop(cf, levels, xseed, n, sizes):
+    cfg = SpecialFlowConfig(cf, levels, minimal_lambda_indices(cf, levels),
+                            0 if xseed == 0 else point_from_seed(xseed))
+    src = SpecialFlowSource(cfg)
+    got = take_in_blocks(src.cursor(), n, sizes)
+    assert got[:, 0].tolist() == flow_oracle(src, n)
+    assert np.array_equal(got, generate(src, n))
+
+
+def test_special_flow_cursor_walks_a_57_bit_tower_in_small_blocks():
+    cfg = SpecialFlowConfig(GOLDEN, 5, minimal_lambda_indices(GOLDEN, 5), 0)
+    top = cfg.tower_heights()[-1]
+    assert top.bit_length() == 57
+    # start on the innermost interval: the first tower has 1 + top steps
+    src = SpecialFlowSource(SpecialFlowConfig(
+        GOLDEN, 5, cfg.lambda_indices, cfg.intervals_fp()[-1][0]))
+    cur = src.cursor()
+    assert cur.take(3).tolist() == [[1]] * 3
+    assert cur.take(5000).shape == (5000, 1)
+    assert set(cur.take(7)[:, 0].tolist()) == {1}

@@ -1,11 +1,14 @@
 
+from bisect import bisect_right
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from selab import (CoboundarySource, ExplicitSource, RandomWalkSource,
-                   StepDistribution, WindowFunctional, classify, generate,
-                   simple_walk, stream)
+                   StepDistribution, WindowFunctional, classify, cursor,
+                   generate, rng, simple_walk, stream)
 
 
 def test_step_distribution_validation():
@@ -153,3 +156,92 @@ def test_walk_increments_in_support(seed, d):
     steps = np.diff(np.vstack([np.zeros(d, dtype=np.int64), z]), axis=0)
     support = {tuple(a) for a, _ in simple_walk(d).atoms}
     assert all(tuple(s) in support for s in steps)
+
+
+def take_in_blocks(cur, n, sizes):
+    """Concatenated cursor blocks of the given sizes (the last one cut or
+    stretched so that n sites come out)."""
+    parts, taken = [], 0
+    for size in sizes:
+        size = min(size, n - taken)
+        parts.append(cur.take(size))
+        taken += size
+    parts.append(cur.take(n - taken))
+    return np.concatenate(parts)
+
+
+def _pick(probs, u):
+    cum = np.cumsum(probs)
+    cum[-1] = 1.0
+    return bisect_right(cum.tolist(), u)
+
+
+def per_step_oracle(config, n):
+    """The realization one uniform_at draw at a time, on Python ints."""
+    if isinstance(config, ExplicitSource):
+        return [list(s) for s in config.sites[:n]]
+    if isinstance(config, WindowFunctional):
+        probs = [p for _, p in config.inner]
+        sym = [config.inner[_pick(probs, rng.uniform_at(config.seed, j))][0]
+               for j in range(n + config.r - 1)]
+        table = dict(config.table)
+        steps = [table[tuple(sym[k:k + config.r])] for k in range(n)]
+    else:
+        law = config.dist if isinstance(config, RandomWalkSource) else config.law
+        probs = [p for _, p in law.atoms]
+        draws = [law.atoms[_pick(probs, rng.uniform_at(config.seed, k))][0]
+                 for k in range(n)]
+        if isinstance(config, CoboundarySource):
+            return [[a - b for a, b in zip(psi, draws[0])] for psi in draws]
+        steps = draws
+    pos, out = [0] * config.d, []
+    for step in steps:
+        pos = [p + c for p, c in zip(pos, step)]
+        out.append(pos)
+    return out
+
+
+@st.composite
+def walk_type_sources(draw):
+    d = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**64 - 1))
+    kind = draw(st.sampled_from(["walk", "coboundary", "window", "explicit"]))
+    vectors = st.tuples(*[st.integers(-2, 2)] * d)
+    if kind == "explicit":
+        return ExplicitSource(draw(st.lists(vectors, min_size=1, max_size=300)))
+    if kind == "window":
+        r = draw(st.integers(1, 3))
+        inner = [(a, w) for a, w in enumerate(
+            draw(st.lists(st.integers(1, 5), min_size=2, max_size=3)))]
+        total = sum(w for _, w in inner)
+        words = product([a for a, _ in inner], repeat=r)
+        table = {w: draw(vectors) for w in words}
+        return WindowFunctional([(a, w / total) for a, w in inner], r, table,
+                                seed)
+    atoms = draw(st.lists(vectors, min_size=2, max_size=5, unique=True))
+    weights = draw(st.lists(st.integers(0, 5), min_size=len(atoms),
+                            max_size=len(atoms)).filter(any))
+    law = StepDistribution([(a, w / sum(weights))
+                            for a, w in zip(atoms, weights)])
+    if kind == "walk":
+        return RandomWalkSource(law, seed)
+    return CoboundarySource(law, seed)
+
+
+@given(walk_type_sources(), st.integers(1, 300),
+       st.lists(st.integers(0, 70), max_size=12))
+@settings(max_examples=80, deadline=None)
+def test_cursor_blocks_match_generate_and_per_step_oracle(config, n, sizes):
+    if isinstance(config, ExplicitSource):
+        n = min(n, len(config.sites))
+    got = take_in_blocks(cursor(config), n, sizes)
+    assert got.dtype == np.int64 and got.shape == (n, config.d)
+    assert np.array_equal(got, generate(config, n))
+    assert got.tolist() == per_step_oracle(config, n)
+
+
+def test_explicit_cursor_runs_short_at_the_end():
+    cur = cursor(ExplicitSource([(0,), (1,), (2,)]))
+    assert cur.take(2).tolist() == [[0], [1]]
+    assert cur.take(5).tolist() == [[2]]
+    assert cur.take(5).shape == (0, 1)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -49,6 +50,15 @@ def test_lag_correlation_small():
     assert lag_correlation(coords, counts, (1,)) == 2  # N(1)N(0)
     assert lag_correlation(coords, counts, (-1,)) == 2
     assert lag_correlation(coords, counts, (2,)) == 1  # N(3)N(1)
+    # a d = 2 walk against sum_r N(r + lag) N(r) over a dict of local times
+    sites = np.cumsum(np.random.default_rng(3).integers(-1, 2, (400, 2)), axis=0)
+    table = Counter(map(tuple, sites.tolist()))
+    coords = np.array(list(table), dtype=np.int64)
+    counts = np.array(list(table.values()), dtype=np.int64)
+    for lag in ((0, 0), (1, 0), (-1, 2)):
+        want = sum(n * table.get((r[0] + lag[0], r[1] + lag[1]), 0)
+                   for r, n in table.items())
+        assert lag_correlation(coords, counts, lag) == want
 
 
 def test_quadratic_form_iid_is_variance_times_v():
