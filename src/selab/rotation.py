@@ -227,18 +227,17 @@ class RotationCocycle:
         return s
 
 
-class CocycleCursor:
-    """Block path of a :class:`RotationCocycle`: the orbit as two uint64
-    limbs, the pieces of f by limb compares, and the running sum and
-    ``near_hits`` of this realization carried across blocks."""
-
-    d = 1
+class CocycleCursor(sources.Cursor):
+    """Block path of a :class:`RotationCocycle`: the steps f(x + j*alpha)
+    from the orbit as two uint64 limbs and the pieces of f by limb compares,
+    summed by :class:`sources.Cursor`; ``near_hits`` counts this
+    realization's evaluations near a breakpoint."""
 
     def __init__(self, cocycle: RotationCocycle):
-        self._alpha = cocycle.alpha_fp
-        self._pos = cocycle.x_fp
-        self._sum = 0
+        super().__init__(1, self._steps, True)
         self.near_hits = 0
+        self._x = cocycle.x_fp
+        self._alpha = cocycle.alpha_fp
         self._bps = cocycle._bps[1:]  # the first breakpoint is 0
         self._vals = np.array(cocycle._vals, dtype=np.int64)
         # |pos - b| < NEAR_THRESHOLD, as intervals clipped to the circle
@@ -246,8 +245,9 @@ class CocycleCursor:
                        min(b + NEAR_THRESHOLD, ONE))
                       for b in cocycle._bps + [ONE]]
 
-    def take(self, count: int) -> np.ndarray:
-        hi, lo = _orbit(self._pos, self._alpha, count)
+    def _steps(self, offset: int, count: int) -> np.ndarray:
+        hi, lo = _orbit((self._x + offset * self._alpha) & _FP_MASK,
+                        self._alpha, count)
         piece = np.zeros(count, dtype=np.intp)
         for b in self._bps:
             piece += _at_least(hi, lo, b)
@@ -255,11 +255,7 @@ class CocycleCursor:
         for a, b in self._near:
             near |= _in_interval(hi, lo, a, b)
         self.near_hits += int(np.count_nonzero(near))
-        out = np.cumsum(self._vals[piece]) + self._sum
-        if count:
-            self._sum = int(out[-1])
-        self._pos = (self._pos + count * self._alpha) & _FP_MASK
-        return out.reshape(count, 1)
+        return self._vals[piece].reshape(count, 1)
 
 
 def denjoy_koksma_check(cf: ContinuedFraction, f: StepFunction,
@@ -413,21 +409,16 @@ class SpecialFlowSource:
     def cursor(self) -> "FlowCursor":
         return FlowCursor(self)
 
-    def generate(self, n: int) -> np.ndarray:
-        return self.cursor().take(n)
-
-    def stream(self) -> Iterator[tuple[int]]:
-        return sources.stream(self)
-
 
 class FlowCursor:
     """Block path of a :class:`SpecialFlowSource`.
 
     A block of ``count`` steps needs at most ``count`` base points, since
-    every roof is at least 1; each roof is clipped to ``count`` before the
-    towers are laid out with ``np.repeat``, so no block holds more than
-    ``count`` steps however tall the towers are.  The unfinished tower is
-    carried as a Python int (heights reach 2^57 at five golden levels).
+    every roof is at least 1.  Each tower height is clipped to the block
+    before the towers are laid out with ``np.repeat``, so no block holds
+    more than ``count`` steps and no int64 overflows, however tall the
+    towers are.  The unfinished tower is carried as a Python int, from the
+    exact roof (heights reach 2^57 at five golden levels, 2^121 at six).
     """
 
     d = 1
@@ -438,6 +429,7 @@ class FlowCursor:
         self._towers = 0  # towers started, = the current site
         self._left = 0    # steps still due on the current tower
         self._levels = list(zip(src._intervals, src._heights))
+        self._roof = src.roof
 
     def take(self, count: int) -> np.ndarray:
         head = min(self._left, count)
@@ -446,15 +438,16 @@ class FlowCursor:
         if rest == 0:
             return np.full((count, 1), self._towers, dtype=np.int64)
         hi, lo = _orbit(self._pos, self._alpha, rest)
-        roofs = np.ones(rest, dtype=np.int64)
+        reps = np.ones(rest, dtype=np.int64)
         for (a, b), h in self._levels:
-            roofs[_in_interval(hi, lo, a, b)] += h
-        reps = np.minimum(roofs, rest)
+            reps[_in_interval(hi, lo, a, b)] += min(h, rest)
+        np.minimum(reps, rest, out=reps)
         ends = np.cumsum(reps)
         k = int(np.searchsorted(ends, rest))  # the tower this block ends in
         reps = reps[:k + 1]
         reps[k] -= ends[k] - rest
-        self._left = int(roofs[k]) - int(reps[k])
+        self._left = (self._roof((self._pos + k * self._alpha) & _FP_MASK)
+                      - int(reps[k]))
         first = self._towers + 1
         self._towers += k + 1
         self._pos = (self._pos + (k + 1) * self._alpha) & _FP_MASK

@@ -199,7 +199,7 @@ def test_criterion_10_counterexample_schedule():
     heights = cfg.tower_heights()
     qs = cfg.denominators()
     floors = _ratio_floor_oracle(cfg)
-    path = SpecialFlowSource(cfg).generate(max(cp.n for cp in sched))[:, 0]
+    path = generate(SpecialFlowSource(cfg), max(cp.n for cp in sched))[:, 0]
     for cp in sched:
         top = 1 + heights[cp.level - 1]
         assert cp.m == top, f"level {cp.level}: M = {cp.m}, expected {top}"

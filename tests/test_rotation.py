@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from selab import LocalTimeLedger, generate
+from selab import LocalTimeLedger, generate, stream
 from selab.rotation import (ContinuedFraction, RotationCocycle,
                             SpecialFlowConfig, SpecialFlowSource, StepFunction,
                             counterexample_ratio_schedule, denjoy_koksma_check,
@@ -130,7 +130,7 @@ def test_special_flow_local_times_are_roof_values():
     cfg = SpecialFlowConfig(GOLDEN, 1, (4, 9), 0)
     src = SpecialFlowSource(cfg)
     led = LocalTimeLedger(1)
-    it = src.stream()
+    it = stream(src)
     for _ in range(200):
         led.record(next(it))
     # every fully traversed site has local time equal to its roof value
@@ -142,7 +142,7 @@ def test_special_flow_local_times_are_roof_values():
 
 def test_special_flow_sites_nondecreasing_unit_steps():
     cfg = SpecialFlowConfig(GOLDEN, 1, (4, 9), fraction_to_fp(Fraction(2, 5)))
-    it = SpecialFlowSource(cfg).stream()
+    it = stream(SpecialFlowSource(cfg))
     sites = [next(it)[0] for _ in range(300)]
     assert sites[0] == 1
     assert all(b - a in (0, 1) for a, b in zip(sites, sites[1:]))
@@ -286,3 +286,17 @@ def test_special_flow_cursor_walks_a_57_bit_tower_in_small_blocks():
     assert cur.take(3).tolist() == [[1]] * 3
     assert cur.take(5000).shape == (5000, 1)
     assert set(cur.take(7)[:, 0].tolist()) == {1}
+
+
+@pytest.mark.parametrize("levels,lam", [
+    (6, minimal_lambda_indices(GOLDEN, 6)),  # h_6 has 121 bits
+    (1, (93, 188)),                          # h_1 = q_93 > 2^63
+])
+def test_special_flow_cursor_takes_towers_beyond_int64(levels, lam):
+    cfg = SpecialFlowConfig(GOLDEN, levels, lam, 0)
+    assert cfg.tower_heights()[-1] >= 1 << 63
+    for x in (0, cfg.intervals_fp()[-1][0]):  # off and on the tallest tower
+        src = SpecialFlowSource(SpecialFlowConfig(GOLDEN, levels, lam, x))
+        got = take_in_blocks(src.cursor(), 3000, [1, 7, 500, 0, 64])
+        assert got[:, 0].tolist() == flow_oracle(src, 3000)
+        assert np.array_equal(got, generate(src, 3000))
