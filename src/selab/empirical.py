@@ -8,13 +8,20 @@ The associated bridge uses sqrt(V_n) normalization,
 
 whose covariance over field randomness, for a fixed trajectory, is exactly
 F(min(s, t)) - F(s) F(t).
+
+Replicates (field seeds) go through one batched path, :func:`sampled_ecdfs`:
+the field is hashed once per site per replicate, a batch of seeds at a time,
+and each replicate's values are sorted once; nested checkpoint ledgers share
+that sort order on their prefix of the sites.  The ``gc`` runner and
+:func:`mc_fclt` use it, and :func:`sampled_ecdf` and :func:`bridge_sup` are
+its one-seed calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -52,56 +59,97 @@ def ledger_arrays(ledger: LocalTimeLedger) -> tuple[np.ndarray, np.ndarray]:
     return ledger.sites, ledger.local_times
 
 
+# values per batch of seeds (R seeds x k sites; one seed if k is larger):
+# 2 MB per array, which the ledger build has already made resident
+_BATCH_VALUES = 1 << 18
+
+
+def sampled_ecdfs(field, seeds: Sequence[int],
+                  ledgers: Sequence[LocalTimeLedger]
+                  ) -> Iterator[tuple[np.ndarray, list[WeightedEcdf]]]:
+    """Per field seed, the field values at the last ledger's sites and the
+    sampled ECDF at each ledger.
+
+    ``ledgers`` are nested snapshots of one trajectory, in increasing n, so
+    each one's sites are a prefix of the last one's (first-visit order).
+    The sites are hashed once per seed, for a batch of seeds at a time, and
+    the values sorted once per seed: each earlier ledger takes the sort
+    order restricted to its prefix.
+    """
+    coords, _ = ledger_arrays(ledgers[-1])
+    if any(led.n == 0 or not np.array_equal(led.sites, coords[:len(led.sites)])
+           for led in ledgers):
+        raise ValueError("ledgers must be nonempty, each one's sites a "
+                         "prefix of the last one's")
+    step = max(1, _BATCH_VALUES // coords.shape[0])
+    for i in range(0, len(seeds), step):
+        for x in field.site_values(seeds[i:i + step], coords):
+            order = np.argsort(x)
+            ecdfs = []
+            for led in ledgers:
+                k = led.local_times.size
+                ecdfs.append(weighted_ecdf_from_samples(
+                    x, led.local_times, led.n,
+                    order if k == x.size else order[order < k]))
+            yield x, ecdfs
+
+
 def sampled_ecdf(field, field_seed: int, ledger: LocalTimeLedger) -> WeightedEcdf:
     """Empirical cdf of the field along the trajectory in the ledger."""
-    if ledger.n == 0:
-        raise ValueError("empty ledger")
-    coords, counts = ledger_arrays(ledger)
-    x = field.site_values(field_seed, coords)
-    return weighted_ecdf_from_samples(x, counts, ledger.n)
+    return next(sampled_ecdfs(field, [field_seed], [ledger]))[1][0]
 
 
-def weighted_ecdf_from_samples(x: np.ndarray, counts: np.ndarray,
-                               n: int) -> WeightedEcdf:
-    order = np.argsort(x, kind="stable")
+def weighted_ecdf_from_samples(x: np.ndarray, counts: np.ndarray, n: int,
+                               order: np.ndarray) -> WeightedEcdf:
+    """The ECDF with weight counts[i] / n at x[i] for each i in ``order``,
+    which sorts those values.  Stability is not needed: equal values merge
+    into one atom, whose integer weights sum exactly in any order."""
     xs, cs = x[order], counts[order]
-    uniq_mask = np.empty(xs.size, dtype=bool)
-    uniq_mask[0] = True
-    np.not_equal(xs[1:], xs[:-1], out=uniq_mask[1:])
-    group = np.cumsum(uniq_mask) - 1
-    w = np.zeros(group[-1] + 1)
-    np.add.at(w, group, cs.astype(np.float64))
-    return WeightedEcdf(values=xs[uniq_mask], weights=w / n)
+    first = np.empty(xs.size, dtype=bool)
+    first[0] = True
+    np.not_equal(xs[1:], xs[:-1], out=first[1:])
+    if not first.all():
+        starts = np.flatnonzero(first)
+        xs, cs = xs[starts], np.add.reduceat(cs, starts)
+    ecdf = object.__new__(WeightedEcdf)  # valid by construction: no checks
+    object.__setattr__(ecdf, "values", xs)
+    object.__setattr__(ecdf, "weights", cs / n)
+    return ecdf
 
 
 def sup_deviation(ecdf: WeightedEcdf, field) -> float:
     """Exact sup_s |F_n(s) - F(s)|, evaluated at the empirical jump points.
 
-    Between consecutive jumps F_n is flat and F nondecreasing, so the
-    supremum is attained (or approached one-sidedly) at a jump: it is
-    max over jumps v of max(F_n(v) - F(v), F(v) - F_n(v-)).
+    On [v_i, v_{i+1}) between consecutive jumps F_n is flat and F
+    nondecreasing, so the supremum is the larger of F_n(v_i) - F(v_i) and
+    F(v_{i+1}-) - F_n(v_i): it is max over jumps v of max(F_n(v) - F(v),
+    F(v-) - F_n(v-)).  F(v-) is F(v) unless the law has an atom at v.
     """
     cum = ecdf.cumulative()
-    f = field.cdf(ecdf.values)
     below = np.concatenate([[0.0], cum[:-1]])
-    return float(np.maximum(cum - f, f - below).max())
+    return float(np.maximum(cum - field.cdf(ecdf.values),
+                            field.cdf_left(ecdf.values) - below).max())
 
 
 def bridge_values(field, field_seed: int, ledger: LocalTimeLedger,
                   grid: Sequence[float]) -> np.ndarray:
     """Y_n on the grid for one field realization over the fixed ledger."""
-    coords, counts = ledger_arrays(ledger)
-    x = field.site_values(field_seed, coords)
+    coords, _ = ledger_arrays(ledger)
     grid = np.asarray(grid, dtype=np.float64)
+    return _bridge(field.site_values(field_seed, coords), ledger, grid,
+                   field.cdf(grid))
+
+
+def _bridge(x: np.ndarray, ledger: LocalTimeLedger, grid: np.ndarray,
+            f: np.ndarray) -> np.ndarray:
     indic = (x[:, None] <= grid[None, :]).astype(np.float64)
-    num = counts @ (indic - field.cdf(grid)[None, :])
+    num = ledger.local_times @ (indic - f[None, :])
     return num / math.sqrt(ledger.self_intersections)
 
 
 def bridge_sup(field, field_seed: int, ledger: LocalTimeLedger) -> float:
-    """Exact sup_s |Y_n(s)| for one field realization (continuous F)."""
-    ecdf = sampled_ecdf(field, field_seed, ledger)
-    dev = sup_deviation(ecdf, field)
+    """Exact sup_s |Y_n(s)| for one field realization."""
+    dev = sup_deviation(sampled_ecdf(field, field_seed, ledger), field)
     return dev * ledger.n / math.sqrt(ledger.self_intersections)
 
 
@@ -139,6 +187,7 @@ def mc_fclt(field, source_config, n: int, grid: Sequence[float],
     if replicates < 100:
         raise ValueError("need at least 100 replicates")
     grid = np.asarray(grid, dtype=np.float64)
+    f = field.cdf(grid)
 
     def make_ledger(rep: int) -> LocalTimeLedger:
         cfg = source_config
@@ -146,15 +195,19 @@ def mc_fclt(field, source_config, n: int, grid: Sequence[float],
             cfg = _reseed(source_config, rng.derive(seed_base, "trajectory", rep))
         return LocalTimeLedger.from_trajectory(sources.generate(cfg, n))
 
-    shared = make_ledger(0) if quenched else None
-    g = grid.size
-    ys = np.empty((replicates, g))
-    sups = np.empty(replicates)
-    for rep in range(replicates):
-        led = shared if quenched else make_ledger(rep)
-        fseed = rng.derive(seed_base, "field", rep)
-        ys[rep] = bridge_values(field, fseed, led, grid)
-        sups[rep] = bridge_sup(field, fseed, led)
+    seeds = [rng.derive(seed_base, "field", rep) for rep in range(replicates)]
+    first = make_ledger(0)
+    # quenched: one ledger for every seed; annealed: a fresh one per seed
+    runs = ([(first, seeds)] if quenched else
+            ((first if rep == 0 else make_ledger(rep), [seed])
+             for rep, seed in enumerate(seeds)))
+    ys, sups = [], []
+    for led, batch in runs:
+        for x, (ecdf,) in sampled_ecdfs(field, batch, [led]):
+            ys.append(_bridge(x, led, grid, f))
+            dev = sup_deviation(ecdf, field)
+            sups.append(dev * led.n / math.sqrt(led.self_intersections))
+    ys, sups = np.array(ys), np.array(sups)
 
     mean = ys.mean(axis=0)
     cov = ys.T @ ys / replicates - np.outer(mean, mean)
@@ -169,12 +222,10 @@ def mc_fclt(field, source_config, n: int, grid: Sequence[float],
                   * (s1[None, None, :] - ys[:, None, :])) / (r - 1) ** 2)
     stderr = np.sqrt((r - 1) / r * ((theta_i - theta_i.mean(axis=0)) ** 2).sum(axis=0))
 
-    led_for_target = shared if quenched else make_ledger(0)
     return FcltResult(grid=grid, cov=cov, cov_stderr=stderr,
-                      cov_target=ledger_covariance(field, led_for_target, grid),
-                      sup_sample=sups, n=led_for_target.n,
-                      v=led_for_target.self_intersections,
-                      m2_over_v=led_for_target.m2_over_v, quenched=quenched)
+                      cov_target=ledger_covariance(field, first, grid),
+                      sup_sample=sups, n=first.n, v=first.self_intersections,
+                      m2_over_v=first.m2_over_v, quenched=quenched)
 
 
 def _reseed(config, seed: int):

@@ -3,7 +3,10 @@
 A field assigns one real value to every site of Z^d as a pure function of
 (spec, seed, site): values are computed lazily from a site-keyed hash, so a
 trajectory can sample the field anywhere without materializing a box, and
-revisits always see the same value.
+revisits always see the same value.  ``site_values`` takes one seed, or a
+sequence of R seeds for R independent realizations at once ((R, n) values).
+Each law gives ``cdf`` and its left limit ``cdf_left``, F(s-), which differs
+from ``cdf`` only at the atoms of a discrete law.
 """
 
 from __future__ import annotations
@@ -18,28 +21,29 @@ from scipy.special import ndtr, ndtri
 from . import rng
 
 
-def _coords(sites) -> np.ndarray:
-    c = np.asarray(sites, dtype=np.int64)
-    if c.ndim == 1:
-        c = c[:, None]
-    return c
+class _Field:
+    """Defaults for a continuous law, i.i.d. over sites; a subclass gives
+    ``site_values``, ``cdf`` and ``variance``."""
 
-
-@dataclass(frozen=True)
-class UniformField:
-    """I.i.d. Uniform[0, 1) values."""
-
-    def site_values(self, seed: int, sites) -> np.ndarray:
-        return rng.site_uniforms(seed, _coords(sites))
-
-    def cdf(self, s) -> np.ndarray:
-        return np.clip(np.asarray(s, dtype=np.float64), 0.0, 1.0)
+    def cdf_left(self, s) -> np.ndarray:
+        return self.cdf(s)
 
     def covariance(self, lag: Sequence[int]) -> float:
-        return 1.0 / 12.0 if all(c == 0 for c in lag) else 0.0
+        return self.variance if all(c == 0 for c in lag) else 0.0
 
     def mixing_bound(self, lag: Sequence[int]) -> float:
         return 0.25 if all(c == 0 for c in lag) else 0.0
+
+
+@dataclass(frozen=True)
+class UniformField(_Field):
+    """I.i.d. Uniform[0, 1) values."""
+
+    def site_values(self, seed, sites) -> np.ndarray:
+        return rng.site_uniforms(seed, sites)
+
+    def cdf(self, s) -> np.ndarray:
+        return np.clip(np.asarray(s, dtype=np.float64), 0.0, 1.0)
 
     @property
     def bound(self) -> float | None:
@@ -51,7 +55,7 @@ class UniformField:
 
 
 @dataclass(frozen=True)
-class GaussianField:
+class GaussianField(_Field):
     """I.i.d. Gaussian values with the given mean and standard deviation."""
 
     mu: float = 0.0
@@ -61,20 +65,14 @@ class GaussianField:
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
 
-    def site_values(self, seed: int, sites) -> np.ndarray:
-        u = rng.site_uniforms(seed, _coords(sites))
+    def site_values(self, seed, sites) -> np.ndarray:
+        u = rng.site_uniforms(seed, sites)
         # keep inverse-cdf input strictly inside (0, 1)
         u = np.clip(u, 2.0**-53, 1.0 - 2.0**-53)
         return self.mu + self.sigma * ndtri(u)
 
     def cdf(self, s) -> np.ndarray:
         return ndtr((np.asarray(s, dtype=np.float64) - self.mu) / self.sigma)
-
-    def covariance(self, lag: Sequence[int]) -> float:
-        return self.sigma**2 if all(c == 0 for c in lag) else 0.0
-
-    def mixing_bound(self, lag: Sequence[int]) -> float:
-        return 0.25 if all(c == 0 for c in lag) else 0.0
 
     @property
     def bound(self) -> float | None:
@@ -86,7 +84,7 @@ class GaussianField:
 
 
 @dataclass(frozen=True)
-class DiscreteField:
+class DiscreteField(_Field):
     """I.i.d. values drawn from a finite real-valued law."""
 
     atoms: tuple[tuple[float, float], ...]  # (value, probability)
@@ -103,8 +101,8 @@ class DiscreteField:
             raise ValueError("duplicate atom values")
         object.__setattr__(self, "atoms", atoms)
 
-    def site_values(self, seed: int, sites) -> np.ndarray:
-        u = rng.site_uniforms(seed, _coords(sites))
+    def site_values(self, seed, sites) -> np.ndarray:
+        u = rng.site_uniforms(seed, sites)
         cum = np.cumsum([p for _, p in self.atoms])
         cum[-1] = 1.0
         vals = np.array([v for v, _ in self.atoms])
@@ -117,18 +115,13 @@ class DiscreteField:
             out = out + p * (s >= v)
         return out
 
+    def cdf_left(self, s) -> np.ndarray:
+        # the atoms are floats: v < s exactly when v <= the float below s
+        return self.cdf(np.nextafter(np.asarray(s, dtype=np.float64), -np.inf))
+
     @property
     def mean(self) -> float:
         return sum(v * p for v, p in self.atoms)
-
-    def covariance(self, lag: Sequence[int]) -> float:
-        if not all(c == 0 for c in lag):
-            return 0.0
-        m = self.mean
-        return sum(p * (v - m) ** 2 for v, p in self.atoms)
-
-    def mixing_bound(self, lag: Sequence[int]) -> float:
-        return 0.25 if all(c == 0 for c in lag) else 0.0
 
     @property
     def bound(self) -> float | None:
@@ -136,11 +129,12 @@ class DiscreteField:
 
     @property
     def variance(self) -> float:
-        return self.covariance((0,))
+        m = self.mean
+        return sum(p * (v - m) ** 2 for v, p in self.atoms)
 
 
 @dataclass(frozen=True)
-class MovingAverageField:
+class MovingAverageField(_Field):
     """Finite moving average of i.i.d. Gaussian innovations along axis 0.
 
     X(site) = sum_j weights[j] * xi(site + j * e_1), with xi i.i.d. centered
@@ -170,18 +164,18 @@ class MovingAverageField:
     def window(self) -> int:
         return len(self.weights) - 1
 
-    def _innovations(self, seed: int, coords: np.ndarray) -> np.ndarray:
-        u = rng.site_uniforms(rng.derive(seed, "innovations"), coords)
-        u = np.clip(u, 2.0**-53, 1.0 - 2.0**-53)
-        return self.sigma * ndtri(u)
-
-    def site_values(self, seed: int, sites) -> np.ndarray:
-        coords = _coords(sites)
-        out = np.zeros(coords.shape[0])
+    def site_values(self, seed, sites) -> np.ndarray:
+        coords = np.asarray(sites, dtype=np.int64)
+        coords = coords[:, None] if coords.ndim == 1 else coords
+        inner = (rng.derive(seed, "innovations") if np.ndim(seed) == 0
+                 else [rng.derive(int(s), "innovations") for s in seed])
+        out = np.zeros(np.shape(seed) + coords.shape[:1])
         shifted = coords.copy()
         for j, w in enumerate(self.weights):
             shifted[:, 0] = coords[:, 0] + j
-            out += w * self._innovations(seed, shifted)
+            u = np.clip(rng.site_uniforms(inner, shifted),
+                        2.0**-53, 1.0 - 2.0**-53)
+            out += w * (self.sigma * ndtri(u))
         return out
 
     @property

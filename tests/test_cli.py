@@ -2,8 +2,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from selab import cli
 from selab.cli import PlanError, main, parse_plan, run_plan, run_selftest
 
 
@@ -182,6 +184,33 @@ def test_cli_gc_threads_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_numpy_scalars_are_written_as_plain_numbers(tmp_path, monkeypatch):
+    def runner(plan, threads):
+        row = (np.float64(-0.5), np.int64(3), np.bool_(True))
+        summary = {"x": np.float64(0.25), "k": np.int64(7),
+                   "flag": np.bool_(False)}
+        return {"stats.csv": (("x", "k", "flag"), [row])}, summary, {}
+    monkeypatch.setitem(cli._RUNNERS, "stats", runner)
+    run_plan(parse_plan(json.dumps(STATS_PLAN)), tmp_path)
+    assert (tmp_path / "stats.csv").read_text().splitlines()[1] == "-0.5,3,True"
+    doc = json.loads((tmp_path / "summary.json").read_text())
+    assert doc["summary"] == {"x": 0.25, "k": 7, "flag": False}
+
+
+@pytest.mark.parametrize("field, applies", [({"variant": "uniform"}, True),
+                                            ({"variant": "discrete",
+                                              "atoms": [[0, 0.5], [1, 0.5]]},
+                                             False)])
+def test_fclt_sup_law_not_applicable_with_atoms(tmp_path, field, applies):
+    plan = parse_plan(json.dumps({
+        "experiment": "fclt", "source": {"variant": "rw", "simple": 1,
+                                         "seed": 4},
+        "field": field, "n": 200, "grid": [0.5], "replicates": 100,
+        "seed_base": 9}))
+    summary, _ = run_plan(plan, tmp_path)
+    assert ("sup_law" not in summary) == applies
+
+
 def test_rotation_plan_summary_does_not_depend_on_earlier_runs(tmp_path):
     # from x = 0 the first orbit point sits on the breakpoint 0: one near hit
     # per realization, however often the parsed plan runs
@@ -201,6 +230,7 @@ def test_selftest_passes():
     assert results["ledger_vs_brute_force"]
     assert results["return_series"]
     assert results["source_blocks"]
+    assert results["field_batches"]
 
 
 def test_console_entry_point():

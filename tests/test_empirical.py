@@ -1,14 +1,20 @@
+import dataclasses
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from selab import (ExplicitSource, LocalTimeLedger, RandomWalkSource,
-                   bridge_sup, bridge_values, ledger_covariance, lil_margins,
-                   mc_fclt, sampled_ecdf, simple_walk, sup_deviation)
+                   bridge_sup, bridge_values, generate, ledger_covariance,
+                   lil_margins, mc_fclt, sampled_ecdf, simple_walk,
+                   sup_deviation)
+from selab import empirical, rng
 from selab.empirical import WeightedEcdf
-from selab.fields import DiscreteField, UniformField
+from selab.fields import (DiscreteField, GaussianField, MovingAverageField,
+                          UniformField)
 
 
 def make_ledger(sites):
@@ -48,6 +54,31 @@ def test_sup_deviation_matches_dense_scan():
     exact = sup_deviation(e, field)
     assert exact >= scan - 1e-12
     assert exact <= scan + 1e-4  # grid misses the jump by at most 1/200000
+
+
+@pytest.mark.parametrize("atoms", [[(0, 0.5), (1, 0.5)],
+                                   [(-1, 0.2), (0.5, 0.3), (2, 0.5)]])
+def test_sup_deviation_at_atoms_matches_direct_evaluation(atoms):
+    # |F_n - F| is a step function between the jumps of F_n and of F, so
+    # its values at every jump point, at the midpoints between them and
+    # beyond both ends give the exact supremum
+    n = 20000
+    coords = generate(RandomWalkSource(simple_walk(3), seed=7), n)
+    field = DiscreteField(atoms)
+    sites, counts = np.unique(coords, axis=0, return_counts=True)
+    x = field.site_values(123, sites)
+    jumps = np.union1d(x, [v for v, _ in atoms])
+    pts = np.concatenate([[jumps[0] - 1], jumps, (jumps[1:] + jumps[:-1]) / 2,
+                          [jumps[-1] + 1]])
+    f_n = np.array([counts[x <= s].sum() for s in pts]) / n
+    f = np.array([sum(p for v, p in atoms if v <= s) for s in pts])
+    exact = float(np.abs(f_n - f).max())
+    led = LocalTimeLedger.from_trajectory(coords)
+    assert sup_deviation(sampled_ecdf(field, 123, led), field) == \
+        pytest.approx(exact, abs=1e-12)
+    assert bridge_sup(field, 123, led) == pytest.approx(
+        exact * n / math.sqrt(led.self_intersections), abs=1e-9)
+    assert exact < 0.02  # the old F(v) - F_n(v-) term read up to 0.5
 
 
 def test_bridge_covariance_identity_by_enumeration():
@@ -122,3 +153,85 @@ def test_lil_margins_bounded_walk():
     with pytest.raises(ValueError):
         lil_margins(UniformField(), 7, RandomWalkSource(simple_walk(1), 2),
                     s=0.5, checkpoints=[8, 100])
+
+
+# --------------------------------------------------------------------------
+# the replicate-batched path against a per-replicate, per-checkpoint oracle
+
+ORACLE_FIELDS = [UniformField(), GaussianField(0.5, 2.0),
+                 DiscreteField([(0.0, 0.3), (1.0, 0.5), (2.5, 0.2)]),
+                 MovingAverageField([1.0, 0.5, 0.25])]
+
+
+def _oracle_sup(field, seed, coords) -> float:
+    """sup |F_n - F| from scratch: np.unique local times, values hashed
+    per site, a stable sort and atoms summed by bincount."""
+    sites, counts = np.unique(coords, axis=0, return_counts=True)
+    x = field.site_values(seed, sites)
+    order = np.argsort(x, kind="stable")
+    xs, cs = x[order], counts[order]
+    new = np.concatenate([[True], xs[1:] != xs[:-1]])
+    cum = np.cumsum(np.bincount(np.cumsum(new) - 1, weights=cs) / len(coords))
+    below = np.concatenate([[0.0], cum[:-1]])
+    values = xs[new]
+    return float(np.maximum(cum - field.cdf(values),
+                            field.cdf_left(values) - below).max())
+
+
+def _oracle_bridge(field, seed, coords, grid) -> np.ndarray:
+    """Y_n on the grid, with the sites in first-visit order."""
+    _, first, counts = np.unique(coords, axis=0, return_index=True,
+                                 return_counts=True)
+    visit = np.argsort(first)
+    x = field.site_values(seed, coords[first[visit]])
+    indic = (x[:, None] <= grid[None, :]).astype(np.float64)
+    return (counts[visit] @ (indic - field.cdf(grid)[None, :])
+            / math.sqrt(int(np.sum(counts * counts))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(1, 3), field=st.sampled_from(ORACLE_FIELDS),
+       walk_seed=st.integers(0, 2**32), n=st.integers(1, 400), data=st.data())
+def test_batched_sup_deviations_match_per_checkpoint_oracle(d, field,
+                                                            walk_seed, n,
+                                                            data):
+    coords = generate(RandomWalkSource(simple_walk(d), walk_seed), n)
+    cps = sorted(data.draw(st.sets(st.integers(1, n), min_size=1,
+                                   max_size=4)))
+    leds = [LocalTimeLedger.from_trajectory(coords[:c]) for c in cps]
+    seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=1,
+                               max_size=6))
+    batch = data.draw(st.integers(1, 4 * leds[-1].range_card))
+    with mock.patch.object(empirical, "_BATCH_VALUES", batch):
+        got = [[sup_deviation(e, field) for e in ecdfs]
+               for _, ecdfs in empirical.sampled_ecdfs(field, seeds, leds)]
+    assert got == [[_oracle_sup(field, s, coords[:c]) for c in cps]
+                   for s in seeds]
+
+
+@settings(max_examples=12, deadline=None)
+@given(d=st.integers(1, 3), field=st.sampled_from(ORACLE_FIELDS),
+       walk_seed=st.integers(0, 2**32), n=st.integers(1, 200),
+       seed_base=st.integers(0, 2**32), quenched=st.booleans(),
+       grid=st.lists(st.floats(-2, 3), min_size=1, max_size=3),
+       batch=st.integers(1, 2000))
+def test_batched_fclt_matches_per_replicate_oracle(d, field, walk_seed, n,
+                                                   seed_base, quenched, grid,
+                                                   batch):
+    src = RandomWalkSource(simple_walk(d), walk_seed)
+    with mock.patch.object(empirical, "_BATCH_VALUES", batch):
+        res = mc_fclt(field, src, n, grid, 100, seed_base, quenched=quenched)
+    grid = np.asarray(grid)
+    ys, sups = [], []
+    for rep in range(100):
+        walk = src if quenched else dataclasses.replace(
+            src, seed=rng.derive(seed_base, "trajectory", rep))
+        coords = generate(walk, n)
+        seed = rng.derive(seed_base, "field", rep)
+        ys.append(_oracle_bridge(field, seed, coords, grid))
+        v = int(np.sum(np.unique(coords, axis=0, return_counts=True)[1] ** 2))
+        sups.append(_oracle_sup(field, seed, coords) * n / math.sqrt(v))
+    ys = np.array(ys)
+    mean = ys.mean(axis=0)
+    assert np.array_equal(res.sup_sample, sups)
+    assert np.array_equal(res.cov, ys.T @ ys / 100 - np.outer(mean, mean))

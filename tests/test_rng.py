@@ -47,3 +47,32 @@ def test_site_uniforms_roughly_uniform():
     u = rng.site_uniforms(3, coords)
     assert abs(u.mean() - 0.5) < 0.01
     assert abs(np.mean(u < 0.25) - 0.25) < 0.01
+
+
+def _scalar_hash(seed: int, site) -> int:
+    h = rng.mix64(seed ^ rng._GAMMA)
+    for j, c in enumerate(site):
+        h = rng.mix64(h ^ rng.mix64((c & rng.MASK64) + (j + 1) * rng._GAMMA))
+    return rng.mix64(h)
+
+
+I64 = np.iinfo(np.int64)
+coordinate = st.one_of(st.integers(I64.min, I64.max),
+                       st.sampled_from([I64.min, I64.min + 1, -1, 0,
+                                        I64.max - 1, I64.max]))
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(
+           st.lists(coordinate, min_size=d, max_size=d), min_size=1,
+           max_size=6)),
+       st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4))
+def test_seed_batched_hash_matches_scalar_mix_composition(sites, seeds):
+    coords = np.array(sites, dtype=np.int64)
+    batched = rng.hash_sites(seeds, coords)
+    assert batched.shape == (len(seeds), len(sites))
+    for r, seed in enumerate(seeds):
+        want = [_scalar_hash(seed, site) for site in sites]
+        assert [int(h) for h in batched[r]] == want
+        assert [int(h) for h in rng.hash_sites(seed, coords)] == want
+    u = rng.site_uniforms(seeds, coords)
+    assert np.array_equal(u[-1], rng.site_uniforms(seeds[-1], coords))
