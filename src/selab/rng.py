@@ -36,16 +36,10 @@ def mix64(z: int) -> int:
 
 
 def mix64_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`mix64`, in place on a uint64 array; returns it."""
-    tmp = z >> _U30
-    z ^= tmp
-    z *= _U_M1
-    np.right_shift(z, _U27, out=tmp)
-    z ^= tmp
-    z *= _U_M2
-    np.right_shift(z, _U31, out=tmp)
-    z ^= tmp
-    return z
+    """Vectorized :func:`mix64` on a uint64 array."""
+    z = (z ^ (z >> _U30)) * _U_M1
+    z = (z ^ (z >> _U27)) * _U_M2
+    return z ^ (z >> _U31)
 
 
 def derive(seed: int, *parts: int | str) -> int:
@@ -90,22 +84,16 @@ def hash_sites(seed, coords: np.ndarray) -> np.ndarray:
     if coords.ndim == 1:
         coords = coords[:, None]
     seeds = [seed] if np.ndim(seed) == 0 else list(seed)
-    h = np.empty((len(seeds), coords.shape[0]), dtype=np.uint64)
-    h[:] = np.array([mix64(int(s) ^ _GAMMA) for s in seeds],
-                    dtype=np.uint64)[:, None]
+    h = np.array([mix64(int(s) ^ _GAMMA) for s in seeds], dtype=np.uint64)
+    h = h[:, None]  # (R, 1): broadcasts against the (n,) coordinate words
     for j in range(coords.shape[1]):
         c = coords[:, j].view(np.uint64)
-        h ^= mix64_array(c + np.uint64((j + 1) * _GAMMA & MASK64))
-        mix64_array(h)
-    mix64_array(h)
+        h = mix64_array(h ^ mix64_array(c + np.uint64((j + 1) * _GAMMA & MASK64)))
+    h = mix64_array(h)
     return h[0] if np.ndim(seed) == 0 else h
 
 
 def site_uniforms(seed, coords: np.ndarray) -> np.ndarray:
     """Uniforms in [0, 1), one per site, keyed purely by (seed, site);
     (R, n) for a sequence of R seeds, as in :func:`hash_sites`."""
-    h = hash_sites(seed, coords)
-    h >>= _U11
-    u = h.astype(np.float64)
-    u *= _INV53
-    return u
+    return (hash_sites(seed, coords) >> _U11).astype(np.float64) * _INV53
