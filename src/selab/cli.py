@@ -459,29 +459,42 @@ def run_selftest() -> dict:
 
 
 def _selftest_field_batches() -> bool:
-    """Batched gc and fclt outputs against the per-replicate route: one
-    scalar-seed hash and ECDF per replicate and checkpoint, and one bridge
-    per replicate."""
+    """Batched gc and fclt outputs against one replicate and checkpoint at
+    a time, with ECDFs built apart from the batched path: local times by
+    ``np.unique`` over the trajectory, a stable sort, atoms summed by
+    ``bincount`` into a validated ``WeightedEcdf``, then ``sup_deviation``;
+    the fclt covariance against ``bridge_values`` per replicate."""
+    src = sources.RandomWalkSource(sources.simple_walk(2), 21)
+    traj = sources.generate(src, 3000)
+
+    def sup(field, seed, n):  # (sup |F_n - F|, V_n) over the first n steps
+        sites, counts = np.unique(traj[:n], axis=0, return_counts=True)
+        x = field.site_values(seed, sites)
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        new = np.concatenate([[True], xs[1:] != xs[:-1]])
+        w = np.bincount(np.cumsum(new) - 1, weights=counts[order]) / n
+        ecdf = empirical.WeightedEcdf(values=xs[new], weights=w)
+        return empirical.sup_deviation(ecdf, field), int(counts @ counts)
+
     ok = True
     for field in (UniformField(), DiscreteField([(0, 0.5), (1, 0.2), (2, 0.3)])):
-        plan = {"_source": sources.RandomWalkSource(sources.simple_walk(2), 21),
-                "_field": field, "n": 3000, "checkpoints": [30, 300, 3000],
-                "replicates": 7, "seed_base": 5}
-        leds = _checkpoint_ledgers(sources.cursor(plan["_source"]),
-                                   plan["checkpoints"])
+        plan = {"_source": src, "_field": field, "n": 3000,
+                "checkpoints": [30, 300, 3000], "replicates": 7,
+                "seed_base": 5}
         seeds = [rng.derive(5, "field", rep) for rep in range(100)]
-        rows = [(rep, led.n, empirical.sup_deviation(
-            empirical.sampled_ecdf(field, seed, led), field))
-            for rep, seed in enumerate(seeds[:7]) for led in leds]
-        res = empirical.mc_fclt(field, plan["_source"], 3000, [0.5, 1.0],
-                                100, 5)
-        ys = np.array([empirical.bridge_values(field, seed, leds[-1], res.grid)
+        rows = [(rep, c, sup(field, seed, c)[0])
+                for rep, seed in enumerate(seeds[:7]) for c in (30, 300, 3000)]
+        res = empirical.mc_fclt(field, src, 3000, [0.5, 1.0], 100, 5)
+        led = _checkpoint_ledgers(sources.cursor(src), [3000])[0]
+        ys = np.array([empirical.bridge_values(field, seed, led, res.grid)
                        for seed in seeds])
         mean = ys.mean(axis=0)
+        sups = [dev * 3000 / math.sqrt(v)
+                for dev, v in (sup(field, seed, 3000) for seed in seeds)]
         ok = (ok and _run_gc(plan, 1)[0]["gc.csv"][1] == rows
               and np.array_equal(res.cov, ys.T @ ys / 100 - np.outer(mean, mean))
-              and res.sup_sample.tolist()
-              == [empirical.bridge_sup(field, seed, leds[-1]) for seed in seeds])
+              and res.sup_sample.tolist() == sups)
     return ok
 
 

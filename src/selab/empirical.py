@@ -10,9 +10,9 @@ whose covariance over field randomness, for a fixed trajectory, is exactly
 F(min(s, t)) - F(s) F(t).
 
 Replicates (field seeds) go through one batched path, :func:`sampled_ecdfs`:
-the field is hashed once per site per replicate, a batch of seeds at a time,
-and each replicate's values are sorted once; nested checkpoint ledgers share
-that sort order on their prefix of the sites.  The ``gc`` runner and
+the field is hashed once per site per replicate and each replicate's values
+are sorted once; nested checkpoint ledgers share that sort order on their
+prefix of the sites.  The ``gc`` runner and
 :func:`mc_fclt` use it, and :func:`sampled_ecdf` and :func:`bridge_sup` are
 its one-seed calls.
 """
@@ -59,11 +59,6 @@ def ledger_arrays(ledger: LocalTimeLedger) -> tuple[np.ndarray, np.ndarray]:
     return ledger.sites, ledger.local_times
 
 
-# values per batch of seeds (R seeds x k sites; one seed if k is larger):
-# 2 MB per array, which the ledger build has already made resident
-_BATCH_VALUES = 1 << 18
-
-
 def sampled_ecdfs(field, seeds: Sequence[int],
                   ledgers: Sequence[LocalTimeLedger]
                   ) -> Iterator[tuple[np.ndarray, list[WeightedEcdf]]]:
@@ -72,26 +67,24 @@ def sampled_ecdfs(field, seeds: Sequence[int],
 
     ``ledgers`` are nested snapshots of one trajectory, in increasing n, so
     each one's sites are a prefix of the last one's (first-visit order).
-    The sites are hashed once per seed, for a batch of seeds at a time, and
-    the values sorted once per seed: each earlier ledger takes the sort
-    order restricted to its prefix.
+    The sites are hashed and their values sorted once per seed: each
+    earlier ledger takes the sort order restricted to its prefix.
     """
     coords, _ = ledger_arrays(ledgers[-1])
     if any(led.n == 0 or not np.array_equal(led.sites, coords[:len(led.sites)])
            for led in ledgers):
         raise ValueError("ledgers must be nonempty, each one's sites a "
                          "prefix of the last one's")
-    step = max(1, _BATCH_VALUES // coords.shape[0])
-    for i in range(0, len(seeds), step):
-        for x in field.site_values(seeds[i:i + step], coords):
-            order = np.argsort(x)
-            ecdfs = []
-            for led in ledgers:
-                k = led.local_times.size
-                ecdfs.append(weighted_ecdf_from_samples(
-                    x, led.local_times, led.n,
-                    order if k == x.size else order[order < k]))
-            yield x, ecdfs
+    for seed in seeds:
+        x = field.site_values(seed, coords)
+        order = np.argsort(x)
+        ecdfs = []
+        for led in ledgers:
+            k = led.local_times.size
+            ecdfs.append(weighted_ecdf_from_samples(
+                x, led.local_times, led.n,
+                order if k == x.size else order[order < k]))
+        yield x, ecdfs
 
 
 def sampled_ecdf(field, field_seed: int, ledger: LocalTimeLedger) -> WeightedEcdf:
@@ -127,8 +120,10 @@ def sup_deviation(ecdf: WeightedEcdf, field) -> float:
     """
     cum = ecdf.cumulative()
     below = np.concatenate([[0.0], cum[:-1]])
-    return float(np.maximum(cum - field.cdf(ecdf.values),
-                            field.cdf_left(ecdf.values) - below).max())
+    f = field.cdf(ecdf.values)
+    left = field.cdf_left(ecdf.values)
+    return float(np.maximum(cum - f,
+                            (f if left is None else left) - below).max())
 
 
 def bridge_values(field, field_seed: int, ledger: LocalTimeLedger,

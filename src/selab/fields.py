@@ -3,10 +3,9 @@
 A field assigns one real value to every site of Z^d as a pure function of
 (spec, seed, site): values are computed lazily from a site-keyed hash, so a
 trajectory can sample the field anywhere without materializing a box, and
-revisits always see the same value.  ``site_values`` takes one seed, or a
-sequence of R seeds for R independent realizations at once ((R, n) values).
-Each law gives ``cdf`` and its left limit ``cdf_left``, F(s-), which differs
-from ``cdf`` only at the atoms of a discrete law.
+revisits always see the same value.  Each law gives ``cdf``, and
+``cdf_left`` its left limit F(s-): that differs from F(s) only at the atoms
+of a discrete law, and a continuous law returns ``None`` for it.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ class _Field:
     """Defaults for a continuous law, i.i.d. over sites; a subclass gives
     ``site_values``, ``cdf`` and ``variance``."""
 
-    def cdf_left(self, s) -> np.ndarray:
-        return self.cdf(s)
+    def cdf_left(self, s) -> np.ndarray | None:
+        return None  # continuous: F(s-) = F(s)
 
     def covariance(self, lag: Sequence[int]) -> float:
         return self.variance if all(c == 0 for c in lag) else 0.0
@@ -39,7 +38,7 @@ class _Field:
 class UniformField(_Field):
     """I.i.d. Uniform[0, 1) values."""
 
-    def site_values(self, seed, sites) -> np.ndarray:
+    def site_values(self, seed: int, sites) -> np.ndarray:
         return rng.site_uniforms(seed, sites)
 
     def cdf(self, s) -> np.ndarray:
@@ -65,7 +64,7 @@ class GaussianField(_Field):
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
 
-    def site_values(self, seed, sites) -> np.ndarray:
+    def site_values(self, seed: int, sites) -> np.ndarray:
         u = rng.site_uniforms(seed, sites)
         # keep inverse-cdf input strictly inside (0, 1)
         u = np.clip(u, 2.0**-53, 1.0 - 2.0**-53)
@@ -101,7 +100,7 @@ class DiscreteField(_Field):
             raise ValueError("duplicate atom values")
         object.__setattr__(self, "atoms", atoms)
 
-    def site_values(self, seed, sites) -> np.ndarray:
+    def site_values(self, seed: int, sites) -> np.ndarray:
         u = rng.site_uniforms(seed, sites)
         cum = np.cumsum([p for _, p in self.atoms])
         cum[-1] = 1.0
@@ -164,12 +163,11 @@ class MovingAverageField(_Field):
     def window(self) -> int:
         return len(self.weights) - 1
 
-    def site_values(self, seed, sites) -> np.ndarray:
+    def site_values(self, seed: int, sites) -> np.ndarray:
         coords = np.asarray(sites, dtype=np.int64)
         coords = coords[:, None] if coords.ndim == 1 else coords
-        inner = (rng.derive(seed, "innovations") if np.ndim(seed) == 0
-                 else [rng.derive(int(s), "innovations") for s in seed])
-        out = np.zeros(np.shape(seed) + coords.shape[:1])
+        inner = rng.derive(seed, "innovations")
+        out = np.zeros(coords.shape[0])
         shifted = coords.copy()
         for j, w in enumerate(self.weights):
             shifted[:, 0] = coords[:, 0] + j

@@ -71,29 +71,22 @@ def uniforms(seed: int, count: int, offset: int = 0) -> np.ndarray:
     return (h >> _U11).astype(np.float64) * _INV53
 
 
-def hash_sites(seed, coords: np.ndarray) -> np.ndarray:
+def hash_sites(seed: int, coords: np.ndarray) -> np.ndarray:
     """Hash an (n, d) int64 coordinate array to uint64, keyed by seed.
 
     Pure in (seed, coordinates): the same site always hashes to the same
-    word no matter how or when it is visited.  ``seed`` is one seed, giving
-    n words, or a 1-d sequence of R seeds, giving an (R, n) array whose row
-    r is the hash under seed r.  Of the 2d + 1 mixes per site, the d
-    coordinate mixes do not involve the seed and are done once per call.
+    word no matter how or when it is visited.
     """
     coords = np.ascontiguousarray(coords, dtype=np.int64)
     if coords.ndim == 1:
         coords = coords[:, None]
-    seeds = [seed] if np.ndim(seed) == 0 else list(seed)
-    h = np.array([mix64(int(s) ^ _GAMMA) for s in seeds], dtype=np.uint64)
-    h = h[:, None]  # (R, 1): broadcasts against the (n,) coordinate words
+    h = np.full(coords.shape[0], mix64(seed ^ _GAMMA), dtype=np.uint64)
     for j in range(coords.shape[1]):
         c = coords[:, j].view(np.uint64)
         h = mix64_array(h ^ mix64_array(c + np.uint64((j + 1) * _GAMMA & MASK64)))
-    h = mix64_array(h)
-    return h[0] if np.ndim(seed) == 0 else h
+    return mix64_array(h)
 
 
-def site_uniforms(seed, coords: np.ndarray) -> np.ndarray:
-    """Uniforms in [0, 1), one per site, keyed purely by (seed, site);
-    (R, n) for a sequence of R seeds, as in :func:`hash_sites`."""
+def site_uniforms(seed: int, coords: np.ndarray) -> np.ndarray:
+    """Uniforms in [0, 1), one per site, keyed purely by (seed, site)."""
     return (hash_sites(seed, coords) >> _U11).astype(np.float64) * _INV53

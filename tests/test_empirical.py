@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -173,9 +172,10 @@ def _oracle_sup(field, seed, coords) -> float:
     new = np.concatenate([[True], xs[1:] != xs[:-1]])
     cum = np.cumsum(np.bincount(np.cumsum(new) - 1, weights=cs) / len(coords))
     below = np.concatenate([[0.0], cum[:-1]])
-    values = xs[new]
-    return float(np.maximum(cum - field.cdf(values),
-                            field.cdf_left(values) - below).max())
+    f = field.cdf(xs[new])
+    left = field.cdf_left(xs[new])
+    left = f if left is None else left
+    return float(np.maximum(cum - f, left - below).max())
 
 
 def _oracle_bridge(field, seed, coords, grid) -> np.ndarray:
@@ -201,10 +201,8 @@ def test_batched_sup_deviations_match_per_checkpoint_oracle(d, field,
     leds = [LocalTimeLedger.from_trajectory(coords[:c]) for c in cps]
     seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=1,
                                max_size=6))
-    batch = data.draw(st.integers(1, 4 * leds[-1].range_card))
-    with mock.patch.object(empirical, "_BATCH_VALUES", batch):
-        got = [[sup_deviation(e, field) for e in ecdfs]
-               for _, ecdfs in empirical.sampled_ecdfs(field, seeds, leds)]
+    got = [[sup_deviation(e, field) for e in ecdfs]
+           for _, ecdfs in empirical.sampled_ecdfs(field, seeds, leds)]
     assert got == [[_oracle_sup(field, s, coords[:c]) for c in cps]
                    for s in seeds]
 
@@ -213,14 +211,11 @@ def test_batched_sup_deviations_match_per_checkpoint_oracle(d, field,
 @given(d=st.integers(1, 3), field=st.sampled_from(ORACLE_FIELDS),
        walk_seed=st.integers(0, 2**32), n=st.integers(1, 200),
        seed_base=st.integers(0, 2**32), quenched=st.booleans(),
-       grid=st.lists(st.floats(-2, 3), min_size=1, max_size=3),
-       batch=st.integers(1, 2000))
+       grid=st.lists(st.floats(-2, 3), min_size=1, max_size=3))
 def test_batched_fclt_matches_per_replicate_oracle(d, field, walk_seed, n,
-                                                   seed_base, quenched, grid,
-                                                   batch):
+                                                   seed_base, quenched, grid):
     src = RandomWalkSource(simple_walk(d), walk_seed)
-    with mock.patch.object(empirical, "_BATCH_VALUES", batch):
-        res = mc_fclt(field, src, n, grid, 100, seed_base, quenched=quenched)
+    res = mc_fclt(field, src, n, grid, 100, seed_base, quenched=quenched)
     grid = np.asarray(grid)
     ys, sups = [], []
     for rep in range(100):
