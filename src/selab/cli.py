@@ -336,15 +336,15 @@ def _run_fclt(plan, threads):
 def _run_rw_asym(plan, threads):
     import dataclasses
     src = plan["_source"]
-    cps = [int(c) for c in plan["checkpoints"]]
+    # the ledgers advance in order: unsorted checkpoints would be skipped
+    cps = _checkpoints(plan, int(plan["checkpoints"][-1]))
     reps = plan["replicates"]
 
     def one(rep: int):
         cfg = dataclasses.replace(src, seed=rng.derive(plan["seed_base"],
                                                        "walk", rep))
-        coords = sources.generate(cfg, cps[-1])
-        ts = ledger.trajectory_stats(coords)
-        return [(rep,) + ts.row(c) for c in cps]
+        return [(rep,) + led.snapshot_row()
+                for led in _checkpoint_ledgers(sources.cursor(cfg), cps)]
 
     rows = [r for chunk in _pmap(one, range(reps), threads) for r in chunk]
     slopes = []
@@ -352,7 +352,8 @@ def _run_rw_asym(plan, threads):
         pts = [(math.log(r[1]), math.log(r[3])) for r in rows if r[0] == rep]
         slopes.append(float(np.polyfit([p[0] for p in pts],
                                        [p[1] for p in pts], 1)[0]))
-    summary = {"log_v_slopes": slopes, "op": "ledger.trajectory_stats"}
+    summary = {"log_v_slopes": slopes,
+               "op": "ledger.LocalTimeLedger.snapshot_row"}
     return {"rw_asym.csv": (("rep",) + STATS_HEADER, rows)}, summary, {}
 
 
@@ -413,11 +414,11 @@ def _run_variance(plan, threads):
 
 
 def run_selftest() -> dict:
-    """Small oracle suite: the block-fed ledger against the quadratic oracle,
-    convergent quality, the grid Parseval identity, the axis-split return
-    series against the Fourier grid, the two-limb rotation orbit against
-    the 128-bit scalar loop, and the replicate-batched field analyzers
-    against one replicate at a time."""
+    """Small oracle suite: the block-fed ledger against the quadratic oracle
+    and the exact rational Sigma M_k / k^2, convergent quality, the grid
+    Parseval identity, the axis-split return series against the Fourier
+    grid, the two-limb rotation orbit against the 128-bit scalar loop, and
+    the replicate-batched field analyzers against one replicate at a time."""
     results = {}
     ok = True
     for trial in range(20):
@@ -431,7 +432,10 @@ def run_selftest() -> dict:
             led.record_block(block)
         v, m, counts = ledger.brute_force_stats(coords)
         led.rescan()
-        if (v, m) != (led.self_intersections, led.max_count) or counts != led.counts:
+        pqd = sum(Fraction(m_k / (k * k)) for k, m_k in enumerate(
+            ledger.trajectory_stats(coords).m.tolist(), start=1))
+        if ((v, m) != (led.self_intersections, led.max_count)
+                or counts != led.counts or led.pqd_partial_sum != float(pqd)):
             ok = False
     results["ledger_vs_brute_force"] = ok
     cf = rotation.ContinuedFraction.golden()

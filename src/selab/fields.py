@@ -30,9 +30,6 @@ class _Field:
     def covariance(self, lag: Sequence[int]) -> float:
         return self.variance if all(c == 0 for c in lag) else 0.0
 
-    def mixing_bound(self, lag: Sequence[int]) -> float:
-        return 0.25 if all(c == 0 for c in lag) else 0.0
-
 
 @dataclass(frozen=True)
 class UniformField(_Field):
@@ -43,10 +40,6 @@ class UniformField(_Field):
 
     def cdf(self, s) -> np.ndarray:
         return np.clip(np.asarray(s, dtype=np.float64), 0.0, 1.0)
-
-    @property
-    def bound(self) -> float | None:
-        return 1.0
 
     @property
     def variance(self) -> float:
@@ -72,10 +65,6 @@ class GaussianField(_Field):
 
     def cdf(self, s) -> np.ndarray:
         return ndtr((np.asarray(s, dtype=np.float64) - self.mu) / self.sigma)
-
-    @property
-    def bound(self) -> float | None:
-        return None
 
     @property
     def variance(self) -> float:
@@ -121,10 +110,6 @@ class DiscreteField(_Field):
     @property
     def mean(self) -> float:
         return sum(v * p for v, p in self.atoms)
-
-    @property
-    def bound(self) -> float | None:
-        return max(abs(v) for v, _ in self.atoms)
 
     @property
     def variance(self) -> float:
@@ -192,13 +177,6 @@ class MovingAverageField(_Field):
             return 0.0
         w = self.weights
         return self.sigma**2 * sum(w[j] * w[j + h] for j in range(len(w) - h))
-
-    def mixing_bound(self, lag: Sequence[int]) -> float:
-        return 0.0 if self.covariance(lag) == 0.0 else 0.25
-
-    @property
-    def bound(self) -> float | None:
-        return None
 
 
 FieldSpec = UniformField | GaussianField | DiscreteField | MovingAverageField

@@ -12,8 +12,15 @@ Every local time in the package comes from one vectorized kernel,
     V_n = V_{n-1} + 2 * N_{n-1}(z_n) + 1
     M_n = max(M_{n-1}, N_{n-1}(z_n) + 1)
 
-It also accumulates the series sum_k M_k / k^2, whose convergence is one of
-the sufficient conditions checked by :func:`condition_report`.
+It also accumulates S_n = sum_{k<=n} M_k / k^2, whose convergence is one of
+the sufficient conditions checked by :func:`condition_report`.  Its terms
+are float64 quotients, equal to Python's ``m / (k * k)`` while k^2 is exact
+(k < 2^26.5, about 9.49e7) and within a relative 2^-52 of M_k / k^2 beyond.
+``record_block`` sums a block's terms with one :func:`math.fsum`, carrying
+the sum and its residual, so ``pqd_partial_sum`` is the correctly rounded
+sum of the terms (within 2^-53 S_n) for any block split.  The carry is exact
+while n^2 S_n < 2^52, so for every n <= 1.5e7; past that each block may
+round the residual, by at most 2^-106 S_n.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -40,7 +48,7 @@ class LocalTimeLedger:
     """
 
     __slots__ = ("d", "n", "sites", "local_times", "max_count",
-                 "self_intersections", "_pqd_sum", "_pqd_comp")
+                 "self_intersections", "_pqd_sum", "_pqd_res")
 
     def __init__(self, d: int):
         if d < 1:
@@ -52,7 +60,7 @@ class LocalTimeLedger:
         self.max_count = 0
         self.self_intersections = 0
         self._pqd_sum = 0.0
-        self._pqd_comp = 0.0  # Kahan compensation
+        self._pqd_res = 0.0  # exact sum of the terms - _pqd_sum
 
     def record_block(self, coords: Sequence[Sequence[int]] | np.ndarray) -> None:
         """Append a (b, d) block of steps."""
@@ -67,14 +75,12 @@ class LocalTimeLedger:
         self.self_intersections += int(np.sum(2 * occ - 1))
         running_m = np.maximum(np.maximum.accumulate(occ), self.max_count)
         self.max_count = int(running_m[-1])
-        # compensated accumulation of M_k / k^2, term by term
-        total, comp = self._pqd_sum, self._pqd_comp
-        for k, m in enumerate(running_m.tolist(), start=self.n + 1):
-            term = m / (k * k) - comp
-            new = total + term
-            comp = (new - total) - term
-            total = new
-        self._pqd_sum, self._pqd_comp = total, comp
+        k = np.arange(self.n + 1, self.n + coords.shape[0] + 1,
+                      dtype=np.float64)
+        terms = memoryview(running_m / (k * k))  # yields floats, no list
+        carry = (self._pqd_sum, self._pqd_res)
+        self._pqd_sum = math.fsum(chain(carry, terms))
+        self._pqd_res = math.fsum(chain(carry, terms, (-self._pqd_sum,)))
         self.n += coords.shape[0]
 
     def record(self, site: Sequence[int]) -> None:
@@ -259,8 +265,10 @@ class TrajectoryStats:
 
 
 def trajectory_stats(sites: Sequence[Sequence[int]] | np.ndarray) -> TrajectoryStats:
-    """Vectorized equivalent of replaying the trajectory through a ledger:
-    one :func:`local_time_block` on an empty prior."""
+    """Per-step statistics from one :func:`local_time_block` on an empty
+    prior, the vectorized reference route beside the ledger (``lil_margins``
+    reads its V).  ``pqd`` is a plain ``np.cumsum`` of the ledger's terms,
+    off by up to (n - 1) 2^-53 S_n at step n, to first order."""
     occ, _, _ = local_time_block(sites)
     n = occ.size
     v = np.cumsum(2 * occ - 1)

@@ -155,6 +155,7 @@ class StepFunction:
 
 
 _M64 = (1 << 64) - 1
+_ORBIT_BLOCK = 1 << 16  # orbit points per block of a bulk walk
 
 
 def _orbit(start: int, alpha: int, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -216,16 +217,6 @@ class RotationCocycle:
     def stream(self) -> Iterator[tuple[int]]:
         return sources.stream(self)
 
-    def birkhoff_sum(self, length: int, x_fp: int | None = None) -> int:
-        """S_length f(x) = sum_{j<length} f(x + j*alpha), without the
-        cumulative emission."""
-        pos = self.x_fp if x_fp is None else (x_fp & _FP_MASK)
-        s = 0
-        for _ in range(length):
-            s += self._vals[bisect_right(self._bps, pos) - 1]
-            pos = (pos + self.alpha_fp) & _FP_MASK
-        return s
-
 
 class CocycleCursor(sources.Cursor):
     """Block path of a :class:`RotationCocycle`: the steps f(x + j*alpha)
@@ -263,18 +254,15 @@ def denjoy_koksma_check(cf: ContinuedFraction, f: StepFunction,
     """Birkhoff sums of a zero-mean step function at denominator times.
 
     Returns [(q_k, S_{q_k} f(x))] for k = 1..depth; every |S_{q_k}| is
-    bounded by the total variation of f.
+    bounded by the total variation of f.  S_q is the cocycle's site at
+    index q - 1, read from its cursor in blocks of at most ``_ORBIT_BLOCK``.
     """
-    cocycle = RotationCocycle(cf, f, x_fp)
-    qs = [q for _, q in cf.convergents(depth)]
+    cur = RotationCocycle(cf, f, x_fp).cursor()
     out = []
-    pos = x_fp & _FP_MASK
     s = 0
-    steps = 0
-    for q in qs:
-        s += cocycle.birkhoff_sum(q - steps, pos)
-        pos = (x_fp + q * cocycle.alpha_fp) & _FP_MASK
-        steps = q
+    for _, q in cf.convergents(depth):
+        while cur.offset < q:
+            s = int(cur.take(min(q - cur.offset, _ORBIT_BLOCK))[-1, 0])
         out.append((q, s))
     return out
 
@@ -399,13 +387,6 @@ class SpecialFlowSource:
                 r += h
         return r
 
-    def roof_level(self, pos_fp: int) -> int:
-        """Level n whose interval J_n contains the point, or 0."""
-        for n, (lo, hi) in enumerate(self._intervals, start=1):
-            if lo <= pos_fp < hi:
-                return n
-        return 0
-
     def cursor(self) -> "FlowCursor":
         return FlowCursor(self)
 
@@ -474,11 +455,14 @@ def counterexample_ratio_schedule(config: SpecialFlowConfig,
                                   budget: int = 10**8) -> list[LevelCheckpoint]:
     """First-visit checkpoints of the special flow's M^2/V ratio.
 
-    Walks the base rotation orbit, maintaining the flow-time statistics
-    n = sum phi, V = sum phi^2, M = max phi.  When the orbit first enters
-    the level-n interval, the checkpoint is taken at the flow step on which
-    that first roof climb completes.  Raises if the step budget runs out
-    before level 2 reports.
+    Walks the base rotation orbit in ``_orbit`` blocks, with the flow-time
+    statistics n = sum phi, V = sum phi^2 and M = max phi.  When the orbit
+    first enters the level-n interval, the checkpoint is taken at the flow
+    step on which that first roof climb completes.  The walk stops on the
+    base step where n first exceeds ``budget``, its checkpoint included,
+    and raises if fewer than two levels have reported by then.  The roof
+    is 1 + h_m on J_m and 1 elsewhere, so n, V and M are exact Python ints
+    formed from per-level visit counts, where they are needed only.
 
     When no higher level is met before level n (in particular when the
     levels are met in increasing order), the level-n checkpoint satisfies
@@ -489,28 +473,43 @@ def counterexample_ratio_schedule(config: SpecialFlowConfig,
     the level-1 towers before it (golden, x = 0: 0.947, 0.432, 0.920).
     """
     src = SpecialFlowSource(config)
-    seen = [False] * (config.levels + 1)
+    visits = [0] * config.levels  # per level, before the current block
     out: list[LevelCheckpoint] = []
-    pos = config.x_fp
-    n = v = m = 0
-    j = 0
-    while len(out) < config.levels:
-        r = src.roof(pos)
-        level = src.roof_level(pos)
-        n += r
-        v += r * r
-        m = max(m, r)
-        if level > 0 and not seen[level]:
-            seen[level] = True
-            out.append(LevelCheckpoint(level=level, n=n, base_step=j, m=m, v=v))
-        if n > budget:
-            if sum(seen) < 2:
-                raise RuntimeError(f"step budget {budget} exhausted before "
-                                   "level 2 reported")
-            break
-        pos = (pos + src.alpha_fp) & _FP_MASK
-        j += 1
-    return out
+    pos, start = config.x_fp, 0
+    while True:
+        hi, lo = _orbit(pos, src.alpha_fp, _ORBIT_BLOCK)
+        inside = [_in_interval(hi, lo, a, b) for a, b in src._intervals]
+
+        def at(i: int, level: int = 0) -> LevelCheckpoint:
+            """n, V and M after the block's orbit point i."""
+            tally = [(h, c + int(np.count_nonzero(mask[:i + 1])))
+                     for h, c, mask in zip(src._heights, visits, inside)]
+            steps = start + i + 1
+            return LevelCheckpoint(
+                level=level, n=steps + sum(h * c for h, c in tally),
+                base_step=start + i,
+                m=1 + max((h for h, c in tally if c), default=0),
+                v=steps + sum((h * h + 2 * h) * c for h, c in tally))
+
+        firsts = sorted((int(np.argmax(mask)), level)
+                        for level, mask in enumerate(inside, start=1)
+                        if not visits[level - 1] and mask.any())
+        stop = _ORBIT_BLOCK - 1
+        if len(out) + len(firsts) == config.levels:
+            stop = firsts[-1][0]
+        crossed = at(stop).n > budget
+        if crossed:  # n grows with i: the first point past the budget
+            stop = bisect_right(range(stop), budget, key=lambda i: at(i).n)
+        out += [at(i, level) for i, level in firsts if i <= stop]
+        if crossed and len(out) < 2:
+            raise RuntimeError(f"step budget {budget} exhausted before "
+                               "level 2 reported")
+        if crossed or len(out) == config.levels:
+            return out
+        visits = [c + int(np.count_nonzero(mask))
+                  for c, mask in zip(visits, inside)]
+        pos = (pos + _ORBIT_BLOCK * src.alpha_fp) & _FP_MASK
+        start += _ORBIT_BLOCK
 
 
 def ratio_floors(config: SpecialFlowConfig) -> list[Fraction]:

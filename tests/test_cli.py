@@ -64,6 +64,14 @@ def test_parse_errors_are_path_qualified():
                                           "seed": 0}}))
 
 
+def test_rw_asym_rejects_unsorted_checkpoints(tmp_path):
+    plan = parse_plan(json.dumps({
+        "experiment": "rw-asym", "checkpoints": [100, 10], "replicates": 1,
+        "seed_base": 0, "source": {"variant": "rw", "simple": 1, "seed": 0}}))
+    with pytest.raises(PlanError, match="checkpoints"):
+        run_plan(plan, tmp_path)
+
+
 def test_stats_run_writes_expected_csv(tmp_path):
     plan = parse_plan(json.dumps(STATS_PLAN))
     run_plan(plan, tmp_path / "out")

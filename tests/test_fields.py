@@ -54,7 +54,6 @@ def test_discrete_field():
     assert set(np.unique(x)) == {0.0, 2.0}
     assert abs(np.mean(x == 2.0) - 0.75) < 0.01
     assert list(f.cdf([-1.0, 0.0, 1.0, 2.0])) == [0.0, 0.25, 0.25, 1.0]
-    assert f.bound == 2.0
     assert f.variance == pytest.approx(0.75)
     with pytest.raises(ValueError):
         DiscreteField([(0.0, 0.5), (0.0, 0.5)])
@@ -101,20 +100,3 @@ def test_moving_average_validation():
         MovingAverageField([1.0, -0.5])
     with pytest.raises(ValueError):
         MovingAverageField([1.0], sigma=0.0)
-
-
-def test_mixing_bounds():
-    iid = UniformField()
-    assert iid.mixing_bound((0,)) == 0.25
-    assert iid.mixing_bound((1,)) == 0.0
-    ma = MovingAverageField([1.0, 1.0])
-    assert ma.mixing_bound((0, 0)) == 0.25
-    assert ma.mixing_bound((1, 0)) == 0.25
-    assert ma.mixing_bound((2, 0)) == 0.0
-    assert ma.mixing_bound((1, 1)) == 0.0
-
-
-def test_bounds():
-    assert UniformField().bound == 1.0
-    assert GaussianField().bound is None
-    assert MovingAverageField([1.0]).bound is None

@@ -3,18 +3,25 @@
 The digests were recorded before the occupation bookkeeping moved to block
 updates; any change to a CSV byte of these plans is a change of output, not
 a refactoring.  The fclt digest was re-recorded once, when numpy scalars
-stopped being written as ``np.float64(...)``: every cell kept its value.  variance.csv is hashed without its four series columns,
-which depend on the return-series tail estimate rather than on the Monte
-Carlo.
+stopped being written as ``np.float64(...)``: every cell kept its value.
+The rw_asym digest was re-recorded once, when its rows moved from a
+``np.cumsum`` of M_k / k^2 to the ledger's correctly rounded sum: only the
+pqd_partial_sum column changed, by 2 to 21 ulps, and each of its cells
+is the exact rational sum that the test below checks.  variance.csv is
+hashed without its four series columns, which depend on the return-series
+tail estimate rather than on the Monte Carlo.
 """
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
+from selab import generate, rng, trajectory_stats
 from selab.cli import parse_plan, run_plan
 
 # keyed by the name of the CSV file each plan writes
@@ -53,7 +60,7 @@ DIGESTS = {
     "stats": "0da3e49b153786d74e5f7d1f33d91a67a34b78801df0d2736fb98538f4753ce3",
     "gc": "3881d028b93fb49141a8e1a2ab197c687685b15f293527d3ba2ad17cad2674ba",
     "fclt": "5898facd81ea21ebd1f8db0e146275b897610efa5275404612e6cd52347ad4d1",
-    "rw_asym": "5f0e0850b83e8053471ab84f5ecbc2b670a1a5c7db14d2b5acc17eaaa5fceddd",
+    "rw_asym": "5149079ed93a6f8b8244d8f65a2c3d01d63795b30522509c028a6d15033b4321",
     "rotation": "081b6be57e65847854329cedcae3a36f4d4db2bf316d4772f4023ebb7856a58e",
     "counterexample":
         "9cb3a3fa180e3f1bc1f9f4808b548996819ec14b5766de9261c99a58bfd1198f",
@@ -79,3 +86,26 @@ def test_csv_bytes_match_the_recorded_digest(name, tmp_path):
         data = path.read_bytes()
     assert hashlib.sha256(data).hexdigest() == DIGESTS[name]
 
+
+@pytest.mark.parametrize("name", ["rotation", "rw_asym", "stats"])
+def test_pqd_cells_are_the_exact_sum_of_the_rounded_terms(name, tmp_path):
+    """Each pqd_partial_sum cell is float(sum of the terms m / (k * k)),
+    summed as rationals, over the per-step M of the cell's trajectory."""
+    plan = parse_plan(json.dumps(PLANS[name]))
+    run_plan(plan, tmp_path)
+    rows = list(csv.DictReader(io.StringIO(
+        (tmp_path / f"{name}.csv").read_text())))
+    for rep in sorted({row.get("rep") for row in rows}):
+        src = plan["_source"]
+        if rep is not None:
+            src = dataclasses.replace(src, seed=rng.derive(
+                plan["seed_base"], "walk", int(rep)))
+        cells = {int(r["n"]): float(r["pqd_partial_sum"])
+                 for r in rows if r.get("rep") == rep}
+        m = trajectory_stats(generate(src, max(cells))).m
+        total, exact = Fraction(0), {}
+        for k, m_k in enumerate(m.tolist(), start=1):
+            total += Fraction(m_k / (k * k))
+            if k in cells:
+                exact[k] = float(total)
+        assert cells == exact, rep

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from selab import (LocalTimeLedger, brute_force_stats, condition_report,
-                   dispersion_bound, range_lower_bound, subset_lower_bound,
+from selab import (LocalTimeLedger, RandomWalkSource, brute_force_stats,
+                   condition_report, dispersion_bound, generate,
+                   range_lower_bound, simple_walk, subset_lower_bound,
                    trajectory_stats)
 
 site_lists = st.lists(
@@ -36,6 +37,20 @@ def test_single_site_repeated():
 def test_pqd_partial_sum():
     led = replay([(0,), (0,)])
     assert led.pqd_partial_sum == pytest.approx(1 / 1 + 2 / 4)
+
+
+def test_pqd_partial_sum_is_exact_for_long_block_splits():
+    # many blocks: a sum rounded at every block boundary drifts by ulps
+    coords = generate(RandomWalkSource(simple_walk(1), seed=3), 20000)
+    m = trajectory_stats(coords).m.tolist()
+    exact = float(sum(Fraction(m_k / (k * k))
+                      for k, m_k in enumerate(m, start=1)))
+    sizes = np.random.default_rng(5).integers(1, 64, size=20000)
+    for cuts in ([], np.arange(1, 20000), np.cumsum(sizes)):
+        led = LocalTimeLedger(1)
+        for block in np.split(coords, [c for c in cuts if c < 20000]):
+            led.record_block(block)
+        assert led.pqd_partial_sum == exact
 
 
 def test_dimension_and_overflow_errors():
@@ -170,7 +185,7 @@ def test_from_trajectory_matches_record_many():
     b.record_many(map(tuple, traj))
     assert a.counts == b.counts
     assert a.snapshot_row()[:5] == b.snapshot_row()[:5]
-    assert a.pqd_partial_sum == pytest.approx(b.pqd_partial_sum, rel=1e-12)
+    assert a.pqd_partial_sum == b.pqd_partial_sum
 
 
 # sites whose raw coordinate spread needs more than 62 bits of key
@@ -224,11 +239,7 @@ def test_record_block_splits_agree_with_brute_force(sites, sizes):
         == (len(sites), v, m, len(counts))
     assert led.counts == counts
     assert [tuple(s) for s in led.sites.tolist()] == list(dict.fromkeys(sites))
-    # sequential compensated sum of M_k / k^2, term by term
-    total = comp = 0.0
-    for k, m_k in enumerate(_dict_oracle(sites)[2], start=1):
-        term = m_k / (k * k) - comp
-        new = total + term
-        comp = (new - total) - term
-        total = new
-    assert led.pqd_partial_sum == total
+    # the correctly rounded sum of the rounded terms M_k / k^2
+    exact = sum(Fraction(m_k / (k * k))
+                for k, m_k in enumerate(_dict_oracle(sites)[2], start=1))
+    assert led.pqd_partial_sum == float(exact)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from selab import LocalTimeLedger, generate, stream
-from selab.rotation import (ContinuedFraction, RotationCocycle,
-                            SpecialFlowConfig, SpecialFlowSource, StepFunction,
+from selab import LocalTimeLedger, generate, rotation, stream
+from selab.rotation import (ContinuedFraction, LevelCheckpoint,
+                            RotationCocycle, SpecialFlowConfig,
+                            SpecialFlowSource, StepFunction,
                             counterexample_ratio_schedule, denjoy_koksma_check,
                             fraction_to_fp, minimal_lambda_indices,
                             point_from_seed, ratio_floors, NEAR_THRESHOLD, ONE,
@@ -300,3 +301,86 @@ def test_special_flow_cursor_takes_towers_beyond_int64(levels, lam):
         got = take_in_blocks(src.cursor(), 3000, [1, 7, 500, 0, 64])
         assert got[:, 0].tolist() == flow_oracle(src, 3000)
         assert np.array_equal(got, generate(src, 3000))
+
+
+# ---------------------------------------------------------------------------
+# the bulk orbit walks of the schedule and of Denjoy-Koksma against the
+# step-by-step loops they replaced
+
+ORBIT_BLOCKS = (7, 1000, rotation._ORBIT_BLOCK)
+
+
+def schedule_oracle(config, budget):
+    """One base point at a time: its roof and level, then n, V, M."""
+    src = SpecialFlowSource(config)
+    intervals = config.intervals_fp()
+    seen, out = set(), []
+    pos, n, v, m, j = config.x_fp, 0, 0, 0, 0
+    while len(out) < config.levels:
+        r = src.roof(pos)
+        level = next((k for k, (a, b) in enumerate(intervals, start=1)
+                      if a <= pos < b), 0)
+        n += r
+        v += r * r
+        m = max(m, r)
+        if level and level not in seen:
+            seen.add(level)
+            out.append(LevelCheckpoint(level=level, n=n, base_step=j, m=m,
+                                       v=v))
+        if n > budget:
+            if len(seen) < 2:
+                raise RuntimeError("budget")
+            break
+        pos = (pos + src.alpha_fp) % ONE
+        j += 1
+    return out
+
+
+def birkhoff_oracle(cocycle, length, pos):
+    """S_length f(pos) = sum_{j<length} f(pos + j*alpha), point by point."""
+    s = 0
+    for _ in range(length):
+        s += cocycle.f.values[bisect_right(cocycle._bps, pos) - 1]
+        pos = (pos + cocycle.alpha_fp) % ONE
+    return s
+
+
+@pytest.mark.parametrize("block", ORBIT_BLOCKS)
+@pytest.mark.parametrize("cf", ANGLES)
+@pytest.mark.parametrize("levels", (1, 2, 3))
+def test_schedule_blocks_match_the_step_loop(monkeypatch, block, cf, levels):
+    monkeypatch.setattr(rotation, "_ORBIT_BLOCK", block)
+    lam = minimal_lambda_indices(cf, levels)
+    probe = SpecialFlowConfig(cf, levels, lam, 0)
+    # x = 0, seeded points, and starts on the edges of the outer and the
+    # innermost interval
+    starts = [0, point_from_seed(3), point_from_seed(8),
+              probe.intervals_fp()[0][0], probe.intervals_fp()[-1][1] - 1]
+    for x in starts:
+        cfg = SpecialFlowConfig(cf, levels, lam, x)
+        full = schedule_oracle(cfg, 10**12)
+        budgets = {1, 10**12} | {cp.n + d for cp in full for d in (-1, 0, 1)}
+        for budget in sorted(budgets):
+            try:
+                want = schedule_oracle(cfg, budget)
+            except RuntimeError:
+                with pytest.raises(RuntimeError, match="budget"):
+                    counterexample_ratio_schedule(cfg, budget)
+                continue
+            assert counterexample_ratio_schedule(cfg, budget) == want, \
+                (x, budget)
+
+
+@pytest.mark.parametrize("block", ORBIT_BLOCKS)
+def test_denjoy_koksma_matches_the_step_loop(monkeypatch, block):
+    monkeypatch.setattr(rotation, "_ORBIT_BLOCK", block)
+    for cf in ANGLES:
+        depth = max(k for k in range(1, 30)
+                    if cf.convergents(k)[-1][1] <= 3000)
+        for f in STEP_FUNCTIONS:
+            for x in (0, point_from_seed(1), point_from_seed(2),
+                      fraction_to_fp(Fraction(1, 2))):
+                rc = RotationCocycle(cf, f, x)
+                want = [(q, birkhoff_oracle(rc, q, rc.x_fp))
+                        for _, q in cf.convergents(depth)]
+                assert denjoy_koksma_check(cf, f, x, depth) == want
