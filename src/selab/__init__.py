@@ -7,10 +7,9 @@ from .ledger import (LocalTimeLedger, TrajectoryStats, brute_force_stats,
 from .sources import (Classification, CoboundarySource, ExplicitSource,
                       RandomWalkSource, StepDistribution, WindowFunctional,
                       classify, cursor, generate, simple_walk, stream)
-from .rotation import (ContinuedFraction, RotationCocycle, SpecialFlowConfig,
-                       SpecialFlowSource, StepFunction,
-                       counterexample_ratio_schedule, denjoy_koksma_check,
-                       minimal_lambda_indices)
+from .rotation import (ContinuedFraction, RotationCocycle, SpecialFlowSource,
+                       StepFunction, counterexample_ratio_schedule,
+                       denjoy_koksma_check, minimal_lambda_indices)
 from .fields import (DiscreteField, GaussianField, MovingAverageField,
                      UniformField)
 from .empirical import (WeightedEcdf, bridge_sup, bridge_values,

@@ -120,12 +120,11 @@ def parse_source(obj: dict, path: str = "$.source"):
             lam = obj.get("lambda_indices")
             if lam is None:
                 lam = rotation.minimal_lambda_indices(cf, levels)
-            cfg = rotation.SpecialFlowConfig(cf, levels, lam,
-                                             _parse_point(obj["x"], path + ".x"))
-            return rotation.SpecialFlowSource(cfg)
+            return rotation.SpecialFlowSource(cf, levels, lam,
+                                              _parse_point(obj["x"], path + ".x"))
     except PlanError:
         raise
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
         raise PlanError(f"bad source at \"{path}\": {exc}") from None
     raise PlanError(f"unknown source variant \"{variant}\" at \"{path}.variant\"")
 
@@ -157,8 +156,7 @@ def parse_field(obj: dict, path: str = "$.field"):
 
 
 _PLAN_KEYS = {
-    "stats": ({"experiment", "source", "n", "checkpoints", "seed"},
-              {"source", "n"}),
+    "stats": ({"experiment", "source", "n", "checkpoints"}, {"source", "n"}),
     "gc": ({"experiment", "source", "field", "n", "checkpoints", "replicates",
             "seed_base"}, {"source", "field", "n", "replicates", "seed_base"}),
     "fclt": ({"experiment", "source", "field", "n", "grid", "replicates",
@@ -197,13 +195,42 @@ def parse_plan(text: str) -> dict:
         plan["_source"] = parse_source(obj["source"])
     if "field" in obj:
         plan["_field"] = parse_field(obj["field"])
-    for key in ("n", "replicates", "seed_base", "seed", "budget", "kmax"):
-        if key in obj and (not isinstance(obj[key], int) or isinstance(obj[key], bool)):
+    for key in ("n", "replicates", "seed_base", "budget", "kmax"):
+        if key in obj and not _is_int(obj[key]):
             raise PlanError(f"\"$.{key}\" must be an integer")
-    if exp == "fclt" and plan["replicates"] < 100:
-        raise PlanError("replicates < 100: the jackknife and percentile "
-                        "estimates need at least 100 replicates")
+    least = _MIN_REPLICATES.get(exp, 0)
+    if "replicates" in obj and obj["replicates"] < least:
+        raise PlanError(f"replicates < {least} at \"$.replicates\": {exp} "
+                        f"needs at least {least}")
+    if exp in ("stats", "gc", "rw-asym", "rotation"):
+        plan["_checkpoints"] = _checkpoints(obj)
     return plan
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+# the Monte Carlo standard error of variance needs two replicates, the
+# jackknife and percentile estimates of fclt a hundred
+_MIN_REPLICATES = {"gc": 1, "rw-asym": 1, "variance": 2, "fclt": 100}
+
+
+def _checkpoints(obj: dict) -> list[int]:
+    """The plan's checkpoints, by default n / 10^k for k < 4, validated for
+    the runners, which advance one ledger through them in order."""
+    n = obj.get("n")
+    cps = obj.get("checkpoints")
+    if cps is None:
+        cps = sorted({max(1, n // 10**k) for k in range(4)})
+    if (not isinstance(cps, list) or not cps
+            or not all(_is_int(c) and c >= 1 for c in cps)
+            or any(b <= a for a, b in zip(cps, cps[1:]))
+            or (n is not None and cps[-1] > n)):
+        raise PlanError("\"$.checkpoints\" must be a nonempty, strictly "
+                        "increasing list of positive integers"
+                        + (", none above n" if n is not None else ""))
+    return cps
 
 
 def _threads(cli_value: int | None) -> int:
@@ -219,16 +246,6 @@ def _pmap(fn, items, threads: int) -> list:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
-
-
-def _checkpoints(plan: dict, n: int) -> list[int]:
-    cps = plan.get("checkpoints")
-    if cps is None:
-        cps = sorted({max(1, n // 10**k) for k in range(4)})
-    cps = [int(c) for c in cps]
-    if any(b <= a for a, b in zip(cps, cps[1:])) or cps[-1] > n:
-        raise PlanError("\"$.checkpoints\" must be strictly increasing and <= n")
-    return cps
 
 
 def _checkpoint_ledgers(cur, checkpoints: list[int]) -> list:
@@ -267,10 +284,9 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _run_stats(plan, threads):
-    n = plan["n"]
-    cps = _checkpoints(plan, n)
     rows = [led.snapshot_row() for led in
-            _checkpoint_ledgers(sources.cursor(plan["_source"]), cps)]
+            _checkpoint_ledgers(sources.cursor(plan["_source"]),
+                                plan["_checkpoints"])]
     summary = {"final": dict(zip(STATS_HEADER, rows[-1])),
                "op": "ledger.LocalTimeLedger.snapshot_row"}
     checks = {}
@@ -284,8 +300,7 @@ def _run_stats(plan, threads):
 
 
 def _run_gc(plan, threads):
-    n, reps = plan["n"], plan["replicates"]
-    cps = _checkpoints(plan, n)
+    reps, cps = plan["replicates"], plan["_checkpoints"]
     field = plan["_field"]
     leds = _checkpoint_ledgers(sources.cursor(plan["_source"]), cps)
     seeds = [rng.derive(plan["seed_base"], "field", rep) for rep in range(reps)]
@@ -326,19 +341,19 @@ def _run_fclt(plan, threads):
     summary = {"n": res.n, "v": res.v, "m2_over_v": res.m2_over_v,
                "sup_95th_percentile": sup95, "quenched": res.quenched,
                "op": "empirical.mc_fclt"}
-    if isinstance(plan["_field"], DiscreteField):
+    why = {DiscreteField: "a continuous F, and the field has atoms",
+           MovingAverageField: "i.i.d. values, and the moving-average field "
+                               "is dependent"}.get(type(plan["_field"]))
+    if why:
         summary["sup_law"] = ("not applicable: the Kolmogorov law of sup |Y| "
-                              "needs a continuous F, and the field has atoms")
+                              f"needs {why}")
     checks = {"covariance_within_3_stderr": ok}
     return {"fclt.csv": (("s", "t", "cov", "stderr", "target"), rows)}, summary, checks
 
 
 def _run_rw_asym(plan, threads):
     import dataclasses
-    src = plan["_source"]
-    # the ledgers advance in order: unsorted checkpoints would be skipped
-    cps = _checkpoints(plan, int(plan["checkpoints"][-1]))
-    reps = plan["replicates"]
+    src, cps, reps = plan["_source"], plan["_checkpoints"], plan["replicates"]
 
     def one(rep: int):
         cfg = dataclasses.replace(src, seed=rng.derive(plan["seed_base"],
@@ -359,8 +374,8 @@ def _run_rw_asym(plan, threads):
 
 def _run_rotation(plan, threads):
     cur = sources.cursor(plan["_source"])
-    cps = [int(c) for c in plan["checkpoints"]]
-    rows = [led.snapshot_row() for led in _checkpoint_ledgers(cur, cps)]
+    rows = [led.snapshot_row()
+            for led in _checkpoint_ledgers(cur, plan["_checkpoints"])]
     norm = [r[2] * math.sqrt(math.log(r[0])) / r[0] ** 2 for r in rows]
     summary = {"v_sqrtlog_over_n2": norm,
                "near_breakpoint_hits": getattr(cur, "near_hits", 0),
@@ -371,9 +386,9 @@ def _run_rotation(plan, threads):
 def _run_counterexample(plan, threads):
     src = plan["_source"]
     budget = plan.get("budget", 10**8)
-    sched = rotation.counterexample_ratio_schedule(src.config, budget)
-    heights = src.config.tower_heights()
-    floors = rotation.ratio_floors(src.config)
+    sched = rotation.counterexample_ratio_schedule(src, budget)
+    heights = src.tower_heights()
+    floors = rotation.ratio_floors(src)
     rows = [(cp.level, cp.n, cp.m, cp.v, cp.ratio) for cp in sched]
     # the floor and M = 1 + h_level are proven only at record checkpoints,
     # where no higher level was met earlier
@@ -484,7 +499,7 @@ def _selftest_field_batches() -> bool:
     ok = True
     for field in (UniformField(), DiscreteField([(0, 0.5), (1, 0.2), (2, 0.3)])):
         plan = {"_source": src, "_field": field, "n": 3000,
-                "checkpoints": [30, 300, 3000], "replicates": 7,
+                "_checkpoints": [30, 300, 3000], "replicates": 7,
                 "seed_base": 5}
         seeds = [rng.derive(5, "field", rep) for rep in range(100)]
         rows = [(rep, c, sup(field, seed, c)[0])

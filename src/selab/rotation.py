@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, cycle, islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -52,18 +53,21 @@ class ContinuedFraction:
             raise IndexError(f"only {len(self._coeffs)} partial quotients available")
         return self._periodic[(k - 1 - len(self._coeffs)) % len(self._periodic)]
 
-    def convergents(self, depth: int) -> list[tuple[int, int]]:
-        """[(p_1, q_1), ..., (p_depth, q_depth)] via the standard recursion
+    def _convergents(self) -> Iterator[tuple[int, int]]:
+        """(p_1, q_1), (p_2, q_2), ... via the standard recursion
         q_k = a_k q_{k-1} + q_{k-2} started from (p_0, q_0) = (0, 1),
-        (p_{-1}, q_{-1}) = (1, 0)."""
-        p_prev, q_prev = 1, 0
-        p, q = 0, 1
-        out = []
-        for k in range(1, depth + 1):
-            a = self.coeff(k)
+        (p_{-1}, q_{-1}) = (1, 0); ends with a finite expansion."""
+        p_prev, q_prev, p, q = 1, 0, 0, 1
+        for a in chain(self._coeffs, cycle(self._periodic)):
             p, p_prev = a * p + p_prev, p
             q, q_prev = a * q + q_prev, q
-            out.append((p, q))
+            yield p, q
+
+    def convergents(self, depth: int) -> list[tuple[int, int]]:
+        """[(p_1, q_1), ..., (p_depth, q_depth)]."""
+        out = list(islice(self._convergents(), depth))
+        if len(out) < depth:
+            raise IndexError(f"only {len(out)} partial quotients available")
         return out
 
     def convergent(self, depth: int) -> Fraction:
@@ -73,19 +77,10 @@ class ContinuedFraction:
     def deep_convergent(self, min_q: int = 1 << 64) -> tuple[int, int]:
         """First convergent with denominator >= min_q (or the deepest one
         available for a finite expansion)."""
-        p_prev, q_prev = 1, 0
         p, q = 0, 1
-        k = 0
-        while q < min_q:
-            k += 1
-            try:
-                a = self.coeff(k)
-            except IndexError:
-                if k == 1:
-                    raise
-                break
-            p, p_prev = a * p + p_prev, p
-            q, q_prev = a * q + q_prev, q
+        conv = self._convergents()
+        while q < min_q and (pq := next(conv, None)):
+            p, q = pq
         return p, q
 
     def angle_fixed_point(self, min_q: int = 1 << 64) -> int:
@@ -197,13 +192,12 @@ class RotationCocycle:
 
     d = 1
 
-    def __init__(self, cf: ContinuedFraction, f: StepFunction,
-                 x_fp: int, min_q: int = 1 << 64):
+    def __init__(self, cf: ContinuedFraction, f: StepFunction, x_fp: int):
         if f.mean() != 0:
             raise ValueError(f"step function must have zero mean, got {f.mean()}")
         self.cf = cf
         self.f = f
-        self.alpha_fp = cf.angle_fixed_point(min_q)
+        self.alpha_fp = cf.angle_fixed_point()
         self.x_fp = x_fp & _FP_MASK
         self._bps = f.breakpoints_fp()
         self._vals = f.values
@@ -271,9 +265,29 @@ def denjoy_koksma_check(cf: ContinuedFraction, f: StepFunction,
 # special flow over a rotation
 
 
+def minimal_lambda_indices(cf: ContinuedFraction, levels: int) -> tuple[int, ...]:
+    """Greedy smallest indices satisfying the special-flow constraints;
+    raises IndexError when a finite expansion runs out first."""
+    indices: list[int] = []
+    qs: list[int] = []
+    for k, (_, q) in enumerate(cf._convergents(), start=1):
+        if len(indices) > levels:
+            break
+        n = len(indices) + 1
+        need = 4 if n == 1 else max(3 * qs[-1], n * qs[-1] ** 2)
+        if q >= need:
+            indices.append(k)
+            qs.append(q)
+    if len(indices) <= levels:
+        raise IndexError(f"only {len(indices)} of {levels + 1} lambda indices "
+                         "before the expansion ends")
+    return tuple(indices)
+
+
 @dataclass(frozen=True)
-class SpecialFlowConfig:
-    """Flow under a roof of towers over thinning intervals near 0.
+class SpecialFlowSource:
+    """Flow under a roof of towers over thinning intervals near 0, as the
+    sequence of basis-visit counts along its orbit.
 
     The roof is phi = 1 + sum_{n=1..levels} floor(q_{lam_n} / n^2) * 1_{J_n}
     with J_n = [3/q_{lam_{n+1}}, 3/q_{lam_n}), so ``lambda_indices`` has
@@ -282,12 +296,18 @@ class SpecialFlowConfig:
     q_{lam_{n-1}}^2 for n >= 2; q_{lam_1} >= 4 so J_1 is inside (0, 1);
     each |J_n| > 2/q_{lam_n}, which forces an orbit visit within q_{lam_n}
     steps.
+
+    z_k counts how many of the first k flow steps start a new pass over the
+    basis, so z is 1 at the first step and increases by 1 after every roof
+    climb.  Local times reproduce the roof: N(m) = phi(x + (m-1) alpha).
     """
 
     cf: ContinuedFraction
     levels: int
     lambda_indices: tuple[int, ...]
     x_fp: int
+
+    d = 1
 
     def __init__(self, cf, levels, lambda_indices, x_fp):
         levels = int(levels)
@@ -300,7 +320,8 @@ class SpecialFlowConfig:
                              "interval endpoint)")
         if any(b <= a for a, b in zip(lambda_indices, lambda_indices[1:])):
             raise ValueError("lambda indices must be strictly increasing")
-        qs = _denominators_at(cf, lambda_indices)
+        conv = cf.convergents(max(lambda_indices))
+        qs = [conv[i - 1][1] for i in lambda_indices]
         if qs[0] < 4:
             raise ValueError("q at the first lambda index must be >= 4")
         for n in range(1, levels + 1):
@@ -319,73 +340,27 @@ class SpecialFlowConfig:
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "lambda_indices", lambda_indices)
         object.__setattr__(self, "x_fp", int(x_fp) & _FP_MASK)
+        object.__setattr__(self, "_qs", tuple(qs))
+        # per level: J_n as fixed-point [lo, hi) and the tower height on it
+        object.__setattr__(self, "_levels", tuple(
+            (((3 * ONE) // qs[n], (3 * ONE) // qs[n - 1]), qs[n - 1] // (n * n))
+            for n in range(1, levels + 1)))
+        # the angle's convergent must be far deeper than any q we index
+        object.__setattr__(self, "alpha_fp",
+                           cf.angle_fixed_point(max(1 << 64, qs[-1] ** 2)))
 
     def denominators(self) -> list[int]:
-        return _denominators_at(self.cf, self.lambda_indices)
+        return list(self._qs)
 
     def tower_heights(self) -> list[int]:
         """floor(q_{lam_n} / n^2) for n = 1..levels (extra roof height on J_n)."""
-        qs = self.denominators()
-        return [qs[n - 1] // (n * n) for n in range(1, self.levels + 1)]
+        return [h for _, h in self._levels]
 
     def intervals_fp(self) -> list[tuple[int, int]]:
-        qs = self.denominators()
-        return [((3 * ONE) // qs[n], (3 * ONE) // qs[n - 1])
-                for n in range(1, self.levels + 1)]
-
-
-def _denominators_at(cf: ContinuedFraction, indices: Sequence[int]) -> list[int]:
-    conv = cf.convergents(max(indices))
-    return [conv[i - 1][1] for i in indices]
-
-
-def minimal_lambda_indices(cf: ContinuedFraction, levels: int) -> tuple[int, ...]:
-    """Greedy smallest indices satisfying the special-flow constraints."""
-    indices: list[int] = []
-    qs: list[int] = []
-    k = 0
-    p_prev, q_prev = 1, 0
-    q = 1
-    while len(indices) < levels + 1:
-        k += 1
-        a = cf.coeff(k)  # raises IndexError when a finite expansion runs out
-        q, q_prev = a * q + q_prev, q
-        n = len(indices) + 1
-        if n == 1:
-            need = 4
-        else:
-            need = max(3 * qs[-1], n * qs[-1] ** 2)
-        if q >= need:
-            indices.append(k)
-            qs.append(q)
-    return tuple(indices)
-
-
-class SpecialFlowSource:
-    """Sequence of basis-visit counts along the special flow orbit.
-
-    z_k counts how many of the first k flow steps start a new pass over the
-    basis, so z is 1 at the first step and increases by 1 after every roof
-    climb.  Local times reproduce the roof: N(m) = phi(x + (m-1) alpha).
-    """
-
-    d = 1
-
-    def __init__(self, config: SpecialFlowConfig, min_q: int | None = None):
-        self.config = config
-        qs = config.denominators()
-        # the angle's convergent must be far deeper than any q we index
-        self.alpha_fp = config.cf.angle_fixed_point(
-            min_q if min_q is not None else max(1 << 64, qs[-1] ** 2))
-        self._intervals = config.intervals_fp()
-        self._heights = config.tower_heights()
+        return [iv for iv, _ in self._levels]
 
     def roof(self, pos_fp: int) -> int:
-        r = 1
-        for (lo, hi), h in zip(self._intervals, self._heights):
-            if lo <= pos_fp < hi:
-                r += h
-        return r
+        return 1 + sum(h for (lo, hi), h in self._levels if lo <= pos_fp < hi)
 
     def cursor(self) -> "FlowCursor":
         return FlowCursor(self)
@@ -406,10 +381,10 @@ class FlowCursor:
 
     def __init__(self, src: SpecialFlowSource):
         self._alpha = src.alpha_fp
-        self._pos = src.config.x_fp  # base point of the next tower
+        self._pos = src.x_fp  # base point of the next tower
         self._towers = 0  # towers started, = the current site
         self._left = 0    # steps still due on the current tower
-        self._levels = list(zip(src._intervals, src._heights))
+        self._levels = src._levels
         self._roof = src.roof
 
     def take(self, count: int) -> np.ndarray:
@@ -451,7 +426,7 @@ class LevelCheckpoint:
         return self.m * self.m / self.v
 
 
-def counterexample_ratio_schedule(config: SpecialFlowConfig,
+def counterexample_ratio_schedule(src: SpecialFlowSource,
                                   budget: int = 10**8) -> list[LevelCheckpoint]:
     """First-visit checkpoints of the special flow's M^2/V ratio.
 
@@ -467,23 +442,24 @@ def counterexample_ratio_schedule(config: SpecialFlowConfig,
     When no higher level is met before level n (in particular when the
     levels are met in increasing order), the level-n checkpoint satisfies
     base_step < q_{lam_n}, M = 1 + floor(q_{lam_n} / n^2) and
-    M^2 / V >= ``ratio_floors(config)[n - 1]``, a floor that tends to 1.
+    M^2 / V >= ``ratio_floors(src)[n - 1]``, a floor that tends to 1.
     The ratios themselves are not monotone in the level: no tower precedes
     level 1, so its ratio sits near 1, while level 2's tower is diluted by
     the level-1 towers before it (golden, x = 0: 0.947, 0.432, 0.920).
     """
-    src = SpecialFlowSource(config)
-    visits = [0] * config.levels  # per level, before the current block
+    heights = src.tower_heights()
+    intervals = src.intervals_fp()
+    visits = [0] * src.levels  # per level, before the current block
     out: list[LevelCheckpoint] = []
-    pos, start = config.x_fp, 0
+    pos, start = src.x_fp, 0
     while True:
         hi, lo = _orbit(pos, src.alpha_fp, _ORBIT_BLOCK)
-        inside = [_in_interval(hi, lo, a, b) for a, b in src._intervals]
+        inside = [_in_interval(hi, lo, a, b) for a, b in intervals]
 
         def at(i: int, level: int = 0) -> LevelCheckpoint:
             """n, V and M after the block's orbit point i."""
             tally = [(h, c + int(np.count_nonzero(mask[:i + 1])))
-                     for h, c, mask in zip(src._heights, visits, inside)]
+                     for h, c, mask in zip(heights, visits, inside)]
             steps = start + i + 1
             return LevelCheckpoint(
                 level=level, n=steps + sum(h * c for h, c in tally),
@@ -495,7 +471,7 @@ def counterexample_ratio_schedule(config: SpecialFlowConfig,
                         for level, mask in enumerate(inside, start=1)
                         if not visits[level - 1] and mask.any())
         stop = _ORBIT_BLOCK - 1
-        if len(out) + len(firsts) == config.levels:
+        if len(out) + len(firsts) == src.levels:
             stop = firsts[-1][0]
         crossed = at(stop).n > budget
         if crossed:  # n grows with i: the first point past the budget
@@ -504,7 +480,7 @@ def counterexample_ratio_schedule(config: SpecialFlowConfig,
         if crossed and len(out) < 2:
             raise RuntimeError(f"step budget {budget} exhausted before "
                                "level 2 reported")
-        if crossed or len(out) == config.levels:
+        if crossed or len(out) == src.levels:
             return out
         visits = [c + int(np.count_nonzero(mask))
                   for c, mask in zip(visits, inside)]
@@ -512,7 +488,7 @@ def counterexample_ratio_schedule(config: SpecialFlowConfig,
         start += _ORBIT_BLOCK
 
 
-def ratio_floors(config: SpecialFlowConfig) -> list[Fraction]:
+def ratio_floors(src: SpecialFlowSource) -> list[Fraction]:
     """Exact lower bounds L_n on M^2/V at the level-n checkpoint, n = 1..levels.
 
     Valid when no level above n is met before level n.  With q = q_{lam_n},
@@ -528,12 +504,12 @@ def ratio_floors(config: SpecialFlowConfig) -> list[Fraction]:
     The separation condition q_{lam_n} >= n q_{lam_{n-1}}^2 makes
     1 - L_n = O(n^4 / q_{lam_n}) + O(n^3 / q_{lam_{n-1}}), so L_n -> 1.
     """
-    qs = config.denominators()
-    tops = [1 + h for h in config.tower_heights()]
+    qs = src.denominators()
+    tops = [1 + h for h in src.tower_heights()]
     lengths = [Fraction(3, qs[m]) - Fraction(3, qs[m + 1])
-               for m in range(config.levels)]
+               for m in range(src.levels)]
     floors = []
-    for n in range(config.levels):
+    for n in range(src.levels):
         below = sum(((qs[n] * lengths[m] + 2) * (tops[m] ** 2 - 1)
                      for m in range(n)), Fraction(0))
         floors.append(tops[n] ** 2 / (tops[n] ** 2 + qs[n] + below))

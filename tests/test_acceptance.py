@@ -16,7 +16,7 @@ from selab import (CoboundarySource, ExplicitSource, LocalTimeLedger,
                    trajectory_stats, transient_variance_report)
 from selab.fields import MovingAverageField, UniformField
 from selab.rotation import (ContinuedFraction, RotationCocycle,
-                            SpecialFlowConfig, SpecialFlowSource, StepFunction,
+                            SpecialFlowSource, StepFunction,
                             counterexample_ratio_schedule,
                             minimal_lambda_indices, point_from_seed)
 
@@ -193,13 +193,13 @@ def test_criterion_10_counterexample_schedule():
     # does not make the ratios monotone (level 1 sits above a high floor
     # because no tower precedes it, level 2 near a low one).
     lam = minimal_lambda_indices(GOLDEN, 3)
-    cfg = SpecialFlowConfig(GOLDEN, 3, lam, 0)
+    cfg = SpecialFlowSource(GOLDEN, 3, lam, 0)
     sched = counterexample_ratio_schedule(cfg, budget=10**8)
     assert len(sched) >= 3
     heights = cfg.tower_heights()
     qs = cfg.denominators()
     floors = _ratio_floor_oracle(cfg)
-    path = generate(SpecialFlowSource(cfg), max(cp.n for cp in sched))[:, 0]
+    path = generate(cfg, max(cp.n for cp in sched))[:, 0]
     for cp in sched:
         top = 1 + heights[cp.level - 1]
         assert cp.m == top, f"level {cp.level}: M = {cp.m}, expected {top}"
@@ -214,7 +214,7 @@ def test_criterion_10_counterexample_schedule():
             f"level {cp.level}: ratio {cp.ratio} below floor " \
             f"{float(floors[cp.level - 1])}"
     assert sched[-1].ratio >= 0.5, f"final ratio {sched[-1].ratio}"
-    deep = SpecialFlowConfig(GOLDEN, 5, minimal_lambda_indices(GOLDEN, 5), 0)
+    deep = SpecialFlowSource(GOLDEN, 5, minimal_lambda_indices(GOLDEN, 5), 0)
     deep_floors = _ratio_floor_oracle(deep)[1:]
     assert all(a < b for a, b in zip(deep_floors, deep_floors[1:])), \
         [float(f) for f in deep_floors]

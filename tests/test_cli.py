@@ -64,12 +64,81 @@ def test_parse_errors_are_path_qualified():
                                           "seed": 0}}))
 
 
-def test_rw_asym_rejects_unsorted_checkpoints(tmp_path):
-    plan = parse_plan(json.dumps({
-        "experiment": "rw-asym", "checkpoints": [100, 10], "replicates": 1,
-        "seed_base": 0, "source": {"variant": "rw", "simple": 1, "seed": 0}}))
+def test_rw_asym_rejects_unsorted_checkpoints():
     with pytest.raises(PlanError, match="checkpoints"):
-        run_plan(plan, tmp_path)
+        parse_plan(json.dumps({
+            "experiment": "rw-asym", "checkpoints": [100, 10],
+            "replicates": 1, "seed_base": 0,
+            "source": {"variant": "rw", "simple": 1, "seed": 0}}))
+
+
+RW1 = {"variant": "rw", "simple": 1, "seed": 0}
+CHECKPOINT_PLANS = {
+    "stats": {"source": RW1, "n": 100},
+    "gc": {"source": RW1, "field": {"variant": "uniform"}, "n": 100,
+           "replicates": 2, "seed_base": 0},
+    "rw-asym": {"source": RW1, "replicates": 1, "seed_base": 0},
+    "rotation": {"source": {"variant": "rotation", "cf": {"periodic": [1]},
+                            "x": "0"}},
+}
+
+
+@pytest.mark.parametrize("exp", sorted(CHECKPOINT_PLANS))
+@pytest.mark.parametrize("cps", [[100, 10], [], [1.5, 3], [True, 5], [0],
+                                 [5, 5], "10"])
+def test_parse_rejects_bad_checkpoints(exp, cps):
+    # unsorted checkpoints were skipped by the one advancing ledger, an
+    # empty list escaped as an IndexError, floats and bools were truncated
+    # to a row at n = 1, and [0] failed only once the run had started
+    plan = dict(CHECKPOINT_PLANS[exp], experiment=exp, checkpoints=cps)
+    with pytest.raises(PlanError, match=r"\$\.checkpoints"):
+        parse_plan(json.dumps(plan))
+    plan["checkpoints"] = [10, 100]
+    assert parse_plan(json.dumps(plan))["_checkpoints"] == [10, 100]
+
+
+@pytest.mark.parametrize("exp", ["stats", "gc"])
+def test_parse_rejects_checkpoints_above_n(exp):
+    plan = dict(CHECKPOINT_PLANS[exp], experiment=exp, checkpoints=[10, 101])
+    with pytest.raises(PlanError, match=r"\$\.checkpoints"):
+        parse_plan(json.dumps(plan))
+
+
+def test_parse_rejects_the_stats_seed():
+    # the source carries the seed; a top-level one was never read
+    with pytest.raises(PlanError, match=r"unknown key \"\$\.seed\""):
+        parse_plan(json.dumps(dict(STATS_PLAN, seed=3)))
+
+
+@pytest.mark.parametrize("exp, reps", [("gc", 0), ("rw-asym", 0),
+                                       ("variance", 1)])
+def test_parse_rejects_too_few_replicates(exp, reps):
+    # gc with 0 divided by zero, rw-asym with 0 wrote a header-only table,
+    # variance with 1 reported a nan stderr beside defect_small: ok
+    plan = {"experiment": exp, "source": {"variant": "rw", "simple": 3,
+                                          "seed": 1},
+            "replicates": reps, "seed_base": 0}
+    if exp != "rw-asym":
+        plan.update(field={"variant": "uniform"}, n=100)
+    if exp != "variance":
+        plan.update(checkpoints=[10, 100])
+    with pytest.raises(PlanError, match=r"\$\.replicates"):
+        parse_plan(json.dumps(plan))
+    plan["replicates"] = reps + 1
+    parse_plan(json.dumps(plan))
+
+
+@pytest.mark.parametrize("lam", [None, [2, 3]])
+def test_parse_rejects_special_flow_past_a_finite_expansion(lam):
+    # [0; 2, 3] has the denominators 2 and 7 only: no index gives a second
+    # level, and an index past the expansion has no denominator
+    src = {"variant": "special-flow", "cf": {"coeffs": [2, 3]},
+           "levels": 1, "x": "0"}
+    if lam:
+        src["lambda_indices"] = lam
+    with pytest.raises(PlanError, match=r"\$\.source"):
+        parse_plan(json.dumps({"experiment": "counterexample",
+                               "source": src}))
 
 
 def test_stats_run_writes_expected_csv(tmp_path):
@@ -208,7 +277,9 @@ def test_numpy_scalars_are_written_as_plain_numbers(tmp_path, monkeypatch):
 @pytest.mark.parametrize("field, applies", [({"variant": "uniform"}, True),
                                             ({"variant": "discrete",
                                               "atoms": [[0, 0.5], [1, 0.5]]},
-                                             False)])
+                                             False),
+                                            ({"variant": "ma",
+                                              "weights": [1, 1]}, False)])
 def test_fclt_sup_law_not_applicable_with_atoms(tmp_path, field, applies):
     plan = parse_plan(json.dumps({
         "experiment": "fclt", "source": {"variant": "rw", "simple": 1,

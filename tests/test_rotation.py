@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from selab import LocalTimeLedger, generate, rotation, stream
 from selab.rotation import (ContinuedFraction, LevelCheckpoint,
-                            RotationCocycle, SpecialFlowConfig,
-                            SpecialFlowSource, StepFunction,
+                            RotationCocycle, SpecialFlowSource, StepFunction,
                             counterexample_ratio_schedule, denjoy_koksma_check,
                             fraction_to_fp, minimal_lambda_indices,
                             point_from_seed, ratio_floors, NEAR_THRESHOLD, ONE,
@@ -33,6 +32,19 @@ def test_deep_convergent_threshold():
     p, q = GOLDEN.deep_convergent(1 << 64)
     assert q >= 1 << 64
     assert Fraction(p, q) != 0
+
+
+def test_finite_expansions_end_the_recursion():
+    cf = ContinuedFraction(coeffs=[2, 3])  # 3/7
+    assert cf.deep_convergent() == (3, 7)
+    assert cf.convergents(2) == [(1, 2), (3, 7)]
+    with pytest.raises(IndexError):
+        cf.convergents(3)
+    with pytest.raises(IndexError):  # q = 2, 7: no second index
+        minimal_lambda_indices(cf, 1)
+    # long enough for two levels, the golden indices
+    assert minimal_lambda_indices(ContinuedFraction(coeffs=[1] * 30), 2) \
+        == (4, 9, 20)
 
 
 def test_continued_fraction_validation():
@@ -110,47 +122,46 @@ def test_three_distance_lemma():
 def test_minimal_lambda_indices_golden():
     lam = minimal_lambda_indices(GOLDEN, 3)
     assert lam == (4, 9, 20, 43)
-    cfg = SpecialFlowConfig(GOLDEN, 3, lam, 0)
-    assert cfg.denominators() == [5, 55, 10946, 701408733]
-    assert cfg.tower_heights() == [5, 13, 1216]
+    src = SpecialFlowSource(GOLDEN, 3, lam, 0)
+    assert src.denominators() == [5, 55, 10946, 701408733]
+    assert src.tower_heights() == [5, 13, 1216]
 
 
 def test_special_flow_config_validation():
     with pytest.raises(ValueError, match="growth"):
-        SpecialFlowConfig(GOLDEN, 1, (4, 5), 0)  # q=5 then 8 < 3*5
+        SpecialFlowSource(GOLDEN, 1, (4, 5), 0)  # q=5 then 8 < 3*5
     with pytest.raises(ValueError, match="separation"):
-        SpecialFlowConfig(GOLDEN, 1, (4, 7), 0)  # q=21 < 2*25
+        SpecialFlowSource(GOLDEN, 1, (4, 7), 0)  # q=21 < 2*25
     with pytest.raises(ValueError):
-        SpecialFlowConfig(GOLDEN, 2, (4, 9), 0)  # too few indices
+        SpecialFlowSource(GOLDEN, 2, (4, 9), 0)  # too few indices
     with pytest.raises(ValueError):
-        SpecialFlowConfig(GOLDEN, 1, (1, 9), 0)  # q_first = 1 < 4
-    SpecialFlowConfig(GOLDEN, 1, (4, 9), 0)  # minimal two-level prefix is fine
+        SpecialFlowSource(GOLDEN, 1, (1, 9), 0)  # q_first = 1 < 4
+    SpecialFlowSource(GOLDEN, 1, (4, 9), 0)  # minimal two-level prefix is fine
 
 
 def test_special_flow_local_times_are_roof_values():
-    cfg = SpecialFlowConfig(GOLDEN, 1, (4, 9), 0)
-    src = SpecialFlowSource(cfg)
+    src = SpecialFlowSource(GOLDEN, 1, (4, 9), 0)
     led = LocalTimeLedger(1)
     it = stream(src)
     for _ in range(200):
         led.record(next(it))
     # every fully traversed site has local time equal to its roof value
-    pos = cfg.x_fp
+    pos = src.x_fp
     for m in range(1, led.range_card):  # skip the possibly unfinished last site
         assert led.counts[(m,)] == src.roof(pos)
         pos = (pos + src.alpha_fp) & (ONE - 1)
 
 
 def test_special_flow_sites_nondecreasing_unit_steps():
-    cfg = SpecialFlowConfig(GOLDEN, 1, (4, 9), fraction_to_fp(Fraction(2, 5)))
-    it = stream(SpecialFlowSource(cfg))
+    src = SpecialFlowSource(GOLDEN, 1, (4, 9), fraction_to_fp(Fraction(2, 5)))
+    it = stream(src)
     sites = [next(it)[0] for _ in range(300)]
     assert sites[0] == 1
     assert all(b - a in (0, 1) for a, b in zip(sites, sites[1:]))
 
 
 def test_counterexample_schedule_golden_small():
-    cfg = SpecialFlowConfig(GOLDEN, 2, (4, 9, 20), 0)
+    cfg = SpecialFlowSource(GOLDEN, 2, (4, 9, 20), 0)
     sched = counterexample_ratio_schedule(cfg, budget=10**7)
     assert [cp.level for cp in sched] == [1, 2]
     heights = cfg.tower_heights()
@@ -169,7 +180,7 @@ def test_counterexample_schedule_golden_small():
 
 
 def test_counterexample_budget_error():
-    cfg = SpecialFlowConfig(GOLDEN, 2, (4, 9, 20), 0)
+    cfg = SpecialFlowSource(GOLDEN, 2, (4, 9, 20), 0)
     with pytest.raises(RuntimeError, match="budget"):
         counterexample_ratio_schedule(cfg, budget=10)
 
@@ -198,9 +209,8 @@ def cocycle_oracle(rc, n):
 
 
 def flow_oracle(src, n):
-    cfg = src.config
-    levels = list(zip(cfg.intervals_fp(), cfg.tower_heights()))
-    pos, tower, out = cfg.x_fp, 0, []
+    levels = list(zip(src.intervals_fp(), src.tower_heights()))
+    pos, tower, out = src.x_fp, 0, []
     while len(out) < n:
         tower += 1
         roof = 1 + sum(h for (a, b), h in levels if a <= pos < b)
@@ -268,21 +278,20 @@ def test_cocycle_near_hits_at_the_threshold():
        st.integers(1, 3000), st.lists(st.integers(0, 800), max_size=12))
 @settings(max_examples=40, deadline=None)
 def test_special_flow_blocks_match_the_tower_loop(cf, levels, xseed, n, sizes):
-    cfg = SpecialFlowConfig(cf, levels, minimal_lambda_indices(cf, levels),
+    src = SpecialFlowSource(cf, levels, minimal_lambda_indices(cf, levels),
                             0 if xseed == 0 else point_from_seed(xseed))
-    src = SpecialFlowSource(cfg)
     got = take_in_blocks(src.cursor(), n, sizes)
     assert got[:, 0].tolist() == flow_oracle(src, n)
     assert np.array_equal(got, generate(src, n))
 
 
 def test_special_flow_cursor_walks_a_57_bit_tower_in_small_blocks():
-    cfg = SpecialFlowConfig(GOLDEN, 5, minimal_lambda_indices(GOLDEN, 5), 0)
+    cfg = SpecialFlowSource(GOLDEN, 5, minimal_lambda_indices(GOLDEN, 5), 0)
     top = cfg.tower_heights()[-1]
     assert top.bit_length() == 57
     # start on the innermost interval: the first tower has 1 + top steps
-    src = SpecialFlowSource(SpecialFlowConfig(
-        GOLDEN, 5, cfg.lambda_indices, cfg.intervals_fp()[-1][0]))
+    src = SpecialFlowSource(
+        GOLDEN, 5, cfg.lambda_indices, cfg.intervals_fp()[-1][0])
     cur = src.cursor()
     assert cur.take(3).tolist() == [[1]] * 3
     assert cur.take(5000).shape == (5000, 1)
@@ -294,10 +303,10 @@ def test_special_flow_cursor_walks_a_57_bit_tower_in_small_blocks():
     (1, (93, 188)),                          # h_1 = q_93 > 2^63
 ])
 def test_special_flow_cursor_takes_towers_beyond_int64(levels, lam):
-    cfg = SpecialFlowConfig(GOLDEN, levels, lam, 0)
+    cfg = SpecialFlowSource(GOLDEN, levels, lam, 0)
     assert cfg.tower_heights()[-1] >= 1 << 63
     for x in (0, cfg.intervals_fp()[-1][0]):  # off and on the tallest tower
-        src = SpecialFlowSource(SpecialFlowConfig(GOLDEN, levels, lam, x))
+        src = SpecialFlowSource(GOLDEN, levels, lam, x)
         got = take_in_blocks(src.cursor(), 3000, [1, 7, 500, 0, 64])
         assert got[:, 0].tolist() == flow_oracle(src, 3000)
         assert np.array_equal(got, generate(src, 3000))
@@ -310,13 +319,12 @@ def test_special_flow_cursor_takes_towers_beyond_int64(levels, lam):
 ORBIT_BLOCKS = (7, 1000, rotation._ORBIT_BLOCK)
 
 
-def schedule_oracle(config, budget):
+def schedule_oracle(src, budget):
     """One base point at a time: its roof and level, then n, V, M."""
-    src = SpecialFlowSource(config)
-    intervals = config.intervals_fp()
+    intervals = src.intervals_fp()
     seen, out = set(), []
-    pos, n, v, m, j = config.x_fp, 0, 0, 0, 0
-    while len(out) < config.levels:
+    pos, n, v, m, j = src.x_fp, 0, 0, 0, 0
+    while len(out) < src.levels:
         r = src.roof(pos)
         level = next((k for k, (a, b) in enumerate(intervals, start=1)
                       if a <= pos < b), 0)
@@ -351,13 +359,13 @@ def birkhoff_oracle(cocycle, length, pos):
 def test_schedule_blocks_match_the_step_loop(monkeypatch, block, cf, levels):
     monkeypatch.setattr(rotation, "_ORBIT_BLOCK", block)
     lam = minimal_lambda_indices(cf, levels)
-    probe = SpecialFlowConfig(cf, levels, lam, 0)
+    probe = SpecialFlowSource(cf, levels, lam, 0)
     # x = 0, seeded points, and starts on the edges of the outer and the
     # innermost interval
     starts = [0, point_from_seed(3), point_from_seed(8),
               probe.intervals_fp()[0][0], probe.intervals_fp()[-1][1] - 1]
     for x in starts:
-        cfg = SpecialFlowConfig(cf, levels, lam, x)
+        cfg = SpecialFlowSource(cf, levels, lam, x)
         full = schedule_oracle(cfg, 10**12)
         budgets = {1, 10**12} | {cp.n + d for cp in full for d in (-1, 0, 1)}
         for budget in sorted(budgets):
