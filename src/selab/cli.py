@@ -174,6 +174,12 @@ _PLAN_KEYS = {
     "selftest": ({"experiment"}, set()),
 }
 
+# source variants a runner can read: the schedule needs a special flow's
+# towers, the series a step law, and fresh walks a seed to replace
+_SEEDED = ("rw", "coboundary", "window")
+_SOURCE_VARIANTS = {"counterexample": ("special-flow",), "variance": ("rw",),
+                    "rw-asym": _SEEDED}
+
 
 def parse_plan(text: str) -> dict:
     """Validate the JSON plan; returns the parsed dict with built objects
@@ -204,7 +210,27 @@ def parse_plan(text: str) -> dict:
                         f"needs at least {least}")
     if exp in ("stats", "gc", "rw-asym", "rotation"):
         plan["_checkpoints"] = _checkpoints(obj)
+    needs = _SOURCE_VARIANTS.get(exp)
+    if exp == "fclt":
+        _check_fclt(obj)
+        if not obj.get("quenched", True):
+            needs = _SEEDED  # a fresh walk per replicate
+    if needs and obj["source"]["variant"] not in needs:
+        raise PlanError(f"\"$.source.variant\" must be one of "
+                        f"{', '.join(needs)} for this {exp} plan")
     return plan
+
+
+def _check_fclt(obj: dict) -> None:
+    grid = obj["grid"]
+    if (not isinstance(grid, list) or not grid
+            or not all(isinstance(s, (int, float)) and not isinstance(s, bool)
+                       and math.isfinite(s) for s in grid)
+            or any(b <= a for a, b in zip(grid, grid[1:]))):
+        raise PlanError("\"$.grid\" must be a nonempty, strictly increasing "
+                        "list of finite numbers")
+    if not isinstance(obj.get("quenched", True), bool):
+        raise PlanError("\"$.quenched\" must be true or false")
 
 
 def _is_int(x) -> bool:
@@ -409,23 +435,18 @@ def _run_counterexample(plan, threads):
 
 
 def _run_variance(plan, threads):
-    src = plan["_source"]
-    if not isinstance(src, sources.RandomWalkSource):
-        raise PlanError("variance experiment needs a random-walk source")
     rep = spectral.transient_variance_report(
-        src.dist, plan["_field"], plan["n"], plan["replicates"],
+        plan["_source"].dist, plan["_field"], plan["n"], plan["replicates"],
         plan["seed_base"], kmax=plan.get("kmax", 200))
-    summary = {"comparison": rep.record(),
+    record = rep.record()
+    summary = {"comparison": record,
                "finite_n_mean": rep.finite_n_mean,
                "op": "spectral.transient_variance_report"}
     checks = {"positive": rep.positive,
               "defect_small": abs(rep.defect_estimate)
               <= 0.05 * rep.series_prediction}
-    rows = [(rep.mc_estimate, rep.mc_stderr, rep.series_prediction,
-             rep.tail_bound, rep.defect_estimate, rep.positive)]
-    return {"variance.csv": (("mc_estimate", "mc_stderr", "series_prediction",
-                              "tail_bound", "defect_estimate", "positive"),
-                             rows)}, summary, checks
+    return {"variance.csv": (tuple(record), [tuple(record.values())])}, \
+        summary, checks
 
 
 def run_selftest() -> dict:

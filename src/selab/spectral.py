@@ -11,7 +11,9 @@ two routes, chosen from the law's atoms:
 * Fourier grid, for any other law: P(Z_k = l) is a trigonometric polynomial
   of degree <= k r for support radius r, so averaging
   psi(t)^k e^{-2 pi i <l, t>} over the rank-G product grid reproduces it
-  whenever G > kmax r + |l|_inf (no aliasing).
+  whenever G > kmax r + |l|_inf (no aliasing).  The grid is swept one
+  axis-0 slice at a time, and only half of the slices: psi(-t) is the
+  conjugate of psi(t).
 
 The sum over k > kmax is estimated, not bounded: by the leading local-CLT
 term, summed in closed form over the times the walk can be at l, for
@@ -48,9 +50,7 @@ def kernel_grid_mean(ledger: LocalTimeLedger, q: int) -> float:
     Equals V_n exactly as soon as q exceeds the diameter of the visited
     range in every coordinate (Parseval for the discrete torus).
     """
-    axes = [np.arange(q) / q] * ledger.d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts = np.indices((q,) * ledger.d).reshape(ledger.d, -1).T / q
     return float(kernel_from_ledger(ledger, pts).mean())
 
 
@@ -82,12 +82,7 @@ def quadratic_form(ledger: LocalTimeLedger, field) -> float:
 
 def _field_lags(field, d: int) -> list[Site]:
     window = getattr(field, "window", 0)
-    lags = []
-    for h in range(-window, window + 1):
-        lag = [0] * d
-        lag[0] = h
-        lags.append(tuple(lag))
-    return lags
+    return [(h,) + (0,) * (d - 1) for h in range(-window, window + 1)]
 
 
 def _quadratic_form_arrays(coords, counts, field, d: int) -> float:
@@ -199,23 +194,31 @@ def _clt_law(dist: StepDistribution):
     return support[0], basis, period, pref
 
 
-def _clt_terms(dist: StepDistribution, lags: Sequence[Site],
-               ks: np.ndarray) -> np.ndarray:
-    """The leading local-CLT term of P(Z_k = l) (see :func:`_clt_tails`) at
-    the times ks, 0 at times k with l outside k a + L."""
-    a0, basis, period, pref = _clt_law(dist)
-    if period == 0:
-        return np.full((len(lags), ks.size), math.nan)
-    out = np.zeros((len(lags), ks.size))
+def _clt_classes(dist: StepDistribution, lags: Sequence[Site]):
+    """For each lag l and each residue r mod p of the times k with l in
+    k a + L (see :func:`_clt_law`), yield (index of l, r, l' Sigma^-1 l / 2)."""
+    a0, basis, period, _ = _clt_law(dist)
     cov = dist.covariance()
-    k = ks.astype(np.float64)
     for li, lag in enumerate(lags):
         x = np.array(lag)
         c = 0.5 * float(x @ np.linalg.solve(cov, x))
         for r in range(period):
             if sources.lattice_contains(basis, x - r * a0):
-                on = ks % period == r
-                out[li, on] = pref * k[on] ** (-dist.d / 2) * np.exp(-c / k[on])
+                yield li, r, c
+
+
+def _clt_terms(dist: StepDistribution, lags: Sequence[Site],
+               ks: np.ndarray) -> np.ndarray:
+    """The leading local-CLT term of P(Z_k = l) (see :func:`_clt_tails`) at
+    the times ks, 0 at times k with l outside k a + L."""
+    _, _, period, pref = _clt_law(dist)
+    if period == 0:
+        return np.full((len(lags), ks.size), math.nan)
+    out = np.zeros((len(lags), ks.size))
+    k = ks.astype(np.float64)
+    for li, r, c in _clt_classes(dist, lags):
+        on = ks % period == r
+        out[li, on] = pref * k[on] ** (-dist.d / 2) * np.exp(-c / k[on])
     return out
 
 
@@ -233,32 +236,26 @@ def _clt_tails(dist: StepDistribution, kmax: int,
     d <= 2 (recurrence); a law that is not genuinely d-dimensional has no
     estimate (NaN).
     """
-    a0, basis, period, pref = _clt_law(dist)
+    _, _, period, pref = _clt_law(dist)
     if period == 0:
         return np.full(len(lags), math.nan)
-    cov = dist.covariance()
     s = dist.d / 2
     tails = np.zeros(len(lags))
-    for li, lag in enumerate(lags):
-        x = np.array(lag)
-        c = 0.5 * float(x @ np.linalg.solve(cov, x))
-        for r in range(period):
-            if not sources.lattice_contains(basis, x - r * a0):
-                continue
-            if s <= 1:
-                tails[li] = math.inf
-                break
-            # sum_{k = p j + r > kmax} k^-s e^{-c/k}: terms with k < 4c one
-            # by one, the rest by 30 terms of the expansion (c/k <= 1/4)
-            j0 = (kmax - r) // period + 1
-            j1 = max(j0, math.ceil((4 * c - r) / period))
-            k = period * np.arange(j0, j1) + r
-            head = float(np.sum(k ** -s * np.exp(-c / k)))
-            n = np.arange(30)
-            coef = np.cumprod(np.concatenate(([1.0], -c / n[1:])))
-            tail = float(np.sum(coef * period ** -(s + n)
-                                * zeta(s + n, j1 + r / period)))
-            tails[li] += pref * (head + tail)
+    for li, r, c in _clt_classes(dist, lags):
+        if s <= 1:
+            tails[li] = math.inf
+            continue
+        # sum_{k = p j + r > kmax} k^-s e^{-c/k}: terms with k < 4c one
+        # by one, the rest by 30 terms of the expansion (c/k <= 1/4)
+        j0 = (kmax - r) // period + 1
+        j1 = max(j0, math.ceil((4 * c - r) / period))
+        k = period * np.arange(j0, j1) + r
+        head = float(np.sum(k ** -s * np.exp(-c / k)))
+        n = np.arange(30)
+        coef = np.cumprod(np.concatenate(([1.0], -c / n[1:])))
+        tail = float(np.sum(coef * period ** -(s + n)
+                            * zeta(s + n, j1 + r / period)))
+        tails[li] += pref * (head + tail)
     return tails
 
 
@@ -367,89 +364,47 @@ def _grid_probs(dist: StepDistribution, kmax: int,
 
     P(Z_k = x) vanishes for |x|_inf > k r, so the rank-G grid with
     G = kmax r + max |l|_inf + 1 aliases no mass onto the requested lags.
-    Lags along later axes are grouped so the grid is swept once.
+    The grid is swept one axis-0 slice at a time: for each slice and k one
+    matrix-vector product sums psi^k against the phases on axes 1..d-1 of
+    every group of lags that agree there, and one contraction along axis 0
+    finishes each lag.  psi(-t) is the conjugate of psi(t), so the slices
+    past G/2 are conjugates of swept ones; a symmetric law has a real psi.
     """
     d = dist.d
-    radius = max(dist.radius(), 1)
-    g = kmax * radius + max(abs(c) for lag in want for c in lag) + 1
-
+    g = (kmax * max(dist.radius(), 1)
+         + max(abs(c) for lag in want for c in lag) + 1)
+    lags = np.array(want, dtype=np.int64)
+    rests, group = np.unique(lags[:, 1:], axis=0, return_inverse=True)
+    rest_grid = np.indices((g,) * (d - 1)).reshape(d - 1, g ** (d - 1))
     support = dist.support()
-    probs = dist.probs()
+    atom_rest = np.exp(2j * np.pi * (support[:, 1:] @ rest_grid) / g)
+    atom_0 = dist.probs() * np.exp(
+        2j * np.pi * np.outer(np.arange(g), support[:, 0]) / g)
+    lag_rest = np.exp(-2j * np.pi * (rests @ rest_grid) / g)
+    re, im = lag_rest.real, lag_rest.imag
     symmetric = dist.is_symmetric()
-
-    # group the requested lags by their coordinates on axes 1..d-1
-    rest_groups: list[tuple[tuple[int, ...], list[int]]] = []
-    lag_group = []
-    for li, lag in enumerate(want):
-        rest = lag[1:]
-        for gi, (r, members) in enumerate(rest_groups):
-            if r == rest:
-                members.append(li)
-                lag_group.append(gi)
-                break
-        else:
-            rest_groups.append((rest, [li]))
-            lag_group.append(len(rest_groups) - 1)
-
-    # per-slice coordinates on axes 1..d-1
-    if d > 1:
-        axes = [np.arange(g)] * (d - 1)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        rest_coords = np.stack([m.ravel() for m in mesh], axis=1)  # (g^(d-1), d-1)
+    # real rows giving Re and Im of sum_t psi^k e^{-2 pi i <l, t>} on axes
+    # 1..d-1, for a real psi or a complex one read as (re, im) pairs
+    if symmetric:
+        phases = np.concatenate([re, im])
     else:
-        rest_coords = np.zeros((1, 0), dtype=np.int64)
-    slice_size = rest_coords.shape[0]
-
-    # atom phases on the slice (independent of the axis-0 grid index)
-    atom_rest = np.empty((len(support), slice_size), dtype=np.complex128)
-    for ai, a in enumerate(support):
-        phase = np.zeros(slice_size)
-        for j in range(1, d):
-            phase = phase + a[j] * rest_coords[:, j - 1]
-        atom_rest[ai] = np.exp(2j * np.pi * phase / g)
-
-    group_weights = []
-    for rest, _ in rest_groups:
-        if all(c == 0 for c in rest):
-            group_weights.append(None)  # weight identically 1
-        else:
-            phase = np.zeros(slice_size)
-            for j, c in enumerate(rest):
-                phase = phase + c * rest_coords[:, j]
-            group_weights.append(np.exp(-2j * np.pi * phase / g))
-
-    half = symmetric
-    i1_range = range(g // 2 + 1) if half else range(g)
-    n_groups = len(rest_groups)
-    sums = np.zeros((n_groups, kmax + 1, g), dtype=np.complex128)
-    for i1 in i1_range:
-        slice_psi = np.zeros(slice_size, dtype=np.complex128)
-        for ai, a in enumerate(support):
-            slice_psi += probs[ai] * np.exp(2j * np.pi * a[0] * i1 / g) * atom_rest[ai]
+        pairs = [np.stack([re, -im], -1), np.stack([im, re], -1)]
+        phases = np.concatenate(pairs).reshape(2 * len(rests), -1)
+    swept = g // 2 + 1
+    sums = np.zeros((len(phases), kmax + 1, g))
+    for i in range(swept):
+        slice_psi = atom_0[i] @ atom_rest
         if symmetric:
-            slice_psi = slice_psi.real.astype(np.float64)
+            slice_psi = slice_psi.real.copy()
         w = np.ones_like(slice_psi)
-        for gi in range(n_groups):
-            gw = group_weights[gi]
-            sums[gi, 0, i1] = w.sum() if gw is None else (w * gw).sum()
-        for k in range(1, kmax + 1):
-            w = w * slice_psi
-            for gi in range(n_groups):
-                gw = group_weights[gi]
-                sums[gi, k, i1] = w.sum() if gw is None else (w * gw).sum()
-    if half:
-        for i1 in range(g // 2 + 1, g):
-            sums[:, :, i1] = np.conj(sums[:, :, g - i1])
-
-    i1_grid = np.arange(g)
-    out = np.empty((len(want), kmax + 1))
-    for li, lag in enumerate(want):
-        gi = lag_group[li]
-        w1 = np.exp(-2j * np.pi * lag[0] * i1_grid / g)
-        vals = (sums[gi] @ w1).real / g**d
-        out[li] = np.clip(vals, 0.0, 1.0)
-
-    return out
+        for k in range(kmax + 1):
+            sums[:, k, i] = phases @ w.view(np.float64)
+            w *= slice_psi
+    sums = sums[:len(rests)] + 1j * sums[len(rests):]
+    sums[:, :, swept:] = np.conj(sums[:, :, g - swept:0:-1])
+    lag_0 = np.exp(-2j * np.pi * np.outer(lags[:, 0], np.arange(g)) / g)
+    out = np.einsum("lki,li->lk", sums[group], lag_0).real / g**d
+    return np.clip(out, 0.0, 1.0)
 
 
 def return_series(dist: StepDistribution, kmax: int,
@@ -501,9 +456,7 @@ class TransientVarianceReport:
 
 def transient_variance_report(dist: StepDistribution, field, n: int,
                               replicates: int, seed_base: int,
-                              kmax: int = 200,
-                              series: ReturnSeries | None = None
-                              ) -> TransientVarianceReport:
+                              kmax: int = 200) -> TransientVarianceReport:
     """Two independent routes to V_n(field)/n for a transient walk.
 
     Route (a): Monte Carlo over walk realizations of the exact quadratic
@@ -528,8 +481,7 @@ def transient_variance_report(dist: StepDistribution, field, n: int,
         raise ValueError("law is not genuinely d-dimensional: its support "
                          f"spans fewer than {d} dimensions")
     lags = _field_lags(field, d)
-    if series is None:
-        series = return_series(dist, kmax, lags)
+    series = return_series(dist, kmax, lags)
     ks = np.arange(1, n)
     exact = ks <= series.kmax
     probs = np.concatenate([series.probs[:, ks[exact]],

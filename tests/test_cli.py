@@ -141,6 +141,64 @@ def test_parse_rejects_special_flow_past_a_finite_expansion(lam):
                                "source": src}))
 
 
+ROTATION = {"variant": "rotation", "cf": {"periodic": [1]}, "x": "0"}
+FLOW = {"variant": "special-flow", "cf": {"periodic": [1]}, "levels": 1,
+        "x": "0"}
+FCLT = {"experiment": "fclt", "field": {"variant": "uniform"}, "n": 100,
+        "grid": [0.5], "replicates": 100, "seed_base": 1}
+SOURCE_PLANS = {
+    "counterexample": {"experiment": "counterexample"},
+    "variance": {"experiment": "variance", "field": {"variant": "uniform"},
+                 "n": 100, "replicates": 2, "seed_base": 0},
+    "rw-asym": {"experiment": "rw-asym", "checkpoints": [10],
+                "replicates": 1, "seed_base": 0},
+    "annealed fclt": dict(FCLT, quenched=False),
+}
+
+
+@pytest.mark.parametrize("kind, bad, good", [
+    ("counterexample", RW1, FLOW),
+    ("variance", {"variant": "coboundary", "atoms": [[[1, 0, 0], 1.0]],
+                  "seed": 0}, RW1),
+    ("rw-asym", ROTATION, RW1),
+    ("rw-asym", {"variant": "explicit", "sites": [[0]] * 10}, RW1),
+    ("rw-asym", FLOW, RW1),
+    ("annealed fclt", ROTATION, RW1),
+])
+def test_parse_rejects_sources_the_runner_cannot_read(tmp_path, kind, bad,
+                                                      good):
+    # counterexample on a walk escaped as an AttributeError, rw-asym and
+    # annealed fclt on an unseeded source as a TypeError, and variance
+    # failed only once the run had started
+    plan = dict(SOURCE_PLANS[kind], source=bad)
+    with pytest.raises(PlanError, match=r"\$\.source\.variant"):
+        parse_plan(json.dumps(plan))
+    assert main(["run", str(write_plan(tmp_path, plan)),
+                 "--out", str(tmp_path / "o")]) == 1
+    parse_plan(json.dumps(dict(plan, source=good)))
+
+
+def test_quenched_fclt_reads_any_source():
+    parse_plan(json.dumps(dict(FCLT, source=ROTATION)))
+
+
+@pytest.mark.parametrize("grid", [[], [0.5, 0.5], [0.5, 0.2], [0.5, "0.7"],
+                                  [True], [float("nan")], [0.1, float("inf")],
+                                  0.5])
+def test_parse_rejects_bad_fclt_grid(grid):
+    # an empty grid wrote a header-only fclt.csv and reported the covariance
+    # check ok, and a repeated point wrote repeated rows
+    plan = dict(FCLT, source=RW1, grid=grid)
+    with pytest.raises(PlanError, match=r"\$\.grid"):
+        parse_plan(json.dumps(plan))
+    parse_plan(json.dumps(dict(plan, grid=[-1, 0.5, 2])))
+
+
+def test_parse_rejects_a_quenched_flag_that_is_not_a_boolean():
+    with pytest.raises(PlanError, match=r"\$\.quenched"):
+        parse_plan(json.dumps(dict(FCLT, source=RW1, quenched="false")))
+
+
 def test_stats_run_writes_expected_csv(tmp_path):
     plan = parse_plan(json.dumps(STATS_PLAN))
     run_plan(plan, tmp_path / "out")

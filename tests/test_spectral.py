@@ -115,6 +115,20 @@ def test_return_series_d1_exact_central_binomials():
     assert p2[4] == pytest.approx(4 / 16)
 
 
+def _convolution_powers(law, kmax):
+    """P(Z_k = x) for k = 1..kmax on the box |x|_inf <= kmax, by dense
+    convolution."""
+    box = np.zeros((2 * kmax + 1,) * law.d)
+    box[(kmax,) * law.d] = 1.0
+    for _ in range(kmax):
+        nxt = np.zeros_like(box)
+        for a, p in law.atoms:
+            # support radius stays below kmax, so np.roll never wraps mass
+            nxt += p * np.roll(box, a, axis=tuple(range(law.d)))
+        box = nxt
+        yield box
+
+
 def test_return_series_matches_direct_convolution_d2():
     axis_law = StepDistribution([((1, 0), 0.4), ((-1, 0), 0.2),
                                  ((0, 1), 0.3), ((0, -1), 0.1)])
@@ -125,20 +139,33 @@ def test_return_series_matches_direct_convolution_d2():
     kmax = 6
     for law in (axis_law, diagonal_law):
         rs = return_series(law, kmax, [(0, 0), (1, 0), (0, -1)])
-        # dense convolution oracle on a box
-        size = 2 * kmax + 1
-        box = np.zeros((size, size))
-        box[kmax, kmax] = 1.0
-        for k in range(1, kmax + 1):
-            nxt = np.zeros_like(box)
-            for (a, b), p in law.atoms:
-                # support radius stays below kmax, so np.roll never wraps mass
-                nxt += p * np.roll(box, (a, b), axis=(0, 1))
-            box = nxt
+        for k, box in enumerate(_convolution_powers(law, kmax), start=1):
             for lag in [(0, 0), (1, 0), (0, -1)]:
                 want = box[kmax + lag[0], kmax + lag[1]]
                 got = rs.probs[rs.lags.index(lag)][k]
                 assert got == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("law", [
+    # symmetric fcc-type law: the 12 steps +-e_i +-e_j
+    StepDistribution([(tuple(s * (i == a) + t * (i == b) for i in range(3)),
+                       1 / 12) for a, b in ((0, 1), (0, 2), (1, 2))
+                      for s in (1, -1) for t in (1, -1)]),
+    StepDistribution([((1, 1, 0), 0.2), ((-1, 0, 0), 0.15), ((0, -1, 0), 0.15),
+                      ((0, 1, 1), 0.2), ((0, 0, -1), 0.1),
+                      ((-1, -1, -1), 0.2)]),
+])
+def test_return_series_matches_direct_convolution_d3(law):
+    # seven lags in five groups by their coordinates on axes 1 and 2
+    kmax = 6
+    rs = return_series(law, kmax, [(0, 0, 0), (1, 0, 0), (0, 1, 1),
+                                   (1, -1, 0)])
+    assert len(rs.lags) == 7
+    for k, box in enumerate(_convolution_powers(law, kmax), start=1):
+        for lag in rs.lags:
+            want = box[tuple(kmax + c for c in lag)]
+            got = rs.probs[rs.lags.index(lag)][k]
+            assert got == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize("law, lags", [
@@ -212,7 +239,7 @@ def test_transient_variance_rejects_lower_dimensional_laws(law):
 def test_transient_variance_small_run():
     rs = return_series(simple_walk(3), 60, [(0, 0, 0)])
     rep = transient_variance_report(simple_walk(3), UniformField(), 20000, 8,
-                                    seed_base=5, kmax=60, series=rs)
+                                    seed_base=5, kmax=60)
     assert rep.positive
     assert rep.series_prediction == pytest.approx(
         rs.i_value((0, 0, 0)) / 12, rel=1e-12)
