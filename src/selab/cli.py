@@ -11,24 +11,24 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
 import json
 import math
 import os
 import sys
 import time
 from bisect import bisect_right
+from collections.abc import Callable, Set
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__, empirical, ledger, rng, rotation, sources, spectral
 from .fields import (DiscreteField, GaussianField, MovingAverageField,
                      UniformField)
-
-EXPERIMENTS = ("stats", "gc", "fclt", "rw-asym", "rotation", "counterexample",
-               "variance", "selftest")
 
 STATS_HEADER = ledger.CSV_HEADER
 
@@ -97,8 +97,7 @@ def parse_source(obj: dict, path: str = "$.source"):
             if "sites" in obj:
                 return sources.ExplicitSource(obj["sites"])
             lines = Path(obj["path"]).read_text().splitlines()
-            sites = [tuple(int(x) for x in ln.split()) for ln in lines if ln.strip()]
-            return sources.ExplicitSource(sites)
+            return sources.ExplicitSource(ln.split() for ln in lines if ln.strip())
         if variant == "rotation":
             _require(obj, path, {"variant", "cf", "f", "x"}, {"cf", "x"})
             f_obj = obj.get("f")
@@ -124,7 +123,7 @@ def parse_source(obj: dict, path: str = "$.source"):
                                               _parse_point(obj["x"], path + ".x"))
     except PlanError:
         raise
-    except (ValueError, KeyError, TypeError, IndexError) as exc:
+    except (ValueError, LookupError, TypeError, AttributeError, OSError) as exc:
         raise PlanError(f"bad source at \"{path}\": {exc}") from None
     raise PlanError(f"unknown source variant \"{variant}\" at \"{path}.variant\"")
 
@@ -155,47 +154,22 @@ def parse_field(obj: dict, path: str = "$.field"):
     raise PlanError(f"unknown field variant \"{variant}\" at \"{path}.variant\"")
 
 
-_PLAN_KEYS = {
-    "stats": ({"experiment", "source", "n", "checkpoints"}, {"source", "n"}),
-    "gc": ({"experiment", "source", "field", "n", "checkpoints", "replicates",
-            "seed_base"}, {"source", "field", "n", "replicates", "seed_base"}),
-    "fclt": ({"experiment", "source", "field", "n", "grid", "replicates",
-              "seed_base", "quenched"},
-             {"source", "field", "n", "grid", "replicates", "seed_base"}),
-    "rw-asym": ({"experiment", "source", "checkpoints", "replicates",
-                 "seed_base"}, {"source", "checkpoints", "replicates",
-                                "seed_base"}),
-    "rotation": ({"experiment", "source", "checkpoints"},
-                 {"source", "checkpoints"}),
-    "counterexample": ({"experiment", "source", "budget"}, {"source"}),
-    "variance": ({"experiment", "source", "field", "n", "replicates",
-                  "seed_base", "kmax"},
-                 {"source", "field", "n", "replicates", "seed_base"}),
-    "selftest": ({"experiment"}, set()),
-}
-
-# source variants a runner can read: the schedule needs a special flow's
-# towers, the series a step law, and fresh walks a seed to replace
-_SEEDED = ("rw", "coboundary", "window")
-_SOURCE_VARIANTS = {"counterexample": ("special-flow",), "variance": ("rw",),
-                    "rw-asym": _SEEDED}
-
-
 def parse_plan(text: str) -> dict:
-    """Validate the JSON plan; returns the parsed dict with built objects
-    under private keys.  Unknown keys are rejected with a path-qualified
-    message."""
+    """Validate the JSON plan against its experiment's row of
+    :data:`EXPERIMENTS`; returns the parsed dict with built objects under
+    private keys.  Unknown keys are rejected with a path-qualified message."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PlanError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise PlanError("plan must be a JSON object")
-    exp = obj.get("experiment")
-    if exp not in EXPERIMENTS:
-        raise PlanError(f"\"$.experiment\" must be one of {EXPERIMENTS}")
-    allowed, required = _PLAN_KEYS[exp]
-    _require(obj, "$", allowed, required | {"experiment"})
+    exp, names = obj.get("experiment"), tuple(EXPERIMENTS)
+    if exp not in names:  # a tuple: exp may be unhashable
+        raise PlanError(f"\"$.experiment\" must be one of {names}")
+    row = EXPERIMENTS[exp]
+    keys = row.required | row.optional
+    _require(obj, "$", keys | {"experiment"}, row.required)
     plan = dict(obj)
     if "source" in obj:
         plan["_source"] = parse_source(obj["source"])
@@ -204,17 +178,15 @@ def parse_plan(text: str) -> dict:
     for key in ("n", "replicates", "seed_base", "budget", "kmax"):
         if key in obj and not _is_int(obj[key]):
             raise PlanError(f"\"$.{key}\" must be an integer")
-    least = _MIN_REPLICATES.get(exp, 0)
-    if "replicates" in obj and obj["replicates"] < least:
-        raise PlanError(f"replicates < {least} at \"$.replicates\": {exp} "
-                        f"needs at least {least}")
-    if exp in ("stats", "gc", "rw-asym", "rotation"):
+    if "replicates" in obj and obj["replicates"] < row.min_replicates:
+        raise PlanError(f"replicates < {row.min_replicates} at \"$.replicates\": "
+                        f"{exp} needs at least {row.min_replicates}")
+    if "checkpoints" in keys:
         plan["_checkpoints"] = _checkpoints(obj)
-    needs = _SOURCE_VARIANTS.get(exp)
-    if exp == "fclt":
+    if "grid" in keys:
         _check_fclt(obj)
-        if not obj.get("quenched", True):
-            needs = _SEEDED  # a fresh walk per replicate
+    # an annealed run draws a fresh walk per replicate
+    needs = _SEEDED if obj.get("quenched") is False else row.variants
     if needs and obj["source"]["variant"] not in needs:
         raise PlanError(f"\"$.source.variant\" must be one of "
                         f"{', '.join(needs)} for this {exp} plan")
@@ -237,11 +209,6 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-# the Monte Carlo standard error of variance needs two replicates, the
-# jackknife and percentile estimates of fclt a hundred
-_MIN_REPLICATES = {"gc": 1, "rw-asym": 1, "variance": 2, "fclt": 100}
-
-
 def _checkpoints(obj: dict) -> list[int]:
     """The plan's checkpoints, by default n / 10^k for k < 4, validated for
     the runners, which advance one ledger through them in order."""
@@ -260,10 +227,11 @@ def _checkpoints(obj: dict) -> list[int]:
 
 
 def _threads(cli_value: int | None) -> int:
-    if cli_value is not None:
-        return max(1, cli_value)
-    env = os.environ.get("SELAB_THREADS")
-    return max(1, int(env)) if env else 1
+    """--threads, else SELAB_THREADS, else 1; at most one per core."""
+    if cli_value is None:
+        env = os.environ.get("SELAB_THREADS")
+        cli_value = int(env) if env else 1
+    return max(1, min(cli_value, os.cpu_count() or 1))
 
 
 def _pmap(fn, items, threads: int) -> list:
@@ -306,7 +274,7 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 # --------------------------------------------------------------------------
-# experiment runners: each returns (csv files, summary dict, checks dict)
+# experiment runners, one per row of EXPERIMENTS
 
 
 def _run_stats(plan, threads):
@@ -315,14 +283,11 @@ def _run_stats(plan, threads):
                                 plan["_checkpoints"])]
     summary = {"final": dict(zip(STATS_HEADER, rows[-1])),
                "op": "ledger.LocalTimeLedger.snapshot_row"}
-    checks = {}
     if len(rows) >= 3 and rows[0][0] >= 16:
         rep = ledger.condition_report([(r[0], r[1], r[2], r[5]) for r in rows])
-        summary["condition_report"] = {
-            "beta_fit": rep.beta_fit, "fclt_flag": rep.fclt_flag,
-            "pqd_flag": rep.pqd_flag, "final_m2_over_v": rep.final_m2_over_v,
-            "zeta_note": rep.zeta_note, "op": "ledger.condition_report"}
-    return {"stats.csv": (STATS_HEADER, rows)}, summary, checks
+        summary["condition_report"] = dict(dataclasses.asdict(rep),
+                                           op="ledger.condition_report")
+    return {"stats.csv": (STATS_HEADER, rows)}, summary, {}
 
 
 def _run_gc(plan, threads):
@@ -378,22 +343,19 @@ def _run_fclt(plan, threads):
 
 
 def _run_rw_asym(plan, threads):
-    import dataclasses
     src, cps, reps = plan["_source"], plan["_checkpoints"], plan["replicates"]
 
-    def one(rep: int):
+    def one(rep: int):  # (rows, slope of log V against log n)
         cfg = dataclasses.replace(src, seed=rng.derive(plan["seed_base"],
                                                        "walk", rep))
-        return [(rep,) + led.snapshot_row()
+        rows = [(rep,) + led.snapshot_row()
                 for led in _checkpoint_ledgers(sources.cursor(cfg), cps)]
+        return rows, float(np.polyfit([math.log(r[1]) for r in rows],
+                                      [math.log(r[3]) for r in rows], 1)[0])
 
-    rows = [r for chunk in _pmap(one, range(reps), threads) for r in chunk]
-    slopes = []
-    for rep in range(reps):
-        pts = [(math.log(r[1]), math.log(r[3])) for r in rows if r[0] == rep]
-        slopes.append(float(np.polyfit([p[0] for p in pts],
-                                       [p[1] for p in pts], 1)[0]))
-    summary = {"log_v_slopes": slopes,
+    done = _pmap(one, range(reps), threads)
+    rows = [r for chunk, _ in done for r in chunk]
+    summary = {"log_v_slopes": [slope for _, slope in done],
                "op": "ledger.LocalTimeLedger.snapshot_row"}
     return {"rw_asym.csv": (("rep",) + STATS_HEADER, rows)}, summary, {}
 
@@ -569,21 +531,49 @@ def _selftest_source_blocks(n: int = 2000) -> bool:
     return ok
 
 
-_RUNNERS = {"stats": _run_stats, "gc": _run_gc, "fclt": _run_fclt,
-            "rw-asym": _run_rw_asym, "rotation": _run_rotation,
-            "counterexample": _run_counterexample, "variance": _run_variance}
+def _run_selftest(plan, threads):
+    results = run_selftest()
+    return {}, {"selftest": results}, {"selftest": results["ok"]}
+
+
+class Experiment(NamedTuple):
+    """A row of :data:`EXPERIMENTS`: the runner, returning (csv files, summary,
+    checks), the plan keys it requires and allows besides ``experiment``, the
+    least replicates and the source variants it can read (empty: any)."""
+
+    run: Callable[[dict, int], tuple[dict, dict, dict]]
+    required: Set[str]
+    optional: Set[str] = frozenset()
+    min_replicates: int = 0
+    variants: tuple[str, ...] = ()
+
+
+# The schedule needs a special flow's towers, the series a step law, fresh
+# walks a seed to replace; the Monte Carlo standard error of variance two
+# replicates, the jackknife and percentile estimates of fclt a hundred.
+_SEEDED = ("rw", "coboundary", "window")
+_REPS = {"replicates", "seed_base"}
+EXPERIMENTS = {
+    "stats": Experiment(_run_stats, {"source", "n"}, {"checkpoints"}),
+    "gc": Experiment(_run_gc, {"source", "field", "n"} | _REPS,
+                     {"checkpoints"}, min_replicates=1),
+    "fclt": Experiment(_run_fclt, {"source", "field", "n", "grid"} | _REPS,
+                       {"quenched"}, min_replicates=100),
+    "rw-asym": Experiment(_run_rw_asym, {"source", "checkpoints"} | _REPS,
+                          min_replicates=1, variants=_SEEDED),
+    "rotation": Experiment(_run_rotation, {"source", "checkpoints"}),
+    "counterexample": Experiment(_run_counterexample, {"source"}, {"budget"},
+                                 variants=("special-flow",)),
+    "variance": Experiment(_run_variance, {"source", "field", "n"} | _REPS,
+                           {"kmax"}, min_replicates=2, variants=("rw",)),
+    "selftest": Experiment(_run_selftest, frozenset()),
+}
 
 
 def run_plan(plan: dict, out_dir: Path, threads: int = 1) -> tuple[dict, dict]:
     """Execute a parsed plan; writes artifacts, returns (summary, checks)."""
     start = time.monotonic()
-    exp = plan["experiment"]
-    if exp == "selftest":
-        files, checks = {}, run_selftest()
-        summary = {"selftest": checks}
-        checks = {"selftest": checks["ok"]}
-    else:
-        files, summary, checks = _RUNNERS[exp](plan, threads)
+    files, summary, checks = EXPERIMENTS[plan["experiment"]].run(plan, threads)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, (header, rows) in files.items():
         _write_csv(out_dir / name, header, rows)

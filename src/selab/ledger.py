@@ -285,10 +285,10 @@ def subset_lower_bound(ledger: LocalTimeLedger,
     sites = {tuple(s) for s in subset}
     if not sites:
         raise ValueError("subset must be nonempty")
-    for s in sites:
-        if len(s) != ledger.d:
-            raise ValueError("subset site dimension mismatch")
-    hits = sum(ledger.counts.get(s, 0) for s in sites)
+    if any(len(s) != ledger.d for s in sites):
+        raise ValueError("subset site dimension mismatch")
+    counts = ledger.counts
+    hits = sum(counts.get(s, 0) for s in sites)
     return Fraction(hits * hits, len(sites))
 
 

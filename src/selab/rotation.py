@@ -293,9 +293,10 @@ class SpecialFlowSource:
     with J_n = [3/q_{lam_{n+1}}, 3/q_{lam_n}), so ``lambda_indices`` has
     ``levels + 1`` entries (the last one only sets the innermost endpoint).
     Constraints checked: q_{lam_{n+1}} >= 3 q_{lam_n}; q_{lam_n} >= n *
-    q_{lam_{n-1}}^2 for n >= 2; q_{lam_1} >= 4 so J_1 is inside (0, 1);
-    each |J_n| > 2/q_{lam_n}, which forces an orbit visit within q_{lam_n}
-    steps.
+    q_{lam_{n-1}}^2 for n >= 2; q_{lam_1} >= 4 so J_1 is inside (0, 1).
+    Hence each |J_n| > 2/q_{lam_n}, which forces an orbit visit within
+    q_{lam_n} steps: as q_{lam_n} >= 4, q_{lam_{n+1}} >= (n+1) q_{lam_n}^2
+    >= 8 q_{lam_n} > 3 q_{lam_n}, which is |J_n| > 2/q_{lam_n}.
 
     z_k counts how many of the first k flow steps start a new pass over the
     basis, so z is 1 at the first step and increases by 1 after every roof
@@ -332,10 +333,6 @@ class SpecialFlowSource:
             if qs[n - 1] < n * qs[n - 2] ** 2:
                 raise ValueError(f"separation condition failed at level {n}: "
                                  f"{qs[n - 1]} < {n} * {qs[n - 2]}^2")
-        for n in range(1, levels + 1):
-            if Fraction(3, qs[n - 1]) - Fraction(3, qs[n]) <= Fraction(2, qs[n - 1]):
-                raise ValueError(f"interval at level {n} not longer than "
-                                 f"2/q_lambda_{n}")
         object.__setattr__(self, "cf", cf)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "lambda_indices", lambda_indices)

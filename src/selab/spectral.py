@@ -142,14 +142,13 @@ class ReturnSeries:
         s = float(self.probs[i, 1:].sum())
         return s + (float(self.tails[i]) if with_tail else 0.0)
 
-    def i_value(self, lag: Site, with_tail: bool = True) -> float:
-        """I(l) = -1{l=0} + sum_{k>=0} [P(Z_k=l) + P(Z_k=-l)], truncated."""
+    def i_value(self, lag: Site) -> float:
+        """I(l) = -1{l=0} + sum_{k>=0} [P(Z_k=l) + P(Z_k=-l)], tails included."""
         lag = tuple(lag)
         neg = tuple(-c for c in lag)
         i, j = self._row(lag), self._row(neg)
         s = float(self.probs[i].sum() + self.probs[j].sum())
-        if with_tail:
-            s += float(self.tails[i] + self.tails[j])
+        s += float(self.tails[i] + self.tails[j])
         if all(c == 0 for c in lag):
             s -= 1.0
         return s
@@ -210,10 +209,9 @@ def _clt_classes(dist: StepDistribution, lags: Sequence[Site]):
 def _clt_terms(dist: StepDistribution, lags: Sequence[Site],
                ks: np.ndarray) -> np.ndarray:
     """The leading local-CLT term of P(Z_k = l) (see :func:`_clt_tails`) at
-    the times ks, 0 at times k with l outside k a + L."""
+    the times ks, 0 at times k with l outside k a + L; the law must be
+    genuinely d-dimensional."""
     _, _, period, pref = _clt_law(dist)
-    if period == 0:
-        return np.full((len(lags), ks.size), math.nan)
     out = np.zeros((len(lags), ks.size))
     k = ks.astype(np.float64)
     for li, r, c in _clt_classes(dist, lags):
@@ -494,7 +492,7 @@ def transient_variance_report(dist: StepDistribution, field, n: int,
         c = field.covariance(lag)
         if c == 0.0:
             continue
-        prediction += c * series.i_value(lag, with_tail=True)
+        prediction += c * series.i_value(lag)
         i, j = series.lags.index(lag), series.lags.index(tuple(-x for x in lag))
         tail_bound += abs(c) * float(series.tails[i] + series.tails[j])
         finite += c * (all(x == 0 for x in lag)

@@ -1,11 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from selab import cli
+from selab import cli, rotation, sources
 from selab.cli import PlanError, main, parse_plan, run_plan, run_selftest
 
 
@@ -199,6 +201,89 @@ def test_parse_rejects_a_quenched_flag_that_is_not_a_boolean():
         parse_plan(json.dumps(dict(FCLT, source=RW1, quenched="false")))
 
 
+def test_parse_rejects_an_experiment_that_is_not_a_name():
+    with pytest.raises(PlanError, match=r"\$\.experiment"):
+        parse_plan(json.dumps({"experiment": ["stats"]}))
+
+
+WINDOW = {"variant": "window", "inner": [[0, 0.5], [1, 0.5]], "r": 2,
+          "table": {"0,0": [1], "0,1": [0], "1,0": [0], "1,1": [-1]},
+          "seed": 3}
+STEP_F = {"breakpoints": ["0", "1/5", "1/2", "4/5"], "values": [1, -2, 2, -1]}
+
+
+def test_parse_builds_each_source_as_its_constructor_does(tmp_path):
+    def built(source):
+        return parse_plan(json.dumps(dict(STATS_PLAN, source=source)))["_source"]
+
+    assert built(WINDOW) == sources.WindowFunctional(
+        [(0, 0.5), (1, 0.5)], 2,
+        {(0, 0): (1,), (0, 1): (0,), (1, 0): (0,), (1, 1): (-1,)}, 3)
+    path = tmp_path / "sites.txt"
+    path.write_text("0 0\n1 0\n\n 0 -1\n")
+    assert built({"variant": "explicit", "path": str(path)}) \
+        == sources.ExplicitSource([(0, 0), (1, 0), (0, -1)])
+    got = built(dict(ROTATION, f=STEP_F))
+    want = rotation.RotationCocycle(
+        rotation.ContinuedFraction(periodic=[1]),
+        rotation.StepFunction([Fraction(0), Fraction(1, 5), Fraction(1, 2),
+                               Fraction(4, 5)], [1, -2, 2, -1]), 0)
+    assert (got.f, got.alpha_fp, got.x_fp) == (want.f, want.alpha_fp, want.x_fp)
+    assert np.array_equal(got.generate(200), want.generate(200))
+
+
+GC_PLAN = dict(CHECKPOINT_PLANS["gc"], experiment="gc")
+
+
+@pytest.mark.parametrize("key, bad, where", [
+    ("source", dict(WINDOW, table=[["0,0", [1]]]), r"\$\.source"),
+    ("source", dict(WINDOW, table={"0,x": [1]}), r"\$\.source"),
+    ("source", dict(WINDOW, table={"0,0": [1]}), r"\$\.source"),
+    ("source", dict(ROTATION, f=dict(STEP_F, values=[1, 1, 1, 1])),
+     r"\$\.source"),
+    ("source", dict(ROTATION, f=dict(STEP_F, breakpoints=["0", "1/x"])),
+     r"\$\.source\.f\.breakpoints"),
+    ("source", dict(ROTATION, f={"breakpoints": ["0"]}),
+     r"\$\.source\.f\.values"),
+    ("field", {"variant": "gaussian", "sigma": "wide"}, r"\$\.field"),
+    ("field", {"variant": "discrete", "atoms": [[0, 2.0]]}, r"\$\.field"),
+    ("field", {"variant": "cauchy"}, r"\$\.field\.variant"),
+])
+def test_parse_rejects_bad_sources_and_fields(tmp_path, key, bad, where):
+    # a window table given as a list escaped as an AttributeError
+    plan = dict(GC_PLAN, **{key: bad})
+    with pytest.raises(PlanError, match=where):
+        parse_plan(json.dumps(plan))
+    assert main(["run", str(write_plan(tmp_path, plan)),
+                 "--out", str(tmp_path / "o")]) == 1
+
+
+def test_parse_rejects_explicit_files_it_cannot_read(tmp_path):
+    # a missing file escaped parse_plan as a FileNotFoundError
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0 0\n0 x\n")
+    for path in (bad, tmp_path / "missing.txt"):
+        plan = dict(STATS_PLAN, source={"variant": "explicit",
+                                        "path": str(path)})
+        with pytest.raises(PlanError, match=r"\$\.source"):
+            parse_plan(json.dumps(plan))
+        assert main(["run", str(write_plan(tmp_path, plan)),
+                     "--out", str(tmp_path / "o")]) == 1
+
+
+def test_threads_are_at_most_one_per_core(monkeypatch):
+    # replicates-many threads were started for a --threads at or above
+    # replicates; this checks the count without starting a pool
+    cores = os.cpu_count() or 1
+    monkeypatch.delenv("SELAB_THREADS", raising=False)
+    assert cli._threads(None) == 1
+    assert cli._threads(0) == 1
+    assert cli._threads(10**6) == cores
+    monkeypatch.setenv("SELAB_THREADS", str(10**6))
+    assert cli._threads(None) == cores
+    assert cli._threads(1) == 1
+
+
 def test_stats_run_writes_expected_csv(tmp_path):
     plan = parse_plan(json.dumps(STATS_PLAN))
     run_plan(plan, tmp_path / "out")
@@ -319,13 +404,29 @@ def test_cli_gc_threads_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_rw_asym_slopes_fit_each_replicates_rows(tmp_path):
+    plan = parse_plan(json.dumps({
+        "experiment": "rw-asym", "source": {"variant": "rw", "simple": 2,
+                                            "seed": 0},
+        "checkpoints": [10, 100, 1000], "replicates": 3, "seed_base": 2}))
+    summary, _ = run_plan(plan, tmp_path, threads=2)
+    rows = [r.split(",") for r in
+            (tmp_path / "rw_asym.csv").read_text().splitlines()[1:]]
+    want = [np.polyfit([np.log(int(r[1])) for r in rows if r[0] == str(rep)],
+                       [np.log(int(r[3])) for r in rows if r[0] == str(rep)],
+                       1)[0] for rep in range(3)]
+    assert summary["log_v_slopes"] == pytest.approx(want, rel=1e-12)
+    assert len(set(summary["log_v_slopes"])) == 3
+
+
 def test_numpy_scalars_are_written_as_plain_numbers(tmp_path, monkeypatch):
     def runner(plan, threads):
         row = (np.float64(-0.5), np.int64(3), np.bool_(True))
         summary = {"x": np.float64(0.25), "k": np.int64(7),
                    "flag": np.bool_(False)}
         return {"stats.csv": (("x", "k", "flag"), [row])}, summary, {}
-    monkeypatch.setitem(cli._RUNNERS, "stats", runner)
+    monkeypatch.setitem(cli.EXPERIMENTS, "stats",
+                        cli.EXPERIMENTS["stats"]._replace(run=runner))
     run_plan(parse_plan(json.dumps(STATS_PLAN)), tmp_path)
     assert (tmp_path / "stats.csv").read_text().splitlines()[1] == "-0.5,3,True"
     doc = json.loads((tmp_path / "summary.json").read_text())

@@ -219,6 +219,16 @@ def test_return_series_partial_sums_monotone():
     assert math.isinf(rs.partial_sum((0, 0)))
 
 
+def test_return_series_of_a_lower_dimensional_law_has_no_tail_estimate():
+    # +-e_1 in Z^3 has a singular covariance, so the local-CLT tail has no
+    # value; the terms are still the 1-D central binomials
+    law = StepDistribution([((1, 0, 0), 0.5), ((-1, 0, 0), 0.5)])
+    rs = return_series(law, 10, [(0, 0, 0), (2, 0, 0)])
+    assert np.isnan(rs.tails).all()
+    assert rs.probs[rs.lags.index((0, 0, 0)), 4] == pytest.approx(6 / 16)
+    assert rs.probs[rs.lags.index((-2, 0, 0)), 4] == pytest.approx(4 / 16)
+
+
 def test_transient_variance_requires_transient():
     with pytest.raises(ValueError, match="transient"):
         transient_variance_report(simple_walk(2), UniformField(), 100, 10, 1)
