@@ -38,10 +38,12 @@ class PlanError(ValueError):
 
 
 def _require(obj: dict, path: str, allowed: set[str], required: set[str]) -> None:
-    for key in obj:
+    """Raise on the first unknown, then the first missing key, in sorted
+    order: set order varies with string hashing from process to process."""
+    for key in sorted(obj):
         if key not in allowed:
             raise PlanError(f"unknown key \"{path}.{key}\"")
-    for key in required:
+    for key in sorted(required):
         if key not in obj:
             raise PlanError(f"missing key \"{path}.{key}\"")
 

@@ -6,6 +6,9 @@ trajectory can sample the field anywhere without materializing a box, and
 revisits always see the same value.  Each law gives ``cdf``, and
 ``cdf_left`` its left limit F(s-): that differs from F(s) only at the atoms
 of a discrete law, and a continuous law returns ``None`` for it.
+
+Gaussian values and cdfs come from ``scipy.special`` (``ndtri``, ``ndtr``),
+imported where they are evaluated: importing the package loads no scipy.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import rng
 
@@ -58,12 +60,14 @@ class GaussianField(_Field):
             raise ValueError("sigma must be positive")
 
     def site_values(self, seed: int, sites) -> np.ndarray:
+        from scipy.special import ndtri
         u = rng.site_uniforms(seed, sites)
         # keep inverse-cdf input strictly inside (0, 1)
         u = np.clip(u, 2.0**-53, 1.0 - 2.0**-53)
         return self.mu + self.sigma * ndtri(u)
 
     def cdf(self, s) -> np.ndarray:
+        from scipy.special import ndtr
         return ndtr((np.asarray(s, dtype=np.float64) - self.mu) / self.sigma)
 
     @property
@@ -149,6 +153,7 @@ class MovingAverageField(_Field):
         return len(self.weights) - 1
 
     def site_values(self, seed: int, sites) -> np.ndarray:
+        from scipy.special import ndtri
         coords = np.asarray(sites, dtype=np.int64)
         coords = coords[:, None] if coords.ndim == 1 else coords
         inner = rng.derive(seed, "innovations")
@@ -166,6 +171,7 @@ class MovingAverageField(_Field):
         return self.sigma**2 * sum(w * w for w in self.weights)
 
     def cdf(self, s) -> np.ndarray:
+        from scipy.special import ndtr
         return ndtr(np.asarray(s, dtype=np.float64) / math.sqrt(self.variance))
 
     def covariance(self, lag: Sequence[int]) -> float:

@@ -16,11 +16,11 @@ It also accumulates S_n = sum_{k<=n} M_k / k^2, whose convergence is one of
 the sufficient conditions checked by :func:`condition_report`.  Its terms
 are float64 quotients, equal to Python's ``m / (k * k)`` while k^2 is exact
 (k < 2^26.5, about 9.49e7) and within a relative 2^-52 of M_k / k^2 beyond.
-``record_block`` sums a block's terms with one :func:`math.fsum`, carrying
-the sum and its residual, so ``pqd_partial_sum`` is the correctly rounded
-sum of the terms (within 2^-53 S_n) for any block split.  The carry is exact
-while n^2 S_n < 2^52, so for every n <= 1.5e7; past that each block may
-round the residual, by at most 2^-106 S_n.
+Their sum is carried exactly, as one Python int and a power of two:
+:func:`exact_sum` splits a block's terms into 53-bit integers and
+exponents and adds them per exponent in int64.  ``pqd_partial_sum`` reads
+the carry back by one correctly rounded int division, so it is the
+correctly rounded sum of the terms for every n and any block split.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -48,7 +47,7 @@ class LocalTimeLedger:
     """
 
     __slots__ = ("d", "n", "sites", "local_times", "max_count",
-                 "self_intersections", "_pqd_sum", "_pqd_res")
+                 "self_intersections", "_pqd_sum", "_pqd_num", "_pqd_exp")
 
     def __init__(self, d: int):
         if d < 1:
@@ -60,7 +59,7 @@ class LocalTimeLedger:
         self.max_count = 0
         self.self_intersections = 0
         self._pqd_sum = 0.0
-        self._pqd_res = 0.0  # exact sum of the terms - _pqd_sum
+        self._pqd_num, self._pqd_exp = 0, 0  # the exact sum: num * 2^exp
 
     def record_block(self, coords: Sequence[Sequence[int]] | np.ndarray) -> None:
         """Append a (b, d) block of steps."""
@@ -77,10 +76,13 @@ class LocalTimeLedger:
         self.max_count = int(running_m[-1])
         k = np.arange(self.n + 1, self.n + coords.shape[0] + 1,
                       dtype=np.float64)
-        terms = memoryview(running_m / (k * k))  # yields floats, no list
-        carry = (self._pqd_sum, self._pqd_res)
-        self._pqd_sum = math.fsum(chain(carry, terms))
-        self._pqd_res = math.fsum(chain(carry, terms, (-self._pqd_sum,)))
+        num, exp = exact_sum(running_m / (k * k))
+        if exp < self._pqd_exp:
+            self._pqd_num <<= self._pqd_exp - exp
+            self._pqd_exp = exp
+        self._pqd_num += num << (exp - self._pqd_exp)
+        # every term is at most 1, so exp < 0
+        self._pqd_sum = self._pqd_num / (1 << -self._pqd_exp)
         self.n += coords.shape[0]
 
     def record(self, site: Sequence[int]) -> None:
@@ -136,6 +138,27 @@ class LocalTimeLedger:
                                               self.max_count, self.n):
             raise AssertionError("ledger self-check failed: the running "
                                  "statistics disagree with a full rescan")
+
+
+def exact_sum(terms: np.ndarray) -> tuple[int, int]:
+    """(num, exp) with num * 2^exp the exact sum of finite float64 terms.
+
+    ``np.frexp`` splits each term into a 53-bit integer and an exponent.
+    The integers are added per exponent in int64, in two halves of 27 and
+    26 bits, so no per-exponent sum overflows below 2^36 terms; a Horner
+    pass over the exponents joins the sums into one Python int.
+    """
+    mant, exp = np.frexp(np.asarray(terms, dtype=np.float64))
+    ints = (mant * 2.0**53).astype(np.int64)  # term = ints * 2^(exp - 53)
+    low = int(exp.min(initial=0))
+    exp -= low
+    sums = np.zeros((2, int(exp.max(initial=0)) + 1), dtype=np.int64)
+    np.add.at(sums[0], exp, ints >> 26)
+    np.add.at(sums[1], exp, ints & ((1 << 26) - 1))
+    num = 0
+    for hi, lo in zip(sums[0, ::-1].tolist(), sums[1, ::-1].tolist()):
+        num = (num << 1) + (hi << 26) + lo
+    return num, low - 53
 
 
 def _as_coords(sites: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:

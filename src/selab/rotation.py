@@ -292,11 +292,11 @@ class SpecialFlowSource:
     The roof is phi = 1 + sum_{n=1..levels} floor(q_{lam_n} / n^2) * 1_{J_n}
     with J_n = [3/q_{lam_{n+1}}, 3/q_{lam_n}), so ``lambda_indices`` has
     ``levels + 1`` entries (the last one only sets the innermost endpoint).
-    Constraints checked: q_{lam_{n+1}} >= 3 q_{lam_n}; q_{lam_n} >= n *
-    q_{lam_{n-1}}^2 for n >= 2; q_{lam_1} >= 4 so J_1 is inside (0, 1).
-    Hence each |J_n| > 2/q_{lam_n}, which forces an orbit visit within
-    q_{lam_n} steps: as q_{lam_n} >= 4, q_{lam_{n+1}} >= (n+1) q_{lam_n}^2
-    >= 8 q_{lam_n} > 3 q_{lam_n}, which is |J_n| > 2/q_{lam_n}.
+    Constraints checked: separation, q_{lam_n} >= n q_{lam_{n-1}}^2 for
+    n >= 2, and q_{lam_1} >= 4 so J_1 is inside (0, 1).  They imply growth,
+    q_{lam_{n+1}} > 3 q_{lam_n}: as q_{lam_n} >= 4, q_{lam_{n+1}} >= (n+1)
+    q_{lam_n}^2 >= 8 q_{lam_n}.  Growth is |J_n| > 2/q_{lam_n}, which
+    forces an orbit visit within q_{lam_n} steps.
 
     z_k counts how many of the first k flow steps start a new pass over the
     basis, so z is 1 at the first step and increases by 1 after every roof
@@ -325,10 +325,6 @@ class SpecialFlowSource:
         qs = [conv[i - 1][1] for i in lambda_indices]
         if qs[0] < 4:
             raise ValueError("q at the first lambda index must be >= 4")
-        for n in range(1, levels + 1):
-            if qs[n] < 3 * qs[n - 1]:
-                raise ValueError(f"growth condition failed at level {n}: "
-                                 f"{qs[n]} < 3 * {qs[n - 1]}")
         for n in range(2, levels + 2):
             if qs[n - 1] < n * qs[n - 2] ** 2:
                 raise ValueError(f"separation condition failed at level {n}: "

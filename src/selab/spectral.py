@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import zeta
 
 from . import rng, sources
 from .ledger import LocalTimeLedger, local_time_block, pack_sites
@@ -220,6 +219,53 @@ def _clt_terms(dist: StepDistribution, lags: Sequence[Site],
     return out
 
 
+# (2j)! / B_2j for j = 1..12: the Euler-Maclaurin coefficients of Cephes
+_ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
+           -1.8924375803183791606e9, 7.47242496e10, -2.950130727918164224e12,
+           1.1646782814350067249e14, -4.5979787224074726105e15,
+           1.8152105401943546773e17, -7.1661652561756670113e18)
+
+
+def hurwitz_zeta(x: float, q: float) -> float:
+    """sum_{k >= 0} (k + q)^-x for x > 1 and q > 0.
+
+    A line-for-line port of Cephes' ``zeta`` (Moshier), which
+    ``scipy.special.zeta`` evaluates, in the same float operations, so the
+    two agree bit for bit: the terms k = 0, 1, ... are summed directly
+    until k >= 9 and q + k > 9, stopping early once a term is below 2^-53
+    of the sum, then up to 12 Euler-Maclaurin corrections follow; for
+    q > 1e8 it is the two leading terms of the asymptotic expansion (DLMF
+    25.11.43).
+    """
+    if q > 1e8:
+        return (1 / (x - 1) + 1 / (2 * q)) * q ** (1 - x)
+    s = q ** -x
+    a, i, b = q, 0, 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = a ** -x
+        s += b
+        if abs(b / s) < 2.0**-53:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a, k = 1.0, 0.0
+    for coef in _ZETA_A:
+        a *= x + k
+        b /= w
+        t = a * b / coef
+        s = s + t
+        if abs(t / s) < 2.0**-53:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
+
+
 def _clt_tails(dist: StepDistribution, kmax: int,
                lags: Sequence[Site]) -> np.ndarray:
     """Leading local-CLT term of sum_{k > kmax} P(Z_k = l), centered laws.
@@ -251,8 +297,9 @@ def _clt_tails(dist: StepDistribution, kmax: int,
         head = float(np.sum(k ** -s * np.exp(-c / k)))
         n = np.arange(30)
         coef = np.cumprod(np.concatenate(([1.0], -c / n[1:])))
-        tail = float(np.sum(coef * period ** -(s + n)
-                            * zeta(s + n, j1 + r / period)))
+        zeta = np.array([hurwitz_zeta(x, j1 + r / period)
+                         for x in (s + n).tolist()])
+        tail = float(np.sum(coef * period ** -(s + n) * zeta))
         tails[li] += pref * (head + tail)
     return tails
 

@@ -44,7 +44,7 @@ def test_parse_rejects_bad_special_flow():
     plan = {"experiment": "counterexample",
             "source": {"variant": "special-flow", "cf": {"periodic": [1]},
                        "levels": 1, "lambda_indices": [4, 5], "x": "0"}}
-    with pytest.raises(PlanError, match="growth"):
+    with pytest.raises(PlanError, match="separation"):
         parse_plan(json.dumps(plan))
 
 
@@ -469,6 +469,31 @@ def test_selftest_passes():
     assert results["return_series"]
     assert results["source_blocks"]
     assert results["field_batches"]
+
+
+def _fresh_python(code: str, **env) -> str:
+    """stdout of ``python -c code`` in a new process importing this selab."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=src, **env))
+    return proc.stdout
+
+
+def test_importing_the_cli_loads_no_scipy():
+    out = _fresh_python("import sys, selab.cli; print(sorted(m for m in "
+                        "sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out.strip() == "[]"
+
+
+def test_plan_errors_do_not_depend_on_string_hashing():
+    # at hash seeds 0, 1 and 3 set order named three different missing keys
+    code = ("from selab.cli import PlanError, parse_plan\n"
+            "try:\n    parse_plan('{\"experiment\": \"gc\"}')\n"
+            "except PlanError as exc:\n    print(exc)")
+    messages = {_fresh_python(code, PYTHONHASHSEED=seed)
+                for seed in ("0", "1", "3")}
+    assert messages == {'missing key "$.field"\n'}
 
 
 def test_console_entry_point():

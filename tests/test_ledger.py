@@ -9,6 +9,7 @@ from selab import (LocalTimeLedger, RandomWalkSource, brute_force_stats,
                    condition_report, dispersion_bound, generate,
                    range_lower_bound, simple_walk, subset_lower_bound,
                    trajectory_stats)
+from selab.ledger import exact_sum
 
 site_lists = st.lists(
     st.tuples(st.integers(-8, 8), st.integers(-8, 8)), min_size=1, max_size=120)
@@ -258,3 +259,41 @@ def test_record_block_splits_agree_with_brute_force(sites, sizes):
     exact = sum(Fraction(m_k / (k * k))
                 for k, m_k in enumerate(_dict_oracle(sites)[2], start=1))
     assert led.pqd_partial_sum == float(exact)
+
+
+@given(st.integers(1, 6), st.integers(1 << 25, 1 << 45),
+       st.lists(st.integers(-2, 2), min_size=1, max_size=60),
+       st.lists(st.integers(1, 8), min_size=1, max_size=60))
+@settings(max_examples=80, deadline=None)
+def test_pqd_partial_sum_is_exact_far_along_the_sequence(head, start, sites,
+                                                         sizes):
+    """The carried sum against the exact Fraction sum when the terms reach
+    indices k >= 2^25: after a head block (S ~ 1) the step count jumps to
+    ``start``, so the later terms M_k / k^2 lie 50 or more bits below S."""
+    led = LocalTimeLedger(1)
+    led.record_block(np.zeros((head, 1), dtype=np.int64))
+    led.n = start  # only the step count jumps: terms are M_k / k^2 from here
+    bounds = np.cumsum([0] + sizes + [len(sites)])
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        led.record_block(np.array(sites[a:b], dtype=np.int64).reshape(-1, 1))
+    m = _dict_oracle([0] * head + sites)[2]
+    ks = [*range(1, head + 1), *range(start + 1, start + len(sites) + 1)]
+    # the ledger's float64 terms: m / (k * k) with k * k rounded past 2^53
+    exact = sum(Fraction(m_k / (float(k) * float(k))) for k, m_k in zip(ks, m))
+    assert led.pqd_partial_sum == float(exact)
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50))
+@settings(max_examples=200, deadline=None)
+def test_exact_sum_is_the_exact_sum(terms):
+    num, exp = exact_sum(np.array(terms, dtype=np.float64))
+    assert Fraction(num) * Fraction(2) ** exp == sum(map(Fraction, terms))
+
+
+def test_exact_sum_rounds_a_near_tie_correctly():
+    # 1 + 2^-53 is a tie, rounded down to 1; anything above it rounds up
+    terms = np.array([1.0, 2.0**-53, 2.0**-300])
+    num, exp = exact_sum(terms)
+    assert num / (1 << -exp) == 1.0 + 2.0**-52
+    num, exp = exact_sum(terms[:2])
+    assert num / (1 << -exp) == 1.0

@@ -128,8 +128,8 @@ def test_minimal_lambda_indices_golden():
 
 
 def test_special_flow_config_validation():
-    with pytest.raises(ValueError, match="growth"):
-        SpecialFlowSource(GOLDEN, 1, (4, 5), 0)  # q=5 then 8 < 3*5
+    with pytest.raises(ValueError, match="separation"):
+        SpecialFlowSource(GOLDEN, 1, (4, 5), 0)  # q=5 then 8 < 3*5 < 2*5^2
     with pytest.raises(ValueError, match="separation"):
         SpecialFlowSource(GOLDEN, 1, (4, 7), 0)  # q=21 < 2*25
     with pytest.raises(ValueError):

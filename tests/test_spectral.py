@@ -314,3 +314,53 @@ def test_finite_n_variance_with_drift_continues_the_geometric_fit():
     assert short.series_prediction == pytest.approx(4.0, abs=1e-3)
     assert exact.finite_n_mean < 3.9
     assert short.finite_n_mean == pytest.approx(exact.finite_n_mean, abs=1e-3)
+
+
+def test_hurwitz_zeta_matches_scipy_bit_for_bit():
+    # the grid of orders the local-CLT tails use, x = d/2 + m, at integer,
+    # half-integer and random shifts q
+    from scipy.special import zeta
+    qs = np.concatenate([np.arange(1.0, 334.0), np.arange(333) + 0.5,
+                         np.random.default_rng(0).uniform(0.5, 5000, 331)])
+    for x in (d / 2 + m for d in range(3, 12) for m in range(30)):
+        got = np.array([spectral.hurwitz_zeta(x, q) for q in qs.tolist()])
+        assert got.tobytes() == zeta(x, qs).tobytes(), x
+
+
+@pytest.mark.parametrize("q", [0.1, 0.5, 1.0, 3.0, 8.9,  # direct summation
+                               1e8 + 1, 3e8, 1e12, 1e300])  # asymptotic
+def test_hurwitz_zeta_matches_scipy_at_small_and_huge_shifts(q):
+    from scipy.special import zeta
+    xs = [1.0001, 1.5, 2.0, 7.5, 30.5, 80.0]
+    assert [spectral.hurwitz_zeta(x, q) for x in xs] == zeta(xs, q).tolist()
+
+
+def _hurwitz_zeta_oracle(x: float, q: float, terms: int = 100,
+                         corrections: int = 10) -> float:
+    """sum_{k < terms} (q + k)^-x at 40 digits, plus the tail from N = q +
+    terms by Euler-Maclaurin: N^(1-x)/(x-1) + N^-x/2 + sum_j B_2j/(2j)!
+    (x)_(2j-1) N^(1-x-2j)."""
+    import mpmath
+    with mpmath.workdps(40):
+        x, q = mpmath.mpf(x), mpmath.mpf(q)
+        total = mpmath.fsum((q + k) ** -x for k in range(terms))
+        n = q + terms
+        total += n ** (1 - x) / (x - 1) + n ** -x / 2
+        rising = x  # (x)_(2j-1), the rising factorial
+        for j in range(1, corrections + 1):
+            total += (mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j)
+                      * rising * n ** (1 - x - 2 * j))
+            rising *= (x + 2 * j - 1) * (x + 2 * j)
+        return float(total)
+
+
+def test_hurwitz_zeta_matches_a_direct_sum_at_the_clt_tail_points(monkeypatch):
+    points, zeta = [], spectral.hurwitz_zeta
+    monkeypatch.setattr(spectral, "hurwitz_zeta",
+                        lambda x, q: points.append((x, q)) or zeta(x, q))
+    spectral._clt_tails(simple_walk(3), 200,
+                        [(0, 0, 0), (1, 0, 0), (2, 1, 1), (9, 6, 2)])
+    assert len(points) == 4 * 30 and max(q for _, q in points) > 300
+    for x, q in points:
+        want = _hurwitz_zeta_oracle(x, q)
+        assert abs(zeta(x, q) - want) <= 4 * math.ulp(want), (x, q)
