@@ -415,7 +415,8 @@ def _run_variance(plan, threads):
 
 def run_selftest() -> dict:
     """Small oracle suite: the block-fed ledger against the quadratic oracle
-    and the exact rational Sigma M_k / k^2, convergent quality, the grid
+    and the exact rational Sigma M_k / k^2, the local-time kernel through
+    the rank pre-step of its key sort, convergent quality, the grid
     Parseval identity, the axis-split return series against the Fourier
     grid, the two-limb rotation orbit against the 128-bit scalar loop, and
     the replicate-batched field analyzers against one replicate at a time."""
@@ -438,6 +439,7 @@ def run_selftest() -> dict:
                 or counts != led.counts or led.pqd_partial_sum != float(pqd)):
             ok = False
     results["ledger_vs_brute_force"] = ok
+    results["local_times"] = _selftest_local_times()
     cf = rotation.ContinuedFraction.golden()
     alpha = cf.convergent(40)
     conv_ok = all(abs(alpha - Fraction(p, q)) < Fraction(1, q * q)
@@ -460,6 +462,18 @@ def run_selftest() -> dict:
     results["field_batches"] = _selftest_field_batches()
     results["ok"] = all(results.values())
     return results
+
+
+def _selftest_local_times(n: int = 300) -> bool:
+    """``local_time_block`` against the quadratic oracle on a walk over
+    {0, 2^55}: its keys leave no room for a 9-bit row index, so the sort
+    takes the rank pre-step.  The stable order comes from ``np.sort``, whose
+    SIMD kernel numpy picks per CPU."""
+    coords = (rng.uniforms(4000, n) < 0.5).astype(np.int64)[:, None] << 55
+    occ, sites, times = ledger.local_time_block(coords)
+    v, m, counts = ledger.brute_force_stats(coords)
+    return (int(np.sum(2 * occ - 1)), int(occ.max())) == (v, m) and list(
+        zip(map(tuple, sites.tolist()), times.tolist())) == list(counts.items())
 
 
 def _selftest_field_batches() -> bool:

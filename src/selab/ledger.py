@@ -7,7 +7,9 @@ range.  Its state is two arrays, the distinct sites in first-visit order and
 their local times, which ``record_block`` advances a block of steps at a
 time; ``counts`` is a read-only {site: local time} view built from them.
 Every local time in the package comes from one vectorized kernel,
-:func:`local_time_block`, and the statistics follow the step recursion
+:func:`local_time_block`: :func:`pack_sites` packs each site into one int64
+key, and :func:`sort_keys`, the package's one key sort, groups equal keys
+in a stable order.  The statistics follow the step recursion
 
     V_n = V_{n-1} + 2 * N_{n-1}(z_n) + 1
     M_n = max(M_{n-1}, N_{n-1}(z_n) + 1)
@@ -200,10 +202,38 @@ def pack_sites(coords: np.ndarray, margin: int = 0
     strides = [1] * d
     for j in range(d - 2, -1, -1):
         strides[j] = strides[j + 1] * widths[j + 1]
-    key = np.zeros(n, dtype=np.int64)
-    for j in range(d):
-        key = key * widths[j] + cols[j]
+    key = cols[0]  # a fresh array: the Horner steps run in place
+    for j in range(1, d):
+        key *= widths[j]
+        key += cols[j]
     return key, tuple(strides)
+
+
+def sort_keys(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, key[order]) with ``order`` the stable argsort of nonnegative
+    int64 keys, from one unstable in-place ``ndarray.sort``.
+
+    Each key is shifted left by ib = (size - 1).bit_length() bits and its
+    row index is ORed in: the packed keys are distinct and sort by (key,
+    row), which is the stable order, so any sort gives it.  Keys of
+    2^(63 - ib) or more leave no room for the index and are first replaced
+    by their dense ranks.  ``key`` is overwritten: it is packed in place and
+    left holding the sorted keys, which are returned.
+    """
+    n = key.size
+    ib = (n - 1).bit_length()
+    values = None
+    if n and int(key.max()) >> (63 - ib):
+        if 2 * ib > 63:
+            raise OverflowError("too many keys to tag with their row index")
+        values, key = np.unique(key, return_inverse=True)
+    order = np.arange(n, dtype=np.int64)
+    key <<= ib
+    key |= order
+    key.sort()
+    np.bitwise_and(key, (1 << ib) - 1, out=order)
+    key >>= ib
+    return order, key if values is None else values[key]
 
 
 def local_time_block(coords: Sequence[Sequence[int]] | np.ndarray,
@@ -216,37 +246,40 @@ def local_time_block(coords: Sequence[Sequence[int]] | np.ndarray,
     sites in first-visit order and their local times (None: empty).
     Returns ``(occupation, sites, times)``: occupation[i] is the local time
     of coords[i] just after step i, and the state gains the block's new
-    sites in first-visit order.  A stable sort of the packed keys puts each
-    prior site ahead of its group of equal steps, so a cumulative sum of
-    the weights (prior local time, then 1 per step) gives the local times.
+    sites in first-visit order.  :func:`sort_keys` gives the stable order
+    of the packed keys from an unstable sort, as each key carries its row
+    index in its low bits.  That order puts each prior site ahead of its
+    group of equal steps, and the steps in time order, so a cumulative sum
+    of the weights (prior local time, then 1 per step) gives the local
+    times, and the first row of a group is the site's first visit.
     """
     coords = _as_coords(coords)
     k = 0 if times is None else times.size
     both = np.concatenate([sites, coords]) if k else coords
     total = both.shape[0]
-    key, _ = pack_sites(both)
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
+    order, sorted_key = sort_keys(pack_sites(both)[0])
     new_group = np.empty(total, dtype=bool)
     new_group[0] = True
     np.not_equal(sorted_key[1:], sorted_key[:-1], out=new_group[1:])
     weight = np.ones(total, dtype=np.int64)
     if k:
         weight[:k] = times
-    weight = weight[order]
+        weight = weight[order]
     cum = np.cumsum(weight)
-    before = cum - weight
-    # `before` is nondecreasing, so this carries each group's start value
-    group_base = np.maximum.accumulate(np.where(new_group, before, 0))
-    occ_sorted = cum - group_base
+    # the sums before each row are nondecreasing, so a running max of their
+    # values at group starts carries each group's start value
+    base = np.subtract(cum, weight, out=weight)
+    base *= new_group
+    np.maximum.accumulate(base, out=base)
+    occ_sorted = np.subtract(cum, base, out=cum)
     occ = np.empty(total, dtype=np.int64)
     occ[order] = occ_sorted
     # each site's final local time, stored at the row of its first visit
     starts = np.flatnonzero(new_group)
     final = np.zeros(total, dtype=np.int64)
     final[order[starts]] = occ_sorted[np.append(starts[1:], total) - 1]
-    firsts = final > 0
-    return occ[k:], both[firsts], final[firsts]
+    firsts = np.flatnonzero(final > 0)
+    return occ[k:], both.take(firsts, axis=0), final[firsts]
 
 
 def brute_force_stats(sites: Sequence[Sequence[int]] | np.ndarray,

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng, sources
-from .ledger import LocalTimeLedger, local_time_block, pack_sites
+from .ledger import LocalTimeLedger, local_time_block, pack_sites, sort_keys
 from .sources import RandomWalkSource, StepDistribution, classify
 
 Site = tuple[int, ...]
@@ -62,8 +62,8 @@ def lag_correlation(coords: np.ndarray, counts: np.ndarray,
         return int(np.sum(counts * counts))
     margin = max((abs(c) for c in lag), default=0)
     key, strides = pack_sites(coords, margin)
-    order = np.argsort(key)
-    key_s, cnt_s = key[order], np.asarray(counts)[order]
+    order, key_s = sort_keys(key)
+    cnt_s = np.asarray(counts)[order]
     offset = sum(c * s for c, s in zip(lag, strides))
     shifted = key_s + offset
     idx = np.searchsorted(key_s, shifted)

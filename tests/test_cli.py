@@ -466,6 +466,7 @@ def test_selftest_passes():
     results = run_selftest()
     assert results["ok"]
     assert results["ledger_vs_brute_force"]
+    assert results["local_times"]
     assert results["return_series"]
     assert results["source_blocks"]
     assert results["field_batches"]

@@ -9,7 +9,7 @@ from selab import (LocalTimeLedger, RandomWalkSource, brute_force_stats,
                    condition_report, dispersion_bound, generate,
                    range_lower_bound, simple_walk, subset_lower_bound,
                    trajectory_stats)
-from selab.ledger import exact_sum
+from selab.ledger import exact_sum, pack_sites, sort_keys
 
 site_lists = st.lists(
     st.tuples(st.integers(-8, 8), st.integers(-8, 8)), min_size=1, max_size=120)
@@ -297,3 +297,56 @@ def test_exact_sum_rounds_a_near_tie_correctly():
     assert num / (1 << -exp) == 1.0 + 2.0**-52
     num, exp = exact_sum(terms[:2])
     assert num / (1 << -exp) == 1.0
+
+
+@st.composite
+def key_arrays(draw):
+    """int64 keys with many ties, spread over the room left by a row index
+    of ib bits, or at 2^(63 - ib) and above, where the rank pre-step runs."""
+    n = draw(st.integers(0, 600))
+    ib = (n - 1).bit_length()
+    room = 1 << (63 - ib)
+    lo, hi = draw(st.sampled_from([(0, 5), (0, room - 1),
+                                   (min(room, 1 << 62), 1 << 62)]))
+    pool = draw(st.lists(st.integers(lo, hi), min_size=1, max_size=max(n, 1)))
+    pick = np.random.default_rng(draw(st.integers(0, 2**32))).integers(
+        0, len(pool), n)
+    return np.array(pool, dtype=np.int64)[pick]
+
+
+@given(key_arrays())
+@settings(max_examples=150, deadline=None)
+def test_sort_keys_is_the_stable_argsort(key):
+    want = np.argsort(key, kind="stable")
+    order, sorted_key = sort_keys(key.copy())
+    assert order.dtype == sorted_key.dtype == np.int64
+    assert np.array_equal(order, want)
+    assert np.array_equal(sorted_key, key[want])
+
+
+# spreads that fit the direct 62-bit packing but leave no room in the keys
+# for a row index of 9 bits or more: blocks of 257 steps and up take the
+# rank pre-step of sort_keys
+WIDE_KEY_SITES = [[(0,), (1 << 55,)], [(0, 0), (1 << 27, 1 << 27)]]
+
+
+@pytest.mark.parametrize("pair", WIDE_KEY_SITES)
+@pytest.mark.parametrize("seed", range(3))
+def test_block_splits_through_the_rank_pre_step(pair, seed):
+    gen = np.random.default_rng(seed)
+    sites = [pair[i] for i in gen.integers(0, 2, 700)]
+    coords = np.array(sites, dtype=np.int64)
+    key, _ = pack_sites(coords)
+    assert int(key.max()) >= 1 << (63 - (len(sites) - 1).bit_length())
+    counts, v, m = _dict_oracle(sites)
+    assert brute_force_stats(sites) == (v[-1], m[-1], counts)
+    cuts = np.cumsum(gen.integers(1, 400, size=8))
+    for blocks in ([coords], np.split(coords, cuts[cuts < len(sites)])):
+        led = LocalTimeLedger(len(pair[0]))
+        for block in blocks:
+            led.record_block(block)
+        assert (led.self_intersections, led.max_count) == (v[-1], m[-1])
+        assert led.counts == counts
+        assert [tuple(s) for s in led.sites.tolist()] == list(counts)
+    ts = trajectory_stats(sites)
+    assert (ts.v.tolist(), ts.m.tolist()) == (v, m)

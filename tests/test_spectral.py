@@ -265,6 +265,15 @@ def test_lag_correlation_at_the_int64_edge():
         lag_correlation([[-top - 1], [top]], [1, 1], (1,))
 
 
+def test_lag_correlation_through_the_rank_pre_step():
+    # the keys reach 2^61, so a 2-bit row index shifted in beside them would
+    # wrap the top key past 2^63 and part it from its neighbour
+    sites, counts = [[0], [(1 << 61) - 2], [(1 << 61) - 1]], [2, 3, 5]
+    assert lag_correlation(sites, counts, (1,)) == 15
+    assert lag_correlation(sites, counts, (-1,)) == 15
+    assert lag_correlation(sites, counts, (2,)) == 0
+
+
 def _enumerated_variance(field, n: int) -> float:
     """E[sum_{i,j<n} cov(z_i - z_j)] / n over all 6^n simple-walk paths."""
     steps = np.array([a for a, _ in simple_walk(3).atoms])
