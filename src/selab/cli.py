@@ -280,13 +280,13 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _run_stats(plan, threads):
-    rows = [led.snapshot_row() for led in
-            _checkpoint_ledgers(sources.cursor(plan["_source"]),
-                                plan["_checkpoints"])]
+    leds = _checkpoint_ledgers(sources.cursor(plan["_source"]),
+                               plan["_checkpoints"])
+    rows = [led.snapshot_row() for led in leds]
     summary = {"final": dict(zip(STATS_HEADER, rows[-1])),
                "op": "ledger.LocalTimeLedger.snapshot_row"}
     if len(rows) >= 3 and rows[0][0] >= 16:
-        rep = ledger.condition_report([(r[0], r[1], r[2], r[5]) for r in rows])
+        rep = ledger.condition_report([led.checkpoint() for led in leds])
         summary["condition_report"] = dict(dataclasses.asdict(rep),
                                            op="ledger.condition_report")
     return {"stats.csv": (STATS_HEADER, rows)}, summary, {}

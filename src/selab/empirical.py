@@ -13,8 +13,7 @@ Replicates (field seeds) go through one batched path, :func:`sampled_ecdfs`:
 the field is hashed once per site per replicate and each replicate's values
 are sorted once; nested checkpoint ledgers share that sort order on their
 prefix of the sites.  The ``gc`` runner and
-:func:`mc_fclt` use it, and :func:`sampled_ecdf` and :func:`bridge_sup` are
-its one-seed calls.
+:func:`mc_fclt` use it, and :func:`sampled_ecdf` is its one-seed call.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import rng, sources
-from .ledger import LocalTimeLedger, trajectory_stats
+from .ledger import LocalTimeLedger
 
 
 @dataclass(frozen=True)
@@ -142,12 +141,6 @@ def _bridge(x: np.ndarray, ledger: LocalTimeLedger, grid: np.ndarray,
     return num / math.sqrt(ledger.self_intersections)
 
 
-def bridge_sup(field, field_seed: int, ledger: LocalTimeLedger) -> float:
-    """Exact sup_s |Y_n(s)| for one field realization."""
-    dev = sup_deviation(sampled_ecdf(field, field_seed, ledger), field)
-    return dev * ledger.n / math.sqrt(ledger.self_intersections)
-
-
 def ledger_covariance(field, ledger: LocalTimeLedger,
                       grid: Sequence[float]) -> np.ndarray:
     """Exact Cov(Y(s), Y(t)) over field randomness for the fixed ledger:
@@ -228,42 +221,3 @@ def _reseed(config, seed: int):
         import dataclasses
         return dataclasses.replace(config, seed=seed)
     raise ValueError("annealed mode needs a seedable source")
-
-
-@dataclass(frozen=True)
-class LilCheck:
-    checkpoints: tuple[int, ...]
-    margins: tuple[float, ...]  # |sum (1{X<=s} - F(s))| / (sqrt(V) (2 loglog n)^(1/2))
-    bound: float                 # K * (1 + delta) for the field's bound K
-
-    @property
-    def ok(self) -> bool:
-        return self.margins[-1] <= self.bound
-
-
-def lil_margins(field, field_seed: int, source_config, s: float,
-                checkpoints: Sequence[int], delta: float = 0.5) -> LilCheck:
-    """Law-of-the-iterated-logarithm margins for centered indicator sums.
-
-    At each checkpoint n the statistic is |sum_{k<n} (1{X_{z_k} <= s} -
-    F(s))| normalized by sqrt(2 V_n log log n); for bounded summands the
-    limsup is at most the bound K, so the final margin is compared to
-    K (1 + delta).
-    """
-    checkpoints = tuple(sorted(int(c) for c in checkpoints))
-    if checkpoints[0] < 16:
-        raise ValueError("checkpoints must start at n >= 16")
-    n_max = checkpoints[-1]
-    coords = sources.generate(source_config, n_max)
-    x = field.site_values(field_seed, coords)
-    f = float(np.asarray(field.cdf(s)))
-    centered = (x <= s).astype(np.float64) - f
-    partial = np.cumsum(centered)
-    v = trajectory_stats(coords).v
-    margins = []
-    for c in checkpoints:
-        denom = math.sqrt(v[c - 1]) * math.sqrt(2 * math.log(math.log(c)))
-        margins.append(abs(partial[c - 1]) / denom)
-    k = 1.0  # indicator summands are bounded by 1
-    return LilCheck(checkpoints=checkpoints, margins=tuple(margins),
-                    bound=k * (1 + delta))

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -254,6 +253,10 @@ def local_time_block(coords: Sequence[Sequence[int]] | np.ndarray,
     times, and the first row of a group is the site's first visit.
     """
     coords = _as_coords(coords)
+    if not coords.shape[0]:  # no steps: the prior state as it is
+        if times is None:
+            sites, times = coords, np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int64), sites, times
     k = 0 if times is None else times.size
     both = np.concatenate([sites, coords]) if k else coords
     total = both.shape[0]
@@ -322,9 +325,9 @@ class TrajectoryStats:
 
 def trajectory_stats(sites: Sequence[Sequence[int]] | np.ndarray) -> TrajectoryStats:
     """Per-step statistics from one :func:`local_time_block` on an empty
-    prior, the vectorized reference route beside the ledger (``lil_margins``
-    reads its V).  ``pqd`` is a plain ``np.cumsum`` of the ledger's terms,
-    off by up to (n - 1) 2^-53 S_n at step n, to first order."""
+    prior, the vectorized reference route beside the ledger.  ``pqd`` is a
+    plain ``np.cumsum`` of the ledger's terms, off by up to (n - 1) 2^-53
+    S_n at step n, to first order."""
     occ, _, _ = local_time_block(sites)
     n = occ.size
     v = np.cumsum(2 * occ - 1)
@@ -333,66 +336,6 @@ def trajectory_stats(sites: Sequence[Sequence[int]] | np.ndarray) -> TrajectoryS
     k = np.arange(1, n + 1, dtype=np.float64)
     pqd = np.cumsum(m / (k * k))
     return TrajectoryStats(occ, v, m, rng, pqd)
-
-
-def subset_lower_bound(ledger: LocalTimeLedger,
-                       subset: Iterable[Sequence[int]]) -> Fraction:
-    """Cauchy-Schwarz lower bound (sum of local times on A)^2 / |A| <= V."""
-    sites = {tuple(s) for s in subset}
-    if not sites:
-        raise ValueError("subset must be nonempty")
-    if any(len(s) != ledger.d for s in sites):
-        raise ValueError("subset site dimension mismatch")
-    counts = ledger.counts
-    hits = sum(counts.get(s, 0) for s in sites)
-    return Fraction(hits * hits, len(sites))
-
-
-def range_lower_bound(ledger: LocalTimeLedger) -> Fraction:
-    """n^2 / |range| <= V (the subset bound applied to the visited range)."""
-    if ledger.n == 0:
-        raise ValueError("empty ledger")
-    return Fraction(ledger.n * ledger.n, ledger.range_card)
-
-
-@dataclass(frozen=True)
-class DispersionBound:
-    """Lower bound on V_n for one-dimensional sequences from their spread.
-
-    ``bound`` maximizes (1 - lam^-2)^2 n^2 / (2 lam sigma + 1) over the
-    sampled multipliers; ``stated_constant`` and ``proof_constant`` are the
-    two classical constants (n^2 / (9 sigma) vs (9/80) n^2 / sigma) implied
-    at lam = 2 for sigma >= 1.
-    """
-
-    n: int
-    mean: float
-    sigma: float
-    bound: float
-    best_lambda: float
-    stated_constant: float = 1.0 / 9.0
-    proof_constant: float = 9.0 / 80.0
-
-    LAMBDAS = (1.5, 2.0, 3.0, 4.0)
-
-
-def dispersion_bound(sites: Sequence[Sequence[int]] | np.ndarray) -> DispersionBound:
-    coords = _as_coords(sites)
-    if coords.shape[1] != 1:
-        raise ValueError("dispersion bound applies to one-dimensional sequences")
-    z = coords[:, 0].astype(np.float64)
-    n = z.size
-    if n == 0:
-        raise ValueError("empty trajectory")
-    mean = float(z.mean())
-    sigma = float(np.sqrt(np.mean((z - mean) ** 2)))
-    best, best_lam = -math.inf, None
-    for lam in DispersionBound.LAMBDAS:
-        val = (1 - lam**-2) ** 2 * n * n / (2 * lam * sigma + 1)
-        if val > best:
-            best, best_lam = val, lam
-    return DispersionBound(n=n, mean=mean, sigma=sigma, bound=best,
-                           best_lambda=best_lam)
 
 
 @dataclass(frozen=True)

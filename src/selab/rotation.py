@@ -43,16 +43,6 @@ class ContinuedFraction:
         """[0; 1, 1, 1, ...] = (sqrt(5) - 1) / 2."""
         return cls(periodic=(1,))
 
-    def coeff(self, k: int) -> int:
-        """Partial quotient a_k, 1-indexed."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if k <= len(self._coeffs):
-            return self._coeffs[k - 1]
-        if not self._periodic:
-            raise IndexError(f"only {len(self._coeffs)} partial quotients available")
-        return self._periodic[(k - 1 - len(self._coeffs)) % len(self._periodic)]
-
     def _convergents(self) -> Iterator[tuple[int, int]]:
         """(p_1, q_1), (p_2, q_2), ... via the standard recursion
         q_k = a_k q_{k-1} + q_{k-2} started from (p_0, q_0) = (0, 1),
@@ -138,15 +128,8 @@ class StepFunction:
                     for v, b1, b2 in zip(self.values, bps, bps[1:])),
                    Fraction(0))
 
-    def total_variation(self) -> int:
-        return sum(abs(v2 - v1) for v1, v2 in zip(self.values, self.values[1:]))
-
     def breakpoints_fp(self) -> list[int]:
         return [fraction_to_fp(b) for b in self.breakpoints]
-
-    def eval_fraction(self, x: Fraction) -> int:
-        x = Fraction(x) % 1
-        return self.values[bisect_right(self.breakpoints, x) - 1]
 
 
 _M64 = (1 << 64) - 1
@@ -241,24 +224,6 @@ class CocycleCursor(sources.Cursor):
             near |= _in_interval(hi, lo, a, b)
         self.near_hits += int(np.count_nonzero(near))
         return self._vals[piece].reshape(count, 1)
-
-
-def denjoy_koksma_check(cf: ContinuedFraction, f: StepFunction,
-                        x_fp: int, depth: int) -> list[tuple[int, int]]:
-    """Birkhoff sums of a zero-mean step function at denominator times.
-
-    Returns [(q_k, S_{q_k} f(x))] for k = 1..depth; every |S_{q_k}| is
-    bounded by the total variation of f.  S_q is the cocycle's site at
-    index q - 1, read from its cursor in blocks of at most ``_ORBIT_BLOCK``.
-    """
-    cur = RotationCocycle(cf, f, x_fp).cursor()
-    out = []
-    s = 0
-    for _, q in cf.convergents(depth):
-        while cur.offset < q:
-            s = int(cur.take(min(q - cur.offset, _ORBIT_BLOCK))[-1, 0])
-        out.append((q, s))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -56,20 +56,31 @@ def kernel_grid_mean(ledger: LocalTimeLedger, q: int) -> float:
 def lag_correlation(coords: np.ndarray, counts: np.ndarray,
                     lag: Sequence[int]) -> int:
     """sum_r N(r + lag) N(r) over the visited range (distinct sites)."""
-    lag = tuple(int(c) for c in lag)
-    if not any(lag):
-        counts = np.asarray(counts)
-        return int(np.sum(counts * counts))
-    margin = max((abs(c) for c in lag), default=0)
-    key, strides = pack_sites(coords, margin)
-    order, key_s = sort_keys(key)
-    cnt_s = np.asarray(counts)[order]
-    offset = sum(c * s for c, s in zip(lag, strides))
-    shifted = key_s + offset
-    idx = np.searchsorted(key_s, shifted)
-    idx_c = np.clip(idx, 0, key_s.size - 1)
-    match = key_s[idx_c] == shifted
-    return int(np.sum(cnt_s[match] * cnt_s[idx_c[match]]))
+    return _lag_correlations(coords, counts, [lag])[0]
+
+
+def _lag_correlations(coords, counts, lags) -> list[int]:
+    """:func:`lag_correlation` at each lag from one pack of the sites, with
+    margin max |lag|, and one key sort: a nonzero lag is then one
+    ``searchsorted`` at its stride offset, and lag 0 is sum N^2."""
+    lags = [tuple(int(c) for c in lag) for lag in lags]
+    counts = np.asarray(counts)
+    margin = max((abs(c) for lag in lags for c in lag), default=0)
+    if margin:
+        key, strides = pack_sites(coords, margin)
+        order, key_s = sort_keys(key)
+        cnt_s = counts[order]
+    out = []
+    for lag in lags:
+        if not any(lag):
+            out.append(int(np.sum(counts * counts)))
+            continue
+        shifted = key_s + sum(c * s for c, s in zip(lag, strides))
+        idx = np.searchsorted(key_s, shifted)
+        idx_c = np.clip(idx, 0, key_s.size - 1)
+        match = key_s[idx_c] == shifted
+        out.append(int(np.sum(cnt_s[match] * cnt_s[idx_c[match]])))
+    return out
 
 
 def quadratic_form(ledger: LocalTimeLedger, field) -> float:
@@ -85,11 +96,11 @@ def _field_lags(field, d: int) -> list[Site]:
 
 
 def _quadratic_form_arrays(coords, counts, field, d: int) -> float:
+    lags = [lag for lag in _field_lags(field, d)
+            if field.covariance(lag) != 0.0]
     total = 0.0
-    for lag in _field_lags(field, d):
-        c = field.covariance(lag)
-        if c != 0.0:
-            total += c * lag_correlation(coords, counts, lag)
+    for lag, corr in zip(lags, _lag_correlations(coords, counts, lags)):
+        total += field.covariance(lag) * corr
     return total
 
 
@@ -113,14 +124,6 @@ def phi(dist: StepDistribution, t: Sequence[float]) -> float:
     if abs(1 - z) < 1e-12:
         raise ValueError(f"psi(t) = 1 at t = {tuple(t)}: law is not aperiodic")
     return ((1 + z) / (1 - z)).real
-
-
-def phi_lambda(dist: StepDistribution, t: Sequence[float], lam: float) -> float:
-    """(1 - lam^2 |psi|^2) / |1 - lam psi|^2 for 0 < lam < 1."""
-    if not 0 < lam < 1:
-        raise ValueError("lam must be in (0, 1)")
-    z = psi(dist, t)
-    return (1 - lam**2 * abs(z) ** 2) / abs(1 - lam * z) ** 2
 
 
 @dataclass(frozen=True)

@@ -497,6 +497,21 @@ def test_plan_errors_do_not_depend_on_string_hashing():
     assert messages == {'missing key "$.field"\n'}
 
 
+def test_benchmark_names_are_still_there():
+    # perfbench/tracer.py patches named functions of selab and
+    # perfbench/plans.py recomputes each workload through selab: deleting
+    # or renaming one of those names breaks the benchmark, not this package
+    bench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench")
+    code = (f"import sys; sys.path.insert(0, {bench!r})\n"
+            "import plans, tracer\n"
+            "tracer.Tracer().install()\n"
+            "for w in plans.WORKLOADS:\n"
+            "    plans.reference(w, plans.make_plan(w, 1, quick=True))\n"
+            "print(len(plans.WORKLOADS))")
+    assert _fresh_python(code).strip() == "3"
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "selab.cli", "selftest"],
                           capture_output=True, text=True)

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from selab import (ExplicitSource, LocalTimeLedger, RandomWalkSource,
-                   bridge_sup, bridge_values, generate, ledger_covariance,
-                   lil_margins, mc_fclt, sampled_ecdf, simple_walk,
-                   sup_deviation)
+                   bridge_values, generate, ledger_covariance, mc_fclt,
+                   sampled_ecdf, simple_walk, sup_deviation, trajectory_stats)
 from selab import empirical, rng
 from selab.empirical import WeightedEcdf
 from selab.fields import (DiscreteField, GaussianField, MovingAverageField,
@@ -20,6 +19,12 @@ def make_ledger(sites):
     led = LocalTimeLedger(len(sites[0]))
     led.record_many(sites)
     return led
+
+
+def bridge_sup(field, field_seed, led):
+    """Exact sup_s |Y_n(s)| = sup_s |F_n(s) - F(s)| n / sqrt(V_n)."""
+    dev = sup_deviation(sampled_ecdf(field, field_seed, led), field)
+    return dev * led.n / math.sqrt(led.self_intersections)
 
 
 def test_weighted_ecdf_evaluation():
@@ -144,14 +149,20 @@ def test_mc_fclt_annealed_differs_from_quenched():
 
 
 def test_lil_margins_bounded_walk():
-    check = lil_margins(UniformField(), 7, RandomWalkSource(simple_walk(1), 2),
-                        s=0.5, checkpoints=[100, 1000, 10000])
-    assert len(check.margins) == 3
-    assert check.bound == 1.5
-    assert check.ok
-    with pytest.raises(ValueError):
-        lil_margins(UniformField(), 7, RandomWalkSource(simple_walk(1), 2),
-                    s=0.5, checkpoints=[8, 100])
+    # |sum_{k<n} (1{X_{z_k} <= s} - F(s))| / sqrt(2 V_n log log n) at each
+    # checkpoint n; the summands are bounded by K = 1, so the last margin
+    # stays below K (1 + delta) = 1.5
+    field, s, checkpoints = UniformField(), 0.5, [100, 1000, 10000]
+    coords = generate(RandomWalkSource(simple_walk(1), 2), checkpoints[-1])
+    centered = ((field.site_values(7, coords) <= s).astype(np.float64)
+                - float(field.cdf(s)))
+    partial = np.cumsum(centered)
+    v = trajectory_stats(coords).v
+    margins = [abs(partial[c - 1]) / (math.sqrt(v[c - 1])
+                                      * math.sqrt(2 * math.log(math.log(c))))
+               for c in checkpoints]
+    assert len(margins) == 3
+    assert margins[-1] <= 1.5
 
 
 # --------------------------------------------------------------------------

@@ -6,10 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from selab import (LocalTimeLedger, RandomWalkSource, brute_force_stats,
-                   condition_report, dispersion_bound, generate,
-                   range_lower_bound, simple_walk, subset_lower_bound,
-                   trajectory_stats)
-from selab.ledger import exact_sum, pack_sites, sort_keys
+                   condition_report, generate, simple_walk, trajectory_stats)
+from selab.ledger import exact_sum, local_time_block, pack_sites, sort_keys
 
 site_lists = st.lists(
     st.tuples(st.integers(-8, 8), st.integers(-8, 8)), min_size=1, max_size=120)
@@ -96,63 +94,75 @@ def test_self_intersections_superadditive(a, b):
             >= led_a.self_intersections + led_b.self_intersections)
 
 
+def cauchy_schwarz_bound(led, subset):
+    """(sum of the local times on A)^2 / |A| <= V_n, by Cauchy-Schwarz."""
+    counts = led.counts
+    hits = sum(counts.get(tuple(s), 0) for s in subset)
+    return Fraction(hits * hits, len(subset))
+
+
 @given(site_lists)
 @settings(max_examples=40, deadline=None)
 def test_subset_and_range_bounds(sites):
     led = replay(sites)
     subset = list(led.counts.keys())[: max(1, len(led.counts) // 2)]
-    assert subset_lower_bound(led, subset) <= led.self_intersections
-    assert range_lower_bound(led) <= led.self_intersections
+    assert cauchy_schwarz_bound(led, subset) <= led.self_intersections
+    # A = the visited range: n^2 / |range| <= V
+    assert cauchy_schwarz_bound(led, led.counts) \
+        == Fraction(led.n**2, led.range_card) <= led.self_intersections
 
 
 def test_subset_bound_tight_witness():
     led = replay([(0,), (1,), (0,), (1,)])
-    assert subset_lower_bound(led, [(0,), (1,)]) == Fraction(8)
+    assert cauchy_schwarz_bound(led, [(0,), (1,)]) == Fraction(8)
     assert led.self_intersections == 8
 
 
-def test_subset_bound_builds_one_counts_view(monkeypatch):
-    # the {site: local time} view was rebuilt once per subset site: 9 s for
-    # |A| = 200 on a d = 3 walk of 10^5 steps
-    sites = generate(RandomWalkSource(simple_walk(3), 4), 2000).tolist()
-    led = LocalTimeLedger.from_trajectory(sites)
-    subset = {tuple(s) for s in sites[::10]} | {(99, 99, 99)}
-    hits = sum(sum(tuple(t) == s for t in sites) for s in subset)
-    views = []
-    counts = LocalTimeLedger.counts.fget
-    monkeypatch.setattr(LocalTimeLedger, "counts", property(
-        lambda led: views.append(led) or counts(led)))
-    assert subset_lower_bound(led, subset) == Fraction(hits**2, len(subset))
-    assert len(views) <= 1
+DISPERSION_LAMBDAS = (1.5, 2.0, 3.0, 4.0)
 
 
-def test_subset_bound_errors():
-    led = replay([(0,)])
-    with pytest.raises(ValueError):
-        subset_lower_bound(led, [])
-    with pytest.raises(ValueError):
-        subset_lower_bound(led, [(0, 0)])
+def dispersion_bound(sites):
+    """(sigma, bound, lam) for a 1-D sequence of standard deviation sigma:
+    Chebyshev puts n (1 - lam^-2) steps on the 2 lam sigma + 1 sites within
+    lam sigma of the mean, so Cauchy-Schwarz gives V_n >= bound, the largest
+    (1 - lam^-2)^2 n^2 / (2 lam sigma + 1) over the multipliers lam."""
+    z = np.asarray(sites, dtype=np.float64)[:, 0]
+    n, sigma = z.size, float(np.sqrt(np.mean((z - z.mean()) ** 2)))
+    bound, lam = max(((1 - lam**-2) ** 2 * n * n / (2 * lam * sigma + 1), lam)
+                     for lam in DISPERSION_LAMBDAS)
+    return sigma, bound, lam
 
 
 def test_dispersion_bound_constant_sequence():
-    b = dispersion_bound([(5,)] * 20)
-    assert b.sigma == 0.0
-    assert b.bound <= 400  # V is exactly n^2 here
-    assert b.bound == max((1 - lam**-2) ** 2 * 400 for lam in b.LAMBDAS)
+    sigma, bound, _ = dispersion_bound([(5,)] * 20)
+    assert sigma == 0.0
+    assert bound <= 400  # V is exactly n^2 here
+    assert bound == max((1 - lam**-2) ** 2 * 400 for lam in DISPERSION_LAMBDAS)
 
 
 @given(st.lists(st.tuples(st.integers(-50, 50)), min_size=2, max_size=200))
 @settings(max_examples=40, deadline=None)
 def test_dispersion_bound_below_v(sites):
     led = replay(sites)
-    b = dispersion_bound(sites)
-    assert b.bound <= led.self_intersections + 1e-9 * led.self_intersections
-    assert b.best_lambda in b.LAMBDAS
+    _, bound, lam = dispersion_bound(sites)
+    assert bound <= led.self_intersections + 1e-9 * led.self_intersections
+    assert lam in DISPERSION_LAMBDAS
 
 
-def test_dispersion_bound_needs_1d():
-    with pytest.raises(ValueError):
-        dispersion_bound([(0, 0)])
+@pytest.mark.parametrize("d", (1, 3))
+def test_empty_block_keeps_the_state(d):
+    empty = np.empty((0, d), dtype=np.int64)
+    occ, sites, times = local_time_block(empty)
+    assert (occ.shape, sites.shape, times.shape) == ((0,), (0, d), (0,))
+    prior = generate(RandomWalkSource(simple_walk(d), 2), 50)
+    _, prior_sites, prior_times = local_time_block(prior)
+    occ, sites, times = local_time_block(empty, prior_sites, prior_times)
+    assert occ.shape == (0,)
+    assert np.array_equal(sites, prior_sites)
+    assert np.array_equal(times, prior_times)
+    ts = trajectory_stats(empty)
+    assert all(a.shape == (0,) for a in (ts.occupation, ts.v, ts.m,
+                                          ts.range_card, ts.pqd))
 
 
 def _walk_checkpoints(ns, rho):

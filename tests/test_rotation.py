@@ -8,12 +8,28 @@ from hypothesis import given, settings, strategies as st
 from selab import LocalTimeLedger, generate, rotation, stream
 from selab.rotation import (ContinuedFraction, LevelCheckpoint,
                             RotationCocycle, SpecialFlowSource, StepFunction,
-                            counterexample_ratio_schedule, denjoy_koksma_check,
-                            fraction_to_fp, minimal_lambda_indices,
-                            point_from_seed, ratio_floors, NEAR_THRESHOLD, ONE,
-                            _orbit)
+                            counterexample_ratio_schedule, fraction_to_fp,
+                            minimal_lambda_indices, point_from_seed,
+                            ratio_floors, NEAR_THRESHOLD, ONE, _orbit)
 
 GOLDEN = ContinuedFraction.golden()
+
+
+def eval_fraction(f, x):
+    """f(x) in exact rationals, pieces left-closed right-open."""
+    return f.values[bisect_right(f.breakpoints, Fraction(x) % 1) - 1]
+
+
+def total_variation(f):
+    return sum(abs(v2 - v1) for v1, v2 in zip(f.values, f.values[1:]))
+
+
+def birkhoff_sums(rc, depth):
+    """[(q_k, S_{q_k} f(x))] for k = 1..depth: S_q is the cocycle's site at
+    index q - 1."""
+    qs = [q for _, q in rc.cf.convergents(depth)]
+    z = generate(rc, qs[-1])[:, 0]
+    return [(q, int(z[q - 1])) for q in qs]
 
 
 def test_convergent_recursion_golden():
@@ -53,18 +69,18 @@ def test_continued_fraction_validation():
     with pytest.raises(ValueError):
         ContinuedFraction(coeffs=[0])
     finite = ContinuedFraction(coeffs=[2, 3])
-    assert finite.coeff(2) == 3
+    assert finite.convergents(2) == [(1, 2), (3, 7)]
     with pytest.raises(IndexError):
-        finite.coeff(3)
+        finite.convergents(3)
 
 
 def test_step_function_basics():
     f = StepFunction.square_wave()
     assert f.mean() == 0
-    assert f.total_variation() == 2
-    assert f.eval_fraction(Fraction(0)) == 1
-    assert f.eval_fraction(Fraction(1, 2)) == -1  # left-closed right-open
-    assert f.eval_fraction(Fraction(499, 1000)) == 1
+    assert total_variation(f) == 2
+    assert eval_fraction(f, Fraction(0)) == 1
+    assert eval_fraction(f, Fraction(1, 2)) == -1  # left-closed right-open
+    assert eval_fraction(f, Fraction(499, 1000)) == 1
     with pytest.raises(ValueError):
         StepFunction([Fraction(1, 4)], [1])  # must start at 0
     with pytest.raises(ValueError):
@@ -85,7 +101,7 @@ def test_cocycle_matches_exact_rational_oracle():
     zs = rc.generate(400)[:, 0]
     pos, s = x, 0
     for k in range(400):
-        s += f.eval_fraction(pos)
+        s += eval_fraction(f, pos)
         assert s == zs[k]
         pos = (pos + alpha) % 1
 
@@ -99,13 +115,15 @@ def test_cocycle_stream_matches_generate():
 
 
 def test_denjoy_koksma_bound():
+    # |S_q f(x)| <= Var(f) at every convergent denominator q
     f = StepFunction.square_wave()
     for xseed in range(4):
-        sums = denjoy_koksma_check(GOLDEN, f, point_from_seed(xseed), 16)
-        assert all(abs(s) <= f.total_variation() for _, s in sums)
+        sums = birkhoff_sums(
+            RotationCocycle(GOLDEN, f, point_from_seed(xseed)), 16)
+        assert all(abs(s) <= total_variation(f) for _, s in sums)
     # also for a non-golden angle
     cf = ContinuedFraction(periodic=(2,))  # sqrt(2) - 1
-    sums = denjoy_koksma_check(cf, f, point_from_seed(9), 12)
+    sums = birkhoff_sums(RotationCocycle(cf, f, point_from_seed(9)), 12)
     assert all(abs(s) <= 2 for _, s in sums)
 
 
@@ -313,7 +331,7 @@ def test_special_flow_cursor_takes_towers_beyond_int64(levels, lam):
 
 
 # ---------------------------------------------------------------------------
-# the bulk orbit walks of the schedule and of Denjoy-Koksma against the
+# the bulk orbit walks of the schedule and of the cocycle against the
 # step-by-step loops they replaced
 
 ORBIT_BLOCKS = (7, 1000, rotation._ORBIT_BLOCK)
@@ -380,8 +398,8 @@ def test_schedule_blocks_match_the_step_loop(monkeypatch, block, cf, levels):
 
 
 @pytest.mark.parametrize("block", ORBIT_BLOCKS)
-def test_denjoy_koksma_matches_the_step_loop(monkeypatch, block):
-    monkeypatch.setattr(rotation, "_ORBIT_BLOCK", block)
+def test_denjoy_koksma_matches_the_step_loop(block):
+    # S_q at the denominators, from one take and from takes of ``block``
     for cf in ANGLES:
         depth = max(k for k in range(1, 30)
                     if cf.convergents(k)[-1][1] <= 3000)
@@ -391,4 +409,7 @@ def test_denjoy_koksma_matches_the_step_loop(monkeypatch, block):
                 rc = RotationCocycle(cf, f, x)
                 want = [(q, birkhoff_oracle(rc, q, rc.x_fp))
                         for _, q in cf.convergents(depth)]
-                assert denjoy_koksma_check(cf, f, x, depth) == want
+                assert birkhoff_sums(rc, depth) == want
+                n = want[-1][0]
+                z = take_in_blocks(rc.cursor(), n, [block] * (n // block))
+                assert [(q, int(z[q - 1, 0])) for q, _ in want] == want

@@ -8,7 +8,7 @@ import pytest
 from selab import spectral
 from selab import (LocalTimeLedger, RandomWalkSource, StepDistribution,
                    generate, kernel_from_ledger, kernel_grid_mean,
-                   lag_correlation, phi, phi_lambda, psi, quadratic_form,
+                   lag_correlation, phi, psi, quadratic_form,
                    return_series, simple_walk, transient_variance_report)
 from selab.fields import GaussianField, MovingAverageField, UniformField
 
@@ -50,6 +50,8 @@ def test_lag_correlation_small():
     assert lag_correlation(coords, counts, (1,)) == 2  # N(1)N(0)
     assert lag_correlation(coords, counts, (-1,)) == 2
     assert lag_correlation(coords, counts, (2,)) == 1  # N(3)N(1)
+    # (0, 0) + (0, 3) is no site: a pack margin below 3 aliases it to (1, 0)
+    assert lag_correlation([[0, 0], [1, 0]], [1, 1], (0, 3)) == 0
     # a d = 2 walk against sum_r N(r + lag) N(r) over a dict of local times
     sites = np.cumsum(np.random.default_rng(3).integers(-1, 2, (400, 2)), axis=0)
     table = Counter(map(tuple, sites.tolist()))
@@ -75,6 +77,32 @@ def test_quadratic_form_moving_average_window():
     assert quadratic_form(led, f) == pytest.approx(2 * 5 + 1 * 2 + 1 * 2)
 
 
+def test_quadratic_form_sorts_the_sites_once(monkeypatch):
+    # every lag of a moving-average field from one pack and one key sort;
+    # an i.i.d. field (lag 0 only) needs neither
+    sites = np.cumsum(np.random.default_rng(4).integers(-1, 2, (3000, 3)),
+                      axis=0)
+    led = LocalTimeLedger.from_trajectory(sites)
+    calls = []
+    for name in ("pack_sites", "sort_keys"):
+        fn = getattr(spectral, name)
+        monkeypatch.setattr(spectral, name, lambda *a, fn=fn, name=name:
+                            calls.append(name) or fn(*a))
+    field = MovingAverageField([1.0, 0.5, 0.25, 0.1])
+    got = quadratic_form(led, field)
+    assert calls == ["pack_sites", "sort_keys"]
+    table = Counter(map(tuple, sites.tolist()))
+    want = 0.0
+    for h in range(-3, 4):
+        want += field.covariance((h, 0, 0)) * sum(
+            n * table.get((r[0] + h,) + r[1:], 0) for r, n in table.items())
+    assert got == want
+    calls.clear()
+    assert quadratic_form(led, GaussianField(0.0, 2.0)) == \
+        4.0 * led.self_intersections
+    assert calls == []
+
+
 def test_psi_and_phi_pm1_walk():
     ts = np.random.default_rng(1).uniform(0.01, 0.99, size=100)
     for t in ts:
@@ -90,6 +118,13 @@ def test_phi_rejects_periodic_law():
         phi(law_2z, [0.5])
 
 
+def phi_lambda(dist, t, lam):
+    """Re[(1 + lam psi) / (1 - lam psi)] = (1 - lam^2 |psi|^2) /
+    |1 - lam psi|^2, the Abel-regularised phi, for 0 < lam < 1."""
+    z = psi(dist, t)
+    return (1 - lam**2 * abs(z) ** 2) / abs(1 - lam * z) ** 2
+
+
 def test_phi_lambda_monotone_approach():
     ts = [0.13, 0.31, 0.47]
     for t in ts:
@@ -98,8 +133,6 @@ def test_phi_lambda_monotone_approach():
                 for lam in (0.9, 0.99, 0.999)]
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 0.01 * max(1.0, abs(target))
-    with pytest.raises(ValueError):
-        phi_lambda(PM1, [0.3], 1.0)
 
 
 def test_return_series_d1_exact_central_binomials():
