@@ -479,9 +479,12 @@ def _selftest_local_times(n: int = 300) -> bool:
 def _selftest_field_batches() -> bool:
     """Batched gc and fclt outputs against one replicate and checkpoint at
     a time, with ECDFs built apart from the batched path: local times by
-    ``np.unique`` over the trajectory, a stable sort, atoms summed by
-    ``bincount`` into a validated ``WeightedEcdf``, then ``sup_deviation``;
-    the fclt covariance against ``bridge_values`` per replicate."""
+    ``np.unique`` over the trajectory, values hashed from the coordinates
+    per seed (the batched path reuses each site's seed-free hash words), a
+    stable sort, atoms summed by ``bincount`` into a validated
+    ``WeightedEcdf``, then ``sup_deviation``.  gc on four fields, the
+    moving-average one among them; fclt covariances and sups on the uniform
+    and discrete fields, against ``bridge_values`` per replicate."""
     src = sources.RandomWalkSource(sources.simple_walk(2), 21)
     traj = sources.generate(src, 3000)
 
@@ -495,23 +498,26 @@ def _selftest_field_batches() -> bool:
         ecdf = empirical.WeightedEcdf(values=xs[new], weights=w)
         return empirical.sup_deviation(ecdf, field), int(counts @ counts)
 
+    seeds = [rng.derive(5, "field", rep) for rep in range(100)]
+    iid = (UniformField(), DiscreteField([(0, 0.5), (1, 0.2), (2, 0.3)]))
     ok = True
-    for field in (UniformField(), DiscreteField([(0, 0.5), (1, 0.2), (2, 0.3)])):
+    for field in iid + (GaussianField(), MovingAverageField([1, .5, .25])):
         plan = {"_source": src, "_field": field, "n": 3000,
                 "_checkpoints": [30, 300, 3000], "replicates": 7,
                 "seed_base": 5}
-        seeds = [rng.derive(5, "field", rep) for rep in range(100)]
         rows = [(rep, c, sup(field, seed, c)[0])
                 for rep, seed in enumerate(seeds[:7]) for c in (30, 300, 3000)]
+        ok = ok and _run_gc(plan, 1)[0]["gc.csv"][1] == rows
+    led = _checkpoint_ledgers(sources.cursor(src), [3000])[0]
+    for field in iid:
         res = empirical.mc_fclt(field, src, 3000, [0.5, 1.0], 100, 5)
-        led = _checkpoint_ledgers(sources.cursor(src), [3000])[0]
         ys = np.array([empirical.bridge_values(field, seed, led, res.grid)
                        for seed in seeds])
         mean = ys.mean(axis=0)
         sups = [dev * 3000 / math.sqrt(v)
                 for dev, v in (sup(field, seed, 3000) for seed in seeds)]
-        ok = (ok and _run_gc(plan, 1)[0]["gc.csv"][1] == rows
-              and np.array_equal(res.cov, ys.T @ ys / 100 - np.outer(mean, mean))
+        ok = (ok and np.array_equal(res.cov,
+                                    ys.T @ ys / 100 - np.outer(mean, mean))
               and res.sup_sample.tolist() == sups)
     return ok
 

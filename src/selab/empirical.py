@@ -10,10 +10,12 @@ whose covariance over field randomness, for a fixed trajectory, is exactly
 F(min(s, t)) - F(s) F(t).
 
 Replicates (field seeds) go through one batched path, :func:`sampled_ecdfs`:
-the field is hashed once per site per replicate and each replicate's values
-are sorted once; nested checkpoint ledgers share that sort order on their
-prefix of the sites.  The ``gc`` runner and
-:func:`mc_fclt` use it, and :func:`sampled_ecdf` is its one-seed call.
+the sites' seed-free hash words (:class:`rng.Sites`) are computed once per
+call, each replicate then finishes the hash with its seed (d + 1 mixer
+passes per site on Z^d) and sorts its values once, and nested checkpoint
+ledgers share that sort order on their prefix of the sites.  The ``gc``
+runner and :func:`mc_fclt` use it, and :func:`sampled_ecdf` is its one-seed
+call.
 """
 
 from __future__ import annotations
@@ -66,16 +68,18 @@ def sampled_ecdfs(field, seeds: Sequence[int],
 
     ``ledgers`` are nested snapshots of one trajectory, in increasing n, so
     each one's sites are a prefix of the last one's (first-visit order).
-    The sites are hashed and their values sorted once per seed: each
-    earlier ledger takes the sort order restricted to its prefix.
+    The sites' seed-free hash words are computed once; per seed the hash
+    is finished and the values sorted once, and each earlier ledger takes
+    the sort order restricted to its prefix.
     """
     coords, _ = ledger_arrays(ledgers[-1])
     if any(led.n == 0 or not np.array_equal(led.sites, coords[:len(led.sites)])
            for led in ledgers):
         raise ValueError("ledgers must be nonempty, each one's sites a "
                          "prefix of the last one's")
+    sites = rng.Sites(coords)  # the seed-free hash words, built once
     for seed in seeds:
-        x = field.site_values(seed, coords)
+        x = field.site_values(seed, sites)
         order = np.argsort(x)
         ecdfs = []
         for led in ledgers:

@@ -154,14 +154,11 @@ class MovingAverageField(_Field):
 
     def site_values(self, seed: int, sites) -> np.ndarray:
         from scipy.special import ndtri
-        coords = np.asarray(sites, dtype=np.int64)
-        coords = coords[:, None] if coords.ndim == 1 else coords
+        sites = rng.Sites.of(sites)
         inner = rng.derive(seed, "innovations")
-        out = np.zeros(coords.shape[0])
-        shifted = coords.copy()
+        out = np.zeros(len(sites))
         for j, w in enumerate(self.weights):
-            shifted[:, 0] = coords[:, 0] + j
-            u = np.clip(rng.site_uniforms(inner, shifted),
+            u = np.clip(rng.site_uniforms(inner, sites.shifted(j)),
                         2.0**-53, 1.0 - 2.0**-53)
             out += w * (self.sigma * ndtri(u))
         return out

@@ -201,7 +201,7 @@ def _oracle_bridge(field, seed, coords, grid) -> np.ndarray:
 
 
 @settings(max_examples=30, deadline=None)
-@given(d=st.integers(1, 3), field=st.sampled_from(ORACLE_FIELDS),
+@given(d=st.integers(1, 4), field=st.sampled_from(ORACLE_FIELDS),
        walk_seed=st.integers(0, 2**32), n=st.integers(1, 400), data=st.data())
 def test_batched_sup_deviations_match_per_checkpoint_oracle(d, field,
                                                             walk_seed, n,
@@ -218,8 +218,30 @@ def test_batched_sup_deviations_match_per_checkpoint_oracle(d, field,
                    for s in seeds]
 
 
+def test_sampled_ecdfs_builds_the_words_once(monkeypatch):
+    # the sites' seed-free coordinate words are mixed once per call; each
+    # seed then costs d + 1 mixer passes: d seed-keyed folds and the last mix
+    d, cps = 3, (30, 300, 3000)
+    coords = generate(RandomWalkSource(simple_walk(d), 11), cps[-1])
+    leds = [LocalTimeLedger.from_trajectory(coords[:c]) for c in cps]
+    seeds = [rng.derive(2, "field", rep) for rep in range(40)]
+    field = UniformField()
+    calls = []
+    mix, hash_sites = rng.mix64_array, rng.hash_sites
+    monkeypatch.setattr(rng, "mix64_array",
+                        lambda *a: calls.append("mix") or mix(*a))
+    monkeypatch.setattr(rng, "hash_sites",
+                        lambda *a: calls.append("hash") or hash_sites(*a))
+    got = [[sup_deviation(e, field) for e in ecdfs]
+           for _, ecdfs in empirical.sampled_ecdfs(field, seeds, leds)]
+    assert calls == ["mix"] * d + (["hash"] + ["mix"] * (d + 1)) * len(seeds)
+    monkeypatch.undo()
+    assert got == [[_oracle_sup(field, s, coords[:c]) for c in cps]
+                   for s in seeds]
+
+
 @settings(max_examples=12, deadline=None)
-@given(d=st.integers(1, 3), field=st.sampled_from(ORACLE_FIELDS),
+@given(d=st.integers(1, 4), field=st.sampled_from(ORACLE_FIELDS),
        walk_seed=st.integers(0, 2**32), n=st.integers(1, 200),
        seed_base=st.integers(0, 2**32), quenched=st.booleans(),
        grid=st.lists(st.floats(-2, 3), min_size=1, max_size=3))
