@@ -155,10 +155,13 @@ class MovingAverageField(_Field):
     def site_values(self, seed: int, sites) -> np.ndarray:
         from scipy.special import ndtri
         sites = rng.Sites.of(sites)
+        coords = sites.coords
         inner = rng.derive(seed, "innovations")
-        out = np.zeros(len(sites))
+        out = np.zeros(coords.shape[0])
+        shifted = coords.copy()
         for j, w in enumerate(self.weights):
-            u = np.clip(rng.site_uniforms(inner, sites.shifted(j)),
+            shifted[:, 0] = coords[:, 0] + j
+            u = np.clip(rng.site_uniforms(inner, shifted if j else sites),
                         2.0**-53, 1.0 - 2.0**-53)
             out += w * (self.sigma * ndtri(u))
         return out

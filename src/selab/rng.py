@@ -35,14 +35,10 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def mix64_array(z: np.ndarray, scratch: np.ndarray | None = None
-                ) -> np.ndarray:
+def mix64_array(z: np.ndarray) -> np.ndarray:
     """Vectorized :func:`mix64`, in place: the writable uint64 array ``z`` is
-    overwritten with its mix and returned.  The one temporary is ``scratch``
-    (same shape and dtype, contents ignored), or a new array when it is
-    ``None``, so a caller mixing the same array again passes its own."""
-    t = np.empty_like(z) if scratch is None else scratch
-    np.right_shift(z, _U30, out=t)
+    overwritten with its mix and returned, with one temporary array."""
+    t = np.right_shift(z, _U30)
     z ^= t
     z *= _U_M1
     np.right_shift(z, _U27, out=t)
@@ -77,19 +73,9 @@ def uniform_at(seed: int, index: int) -> float:
 
 def uniforms(seed: int, count: int, offset: int = 0) -> np.ndarray:
     """Vector of uniforms ``[uniform_at(seed, offset + i) for i < count]``."""
-    h = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
-    h *= _U_GAMMA
-    h += np.uint64(seed & MASK64)
-    return _to_unit(mix64_array(h))
-
-
-def _to_unit(h: np.ndarray) -> np.ndarray:
-    """The top 53 bits of each uint64 word as a float in [0, 1); ``h`` is
-    shifted in place."""
-    h >>= _U11
-    u = h.astype(np.float64)
-    u *= _INV53
-    return u
+    idx = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
+    h = mix64_array(np.uint64(seed & MASK64) + idx * _U_GAMMA)
+    return (h >> _U11).astype(np.float64) * _INV53
 
 
 def _axis_words(column: np.ndarray, j: int) -> np.ndarray:
@@ -106,17 +92,14 @@ class Sites:
     coordinate c_j into a seed-keyed state.  No word depends on the seed,
     so a caller hashing one site set under many seeds wraps the (n, d)
     int64 coordinates (a 1-d array is n sites of Z) once and the words are
-    computed once.  ``shifted(k)``, the sites moved by k along axis 0,
-    shares every other axis's words and is itself computed once per k.
+    computed once.
     """
 
-    def __init__(self, coords, words: list[np.ndarray] | None = None):
+    def __init__(self, coords):
         coords = np.asarray(coords, dtype=np.int64)
         self.coords = coords[:, None] if coords.ndim == 1 else coords
-        self.words = words if words is not None else [
-            _axis_words(self.coords[:, j], j)
-            for j in range(self.coords.shape[1])]
-        self._shifts: dict[int, Sites] = {}
+        self.words = [_axis_words(self.coords[:, j], j)
+                      for j in range(self.coords.shape[1])]
 
     @classmethod
     def of(cls, sites) -> "Sites":
@@ -124,16 +107,6 @@ class Sites:
 
     def __len__(self) -> int:
         return self.coords.shape[0]
-
-    def shifted(self, k: int) -> "Sites":
-        if k == 0:
-            return self
-        if k not in self._shifts:
-            coords = self.coords.copy()
-            coords[:, 0] += k
-            self._shifts[k] = Sites(
-                coords, [_axis_words(coords[:, 0], 0), *self.words[1:]])
-        return self._shifts[k]
 
 
 def hash_sites(seed: int, sites) -> np.ndarray:
@@ -148,13 +121,12 @@ def hash_sites(seed: int, sites) -> np.ndarray:
     """
     sites = Sites.of(sites)
     h = np.full(len(sites), mix64(seed ^ _GAMMA), dtype=np.uint64)
-    t = np.empty_like(h)
     for w in sites.words:
         h ^= w
-        mix64_array(h, t)
-    return mix64_array(h, t)
+        mix64_array(h)
+    return mix64_array(h)
 
 
 def site_uniforms(seed: int, sites) -> np.ndarray:
     """Uniforms in [0, 1), one per site, keyed purely by (seed, site)."""
-    return _to_unit(hash_sites(seed, sites))
+    return (hash_sites(seed, sites) >> _U11).astype(np.float64) * _INV53

@@ -29,15 +29,11 @@ def test_uniforms_match_uniform_at(seed, offset, count):
                           for i in range(count)]
 
 
-@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
-       st.booleans())
-def test_mix64_array_matches_scalar(zs, own_scratch):
-    # in place: the caller's array is overwritten with its mix and
-    # returned; a caller's scratch buffer is the one temporary
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5))
+def test_mix64_array_matches_scalar(zs):
+    # in place: the caller's array is overwritten with its mix and returned
     arr = np.array(zs, dtype=np.uint64)
-    scratch = np.empty_like(arr) if own_scratch else None
-    out = rng.mix64_array(arr, scratch)
-    assert out is arr
+    assert rng.mix64_array(arr) is arr
     assert [int(h) for h in arr] == [rng.mix64(z) for z in zs]
 
 
@@ -80,10 +76,10 @@ coordinate = st.one_of(st.integers(I64.min, I64.max),
 @given(st.integers(1, 4).flatmap(lambda d: st.lists(
            st.lists(coordinate, min_size=d, max_size=d), min_size=1,
            max_size=6)),
-       st.integers(0, 2**64 - 1), coordinate)
-def test_hash_sites_matches_scalar_mix_composition(sites, seed, shift):
-    # coordinates as an array, and as precomputed words, whole and moved
-    # along axis 0 (int64 wraparound is the mixer's mod 2^64)
+       st.integers(0, 2**64 - 1))
+def test_hash_sites_matches_scalar_mix_composition(sites, seed):
+    # coordinates as an array, and as precomputed words hashed twice
+    # (int64 wraparound is the mixer's mod 2^64)
     coords = np.array(sites, dtype=np.int64)
     words = rng.Sites(coords)
     want = [_scalar_hash(seed, site) for site in sites]
@@ -91,8 +87,3 @@ def test_hash_sites_matches_scalar_mix_composition(sites, seed, shift):
         assert [int(h) for h in rng.hash_sites(seed, route)] == want
         assert np.array_equal(rng.site_uniforms(seed, route),
                               [(h >> 11) * 2.0**-53 for h in want])
-    moved = [_scalar_hash(seed, (site[0] + shift,) + tuple(site[1:]))
-             for site in sites]
-    got = rng.hash_sites(seed, words.shifted(shift))
-    assert [int(h) for h in got] == moved
-    assert [int(h) for h in rng.hash_sites(seed, words)] == want  # unmoved
