@@ -296,21 +296,20 @@ def _run_gc(plan, threads):
     reps, cps = plan["replicates"], plan["_checkpoints"]
     field = plan["_field"]
     leds = _checkpoint_ledgers(sources.cursor(plan["_source"]), cps)
-    seeds = [rng.derive(plan["seed_base"], "field", rep) for rep in range(reps)]
+    ecdfs = empirical.SampledEcdfs(field, leds)  # built once, read by threads
 
-    def sups(batch):
-        return [[empirical.sup_deviation(e, field) for e in ecdfs]
-                for _, ecdfs in empirical.sampled_ecdfs(field, batch, leds)]
+    def sups(rep):
+        seed = rng.derive(plan["seed_base"], "field", rep)
+        return [empirical.sup_deviation(e, field) for e in ecdfs(seed)]
 
-    step = -(-reps // threads)
-    devs = [row for part in _pmap(sups, [seeds[i:i + step]
-                                         for i in range(0, reps, step)],
-                                  threads) for row in part]
+    devs = _pmap(sups, range(reps), threads)
     rows = [(rep, c, dev) for rep, row in enumerate(devs)
             for c, dev in zip(cps, row)]
     improved = sum(row[-1] < row[0] for row in devs)
     summary = {"final_sup_deviation_max": max(row[-1] for row in devs),
                "replicates_improved": improved,
+               "distinct_sites": [led.range_card for led in leds],
+               "max_local_time": leds[-1].max_count,
                "op": "empirical.sup_deviation"}
     checks = {"decay": improved >= math.ceil(0.9 * reps)}
     return {"gc.csv": (("field_rep", "n", "sup_deviation"), rows)}, summary, checks
@@ -482,13 +481,17 @@ def _selftest_field_batches() -> bool:
     ``np.unique`` over the trajectory, values hashed from the coordinates
     per seed (the batched path reuses each site's seed-free hash words), a
     stable sort, atoms summed by ``bincount`` into a validated
-    ``WeightedEcdf``, then ``sup_deviation``.  gc on four fields, the
-    moving-average one among them; fclt covariances and sups on the uniform
-    and discrete fields, against ``bridge_values`` per replicate."""
+    ``WeightedEcdf``, then ``sup_deviation``.  gc on five fields (the
+    moving-average one, and a discrete law listed in decreasing order, whose
+    values the key sort must repair), over a walk and over the same walk
+    held at one site for 2600 steps, a local time past the key's 11 bits;
+    fclt covariances and sups on the uniform and discrete fields, against
+    ``bridge_values`` per replicate."""
     src = sources.RandomWalkSource(sources.simple_walk(2), 21)
     traj = sources.generate(src, 3000)
+    held = np.concatenate([traj[:400], np.repeat(traj[399:400], 2600, axis=0)])
 
-    def sup(field, seed, n):  # (sup |F_n - F|, V_n) over the first n steps
+    def sup(field, seed, n, traj=traj):  # (sup |F_n - F|, V_n), first n steps
         sites, counts = np.unique(traj[:n], axis=0, return_counts=True)
         x = field.site_values(seed, sites)
         order = np.argsort(x, kind="stable")
@@ -501,13 +504,18 @@ def _selftest_field_batches() -> bool:
     seeds = [rng.derive(5, "field", rep) for rep in range(100)]
     iid = (UniformField(), DiscreteField([(0, 0.5), (1, 0.2), (2, 0.3)]))
     ok = True
-    for field in iid + (GaussianField(), MovingAverageField([1, .5, .25])):
-        plan = {"_source": src, "_field": field, "n": 3000,
-                "_checkpoints": [30, 300, 3000], "replicates": 7,
-                "seed_base": 5}
-        rows = [(rep, c, sup(field, seed, c)[0])
-                for rep, seed in enumerate(seeds[:7]) for c in (30, 300, 3000)]
-        ok = ok and _run_gc(plan, 1)[0]["gc.csv"][1] == rows
+    gc_fields = iid + (DiscreteField([(2, 0.3), (1, 0.2), (0, 0.5)]),
+                       GaussianField(), MovingAverageField([1, .5, .25]))
+    for walk, coords in ((src, traj),
+                         (sources.ExplicitSource(held.tolist()), held)):
+        for field in gc_fields:
+            plan = {"_source": walk, "_field": field, "n": 3000,
+                    "_checkpoints": [30, 300, 3000], "replicates": 7,
+                    "seed_base": 5}
+            rows = [(rep, c, sup(field, seed, c, coords)[0])
+                    for rep, seed in enumerate(seeds[:7])
+                    for c in (30, 300, 3000)]
+            ok = ok and _run_gc(plan, 1)[0]["gc.csv"][1] == rows
     led = _checkpoint_ledgers(sources.cursor(src), [3000])[0]
     for field in iid:
         res = empirical.mc_fclt(field, src, 3000, [0.5, 1.0], 100, 5)

@@ -9,20 +9,28 @@ The associated bridge uses sqrt(V_n) normalization,
 whose covariance over field randomness, for a fixed trajectory, is exactly
 F(min(s, t)) - F(s) F(t).
 
-Replicates (field seeds) go through one batched path, :func:`sampled_ecdfs`:
-the sites' seed-free hash words (:class:`rng.Sites`) are computed once per
-call, each replicate then finishes the hash with its seed (d + 1 mixer
-passes per site on Z^d) and sorts its values once, and nested checkpoint
-ledgers share that sort order on their prefix of the sites.  The ``gc``
-runner and :func:`mc_fclt` use it, and :func:`sampled_ecdf` is its one-seed
-call.
+Replicates (field seeds) go through one batched path, :class:`SampledEcdfs`:
+built once over nested checkpoint ledgers, it holds the sites' seed-free
+hash words (:class:`rng.Sites`) and the packed local times, and each seed
+then finishes the hash (d + 1 mixer passes per site on Z^d).  For an
+i.i.d. field, whose value at a site is ``quantile(u)`` of the site's one
+uniform u, each ledger sorts one uint64 key per site: u's 53 bits above
+the local time's 11, saturated at 0x7FF, whose sites take their true local
+times after the sort.  The quantile of the sorted uniforms is nondecreasing
+up to rounding (see :mod:`fields`); where it is not, one stable sort of the
+values repairs the order.  A field without ``quantile`` (the moving
+average) sorts its values once, and the earlier ledgers restrict that order
+to their prefix of the sites.  Either way equal values merge into one atom.
+The ``gc`` runner maps one object over its seeds; :func:`mc_fclt`, whose
+bridge reads the values in site order, takes the value route, and
+:func:`sampled_ecdf` is the one-seed, one-ledger call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,47 +68,99 @@ def ledger_arrays(ledger: LocalTimeLedger) -> tuple[np.ndarray, np.ndarray]:
     return ledger.sites, ledger.local_times
 
 
-def sampled_ecdfs(field, seeds: Sequence[int],
-                  ledgers: Sequence[LocalTimeLedger]
-                  ) -> Iterator[tuple[np.ndarray, list[WeightedEcdf]]]:
-    """Per field seed, the field values at the last ledger's sites and the
-    sampled ECDF at each ledger.
+_SATURATED = 0x7FF       # local times from here on share one key value
+_LOW = np.uint64(_SATURATED)  # a key's low 11 bits: the saturated local time
+_HIGH = ~_LOW                 # its high 53 bits: the site's uniform
 
-    ``ledgers`` are nested snapshots of one trajectory, in increasing n, so
-    each one's sites are a prefix of the last one's (first-visit order).
-    The sites' seed-free hash words are computed once; per seed the hash
-    is finished and the values sorted once, and each earlier ledger takes
-    the sort order restricted to its prefix.
+
+class SampledEcdfs:
+    """Per field seed, the sampled ECDF at each of nested checkpoint ledgers.
+
+    ``ledgers`` are snapshots of one trajectory, in increasing n, so each
+    one's sites are a prefix of the last one's (first-visit order).  What
+    every seed shares is built once, here: the prefix check, the sites'
+    seed-free hash words (:class:`rng.Sites`) and each ledger's local times
+    packed into 11 bits.  A call only reads that state, so threads may map
+    one object over the seeds.
     """
-    coords, _ = ledger_arrays(ledgers[-1])
-    if any(led.n == 0 or not np.array_equal(led.sites, coords[:len(led.sites)])
-           for led in ledgers):
-        raise ValueError("ledgers must be nonempty, each one's sites a "
-                         "prefix of the last one's")
-    sites = rng.Sites(coords)  # the seed-free hash words, built once
-    for seed in seeds:
-        x = field.site_values(seed, sites)
+
+    def __init__(self, field, ledgers: Sequence[LocalTimeLedger]):
+        coords, _ = ledger_arrays(ledgers[-1])
+        if any(led.n == 0 or not np.array_equal(led.sites,
+                                                coords[:len(led.sites)])
+               for led in ledgers):
+            raise ValueError("ledgers must be nonempty, each one's sites a "
+                             "prefix of the last one's")
+        self.field, self.ledgers = field, list(ledgers)
+        self.sites = rng.Sites(coords)  # the seed-free hash words
+        self._quantile = getattr(field, "quantile", None)
+        # per ledger: the saturated local times, and the saturated sites
+        self._packed = [(np.minimum(led.local_times, _SATURATED)
+                         .astype(np.uint64),
+                         np.flatnonzero(led.local_times >= _SATURATED))
+                        for led in ledgers]
+
+    def __call__(self, seed: int) -> list[WeightedEcdf]:
+        """The ECDFs of the field under ``seed``, one per ledger.
+
+        An i.i.d. field's value at a site is quantile(u), and u is the top
+        53 bits of the site's hash word h.  Per ledger the key
+        (h & ~0x7FF) | min(local time, 0x7FF) is sorted: its high bits
+        sort the uniforms and its low bits carry the weights along, with
+        no argsort and no gather.  The last ledger sorts in place in the
+        hash array.  Other fields sort their values (:meth:`from_values`).
+        """
+        if self._quantile is None:
+            return self.from_values(self.field.site_values(seed, self.sites))
+        h = rng.hash_sites(seed, self.sites)
+        ecdfs = []
+        for i, (led, (low, big)) in enumerate(zip(self.ledgers, self._packed)):
+            last = i == len(self.ledgers) - 1  # the largest: it takes h
+            key = (np.bitwise_and(h, _HIGH, out=h) if last
+                   else h[:low.size] & _HIGH)
+            ecdfs.append(self._from_keys(key, led, low, big))
+        return ecdfs
+
+    def _from_keys(self, key: np.ndarray, led: LocalTimeLedger,
+                   low: np.ndarray, big: np.ndarray) -> WeightedEcdf:
+        key |= low
+        if big.size:  # local times of 2047 or more
+            big_times = led.local_times[big][np.argsort(key[big])]
+        key.sort()
+        cs = key & _LOW
+        if big.size:
+            # in key order, as the sorted keys hold them; sites with equal
+            # keys have equal values, so the merge sums them in any order
+            cs[cs == _LOW] = big_times
+        xs = self._quantile(rng.word_uniforms(key))
+        if np.any(xs[1:] < xs[:-1]):  # the quantile is not monotone here
+            # stable sort (timsort): on nearly sorted values about one pass
+            order = np.argsort(xs, kind="stable")
+            xs, cs = xs[order], cs[order]
+        return _merged_ecdf(xs, cs, led.n)
+
+    def from_values(self, x: np.ndarray) -> list[WeightedEcdf]:
+        """The ECDFs of the field values ``x`` at the last ledger's sites:
+        one argsort, and each earlier ledger takes the order restricted to
+        its prefix of the sites."""
         order = np.argsort(x)
         ecdfs = []
-        for led in ledgers:
+        for led in self.ledgers:
             k = led.local_times.size
-            ecdfs.append(weighted_ecdf_from_samples(
-                x, led.local_times, led.n,
-                order if k == x.size else order[order < k]))
-        yield x, ecdfs
+            o = order if k == x.size else order[order < k]
+            ecdfs.append(_merged_ecdf(x[o], led.local_times[o], led.n))
+        return ecdfs
 
 
 def sampled_ecdf(field, field_seed: int, ledger: LocalTimeLedger) -> WeightedEcdf:
     """Empirical cdf of the field along the trajectory in the ledger."""
-    return next(sampled_ecdfs(field, [field_seed], [ledger]))[1][0]
+    return SampledEcdfs(field, [ledger])(field_seed)[0]
 
 
-def weighted_ecdf_from_samples(x: np.ndarray, counts: np.ndarray, n: int,
-                               order: np.ndarray) -> WeightedEcdf:
-    """The ECDF with weight counts[i] / n at x[i] for each i in ``order``,
-    which sorts those values.  Stability is not needed: equal values merge
-    into one atom, whose integer weights sum exactly in any order."""
-    xs, cs = x[order], counts[order]
+def _merged_ecdf(xs: np.ndarray, cs: np.ndarray, n: int) -> WeightedEcdf:
+    """The ECDF with weight cs[i] / n at xs[i], for nondecreasing xs.
+    Equal values merge into one atom, whose integer weights sum exactly in
+    any order."""
     first = np.empty(xs.size, dtype=bool)
     first[0] = True
     np.not_equal(xs[1:], xs[:-1], out=first[1:])
@@ -195,8 +255,11 @@ def mc_fclt(field, source_config, n: int, grid: Sequence[float],
              for rep, seed in enumerate(seeds)))
     ys, sups = [], []
     for led, batch in runs:
-        for x, (ecdf,) in sampled_ecdfs(field, batch, [led]):
+        ecdfs = SampledEcdfs(field, [led])
+        for seed in batch:
+            x = field.site_values(seed, ecdfs.sites)  # the bridge reads x
             ys.append(_bridge(x, led, grid, f))
+            ecdf, = ecdfs.from_values(x)
             dev = sup_deviation(ecdf, field)
             sups.append(dev * led.n / math.sqrt(led.self_intersections))
     ys, sups = np.array(ys), np.array(sups)

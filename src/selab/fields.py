@@ -7,6 +7,15 @@ revisits always see the same value.  Each law gives ``cdf``, and
 ``cdf_left`` its left limit F(s-): that differs from F(s) only at the atoms
 of a discrete law, and a continuous law returns ``None`` for it.
 
+An i.i.d. field also gives ``quantile(u)``, and its value at a site is
+``quantile(rng.site_uniforms(seed, site))``: one uniform per site.  The
+quantile is nondecreasing in u up to rounding, not exactly: ``ndtri`` is
+not monotone at float resolution, and a discrete law keeps its atoms in
+the order given.  A caller that sorts sites by u (``empirical``) checks the
+values it gets for order and repairs them with one stable sort.  The
+moving-average field mixes several uniforms per site, so it has no
+``quantile`` and gives ``site_values`` itself.
+
 Gaussian values and cdfs come from ``scipy.special`` (``ndtri``, ``ndtr``),
 imported where they are evaluated: importing the package loads no scipy.
 """
@@ -24,7 +33,10 @@ from . import rng
 
 class _Field:
     """Defaults for a continuous law, i.i.d. over sites; a subclass gives
-    ``site_values``, ``cdf`` and ``variance``."""
+    ``quantile`` (or ``site_values``), ``cdf`` and ``variance``."""
+
+    def site_values(self, seed: int, sites) -> np.ndarray:
+        return self.quantile(rng.site_uniforms(seed, sites))
 
     def cdf_left(self, s) -> np.ndarray | None:
         return None  # continuous: F(s-) = F(s)
@@ -37,8 +49,8 @@ class _Field:
 class UniformField(_Field):
     """I.i.d. Uniform[0, 1) values."""
 
-    def site_values(self, seed: int, sites) -> np.ndarray:
-        return rng.site_uniforms(seed, sites)
+    def quantile(self, u: np.ndarray) -> np.ndarray:
+        return u
 
     def cdf(self, s) -> np.ndarray:
         return np.clip(np.asarray(s, dtype=np.float64), 0.0, 1.0)
@@ -59,9 +71,8 @@ class GaussianField(_Field):
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
 
-    def site_values(self, seed: int, sites) -> np.ndarray:
+    def quantile(self, u: np.ndarray) -> np.ndarray:
         from scipy.special import ndtri
-        u = rng.site_uniforms(seed, sites)
         # keep inverse-cdf input strictly inside (0, 1)
         u = np.clip(u, 2.0**-53, 1.0 - 2.0**-53)
         return self.mu + self.sigma * ndtri(u)
@@ -93,8 +104,7 @@ class DiscreteField(_Field):
             raise ValueError("duplicate atom values")
         object.__setattr__(self, "atoms", atoms)
 
-    def site_values(self, seed: int, sites) -> np.ndarray:
-        u = rng.site_uniforms(seed, sites)
+    def quantile(self, u: np.ndarray) -> np.ndarray:
         cum = np.cumsum([p for _, p in self.atoms])
         cum[-1] = 1.0
         vals = np.array([v for v, _ in self.atoms])

@@ -75,6 +75,12 @@ def uniforms(seed: int, count: int, offset: int = 0) -> np.ndarray:
     """Vector of uniforms ``[uniform_at(seed, offset + i) for i < count]``."""
     idx = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
     h = mix64_array(np.uint64(seed & MASK64) + idx * _U_GAMMA)
+    return word_uniforms(h)
+
+
+def word_uniforms(h: np.ndarray) -> np.ndarray:
+    """The uniform (h >> 11) * 2^-53 in [0, 1) of each uint64 word of h:
+    its top 53 bits, so the low 11 bits are free to carry other data."""
     return (h >> _U11).astype(np.float64) * _INV53
 
 
@@ -129,4 +135,4 @@ def hash_sites(seed: int, sites) -> np.ndarray:
 
 def site_uniforms(seed: int, sites) -> np.ndarray:
     """Uniforms in [0, 1), one per site, keyed purely by (seed, site)."""
-    return (hash_sites(seed, sites) >> _U11).astype(np.float64) * _INV53
+    return word_uniforms(hash_sites(seed, sites))

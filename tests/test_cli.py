@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from selab import cli, rotation, sources
+from selab import cli, rng, rotation, sources
 from selab.cli import PlanError, main, parse_plan, run_plan, run_selftest
 
 
@@ -402,6 +402,35 @@ def test_cli_gc_threads_deterministic(tmp_path):
         run_plan(plan, tmp_path / name, threads=threads)
         outs.append((tmp_path / name / "gc.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_gc_threads_share_one_build_of_the_sites(tmp_path, monkeypatch):
+    # the prefix check, the sites' hash words and the packed local times
+    # are built once per run and read by every thread, not once per thread
+    plan_obj = {"experiment": "gc",
+                "source": {"variant": "rw", "simple": 3, "seed": 6},
+                "field": {"variant": "uniform"}, "n": 20000,
+                "checkpoints": [200, 2000, 20000], "replicates": 10,
+                "seed_base": 3}
+    built, init = [], rng.Sites.__init__
+    monkeypatch.setattr(rng.Sites, "__init__",
+                        lambda sites, coords: built.append(1)
+                        or init(sites, coords))
+    outs = []
+    for threads in (1, 2):
+        built.clear()
+        summary, _ = run_plan(parse_plan(json.dumps(plan_obj)),
+                              tmp_path / str(threads), threads=threads)
+        assert len(built) == 1
+        outs.append((tmp_path / str(threads) / "gc.csv").read_bytes())
+    assert outs[0] == outs[1]
+    # problem sizes, against np.unique over the trajectory
+    coords = sources.generate(parse_plan(json.dumps(plan_obj))["_source"],
+                              20000)
+    counts = [np.unique(coords[:c], axis=0, return_counts=True)[1]
+              for c in plan_obj["checkpoints"]]
+    assert summary["distinct_sites"] == [len(c) for c in counts]
+    assert summary["max_local_time"] == int(counts[-1].max())
 
 
 def test_rw_asym_slopes_fit_each_replicates_rows(tmp_path):

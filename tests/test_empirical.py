@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from selab import (ExplicitSource, LocalTimeLedger, RandomWalkSource,
                    bridge_values, generate, ledger_covariance, mc_fclt,
                    sampled_ecdf, simple_walk, sup_deviation, trajectory_stats)
-from selab import empirical, rng
+from selab import cli, empirical, rng
+from selab.cli import parse_plan
 from selab.empirical import WeightedEcdf
 from selab.fields import (DiscreteField, GaussianField, MovingAverageField,
                           UniformField)
@@ -170,6 +172,9 @@ def test_lil_margins_bounded_walk():
 
 ORACLE_FIELDS = [UniformField(), GaussianField(0.5, 2.0),
                  DiscreteField([(0.0, 0.3), (1.0, 0.5), (2.5, 0.2)]),
+                 # decreasing atoms: the quantile of sorted uniforms is not
+                 # sorted, and the key route must repair the order
+                 DiscreteField([(2.5, 0.2), (1.0, 0.5), (0.0, 0.3)]),
                  MovingAverageField([1.0, 0.5, 0.25])]
 
 
@@ -212,8 +217,8 @@ def test_batched_sup_deviations_match_per_checkpoint_oracle(d, field,
     leds = [LocalTimeLedger.from_trajectory(coords[:c]) for c in cps]
     seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=1,
                                max_size=6))
-    got = [[sup_deviation(e, field) for e in ecdfs]
-           for _, ecdfs in empirical.sampled_ecdfs(field, seeds, leds)]
+    ecdfs = empirical.SampledEcdfs(field, leds)
+    got = [[sup_deviation(e, field) for e in ecdfs(s)] for s in seeds]
     assert got == [[_oracle_sup(field, s, coords[:c]) for c in cps]
                    for s in seeds]
 
@@ -232,8 +237,8 @@ def test_sampled_ecdfs_builds_the_words_once(monkeypatch):
                         lambda *a: calls.append("mix") or mix(*a))
     monkeypatch.setattr(rng, "hash_sites",
                         lambda *a: calls.append("hash") or hash_sites(*a))
-    got = [[sup_deviation(e, field) for e in ecdfs]
-           for _, ecdfs in empirical.sampled_ecdfs(field, seeds, leds)]
+    ecdfs = empirical.SampledEcdfs(field, leds)
+    got = [[sup_deviation(e, field) for e in ecdfs(s)] for s in seeds]
     assert calls == ["mix"] * d + (["hash"] + ["mix"] * (d + 1)) * len(seeds)
     monkeypatch.undo()
     assert got == [[_oracle_sup(field, s, coords[:c]) for c in cps]
@@ -263,3 +268,51 @@ def test_batched_fclt_matches_per_replicate_oracle(d, field, walk_seed, n,
     mean = ys.mean(axis=0)
     assert np.array_equal(res.sup_sample, sups)
     assert np.array_equal(res.cov, ys.T @ ys / 100 - np.outer(mean, mean))
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS)
+def test_local_times_past_the_key_bits_match_the_oracle(field):
+    # a key holds min(local time, 2047) in its low 11 bits; three sites are
+    # held for 3000, 2047 and 2500 steps, so they take the sentinel, and
+    # the sorted keys must hand them their true local times in key order
+    walk = generate(RandomWalkSource(simple_walk(2), 4), 600)
+    coords = np.concatenate([walk[:200], np.repeat(walk[199:200], 3000, 0),
+                             walk[200:400], np.repeat(walk[399:400], 2047, 0),
+                             walk[400:], np.repeat(walk[10:11], 2500, 0)])
+    cps = (150, 3300, len(coords) - 2500, len(coords))
+    leds = [LocalTimeLedger.from_trajectory(coords[:c]) for c in cps]
+    assert leds[-1].max_count >= 3000
+    ecdfs = empirical.SampledEcdfs(field, leds)
+    for seed in range(12):
+        got = ecdfs(seed)
+        assert [sup_deviation(e, field) for e in got] == \
+            [_oracle_sup(field, seed, coords[:c]) for c in cps]
+        # the key route and the value route give the same atoms, bit for bit
+        by_values = ecdfs.from_values(field.site_values(seed, ecdfs.sites))
+        assert all(np.array_equal(a.values, b.values)
+                   and np.array_equal(a.weights, b.weights)
+                   for a, b in zip(got, by_values))
+
+
+@pytest.mark.parametrize("field", [{"variant": "uniform"},
+                                   {"variant": "gaussian", "sigma": 2.0},
+                                   {"variant": "discrete",
+                                    "atoms": [[0, 0.3], [1, 0.7]]}])
+def test_gc_on_an_iid_field_sorts_keys_not_values(field, monkeypatch):
+    # an i.i.d. field's ECDFs come from sorted hash keys: no site-order
+    # values are built and no float array is argsorted
+    plan = parse_plan(json.dumps({
+        "experiment": "gc", "source": {"variant": "rw", "simple": 3,
+                                       "seed": 2},
+        "field": field, "n": 5000, "checkpoints": [50, 500, 5000],
+        "replicates": 5, "seed_base": 1}))
+    calls = []
+    argsort, site_values = np.argsort, type(plan["_field"]).site_values
+    monkeypatch.setattr(np, "argsort", lambda a, *args, **kw: calls.append(
+        np.asarray(a).dtype.kind) or argsort(a, *args, **kw))
+    monkeypatch.setattr(type(plan["_field"]), "site_values",
+                        lambda *a: calls.append("site_values")
+                        or site_values(*a))
+    rows = cli._run_gc(plan, 1)[0]["gc.csv"][1]
+    assert len(rows) == 15
+    assert "site_values" not in calls and "f" not in calls
