@@ -309,6 +309,7 @@ def _run_gc(plan, threads):
     summary = {"final_sup_deviation_max": max(row[-1] for row in devs),
                "replicates_improved": improved,
                "distinct_sites": [led.range_card for led in leds],
+               "hash_prefixes": ecdfs.sites.prefixes,
                "max_local_time": leds[-1].max_count,
                "op": "empirical.sup_deviation"}
     checks = {"decay": improved >= math.ceil(0.9 * reps)}
@@ -417,8 +418,9 @@ def run_selftest() -> dict:
     and the exact rational Sigma M_k / k^2, the local-time kernel through
     the rank pre-step of its key sort, convergent quality, the grid
     Parseval identity, the axis-split return series against the Fourier
-    grid, the two-limb rotation orbit against the 128-bit scalar loop, and
-    the replicate-batched field analyzers against one replicate at a time."""
+    grid, the two-limb rotation orbit against the 128-bit scalar loop, the
+    prefix-grouped site hash against the flat one, and the
+    replicate-batched field analyzers against one replicate at a time."""
     results = {}
     ok = True
     for trial in range(20):
@@ -458,6 +460,7 @@ def run_selftest() -> dict:
             - spectral._grid_probs(law, 30, want)))))
     results["return_series"] = rs_err <= 1e-15
     results["source_blocks"] = _selftest_source_blocks()
+    results["site_hash"] = _selftest_site_hash()
     results["field_batches"] = _selftest_field_batches()
     results["ok"] = all(results.values())
     return results
@@ -473,6 +476,19 @@ def _selftest_local_times(n: int = 300) -> bool:
     v, m, counts = ledger.brute_force_stats(coords)
     return (int(np.sum(2 * occ - 1)), int(occ.max())) == (v, m) and list(
         zip(map(tuple, sites.tolist()), times.tolist())) == list(counts.items())
+
+
+def _selftest_site_hash(n: int = 3000) -> bool:
+    """A d = 3 walk's ``rng.Sites``, which hashes each distinct
+    (x, y)-prefix once per seed, against the flat fold of the raw
+    coordinates under a few seeds."""
+    coords = sources.generate(
+        sources.RandomWalkSource(sources.simple_walk(3), 31), n)
+    sites = rng.Sites(coords)
+    return sites.prefixes < n and all(
+        np.array_equal(rng.hash_sites(seed, sites),
+                       rng.hash_sites(seed, coords))
+        for seed in (0, 1, rng.derive(7, "field", 0), rng.MASK64))
 
 
 def _selftest_field_batches() -> bool:

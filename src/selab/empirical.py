@@ -11,16 +11,17 @@ F(min(s, t)) - F(s) F(t).
 
 Replicates (field seeds) go through one batched path, :class:`SampledEcdfs`:
 built once over nested checkpoint ledgers, it holds the sites' seed-free
-hash words (:class:`rng.Sites`) and the packed local times, and each seed
-then finishes the hash (d + 1 mixer passes per site on Z^d).  For an
-i.i.d. field, whose value at a site is ``quantile(u)`` of the site's one
-uniform u, each ledger sorts one uint64 key per site: u's 53 bits above
-the local time's 11, saturated at 0x7FF, whose sites take their true local
-times after the sort.  The quantile of the sorted uniforms is nondecreasing
-up to rounding (see :mod:`fields`); where it is not, one stable sort of the
-values repairs the order.  A field without ``quantile`` (the moving
-average) sorts its values once, and the earlier ledgers restrict that order
-to their prefix of the sites.  Either way equal values merge into one atom.
+hash words (:class:`rng.Sites`, grouped by their first d - 1 coordinates)
+and the packed local times, and each seed then finishes the hash: d - 1
+mixer passes over the distinct prefixes, one gather and 2 passes over the
+sites on Z^d.  For an i.i.d. field, whose value at a site is
+``quantile(u)`` of the site's one uniform u, each ledger sorts one uint64
+key per site: u's 53 bits above the local time's 11, saturated at 0x7FF,
+whose sites take their true local times after the sort.  The quantile of
+the sorted uniforms is nondecreasing up to rounding (see :mod:`fields`);
+where it is not, one stable sort of the values repairs the order.  A field
+without ``quantile`` (the moving average) sorts its values once, and the
+earlier ledgers restrict that order to their prefix of the sites.  Either way equal values merge into one atom.
 The ``gc`` runner maps one object over its seeds; :func:`mc_fclt`, whose
 bridge reads the values in site order, takes the value route, and
 :func:`sampled_ecdf` is the one-seed, one-ledger call.
@@ -127,11 +128,11 @@ class SampledEcdfs:
         if big.size:  # local times of 2047 or more
             big_times = led.local_times[big][np.argsort(key[big])]
         key.sort()
-        cs = key & _LOW
+        cs = (key & _LOW).view(np.int64)  # below 2^11: the same values
         if big.size:
             # in key order, as the sorted keys hold them; sites with equal
             # keys have equal values, so the merge sums them in any order
-            cs[cs == _LOW] = big_times
+            cs[cs == _SATURATED] = big_times
         xs = self._quantile(rng.word_uniforms(key))
         if np.any(xs[1:] < xs[:-1]):  # the quantile is not monotone here
             # stable sort (timsort): on nearly sorted values about one pass
@@ -158,9 +159,9 @@ def sampled_ecdf(field, field_seed: int, ledger: LocalTimeLedger) -> WeightedEcd
 
 
 def _merged_ecdf(xs: np.ndarray, cs: np.ndarray, n: int) -> WeightedEcdf:
-    """The ECDF with weight cs[i] / n at xs[i], for nondecreasing xs.
-    Equal values merge into one atom, whose integer weights sum exactly in
-    any order."""
+    """The ECDF with weight cs[i] / n at xs[i], for nondecreasing xs and
+    int64 weights cs.  Equal values merge into one atom, whose integer
+    weights sum exactly in any order."""
     first = np.empty(xs.size, dtype=bool)
     first[0] = True
     np.not_equal(xs[1:], xs[:-1], out=first[1:])
@@ -182,11 +183,12 @@ def sup_deviation(ecdf: WeightedEcdf, field) -> float:
     F(v-) - F_n(v-)).  F(v-) is F(v) unless the law has an atom at v.
     """
     cum = ecdf.cumulative()
-    below = np.concatenate([[0.0], cum[:-1]])
     f = field.cdf(ecdf.values)
     left = field.cdf_left(ecdf.values)
-    return float(np.maximum(cum - f,
-                            (f if left is None else left) - below).max())
+    left = f if left is None else left
+    # F(v-) - F_n(v-) at the jumps after the first; at the first F_n(v-) = 0
+    below = (left[1:] - cum[:-1]).max(initial=left[0])
+    return float(max(np.subtract(cum, f, out=cum).max(), below))
 
 
 def bridge_values(field, field_seed: int, ledger: LocalTimeLedger,

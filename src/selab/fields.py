@@ -29,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
+from .ledger import _as_coords
 
 
 class _Field:
@@ -164,8 +165,8 @@ class MovingAverageField(_Field):
 
     def site_values(self, seed: int, sites) -> np.ndarray:
         from scipy.special import ndtri
-        sites = rng.Sites.of(sites)
-        coords = sites.coords
+        coords = (sites.coords if isinstance(sites, rng.Sites)
+                  else _as_coords(sites))
         inner = rng.derive(seed, "innovations")
         out = np.zeros(coords.shape[0])
         shifted = coords.copy()

@@ -5,11 +5,18 @@ an integer counter (or a lattice site), computed with a splitmix64-style bit
 mixer.  That makes replicate streams splittable without coordination and lets
 site-keyed values be evaluated lazily, in any order, on scalars or numpy
 arrays.
+
+A site's hash folds its coordinates in axis order, so a site set hashed
+under many seeds (:class:`Sites`) is grouped once by its first d - 1
+coordinates: per seed the hash then costs d - 1 mixer passes over the
+distinct prefixes, one gather and 2 passes over the sites.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .ledger import _as_coords, pack_sites, sort_keys
 
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -80,8 +87,11 @@ def uniforms(seed: int, count: int, offset: int = 0) -> np.ndarray:
 
 def word_uniforms(h: np.ndarray) -> np.ndarray:
     """The uniform (h >> 11) * 2^-53 in [0, 1) of each uint64 word of h:
-    its top 53 bits, so the low 11 bits are free to carry other data."""
-    return (h >> _U11).astype(np.float64) * _INV53
+    its top 53 bits, so the low 11 bits are free to carry other data.  The
+    shifted words are below 2^53, so their int64 view converts exactly."""
+    u = (h >> _U11).view(np.int64).astype(np.float64)
+    u *= _INV53
+    return u
 
 
 def _axis_words(column: np.ndarray, j: int) -> np.ndarray:
@@ -91,25 +101,45 @@ def _axis_words(column: np.ndarray, j: int) -> np.ndarray:
                        + np.uint64((j + 1) * _GAMMA & MASK64))
 
 
-class Sites:
-    """Lattice sites with their seed-free coordinate words.
+def _fold(h: np.ndarray, words) -> np.ndarray:
+    """Fold each word array into the state h in place: h = mix64(h ^ w)."""
+    for w in words:
+        h ^= w
+        mix64_array(h)
+    return h
 
-    :func:`hash_sites` mixes the word mix64(c_j + (j + 1) * gamma) of each
-    coordinate c_j into a seed-keyed state.  No word depends on the seed,
-    so a caller hashing one site set under many seeds wraps the (n, d)
-    int64 coordinates (a 1-d array is n sites of Z) once and the words are
-    computed once.
+
+class Sites:
+    """Lattice sites, grouped for hashing under many seeds.
+
+    :func:`hash_sites` folds the seed-free word mix64(c_j + (j + 1) * gamma)
+    of each coordinate c_j into a seed-keyed state, axis 0 first, so sites
+    that share their first d - 1 coordinates share the first d - 1 folds.
+    Built once per site set from the (n, d) int64 coordinates (a 1-d array
+    is n sites of Z): the sites are grouped by that prefix through
+    :func:`ledger.sort_keys`; ``head`` holds the d - 1 prefix axes' words at
+    the ``prefixes`` distinct prefixes, ``prefix`` each site's prefix index
+    and ``last`` each site's last-axis word.  No word depends on the seed.
     """
 
     def __init__(self, coords):
-        coords = np.asarray(coords, dtype=np.int64)
-        self.coords = coords[:, None] if coords.ndim == 1 else coords
-        self.words = [_axis_words(self.coords[:, j], j)
-                      for j in range(self.coords.shape[1])]
-
-    @classmethod
-    def of(cls, sites) -> "Sites":
-        return sites if isinstance(sites, cls) else cls(sites)
+        self.coords = _as_coords(coords)
+        n, d = self.coords.shape
+        head = self.coords[:, :-1]
+        if n and d > 1:
+            order, key = sort_keys(pack_sites(head)[0])
+            new = np.empty(n, dtype=bool)
+            new[0] = True
+            np.not_equal(key[1:], key[:-1], out=new[1:])
+            self.prefix = np.empty(n, dtype=np.int64)
+            self.prefix[order] = np.cumsum(new) - 1
+            head = head[order[new]]
+        else:  # d = 1 or no sites: the sites, if any, share one prefix
+            self.prefix = np.zeros(n, dtype=np.int64)
+            head = head[:min(n, 1)]
+        self.prefixes = head.shape[0]
+        self.head = [_axis_words(head[:, j], j) for j in range(d - 1)]
+        self.last = _axis_words(self.coords[:, -1], d - 1)
 
     def __len__(self) -> int:
         return self.coords.shape[0]
@@ -120,17 +150,22 @@ def hash_sites(seed: int, sites) -> np.ndarray:
 
     From h = mix64(seed ^ gamma), each axis j's word w_j (see
     :class:`Sites`) is folded in as h = mix64(h ^ w_j), and the result is
-    mix64(h): d + 1 in-place mixer passes over one state array.  ``sites``
-    is a :class:`Sites` or an array of coordinates, wrapped on the fly.
-    Pure in (seed, coordinates): the same site always hashes to the same
-    word no matter how or when it is visited.
+    mix64(h).  A :class:`Sites` runs the d - 1 prefix folds once per
+    distinct prefix, gathers them to the sites and runs the last fold and
+    the final mix there: (d - 1) P + 2 n mixed words for P prefixes.  An
+    array of coordinates is hashed flat, d + 1 passes over the sites after
+    their d word passes.  Pure in (seed, coordinates): the same site always
+    hashes to the same word no matter how or when it is visited.
     """
-    sites = Sites.of(sites)
-    h = np.full(len(sites), mix64(seed ^ _GAMMA), dtype=np.uint64)
-    for w in sites.words:
-        h ^= w
-        mix64_array(h)
-    return mix64_array(h)
+    h0 = mix64(seed ^ _GAMMA)
+    if isinstance(sites, Sites):
+        head = _fold(np.full(sites.prefixes, h0, dtype=np.uint64), sites.head)
+        h, words = head[sites.prefix], [sites.last]
+    else:
+        coords = _as_coords(sites)
+        h = np.full(coords.shape[0], h0, dtype=np.uint64)
+        words = (_axis_words(coords[:, j], j) for j in range(coords.shape[1]))
+    return mix64_array(_fold(h, words))
 
 
 def site_uniforms(seed: int, sites) -> np.ndarray:

@@ -299,8 +299,8 @@ def _law_block(law: StepDistribution, seed: int):
     support = law.support()
     # rng.uniforms is looked up per call, so wrappers installed on it see
     # every draw
-    return lambda offset, count: support[
-        law.sample_indices(rng.uniforms(seed, count, offset))]
+    return lambda offset, count: np.take(
+        support, law.sample_indices(rng.uniforms(seed, count, offset)), axis=0)
 
 
 def _window_block(config: WindowFunctional):

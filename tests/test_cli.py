@@ -431,6 +431,8 @@ def test_gc_threads_share_one_build_of_the_sites(tmp_path, monkeypatch):
               for c in plan_obj["checkpoints"]]
     assert summary["distinct_sites"] == [len(c) for c in counts]
     assert summary["max_local_time"] == int(counts[-1].max())
+    sites = np.unique(coords, axis=0)
+    assert summary["hash_prefixes"] == len(np.unique(sites[:, :-1], axis=0))
 
 
 def test_rw_asym_slopes_fit_each_replicates_rows(tmp_path):
@@ -498,6 +500,7 @@ def test_selftest_passes():
     assert results["local_times"]
     assert results["return_series"]
     assert results["source_blocks"]
+    assert results["site_hash"]
     assert results["field_batches"]
 
 

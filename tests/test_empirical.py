@@ -224,25 +224,44 @@ def test_batched_sup_deviations_match_per_checkpoint_oracle(d, field,
 
 
 def test_sampled_ecdfs_builds_the_words_once(monkeypatch):
-    # the sites' seed-free coordinate words are mixed once per call; each
-    # seed then costs d + 1 mixer passes: d seed-keyed folds and the last mix
+    # the sites' seed-free coordinate words are mixed once per call: the
+    # d - 1 prefix axes at the P distinct (d - 1)-prefixes, the last axis at
+    # the n sites.  Each seed then mixes (d - 1) P + 2 n words: the d - 1
+    # seed-keyed prefix folds, then the last fold and the final mix
     d, cps = 3, (30, 300, 3000)
     coords = generate(RandomWalkSource(simple_walk(d), 11), cps[-1])
     leds = [LocalTimeLedger.from_trajectory(coords[:c]) for c in cps]
     seeds = [rng.derive(2, "field", rep) for rep in range(40)]
     field = UniformField()
+    sites = np.unique(coords, axis=0)
+    n, p = len(sites), len(np.unique(sites[:, :-1], axis=0))
+    assert p < n
     calls = []
     mix, hash_sites = rng.mix64_array, rng.hash_sites
     monkeypatch.setattr(rng, "mix64_array",
-                        lambda *a: calls.append("mix") or mix(*a))
+                        lambda z: calls.append(z.size) or mix(z))
     monkeypatch.setattr(rng, "hash_sites",
                         lambda *a: calls.append("hash") or hash_sites(*a))
     ecdfs = empirical.SampledEcdfs(field, leds)
     got = [[sup_deviation(e, field) for e in ecdfs(s)] for s in seeds]
-    assert calls == ["mix"] * d + (["hash"] + ["mix"] * (d + 1)) * len(seeds)
+    assert calls == ([p] * (d - 1) + [n]
+                     + (["hash"] + [p] * (d - 1) + [n, n]) * len(seeds))
     monkeypatch.undo()
     assert got == [[_oracle_sup(field, s, coords[:c]) for c in cps]
                    for s in seeds]
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS)
+def test_one_atom_ecdf_sup_is_exact(field):
+    # one site: F_n jumps from 0 to 1 at its value v, so the sup is
+    # max(1 - F(v), F(v-)) exactly
+    for led in (make_ledger([(4, -2)]), make_ledger([(4, -2)] * 5)):
+        e = sampled_ecdf(field, 17, led)
+        assert e.weights.tolist() == [1.0]
+        f = field.cdf(e.values)[0]
+        left = field.cdf_left(e.values)
+        assert sup_deviation(e, field) == max(
+            1.0 - f, f if left is None else left[0])
 
 
 @settings(max_examples=12, deadline=None)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from selab import rng
 
@@ -73,15 +73,28 @@ coordinate = st.one_of(st.integers(I64.min, I64.max),
                                         I64.max - 1, I64.max]))
 
 
-@given(st.integers(1, 4).flatmap(lambda d: st.lists(
-           st.lists(coordinate, min_size=d, max_size=d), min_size=1,
-           max_size=6)),
-       st.integers(0, 2**64 - 1))
-def test_hash_sites_matches_scalar_mix_composition(sites, seed):
-    # coordinates as an array, and as precomputed words hashed twice
-    # (int64 wraparound is the mixer's mod 2^64)
-    coords = np.array(sites, dtype=np.int64)
+def _sites(d: int):
+    """(d, up to 60 sites of Z^d) whose coordinates come from a pool of at
+    most 3 values, so that sites share their (d - 1)-prefixes."""
+    return st.lists(coordinate, min_size=1, max_size=3).flatmap(
+        lambda pool: st.tuples(st.just(d), st.lists(
+            st.lists(st.sampled_from(pool), min_size=d, max_size=d),
+            max_size=60)))
+
+
+@given(st.integers(1, 4).flatmap(_sites), st.integers(0, 2**64 - 1))
+@example((3, []), 5)  # no sites
+# a prefix spread past 2^62: pack_sites packs the dense ranks
+@example((3, [[I64.min, 0, 5], [I64.max, 0, 5], [I64.min, 0, 6],
+              [I64.max, -1, 5]]), 7)
+def test_hash_sites_matches_scalar_mix_composition(d_sites, seed):
+    # coordinates as an array (the flat fold), and as Sites grouped by
+    # their (d - 1)-prefixes, hashed twice (int64 wraparound is the
+    # mixer's mod 2^64)
+    d, sites = d_sites
+    coords = np.array(sites, dtype=np.int64).reshape(len(sites), d)
     words = rng.Sites(coords)
+    assert words.prefixes == len({tuple(site[:-1]) for site in sites})
     want = [_scalar_hash(seed, site) for site in sites]
     for route in (coords, words, words):  # the words serve any number of seeds
         assert [int(h) for h in rng.hash_sites(seed, route)] == want
