@@ -501,21 +501,21 @@ def _selftest_field_batches() -> bool:
     moving-average one, and a discrete law listed in decreasing order, whose
     values the key sort must repair), over a walk and over the same walk
     held at one site for 2600 steps, a local time past the key's 11 bits;
-    fclt covariances and sups on the uniform and discrete fields, against
-    ``bridge_values`` per replicate."""
+    fclt covariances and sups on the uniform and discrete fields, with the
+    bridge n (F_n(s) - F(s)) / sqrt(V_n) read off the same ECDFs."""
     src = sources.RandomWalkSource(sources.simple_walk(2), 21)
     traj = sources.generate(src, 3000)
     held = np.concatenate([traj[:400], np.repeat(traj[399:400], 2600, axis=0)])
 
-    def sup(field, seed, n, traj=traj):  # (sup |F_n - F|, V_n), first n steps
+    def ecdf(field, seed, n, traj=traj):  # (F_n, sqrt V_n), first n steps
         sites, counts = np.unique(traj[:n], axis=0, return_counts=True)
         x = field.site_values(seed, sites)
         order = np.argsort(x, kind="stable")
         xs = x[order]
         new = np.concatenate([[True], xs[1:] != xs[:-1]])
         w = np.bincount(np.cumsum(new) - 1, weights=counts[order]) / n
-        ecdf = empirical.WeightedEcdf(values=xs[new], weights=w)
-        return empirical.sup_deviation(ecdf, field), int(counts @ counts)
+        return (empirical.WeightedEcdf(values=xs[new], weights=w),
+                math.sqrt(counts @ counts))
 
     seeds = [rng.derive(5, "field", rep) for rep in range(100)]
     iid = (UniformField(), DiscreteField([(0, 0.5), (1, 0.2), (2, 0.3)]))
@@ -528,20 +528,22 @@ def _selftest_field_batches() -> bool:
             plan = {"_source": walk, "_field": field, "n": 3000,
                     "_checkpoints": [30, 300, 3000], "replicates": 7,
                     "seed_base": 5}
-            rows = [(rep, c, sup(field, seed, c, coords)[0])
+            rows = [(rep, c, empirical.sup_deviation(
+                        ecdf(field, seed, c, coords)[0], field))
                     for rep, seed in enumerate(seeds[:7])
                     for c in (30, 300, 3000)]
             ok = ok and _run_gc(plan, 1)[0]["gc.csv"][1] == rows
-    led = _checkpoint_ledgers(sources.cursor(src), [3000])[0]
+    grid = np.array([0.5, 1.0])
     for field in iid:
-        res = empirical.mc_fclt(field, src, 3000, [0.5, 1.0], 100, 5)
-        ys = np.array([empirical.bridge_values(field, seed, led, res.grid)
-                       for seed in seeds])
+        res = empirical.mc_fclt(field, src, 3000, grid, 100, 5)
+        fits = [ecdf(field, seed, 3000) for seed in seeds]
+        ys = np.array([(e(grid) - field.cdf(grid)) * 3000 / root_v
+                       for e, root_v in fits])
+        sups = [empirical.sup_deviation(e, field) * 3000 / root_v
+                for e, root_v in fits]
+        p = (ys[:, :, None] * ys[:, None, :]).sum(axis=0)
         mean = ys.mean(axis=0)
-        sups = [dev * 3000 / math.sqrt(v)
-                for dev, v in (sup(field, seed, 3000) for seed in seeds)]
-        ok = (ok and np.array_equal(res.cov,
-                                    ys.T @ ys / 100 - np.outer(mean, mean))
+        ok = (ok and np.array_equal(res.cov, p / 100 - np.outer(mean, mean))
               and res.sup_sample.tolist() == sups)
     return ok
 

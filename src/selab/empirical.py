@@ -21,9 +21,10 @@ whose sites take their true local times after the sort.  The quantile of
 the sorted uniforms is nondecreasing up to rounding (see :mod:`fields`);
 where it is not, one stable sort of the values repairs the order.  A field
 without ``quantile`` (the moving average) sorts its values once, and the
-earlier ledgers restrict that order to their prefix of the sites.  Either way equal values merge into one atom.
-The ``gc`` runner maps one object over its seeds; :func:`mc_fclt`, whose
-bridge reads the values in site order, takes the value route, and
+earlier ledgers restrict that order to their prefix of the sites.  Either
+way equal values merge into one atom.  The ``gc`` runner and
+:func:`mc_fclt` map one object over their seeds, and :func:`mc_fclt` reads
+its bridge n (F_n - F) / sqrt(V_n) off the ECDF it takes the sup of;
 :func:`sampled_ecdf` is the one-seed, one-ledger call.
 """
 
@@ -194,17 +195,15 @@ def sup_deviation(ecdf: WeightedEcdf, field) -> float:
 def bridge_values(field, field_seed: int, ledger: LocalTimeLedger,
                   grid: Sequence[float]) -> np.ndarray:
     """Y_n on the grid for one field realization over the fixed ledger."""
-    coords, _ = ledger_arrays(ledger)
     grid = np.asarray(grid, dtype=np.float64)
-    return _bridge(field.site_values(field_seed, coords), ledger, grid,
+    return _bridge(sampled_ecdf(field, field_seed, ledger), ledger, grid,
                    field.cdf(grid))
 
 
-def _bridge(x: np.ndarray, ledger: LocalTimeLedger, grid: np.ndarray,
+def _bridge(ecdf: WeightedEcdf, ledger: LocalTimeLedger, grid: np.ndarray,
             f: np.ndarray) -> np.ndarray:
-    indic = (x[:, None] <= grid[None, :]).astype(np.float64)
-    num = ledger.local_times @ (indic - f[None, :])
-    return num / math.sqrt(ledger.self_intersections)
+    """Y_n = n (F_n - F) / sqrt(V_n), in the sup's order of operations."""
+    return (ecdf(grid) - f) * ledger.n / math.sqrt(ledger.self_intersections)
 
 
 def ledger_covariance(field, ledger: LocalTimeLedger,
@@ -259,21 +258,19 @@ def mc_fclt(field, source_config, n: int, grid: Sequence[float],
     for led, batch in runs:
         ecdfs = SampledEcdfs(field, [led])
         for seed in batch:
-            x = field.site_values(seed, ecdfs.sites)  # the bridge reads x
-            ys.append(_bridge(x, led, grid, f))
-            ecdf, = ecdfs.from_values(x)
+            ecdf, = ecdfs(seed)
+            ys.append(_bridge(ecdf, led, grid, f))
             dev = sup_deviation(ecdf, field)
             sups.append(dev * led.n / math.sqrt(led.self_intersections))
     ys, sups = np.array(ys), np.array(sups)
 
-    mean = ys.mean(axis=0)
-    cov = ys.T @ ys / replicates - np.outer(mean, mean)
-
-    # delete-one jackknife for every covariance entry
+    # covariance and delete-one jackknife from sums, with no BLAS product
     r = replicates
     s1 = ys.sum(axis=0)
     prods = ys[:, :, None] * ys[:, None, :]
     p = prods.sum(axis=0)
+    mean = s1 / r
+    cov = p / r - np.outer(mean, mean)
     theta_i = ((p[None] - prods) / (r - 1)
                - ((s1[None, :, None] - ys[:, :, None])
                   * (s1[None, None, :] - ys[:, None, :])) / (r - 1) ** 2)

@@ -546,7 +546,7 @@ def transient_variance_report(dist: StepDistribution, field, n: int,
         i, j = series.lags.index(lag), series.lags.index(tuple(-x for x in lag))
         tail_bound += abs(c) * float(series.tails[i] + series.tails[j])
         finite += c * (all(x == 0 for x in lag)
-                       + float(weights @ (probs[i] + probs[j])))
+                       + math.fsum(weights * (probs[i] + probs[j])))
     vals = np.empty(replicates)
     for rep in range(replicates):
         cfg = RandomWalkSource(dist, rng.derive(seed_base, "walk", rep))

@@ -178,31 +178,35 @@ ORACLE_FIELDS = [UniformField(), GaussianField(0.5, 2.0),
                  MovingAverageField([1.0, 0.5, 0.25])]
 
 
-def _oracle_sup(field, seed, coords) -> float:
-    """sup |F_n - F| from scratch: np.unique local times, values hashed
-    per site, a stable sort and atoms summed by bincount."""
+def _oracle_ecdf(field, seed, coords):
+    """F_n from scratch, as (atoms, F_n at the atoms): np.unique local
+    times, values hashed per site, a stable sort and atoms summed by
+    bincount."""
     sites, counts = np.unique(coords, axis=0, return_counts=True)
     x = field.site_values(seed, sites)
     order = np.argsort(x, kind="stable")
     xs, cs = x[order], counts[order]
     new = np.concatenate([[True], xs[1:] != xs[:-1]])
     cum = np.cumsum(np.bincount(np.cumsum(new) - 1, weights=cs) / len(coords))
+    return xs[new], cum
+
+
+def _oracle_sup(field, seed, coords) -> float:
+    """sup |F_n - F| over the oracle ECDF's jumps."""
+    values, cum = _oracle_ecdf(field, seed, coords)
     below = np.concatenate([[0.0], cum[:-1]])
-    f = field.cdf(xs[new])
-    left = field.cdf_left(xs[new])
+    f = field.cdf(values)
+    left = field.cdf_left(values)
     left = f if left is None else left
     return float(np.maximum(cum - f, left - below).max())
 
 
 def _oracle_bridge(field, seed, coords, grid) -> np.ndarray:
-    """Y_n on the grid, with the sites in first-visit order."""
-    _, first, counts = np.unique(coords, axis=0, return_index=True,
-                                 return_counts=True)
-    visit = np.argsort(first)
-    x = field.site_values(seed, coords[first[visit]])
-    indic = (x[:, None] <= grid[None, :]).astype(np.float64)
-    return (counts[visit] @ (indic - field.cdf(grid)[None, :])
-            / math.sqrt(int(np.sum(counts * counts))))
+    """Y_n = n (F_n - F) / sqrt(V_n) on the grid, off the oracle ECDF."""
+    values, cum = _oracle_ecdf(field, seed, coords)
+    fn = np.concatenate([[0.0], cum])[np.searchsorted(values, grid, "right")]
+    v = int(np.sum(np.unique(coords, axis=0, return_counts=True)[1] ** 2))
+    return (fn - field.cdf(grid)) * len(coords) / math.sqrt(v)
 
 
 @settings(max_examples=30, deadline=None)
@@ -284,9 +288,10 @@ def test_batched_fclt_matches_per_replicate_oracle(d, field, walk_seed, n,
         v = int(np.sum(np.unique(coords, axis=0, return_counts=True)[1] ** 2))
         sups.append(_oracle_sup(field, seed, coords) * n / math.sqrt(v))
     ys = np.array(ys)
+    p = (ys[:, :, None] * ys[:, None, :]).sum(axis=0)
     mean = ys.mean(axis=0)
     assert np.array_equal(res.sup_sample, sups)
-    assert np.array_equal(res.cov, ys.T @ ys / 100 - np.outer(mean, mean))
+    assert np.array_equal(res.cov, p / 100 - np.outer(mean, mean))
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS)

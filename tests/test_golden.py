@@ -2,8 +2,13 @@
 
 The digests were recorded before the occupation bookkeeping moved to block
 updates; any change to a CSV byte of these plans is a change of output, not
-a refactoring.  The fclt digest was re-recorded once, when numpy scalars
-stopped being written as ``np.float64(...)``: every cell kept its value.
+a refactoring.  The fclt digest was re-recorded twice.  First, when numpy
+scalars stopped being written as ``np.float64(...)``: every cell kept its
+value.  Second, when ``mc_fclt`` began to read its bridge off each seed's
+sampled ECDF, n (F_n(s) - F(s)) / sqrt(V_n), and to sum the covariance
+over the replicates, in place of a local-time-weighted indicator matrix and
+two BLAS products, whose bits depended on the OpenBLAS kernel: the cov and
+stderr cells moved in their last 2 or 3 digits, and target kept its value.
 The rw_asym digest was re-recorded once, when its rows moved from a
 ``np.cumsum`` of M_k / k^2 to the ledger's correctly rounded sum: only the
 pqd_partial_sum column changed, by 2 to 21 ulps, and each of its cells
@@ -17,10 +22,14 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import selab
 from selab import generate, rng, trajectory_stats
 from selab.cli import parse_plan, run_plan
 
@@ -59,7 +68,7 @@ PLANS = {
 DIGESTS = {
     "stats": "0da3e49b153786d74e5f7d1f33d91a67a34b78801df0d2736fb98538f4753ce3",
     "gc": "3881d028b93fb49141a8e1a2ab197c687685b15f293527d3ba2ad17cad2674ba",
-    "fclt": "5898facd81ea21ebd1f8db0e146275b897610efa5275404612e6cd52347ad4d1",
+    "fclt": "5d587d3854eee4304d9c40ec6c80c479da0443864f36394c75887e724b55a7ca",
     "rw_asym": "5149079ed93a6f8b8244d8f65a2c3d01d63795b30522509c028a6d15033b4321",
     "rotation": "081b6be57e65847854329cedcae3a36f4d4db2bf316d4772f4023ebb7856a58e",
     "counterexample":
@@ -85,6 +94,42 @@ def test_csv_bytes_match_the_recorded_digest(name, tmp_path):
     else:
         data = path.read_bytes()
     assert hashlib.sha256(data).hexdigest() == DIGESTS[name]
+
+
+def _has_avx2() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__.get("AVX2", False)
+
+
+def _csv_bytes(kernel, out):
+    """The fclt and variance CSVs, written by a new process whose OpenBLAS
+    runs the named kernel (``None``: the one it picks for this CPU)."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(selab.__file__))
+    if kernel:
+        env["OPENBLAS_CORETYPE"] = kernel
+    names = ("fclt", "variance")
+    code = ("import json, pathlib, sys\n"
+            "from selab.cli import parse_plan, run_plan\n"
+            "for name, plan in json.loads(sys.argv[2]).items():\n"
+            "    run_plan(parse_plan(json.dumps(plan)),\n"
+            "             pathlib.Path(sys.argv[1], name))\n")
+    subprocess.run([sys.executable, "-c", code, str(out),
+                    json.dumps({k: PLANS[k] for k in names})],
+                   check=True, env=env)
+    return {k: (out / k / f"{k}.csv").read_bytes() for k in names}
+
+
+def test_csv_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    # Haswell is the kernel OpenBLAS picks on AVX2-only Intel CPUs and on
+    # AMD Zen, Prescott its SSE3 fallback; every column counts here,
+    # variance.csv's series columns included
+    kernels = [None, "Prescott"] + (["Haswell"] if _has_avx2() else [])
+    got = [_csv_bytes(k, tmp_path / str(k)) for k in kernels]
+    assert all(g == got[0] for g in got[1:])
 
 
 @pytest.mark.parametrize("name", ["rotation", "rw_asym", "stats"])
