@@ -60,16 +60,39 @@ def _parse_cf(obj: dict, path: str) -> rotation.ContinuedFraction:
         raise PlanError(f"\"{path}\" must be an object")
     _require(obj, path, {"coeffs", "periodic"}, set())
     try:
-        return rotation.ContinuedFraction(coeffs=obj.get("coeffs", ()),
-                                          periodic=obj.get("periodic", ()))
+        return rotation.ContinuedFraction(
+            coeffs=_ints(obj.get("coeffs", ()), path + ".coeffs"),
+            periodic=_ints(obj.get("periodic", ()), path + ".periodic"))
     except ValueError as exc:
         raise PlanError(f"bad continued fraction at \"{path}\": {exc}") from None
+
+
+def _int(x, path: str) -> int:
+    """x, which must be an int and not a bool: ``int`` would cut a float."""
+    if not _is_int(x):
+        raise PlanError(f"\"{path}\" must be an integer")
+    return x
+
+
+def _seed(x, path: str) -> int:
+    """A seed, which must lie in [0, 2^64): ``rng`` reduces it mod 2^64."""
+    if not (_is_int(x) and 0 <= x <= rng.MASK64):
+        raise PlanError(f"\"{path}\" must be an integer in [0, 2^64)")
+    return x
+
+
+def _ints(xs, path: str) -> list[int]:
+    return [_int(x, path) for x in xs]
+
+
+def _atoms(obj: dict, path: str) -> list:
+    return [(_ints(a, path + ".atoms"), p) for a, p in obj["atoms"]]
 
 
 def _parse_point(obj, path: str) -> int:
     if isinstance(obj, dict):
         _require(obj, path, {"seed"}, {"seed"})
-        return rotation.point_from_seed(int(obj["seed"]))
+        return rotation.point_from_seed(_seed(obj["seed"], path + ".seed"))
     return rotation.fraction_to_fp(_fraction(obj, path))
 
 
@@ -77,27 +100,34 @@ def parse_source(obj: dict, path: str = "$.source"):
     if not isinstance(obj, dict) or "variant" not in obj:
         raise PlanError(f"\"{path}\" must be an object with a \"variant\"")
     variant = obj["variant"]
+
+    def seed() -> int:
+        return _seed(obj["seed"], path + ".seed")
+
     try:
         if variant == "rw":
             _require(obj, path, {"variant", "atoms", "simple", "seed"}, {"seed"})
-            dist = (sources.simple_walk(int(obj["simple"])) if "simple" in obj
-                    else sources.StepDistribution(obj["atoms"]))
-            return sources.RandomWalkSource(dist, int(obj["seed"]))
+            dist = (sources.simple_walk(_int(obj["simple"], path + ".simple"))
+                    if "simple" in obj
+                    else sources.StepDistribution(_atoms(obj, path)))
+            return sources.RandomWalkSource(dist, seed())
         if variant == "coboundary":
             _require(obj, path, {"variant", "atoms", "seed"}, {"atoms", "seed"})
-            return sources.CoboundarySource(sources.StepDistribution(obj["atoms"]),
-                                            int(obj["seed"]))
+            return sources.CoboundarySource(
+                sources.StepDistribution(_atoms(obj, path)), seed())
         if variant == "window":
             _require(obj, path, {"variant", "inner", "r", "table", "seed"},
                      {"inner", "r", "table", "seed"})
-            table = {tuple(int(x) for x in k.split(",")): tuple(v)
-                     for k, v in obj["table"].items()}
-            return sources.WindowFunctional(obj["inner"], int(obj["r"]),
-                                            table, int(obj["seed"]))
+            inner = [(_int(a, path + ".inner"), p) for a, p in obj["inner"]]
+            table = {tuple(int(x) for x in k.split(",")):
+                     _ints(v, path + ".table") for k, v in obj["table"].items()}
+            return sources.WindowFunctional(inner, _int(obj["r"], path + ".r"),
+                                            table, seed())
         if variant == "explicit":
             _require(obj, path, {"variant", "sites", "path"}, set())
             if "sites" in obj:
-                return sources.ExplicitSource(obj["sites"])
+                return sources.ExplicitSource(
+                    _ints(s, path + ".sites") for s in obj["sites"])
             lines = Path(obj["path"]).read_text().splitlines()
             return sources.ExplicitSource(ln.split() for ln in lines if ln.strip())
         if variant == "rotation":
@@ -110,17 +140,19 @@ def parse_source(obj: dict, path: str = "$.source"):
                          {"breakpoints", "values"})
                 f = rotation.StepFunction(
                     [_fraction(b, path + ".f.breakpoints") for b in f_obj["breakpoints"]],
-                    f_obj["values"])
+                    _ints(f_obj["values"], path + ".f.values"))
             return rotation.RotationCocycle(_parse_cf(obj["cf"], path + ".cf"),
                                             f, _parse_point(obj["x"], path + ".x"))
         if variant == "special-flow":
             _require(obj, path, {"variant", "cf", "levels", "lambda_indices", "x"},
                      {"cf", "levels", "x"})
             cf = _parse_cf(obj["cf"], path + ".cf")
-            levels = int(obj["levels"])
+            levels = _int(obj["levels"], path + ".levels")
             lam = obj.get("lambda_indices")
             if lam is None:
                 lam = rotation.minimal_lambda_indices(cf, levels)
+            else:
+                lam = _ints(lam, path + ".lambda_indices")
             return rotation.SpecialFlowSource(cf, levels, lam,
                                               _parse_point(obj["x"], path + ".x"))
     except PlanError:
@@ -177,9 +209,11 @@ def parse_plan(text: str) -> dict:
         plan["_source"] = parse_source(obj["source"])
     if "field" in obj:
         plan["_field"] = parse_field(obj["field"])
-    for key in ("n", "replicates", "seed_base", "budget", "kmax"):
-        if key in obj and not _is_int(obj[key]):
-            raise PlanError(f"\"$.{key}\" must be an integer")
+    for key in ("n", "replicates", "budget", "kmax"):
+        if key in obj:
+            _int(obj[key], f"$.{key}")
+    if "seed_base" in obj:
+        _seed(obj["seed_base"], "$.seed_base")
     if "replicates" in obj and obj["replicates"] < row.min_replicates:
         raise PlanError(f"replicates < {row.min_replicates} at \"$.replicates\": "
                         f"{exp} needs at least {row.min_replicates}")
@@ -419,8 +453,9 @@ def run_selftest() -> dict:
     the rank pre-step of its key sort, convergent quality, the grid
     Parseval identity, the axis-split return series against the Fourier
     grid, the two-limb rotation orbit against the 128-bit scalar loop, the
-    prefix-grouped site hash against the flat one, and the
-    replicate-batched field analyzers against one replicate at a time."""
+    prefix-grouped site hash against the flat one, the replicate-batched
+    field analyzers against one replicate at a time, and the guide-table
+    step draws against a binary search."""
     results = {}
     ok = True
     for trial in range(20):
@@ -462,6 +497,7 @@ def run_selftest() -> dict:
     results["source_blocks"] = _selftest_source_blocks()
     results["site_hash"] = _selftest_site_hash()
     results["field_batches"] = _selftest_field_batches()
+    results["step_draws"] = _selftest_step_draws()
     results["ok"] = all(results.values())
     return results
 
@@ -545,6 +581,35 @@ def _selftest_field_batches() -> bool:
         mean = ys.mean(axis=0)
         ok = (ok and np.array_equal(res.cov, p / 100 - np.outer(mean, mean))
               and res.sup_sample.tolist() == sups)
+    return ok
+
+
+def _selftest_step_draws() -> bool:
+    """Each law's guide-table inverse cdf against ``np.searchsorted`` of its
+    running sums, the last set to 1, at the uniforms where a lookup could
+    slip: every threshold, the floats either side of it, 0 and 1 - 2^-53,
+    plus hashed ones.  The laws: a d = 3 simple walk, a window alphabet with
+    a zero-probability symbol, and a discrete field with two clustered tiny
+    atoms, its values out of order, drawn through ``quantile``."""
+    window = sources.WindowFunctional(
+        [(0, 0.2), (1, 0.0), (2, 0.5), (3, 0.3)], 1,
+        {(a,): (a,) for a in range(4)}, 0)
+    field = DiscreteField([(2, 0.3), (-1, 1e-12), (0.5, 1e-12),
+                           (1.5, 0.7 - 2e-12)])
+    walk = sources.simple_walk(3)
+    ok = True
+    for draw, probs, values in (
+            (walk.inverse_cdf, walk.probs(), np.arange(6)),
+            (window.inverse_cdf, [p for _, p in window.inner], np.arange(4)),
+            (field.quantile, [p for _, p in field.atoms],
+             np.array([v for v, _ in field.atoms]))):
+        cum = np.cumsum(probs)
+        u = np.concatenate([cum, np.nextafter(cum, 0), np.nextafter(cum, 1),
+                            [0.0, 1 - 2.0**-53], rng.uniforms(5000, 1000)])
+        u = u[u < 1]
+        cum[-1] = 1.0
+        want = values[np.searchsorted(cum, u, side="right")]
+        ok = ok and np.array_equal(draw(u.copy()), want)
     return ok
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -105,11 +106,15 @@ class DiscreteField(_Field):
             raise ValueError("duplicate atom values")
         object.__setattr__(self, "atoms", atoms)
 
+    @cached_property
+    def inverse_cdf(self) -> rng.InverseCdf:
+        return rng.InverseCdf([p for _, p in self.atoms])
+
     def quantile(self, u: np.ndarray) -> np.ndarray:
-        cum = np.cumsum([p for _, p in self.atoms])
-        cum[-1] = 1.0
+        """The atom value of each u in [0, 1), through the law's guide
+        table: the atom ``np.searchsorted(cum, u, "right")`` exactly."""
         vals = np.array([v for v, _ in self.atoms])
-        return vals[np.searchsorted(cum, u, side="right")]
+        return vals[self.inverse_cdf(np.array(u, dtype=np.float64))]
 
     def cdf(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=np.float64)

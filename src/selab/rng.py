@@ -10,6 +10,9 @@ A site's hash folds its coordinates in axis order, so a site set hashed
 under many seeds (:class:`Sites`) is grouped once by its first d - 1
 coordinates: per seed the hash then costs d - 1 mixer passes over the
 distinct prefixes, one gather and 2 passes over the sites.
+
+A finite law draws its atoms from uniforms through :class:`InverseCdf`,
+one exact guide-table inverse of its cumulative probabilities.
 """
 
 from __future__ import annotations
@@ -171,3 +174,56 @@ def hash_sites(seed: int, sites) -> np.ndarray:
 def site_uniforms(seed: int, sites) -> np.ndarray:
     """Uniforms in [0, 1), one per site, keyed purely by (seed, site)."""
     return word_uniforms(hash_sites(seed, sites))
+
+
+class InverseCdf:
+    """Exact inverse cdf of a finite law: a guide table (Chen & Asau 1974).
+
+    For probabilities p_0 .. p_{K-1} with running sums c_i, the last taken
+    as 1, ``inverse(u)`` gives each u in [0, 1) the atom index
+    ``np.searchsorted(c, u, side="right")``: the number of thresholds
+    c_0 .. c_{K-2} at or below u.  Thresholds past 1 (probabilities that
+    sum a little over 1) are never at or below u, so they count for none.
+
+    The unit interval is cut into 2^B buckets.  u * 2^B only moves the
+    exponent, so its floor is u's bucket b exactly, and ``start[b]``
+    counts the thresholds at or below b / 2^B.  Any other threshold at or
+    below u lies in (b, b + 1) / 2^B; ``passes`` is the most thresholds any
+    bucket holds there, and as many passes of ``idx += u >= t[idx]`` over
+    the sorted, equally scaled thresholds t, ended by inf, step idx onto
+    the count.  Equal thresholds (zero-probability atoms) are counted as
+    searchsorted counts them, one pass each.  B is the least value from
+    log2 K up at which no bucket holds two thresholds, else the least one
+    up to log2 K + 4 with the fewest passes.  A law builds its table once;
+    the thresholds are its sequential ``np.cumsum``, the very floats that
+    searchsorted would be given.
+    """
+
+    def __init__(self, probs):
+        th = np.cumsum(probs, dtype=np.float64)[:-1]
+        low = (th.size + 1).bit_length()
+        self.passes = th.size + 1  # more than any bucket can hold
+        for bits in range(low, low + 5):
+            edges = np.arange(2**bits + 1) / 2**bits  # exact
+            start = np.searchsorted(th, edges[:-1], side="right")
+            passes = int(np.max(np.searchsorted(th, edges[1:], side="left")
+                                - start))
+            if passes < self.passes:  # equal thresholds never split
+                self.passes, self.scale, self.start = passes, 2.0**bits, start
+            if passes <= 1:
+                break
+        self.thresholds = np.append(th * self.scale, np.inf)
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        """Atom indices of the uniforms u in [0, 1).  u is overwritten: it
+        is scaled by 2^B in place, and the buckets become the indices in
+        place, so the lookup holds one index array beside u."""
+        u *= self.scale
+        idx = u.astype(np.intp)
+        # each output reads only its own bucket; "clip" (a no-op on these
+        # in-range buckets) writes to out directly, where "raise" would
+        # write to a copy of it
+        np.take(self.start, idx, out=idx, mode="clip")
+        for _ in range(self.passes):
+            idx += u >= np.take(self.thresholds, idx)
+        return idx

@@ -199,7 +199,17 @@ class CocycleCursor(sources.Cursor):
     """Block path of a :class:`RotationCocycle`: the steps f(x + j*alpha)
     from the orbit as two uint64 limbs and the pieces of f by limb compares,
     summed by :class:`sources.Cursor`; ``near_hits`` counts this
-    realization's evaluations near a breakpoint."""
+    realization's evaluations near a breakpoint.
+
+    Each breakpoint b is tested on the high limb alone, hi > b_hi.  That is
+    exact except where hi = b_hi, and such a point lies within 2^64 of b,
+    so its high limb is in the range of b's near interval.  One unsigned
+    compare per near interval, (hi - first) <= last - first (an equality
+    where first = last), marks the points whose high limb is in such a
+    range: a superset of the near points and of the ties.  Only these rare
+    points get the exact two-limb compares, for their piece and the near
+    count.
+    """
 
     def __init__(self, cocycle: RotationCocycle):
         super().__init__(1, self._steps, True)
@@ -207,22 +217,43 @@ class CocycleCursor(sources.Cursor):
         self._x = cocycle.x_fp
         self._alpha = cocycle.alpha_fp
         self._bps = cocycle._bps[1:]  # the first breakpoint is 0
+        self._bp_hi = [np.uint64(b >> 64) for b in self._bps]
         self._vals = np.array(cocycle._vals, dtype=np.int64)
         # |pos - b| < NEAR_THRESHOLD, as intervals clipped to the circle
         self._near = [(max(b - NEAR_THRESHOLD + 1, 0),
                        min(b + NEAR_THRESHOLD, ONE))
                       for b in cocycle._bps + [ONE]]
+        # the high limbs of each near interval: first, last - first
+        self._near_hi = [(np.uint64(a >> 64),
+                          np.uint64(((b - 1) >> 64) - (a >> 64)))
+                         for a, b in self._near]
 
     def _steps(self, offset: int, count: int) -> np.ndarray:
         hi, lo = _orbit((self._x + offset * self._alpha) & _FP_MASK,
                         self._alpha, count)
+        mask = np.empty(count, dtype=bool)
         piece = np.zeros(count, dtype=np.intp)
-        for b in self._bps:
-            piece += _at_least(hi, lo, b)
-        near = np.zeros(count, dtype=bool)
-        for a, b in self._near:
-            near |= _in_interval(hi, lo, a, b)
-        self.near_hits += int(np.count_nonzero(near))
+        for b_hi in self._bp_hi:
+            piece += np.greater(hi, b_hi, out=mask)
+        rare, spread = np.zeros(count, dtype=bool), None
+        for first, width in self._near_hi:
+            if width:
+                spread = np.subtract(hi, first, out=spread)
+                np.less_equal(spread, width, out=mask)
+            else:
+                np.equal(hi, first, out=mask)
+            rare |= mask
+        rare = np.flatnonzero(rare)
+        if rare.size:
+            r_hi, r_lo = hi[rare], lo[rare]
+            exact = np.zeros(rare.size, dtype=np.intp)
+            near = np.zeros(rare.size, dtype=bool)
+            for b in self._bps:
+                exact += _at_least(r_hi, r_lo, b)
+            for a, b in self._near:
+                near |= _in_interval(r_hi, r_lo, a, b)
+            piece[rare] = exact
+            self.near_hits += int(np.count_nonzero(near))
         return self._vals[piece].reshape(count, 1)
 
 

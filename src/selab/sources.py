@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -36,7 +37,11 @@ class StepDistribution:
 
     Atom order is preserved as given: sampling inverts the cumulative
     probabilities in that order, so two laws with the same atom list produce
-    identical draws from identical uniform streams.
+    identical draws from identical uniform streams.  The inverse is
+    :attr:`inverse_cdf`, one guide table per law built on first use: each
+    uniform u in [0, 1) draws the atom ``np.searchsorted(cum, u, "right")``
+    of the running sums cum, the last set to 1, exactly (see
+    :class:`rng.InverseCdf`), zero-probability atoms included.
     """
 
     atoms: tuple[tuple[Site, float], ...]
@@ -80,10 +85,9 @@ class StepDistribution:
         table = dict(self.atoms)
         return all(table.get(tuple(-c for c in a)) == p for a, p in self.atoms)
 
-    def sample_indices(self, u: np.ndarray) -> np.ndarray:
-        cum = np.cumsum(self.probs())
-        cum[-1] = 1.0
-        return np.searchsorted(cum, u, side="right")
+    @cached_property
+    def inverse_cdf(self) -> rng.InverseCdf:
+        return rng.InverseCdf(self.probs())
 
 
 def simple_walk(d: int) -> StepDistribution:
@@ -244,6 +248,11 @@ class WindowFunctional:
     def d(self) -> int:
         return len(self.table[0][1])
 
+    @cached_property
+    def inverse_cdf(self) -> rng.InverseCdf:
+        """The alphabet's symbol indices from uniforms."""
+        return rng.InverseCdf([p for _, p in self.inner])
+
 
 @dataclass(frozen=True)
 class ExplicitSource:
@@ -274,7 +283,11 @@ class Cursor:
     steps) at indices offset .. offset + count - 1 as a (count, d) int64
     array, a pure function of (config, offset); the cursor carries only the
     offset and the last position, so any split into blocks gives the same
-    sites.  A finite source returns a short block once it runs out.
+    sites.  A finite source returns a short block once it runs out.  A
+    cumulative block must be a fresh array: ``take`` adds the carried
+    position to its first step in place, then sums it.  int64 addition
+    wraps, and wraps associatively, so the sites are those of adding the
+    position to every partial sum.
     """
 
     def __init__(self, d: int, block, cumulative: bool):
@@ -286,11 +299,10 @@ class Cursor:
     def take(self, count: int) -> np.ndarray:
         """The next ``count`` sites as a (count, d) int64 array."""
         out = self._block(self.offset, count)
-        if self._pos is not None:
+        if self._pos is not None and len(out):
+            out[0] += self._pos
             out = np.cumsum(out, axis=0)
-            out += self._pos
-            if len(out):
-                self._pos = out[-1].copy()
+            self._pos = out[-1].copy()
         self.offset += len(out)
         return out
 
@@ -300,14 +312,12 @@ def _law_block(law: StepDistribution, seed: int):
     # rng.uniforms is looked up per call, so wrappers installed on it see
     # every draw
     return lambda offset, count: np.take(
-        support, law.sample_indices(rng.uniforms(seed, count, offset)), axis=0)
+        support, law.inverse_cdf(rng.uniforms(seed, count, offset)), axis=0)
 
 
 def _window_block(config: WindowFunctional):
     """Steps g(xi_k, ..., xi_{k+r-1}) through a lookup table indexed by the
     base-|alphabet| code of each window of symbol indices."""
-    cum = np.cumsum([p for _, p in config.inner])
-    cum[-1] = 1.0
     sym_pos = {a: i for i, (a, _) in enumerate(config.inner)}
     base, r = len(sym_pos), config.r
     lut = np.empty((base ** r, config.d), dtype=np.int64)
@@ -318,8 +328,8 @@ def _window_block(config: WindowFunctional):
         lut[c] = s
 
     def block(offset, count):
-        sym = np.searchsorted(cum, rng.uniforms(config.seed, count + r - 1,
-                                                offset), side="right")
+        sym = config.inverse_cdf(rng.uniforms(config.seed, count + r - 1,
+                                              offset))
         code = np.zeros(count, dtype=np.int64)
         for j in range(r):
             code = code * base + sym[j:j + count]

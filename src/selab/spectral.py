@@ -417,6 +417,8 @@ def _grid_probs(dist: StepDistribution, kmax: int,
     every group of lags that agree there, and one contraction along axis 0
     finishes each lag.  psi(-t) is the conjugate of psi(t), so the slices
     past G/2 are conjugates of swept ones; a symmetric law has a real psi.
+    The products are ``np.einsum`` reductions, not BLAS ones, so the series
+    does not depend on the kernel OpenBLAS picks for the CPU.
     """
     d = dist.d
     g = (kmax * max(dist.radius(), 1)
@@ -441,12 +443,12 @@ def _grid_probs(dist: StepDistribution, kmax: int,
     swept = g // 2 + 1
     sums = np.zeros((len(phases), kmax + 1, g))
     for i in range(swept):
-        slice_psi = atom_0[i] @ atom_rest
+        slice_psi = np.einsum("a,ab->b", atom_0[i], atom_rest)
         if symmetric:
             slice_psi = slice_psi.real.copy()
         w = np.ones_like(slice_psi)
         for k in range(kmax + 1):
-            sums[:, k, i] = phases @ w.view(np.float64)
+            sums[:, k, i] = np.einsum("rl,l->r", phases, w.view(np.float64))
             w *= slice_psi
     sums = sums[:len(rests)] + 1j * sums[len(rests):]
     sums[:, :, swept:] = np.conj(sums[:, :, g - swept:0:-1])

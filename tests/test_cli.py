@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -258,6 +259,43 @@ def test_parse_rejects_bad_sources_and_fields(tmp_path, key, bad, where):
                  "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("key, source", [
+    ("simple", dict(RW1, simple=2.5)),
+    ("simple", dict(RW1, simple=True)),
+    ("seed", dict(RW1, seed=1.9)),
+    ("seed", dict(RW1, seed="3")),
+    ("seed", dict(RW1, seed=-1)),
+    ("seed", dict(RW1, seed=2**64)),
+    ("atoms", {"variant": "rw", "atoms": [[[1.5], 0.5], [[-1], 0.5]],
+               "seed": 0}),
+    ("seed", {"variant": "coboundary", "atoms": [[[1], 1.0]], "seed": True}),
+    ("r", dict(WINDOW, r=1.5)),
+    ("inner", dict(WINDOW, inner=[[0.5, 0.5], [1, 0.5]])),
+    ("table", dict(WINDOW, table=dict(WINDOW["table"], **{"0,0": [1.5]}))),
+    ("sites", {"variant": "explicit", "sites": [[0, 0.5]]}),
+    ("cf.periodic", dict(ROTATION, cf={"periodic": [1.5]})),
+    ("f.values", dict(ROTATION, f=dict(STEP_F, values=[1.5, -2, 2, -1.5]))),
+    ("x.seed", dict(ROTATION, x={"seed": 0.5})),
+    ("x.seed", dict(ROTATION, x={"seed": -2})),
+    ("levels", dict(FLOW, levels=1.5)),
+    ("lambda_indices", dict(FLOW, lambda_indices=[4.0, 9.5])),
+], ids=lambda x: x if isinstance(x, str) else "")
+def test_parse_rejects_source_integers_it_would_cut(key, source):
+    # each ran as the integer below it, or, for seeds outside [0, 2^64), as
+    # the seed they equal mod 2^64
+    with pytest.raises(PlanError, match=re.escape(f'"$.source.{key}"')):
+        parse_plan(json.dumps(dict(STATS_PLAN, source=source)))
+
+
+@pytest.mark.parametrize("seed_base", [-1, 2**64, 1.5])
+def test_parse_rejects_a_seed_base_outside_the_seed_range(seed_base):
+    with pytest.raises(PlanError, match=r"\$\.seed_base"):
+        parse_plan(json.dumps(dict(GC_PLAN, seed_base=seed_base)))
+    seeds = parse_plan(json.dumps(dict(GC_PLAN, seed_base=2**64 - 1,
+                                       source=dict(RW1, seed=2**64 - 1))))
+    assert seeds["_source"].seed == seeds["seed_base"] == 2**64 - 1
+
+
 def test_parse_rejects_explicit_files_it_cannot_read(tmp_path):
     # a missing file escaped parse_plan as a FileNotFoundError
     bad = tmp_path / "bad.txt"
@@ -502,6 +540,7 @@ def test_selftest_passes():
     assert results["source_blocks"]
     assert results["site_hash"]
     assert results["field_batches"]
+    assert results["step_draws"]
 
 
 def _fresh_python(code: str, **env) -> str:

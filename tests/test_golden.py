@@ -1,4 +1,4 @@
-"""Golden CSV bytes: one small plan per experiment.
+"""Golden CSV bytes: small plans per experiment and per step-draw route.
 
 The digests were recorded before the occupation bookkeeping moved to block
 updates; any change to a CSV byte of these plans is a change of output, not
@@ -14,7 +14,9 @@ The rw_asym digest was re-recorded once, when its rows moved from a
 pqd_partial_sum column changed, by 2 to 21 ulps, and each of its cells
 is the exact rational sum that the test below checks.  variance.csv is
 hashed without its four series columns, which depend on the return-series
-tail estimate rather than on the Monte Carlo.
+tail estimate rather than on the Monte Carlo.  The coboundary, window and
+discrete-field digests were recorded before the step draws and the discrete
+quantile moved from ``np.searchsorted`` to a guide-table inverse cdf.
 """
 
 import csv
@@ -33,7 +35,8 @@ import selab
 from selab import generate, rng, trajectory_stats
 from selab.cli import parse_plan, run_plan
 
-# keyed by the name of the CSV file each plan writes
+# keyed by the name of the CSV file each plan writes, with a suffix after
+# "-" where several plans write the same file
 PLANS = {
     "stats": {"experiment": "stats",
               "source": {"variant": "rw", "simple": 2, "seed": 5},
@@ -63,6 +66,30 @@ PLANS = {
                  "source": {"variant": "rw", "simple": 3, "seed": 1},
                  "field": {"variant": "gaussian"}, "n": 600,
                  "replicates": 8, "seed_base": 2, "kmax": 40},
+    # the step draws of a coboundary law and a window alphabet, each with a
+    # zero-probability atom, and a discrete field's quantile, listed out of
+    # value order
+    "stats-coboundary": {
+        "experiment": "stats",
+        "source": {"variant": "coboundary",
+                   "atoms": [[[0, 0], 0.25], [[1, 0], 0.125], [[0, 1], 0.125],
+                             [[-1, 2], 0.0], [[3, -1], 0.5]], "seed": 11},
+        "n": 5000, "checkpoints": [10, 500, 5000]},
+    "stats-window": {
+        "experiment": "stats",
+        "source": {"variant": "window",
+                   "inner": [[0, 0.2], [1, 0.0], [2, 0.5], [3, 0.3]], "r": 2,
+                   "table": {f"{a},{b}": [a - b, (a * b) % 3 - 1]
+                             for a in range(4) for b in range(4)},
+                   "seed": 13},
+        "n": 5000, "checkpoints": [10, 500, 5000]},
+    "gc-discrete": {
+        "experiment": "gc",
+        "source": {"variant": "rw", "simple": 2, "seed": 17},
+        "field": {"variant": "discrete",
+                  "atoms": [[2.0, 0.3], [-1.0, 0.0], [0.5, 0.2], [1.5, 0.5]]},
+        "n": 6000, "checkpoints": [60, 600, 6000], "replicates": 4,
+        "seed_base": 19},
 }
 
 DIGESTS = {
@@ -74,6 +101,12 @@ DIGESTS = {
     "counterexample":
         "9cb3a3fa180e3f1bc1f9f4808b548996819ec14b5766de9261c99a58bfd1198f",
     "variance": "25500ff8e2e0e1114fbb97a2ec443baabd72ab4427c26400f76cc84e9a176775",
+    "stats-coboundary":
+        "94320bb96c0dc424cfc4fbceca0e4bbf92ee3063f7aa893986c2f1d395fd2d72",
+    "stats-window":
+        "320d4c3daac37b02496013453453a9c7c87409fac0fbf7067ceef7fd0f47fde4",
+    "gc-discrete":
+        "55ee9d527e2f16a1e1dfe86293c7eff301a5e3b07f59b7cc2db0629c76940759",
 }
 
 SERIES_COLUMNS = ("series_prediction", "tail_bound", "defect_estimate",
@@ -83,7 +116,7 @@ SERIES_COLUMNS = ("series_prediction", "tail_bound", "defect_estimate",
 @pytest.mark.parametrize("name", sorted(PLANS))
 def test_csv_bytes_match_the_recorded_digest(name, tmp_path):
     run_plan(parse_plan(json.dumps(PLANS[name])), tmp_path)
-    path = tmp_path / f"{name}.csv"
+    path = tmp_path / f"{name.split('-')[0]}.csv"
     rows = list(csv.reader(io.StringIO(path.read_text())))
     for cell in (c for row in rows[1:] for c in row):
         if cell not in ("True", "False"):
@@ -104,23 +137,34 @@ def _has_avx2() -> bool:
     return __cpu_features__.get("AVX2", False)
 
 
+# plans whose CSVs once read BLAS products: fclt's bridge, the variance
+# report's finite-n mean, and the Fourier-grid return series of a law whose
+# atoms move two coordinates
+KERNEL_PLANS = {
+    "fclt": PLANS["fclt"], "variance": PLANS["variance"],
+    "variance-grid": dict(PLANS["variance"], kmax=30, source={
+        "variant": "rw", "seed": 1,
+        "atoms": [[[s * a for a in atom], 1 / 6] for s in (1, -1)
+                  for atom in ([1, 1, 0], [0, 1, 1], [1, 0, 1])]}),
+}
+
+
 def _csv_bytes(kernel, out):
-    """The fclt and variance CSVs, written by a new process whose OpenBLAS
+    """The CSVs of ``KERNEL_PLANS``, written by a new process whose OpenBLAS
     runs the named kernel (``None``: the one it picks for this CPU)."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(selab.__file__))
     if kernel:
         env["OPENBLAS_CORETYPE"] = kernel
-    names = ("fclt", "variance")
     code = ("import json, pathlib, sys\n"
             "from selab.cli import parse_plan, run_plan\n"
             "for name, plan in json.loads(sys.argv[2]).items():\n"
             "    run_plan(parse_plan(json.dumps(plan)),\n"
             "             pathlib.Path(sys.argv[1], name))\n")
     subprocess.run([sys.executable, "-c", code, str(out),
-                    json.dumps({k: PLANS[k] for k in names})],
-                   check=True, env=env)
-    return {k: (out / k / f"{k}.csv").read_bytes() for k in names}
+                    json.dumps(KERNEL_PLANS)], check=True, env=env)
+    return {k: (out / k / f"{k.split('-')[0]}.csv").read_bytes()
+            for k in KERNEL_PLANS}
 
 
 def test_csv_bytes_do_not_depend_on_the_blas_kernel(tmp_path):

@@ -100,3 +100,58 @@ def test_hash_sites_matches_scalar_mix_composition(d_sites, seed):
         assert [int(h) for h in rng.hash_sites(seed, route)] == want
         assert np.array_equal(rng.site_uniforms(seed, route),
                               [(h >> 11) * 2.0**-53 for h in want])
+
+
+def _searchsorted_draws(probs, u):
+    """The atom indices by binary search: the running sums, the last set
+    to 1, searched from the right."""
+    cum = np.cumsum(probs)
+    cum[-1] = 1.0
+    return np.searchsorted(cum, u, side="right")
+
+
+def _edge_uniforms(probs):
+    """Every threshold, the floats either side of it, 0 and 1 - 2^-53, and
+    a block of hashed uniforms, all in [0, 1)."""
+    cum = np.cumsum(probs)
+    u = np.concatenate([cum, np.nextafter(cum, 0), np.nextafter(cum, 1),
+                        [0.0, 1 - 2.0**-53], rng.uniforms(77, 500)])
+    return u[u < 1]
+
+
+def _check_inverse(probs):
+    inverse = rng.InverseCdf(probs)
+    u = _edge_uniforms(probs)
+    got = inverse(u.copy())
+    assert got.dtype == np.intp
+    assert np.array_equal(got, _searchsorted_draws(probs, u))
+    return inverse
+
+
+@given(st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1.0)),
+                min_size=1, max_size=40).filter(lambda w: sum(w) > 0))
+@example([0.0, 1.0, 0.0])
+@example([1e-300, 1.0])
+@example([0.5, 0.5 + 2e-13, 0.0])  # thresholds past 1 count for none
+def test_inverse_cdf_is_searchsorted(weights):
+    _check_inverse(np.array(weights) / sum(weights))
+
+
+def test_inverse_cdf_sizes_its_table_from_the_law():
+    # dyadic thresholds on bucket edges need no pass; 1/6's need one
+    assert _check_inverse([0.25] * 4).passes == 0
+    assert _check_inverse([1 / 6] * 6).passes == 1
+    assert _check_inverse(np.full(300, 1 / 300)).passes == 1
+    # zero-probability atoms repeat a threshold, one pass each
+    assert _check_inverse([0.2, 0.0, 0.0, 0.5, 0.3]).passes == 3
+    # 100 tiny atoms below 2^-23 share every bucket the table can have
+    tiny = _check_inverse([1e-9] * 100 + [1 - 1e-7])
+    assert tiny.passes == 100
+
+
+def test_inverse_cdf_takes_a_scalar_and_overwrites_u():
+    inverse = rng.InverseCdf([0.5, 0.25, 0.25])
+    u = np.array([0.0, 0.5, 0.7, 0.75, 0.99])
+    assert inverse(u).tolist() == [0, 1, 1, 2, 2]
+    assert u.tolist() == [0.0, 2.0, 2.8, 3.0, 3.96]  # scaled by 2^2
+    assert int(inverse(np.array(0.6))) == 1

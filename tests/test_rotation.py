@@ -292,6 +292,21 @@ def test_cocycle_near_hits_at_the_threshold():
         assert cur.near_hits == hits, x
 
 
+@pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(1, 2)])
+def test_cocycle_started_on_a_breakpoint(x):
+    # the cursor tests each breakpoint on the high limb; 1/3's high limb
+    # ties its breakpoint's and the low limb decides, and 1/2's low limb is
+    # 0.  Both starts are near hits, found from the high limb alone
+    f = StepFunction([0, Fraction(1, 3), Fraction(1, 2)], [1, 4, -2])
+    rc = RotationCocycle(GOLDEN, f, fraction_to_fp(x))
+    want, near = cocycle_oracle(rc, 300)
+    assert want[0] == (4 if x == Fraction(1, 3) else -2) and near >= 1
+    for sizes in ([], [1, 2, 5]):
+        cur = rc.cursor()
+        assert take_in_blocks(cur, 300, sizes)[:, 0].tolist() == want
+        assert cur.near_hits == near
+
+
 @given(st.sampled_from(ANGLES), st.integers(1, 3), st.integers(0, 50),
        st.integers(1, 3000), st.lists(st.integers(0, 800), max_size=12))
 @settings(max_examples=40, deadline=None)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from selab import (CoboundarySource, ExplicitSource, RandomWalkSource,
-                   StepDistribution, WindowFunctional, classify, cursor,
-                   generate, rng, simple_walk, stream)
+from selab import (CoboundarySource, ContinuedFraction, ExplicitSource,
+                   RandomWalkSource, RotationCocycle, StepDistribution,
+                   StepFunction, WindowFunctional, classify, cursor, generate,
+                   rng, simple_walk, stream)
 
 
 def test_step_distribution_validation():
@@ -245,3 +246,27 @@ def test_explicit_cursor_runs_short_at_the_end():
     assert cur.take(2).tolist() == [[0], [1]]
     assert cur.take(5).tolist() == [[2]]
     assert cur.take(5).shape == (0, 1)
+
+
+def test_cumulative_cursors_leave_their_config_arrays_untouched():
+    # take adds the carried position to a block's first step in place, so
+    # a block must be a fresh array, never a view of the law's support or
+    # table, the window's lookup table or the cocycle's values
+    law = StepDistribution([((3, 0), 0.5), ((0, -2), 0.25), ((1, 1), 0.25)])
+    window = WindowFunctional([(0, 0.5), (1, 0.5)], 1,
+                              {(0,): (5,), (1,): (-3,)}, seed=4)
+    cocycle = RotationCocycle(ContinuedFraction.golden(),
+                              StepFunction.square_wave(), 0)
+    tables = [(t.start.copy(), t.thresholds.copy())
+              for t in (law.inverse_cdf, window.inverse_cdf)]
+    for config in (RandomWalkSource(law, 9), window, cocycle):
+        before = generate(config, 50)
+        cur = cursor(config)
+        blocks = [cur.take(k) for k in (1, 1, 3, 45)]
+        assert np.array_equal(np.concatenate(blocks), before)
+        assert np.array_equal(generate(config, 50), before)
+    assert cur._vals.tolist() == [1, -1]
+    assert all(np.array_equal(t.start, start)
+               and np.array_equal(t.thresholds, thresholds)
+               for t, (start, thresholds)
+               in zip((law.inverse_cdf, window.inverse_cdf), tables))
