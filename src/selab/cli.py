@@ -68,15 +68,15 @@ def _parse_cf(obj: dict, path: str) -> rotation.ContinuedFraction:
 
 
 def _int(x, path: str) -> int:
-    """x, which must be an int and not a bool: ``int`` would cut a float."""
-    if not _is_int(x):
+    """x, which must be an integer (:func:`sources.is_int`)."""
+    if not sources.is_int(x):
         raise PlanError(f"\"{path}\" must be an integer")
     return x
 
 
 def _seed(x, path: str) -> int:
     """A seed, which must lie in [0, 2^64): ``rng`` reduces it mod 2^64."""
-    if not (_is_int(x) and 0 <= x <= rng.MASK64):
+    if not (sources.is_int(x) and 0 <= x <= rng.MASK64):
         raise PlanError(f"\"{path}\" must be an integer in [0, 2^64)")
     return x
 
@@ -129,7 +129,8 @@ def parse_source(obj: dict, path: str = "$.source"):
                 return sources.ExplicitSource(
                     _ints(s, path + ".sites") for s in obj["sites"])
             lines = Path(obj["path"]).read_text().splitlines()
-            return sources.ExplicitSource(ln.split() for ln in lines if ln.strip())
+            return sources.ExplicitSource(map(int, ln.split())
+                                          for ln in lines if ln.strip())
         if variant == "rotation":
             _require(obj, path, {"variant", "cf", "f", "x"}, {"cf", "x"})
             f_obj = obj.get("f")
@@ -241,10 +242,6 @@ def _check_fclt(obj: dict) -> None:
         raise PlanError("\"$.quenched\" must be true or false")
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _checkpoints(obj: dict) -> list[int]:
     """The plan's checkpoints, by default n / 10^k for k < 4, validated for
     the runners, which advance one ledger through them in order."""
@@ -253,7 +250,7 @@ def _checkpoints(obj: dict) -> list[int]:
     if cps is None:
         cps = sorted({max(1, n // 10**k) for k in range(4)})
     if (not isinstance(cps, list) or not cps
-            or not all(_is_int(c) and c >= 1 for c in cps)
+            or not all(sources.is_int(c) and c >= 1 for c in cps)
             or any(b <= a for a, b in zip(cps, cps[1:]))
             or (n is not None and cps[-1] > n)):
         raise PlanError("\"$.checkpoints\" must be a nonempty, strictly "
@@ -454,8 +451,9 @@ def run_selftest() -> dict:
     Parseval identity, the axis-split return series against the Fourier
     grid, the two-limb rotation orbit against the 128-bit scalar loop, the
     prefix-grouped site hash against the flat one, the replicate-batched
-    field analyzers against one replicate at a time, and the guide-table
-    step draws against a binary search."""
+    field analyzers against one replicate at a time, the guide-table step
+    draws against a binary search, and the variance Monte Carlo's key walk
+    against the route through the sites."""
     results = {}
     ok = True
     for trial in range(20):
@@ -498,6 +496,7 @@ def run_selftest() -> dict:
     results["site_hash"] = _selftest_site_hash()
     results["field_batches"] = _selftest_field_batches()
     results["step_draws"] = _selftest_step_draws()
+    results["variance_keys"] = _selftest_variance_keys()
     results["ok"] = all(results.values())
     return results
 
@@ -611,6 +610,18 @@ def _selftest_step_draws() -> bool:
         want = values[np.searchsorted(cum, u, side="right")]
         ok = ok and np.array_equal(draw(u.copy()), want)
     return ok
+
+
+def _selftest_variance_keys(n: int = 5000) -> bool:
+    """The quadratic form of a d = 3 walk read off its packed keys, as the
+    variance Monte Carlo reads it, against the route through the sites:
+    ``generate``, ``local_time_block`` and the packed lag sums, under a
+    Gaussian and a moving-average field."""
+    cfg = sources.RandomWalkSource(sources.simple_walk(3), 51)
+    _, sites, times = ledger.local_time_block(sources.generate(cfg, n))
+    return all(spectral._walk_quadratic_form(cfg, n, field)
+               == spectral._quadratic_form_arrays(sites, times, field, 3)
+               for field in (GaussianField(), MovingAverageField([1, .5, .25])))
 
 
 def _selftest_source_blocks(n: int = 2000) -> bool:

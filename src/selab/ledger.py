@@ -6,10 +6,13 @@ self-intersections V_n = sum N_n(site)^2, and the cardinality of the visited
 range.  Its state is two arrays, the distinct sites in first-visit order and
 their local times, which ``record_block`` advances a block of steps at a
 time; ``counts`` is a read-only {site: local time} view built from them.
-Every local time in the package comes from one vectorized kernel,
+The ledger's local times come from one vectorized kernel,
 :func:`local_time_block`: :func:`pack_sites` packs each site into one int64
-key, and :func:`sort_keys`, the package's one key sort, groups equal keys
-in a stable order.  The statistics follow the step recursion
+key, and :func:`sort_keys`, the package's one stable key sort, groups equal
+keys.  Where only the final local times are read (the variance Monte
+Carlo), :func:`key_local_times` groups a walk's keys after one plain sort,
+and :func:`walk_strides` lets the walk be drawn as keys.  The statistics
+follow the step recursion
 
     V_n = V_{n-1} + 2 * N_{n-1}(z_n) + 1
     M_n = max(M_{n-1}, N_{n-1}(z_n) + 1)
@@ -233,6 +236,36 @@ def sort_keys(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.bitwise_and(key, (1 << ib) - 1, out=order)
     key >>= ib
     return order, key if values is None else values[key]
+
+
+def walk_strides(d: int, reach: int) -> tuple[int, ...] | None:
+    """Strides of the signed keys sum_j z_j stride_j of sites with every
+    |z_j| <= reach, or None where they would not fit in 62 bits.
+
+    With width = 2 reach + 1 and stride_j = width^(d - 1 - j) the
+    coordinates are balanced base-width digits, so the key is injective,
+    and a lag is the key offset sum_j lag_j stride_j for as long as the
+    shifted site keeps its coordinates within reach.  Every such key has
+    |key| <= (width^d - 1) / 2, so the strides are given only where
+    width^d < 2^62.
+    """
+    width = 2 * reach + 1
+    if width**d >= 1 << 62:
+        return None
+    return tuple(width ** (d - 1 - j) for j in range(d))
+
+
+def key_local_times(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct keys in increasing order, their local times) of the keys
+    of a block of steps, from one unstable in-place ``ndarray.sort``: the
+    distinct keys start the runs of equal sorted keys, and each local time
+    is the length of its run.  ``key`` is left sorted."""
+    key.sort()
+    new = np.empty(key.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    return key[starts], np.diff(starts, append=key.size)
 
 
 def local_time_block(coords: Sequence[Sequence[int]] | np.ndarray,

@@ -29,8 +29,8 @@ class ContinuedFraction:
     """Continued fraction [0; a_1, a_2, ...] of an angle in (0, 1)."""
 
     def __init__(self, coeffs: Sequence[int] = (), periodic: Sequence[int] = ()):
-        coeffs = tuple(int(a) for a in coeffs)
-        periodic = tuple(int(a) for a in periodic)
+        coeffs = tuple(map(sources.as_int, coeffs))
+        periodic = tuple(map(sources.as_int, periodic))
         if not coeffs and not periodic:
             raise ValueError("need at least one partial quotient")
         if any(a < 1 for a in coeffs + periodic):
@@ -105,7 +105,7 @@ class StepFunction:
 
     def __init__(self, breakpoints, values):
         breakpoints = tuple(Fraction(b) for b in breakpoints)
-        values = tuple(int(v) for v in values)
+        values = tuple(map(sources.as_int, values))
         if len(breakpoints) != len(values) or not values:
             raise ValueError("need matching nonempty breakpoints and values")
         if breakpoints[0] != 0:
@@ -307,8 +307,8 @@ class SpecialFlowSource:
     d = 1
 
     def __init__(self, cf, levels, lambda_indices, x_fp):
-        levels = int(levels)
-        lambda_indices = tuple(int(i) for i in lambda_indices)
+        levels = sources.as_int(levels)
+        lambda_indices = tuple(map(sources.as_int, lambda_indices))
         if levels < 1:
             raise ValueError("need at least one level")
         if len(lambda_indices) != levels + 1:

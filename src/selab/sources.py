@@ -7,7 +7,9 @@ Every source is a frozen configuration; realizations are pure functions of
 counter-based, so the block at any offset is a pure function of (seed,
 offset) and any split into blocks gives the same sites.  :func:`generate`
 is one block from a fresh cursor, and :func:`stream` is an adapter that
-yields the cursor's blocks as tuples, one site at a time.
+yields the cursor's blocks as tuples, one site at a time.  A random walk's
+draws can also be read as packed site keys, with no sites: :func:`walk_keys`
+takes the same uniforms and atom indices as the cursor.
 """
 
 from __future__ import annotations
@@ -22,6 +24,22 @@ import numpy as np
 from . import rng
 
 Site = tuple[int, ...]
+
+
+def is_int(x) -> bool:
+    """Whether x is an integer: a Python or numpy int, and not a bool.
+
+    The one rule of the package, shared with the plan parser: ``int`` would
+    cut a float such as 1.5 to 1, and a cut atom or site would silently
+    describe another source."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def as_int(x) -> int:
+    """x as a Python int; ValueError unless :func:`is_int` holds."""
+    if not is_int(x):
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
 
 
 def _check_probs(probs: Sequence[float]) -> None:
@@ -47,7 +65,7 @@ class StepDistribution:
     atoms: tuple[tuple[Site, float], ...]
 
     def __init__(self, atoms: Iterable[tuple[Sequence[int], float]]):
-        atoms = tuple((tuple(int(c) for c in a), float(p)) for a, p in atoms)
+        atoms = tuple((tuple(map(as_int, a)), float(p)) for a, p in atoms)
         if not atoms:
             raise ValueError("need at least one atom")
         d = len(atoms[0][0])
@@ -223,10 +241,11 @@ class WindowFunctional:
     seed: int
 
     def __init__(self, inner, r, table, seed):
-        inner = tuple((int(a), float(p)) for a, p in inner)
+        inner = tuple((as_int(a), float(p)) for a, p in inner)
         _check_probs([p for _, p in inner])
-        table = tuple((tuple(int(x) for x in w), tuple(int(c) for c in s))
+        table = tuple((tuple(map(as_int, w)), tuple(map(as_int, s)))
                       for w, s in (table.items() if isinstance(table, dict) else table))
+        r = as_int(r)
         if r < 1:
             raise ValueError("window length must be >= 1")
         words = {w for w, _ in table}
@@ -240,7 +259,7 @@ class WindowFunctional:
         if any(len(s) != d for _, s in table):
             raise ValueError("table outputs must share one dimension")
         object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "r", int(r))
+        object.__setattr__(self, "r", r)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "seed", seed)
 
@@ -260,7 +279,7 @@ class ExplicitSource:
     sites: tuple[Site, ...]
 
     def __init__(self, sites):
-        sites = tuple(tuple(int(c) for c in s) for s in sites)
+        sites = tuple(tuple(map(as_int, s)) for s in sites)
         if not sites:
             raise ValueError("explicit source needs at least one site")
         if any(len(s) != len(sites[0]) for s in sites):
@@ -307,12 +326,34 @@ class Cursor:
         return out
 
 
-def _law_block(law: StepDistribution, seed: int):
-    support = law.support()
+def _law_block(law: StepDistribution, seed: int, table: np.ndarray):
+    """Blocks of i.i.d. draws of the law, each read off the per-atom
+    ``table``: the atoms' coordinates (``law.support()``) for a cursor, or
+    their keys for :func:`walk_keys`.  Both take the same uniforms and atom
+    indices, so they draw the same steps."""
     # rng.uniforms is looked up per call, so wrappers installed on it see
     # every draw
     return lambda offset, count: np.take(
-        support, law.inverse_cdf(rng.uniforms(seed, count, offset)), axis=0)
+        table, law.inverse_cdf(rng.uniforms(seed, count, offset)), axis=0)
+
+
+def walk_keys(config: RandomWalkSource, n: int,
+              strides: Sequence[int]) -> np.ndarray:
+    """The keys sum_j z_j stride_j of the first n sites of a random walk,
+    without the sites.
+
+    Packing is linear, so the key of z_k = zeta_0 + ... + zeta_k is the
+    running sum of the steps' keys: one int64 key per atom, drawn with the
+    cursor's own uniforms and atom indices, and one cumulative sum in
+    place.  The strides must give every site within n steps an exact key,
+    as :func:`ledger.walk_strides` does for reach n * radius.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    law = config.dist
+    atom_keys = law.support() @ np.array(strides, dtype=np.int64)
+    keys = _law_block(law, config.seed, atom_keys)(0, n)
+    return np.cumsum(keys, out=keys)
 
 
 def _window_block(config: WindowFunctional):
@@ -341,9 +382,11 @@ def cursor(config):
     """A fresh :class:`Cursor` (or a rotation source's own cursor) at the
     start of the realization."""
     if isinstance(config, RandomWalkSource):
-        return Cursor(config.d, _law_block(config.dist, config.seed), True)
+        dist = config.dist
+        return Cursor(config.d, _law_block(dist, config.seed, dist.support()),
+                      True)
     if isinstance(config, CoboundarySource):
-        psi = _law_block(config.law, config.seed)
+        psi = _law_block(config.law, config.seed, config.law.support())
         psi0 = psi(0, 1)[0]
         return Cursor(config.d, lambda offset, count: psi(offset, count) - psi0,
                       False)

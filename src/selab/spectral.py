@@ -30,7 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from . import rng, sources
-from .ledger import LocalTimeLedger, local_time_block, pack_sites, sort_keys
+from .ledger import (LocalTimeLedger, key_local_times, pack_sites, sort_keys,
+                     walk_strides)
 from .sources import RandomWalkSource, StepDistribution, classify
 
 Site = tuple[int, ...]
@@ -60,26 +61,42 @@ def lag_correlation(coords: np.ndarray, counts: np.ndarray,
 
 
 def _lag_correlations(coords, counts, lags) -> list[int]:
-    """:func:`lag_correlation` at each lag from one pack of the sites, with
-    margin max |lag|, and one key sort: a nonzero lag is then one
-    ``searchsorted`` at its stride offset, and lag 0 is sum N^2."""
+    """:func:`lag_correlation` at each lag: the sites are packed once, with
+    margin max |lag| so that each lag is a key offset, and their keys
+    sorted once by :func:`sort_keys` for :func:`_lag_sums`.  Lag 0 alone,
+    sum N^2, needs neither the pack nor the sort."""
     lags = [tuple(int(c) for c in lag) for lag in lags]
     counts = np.asarray(counts)
-    margin = max((abs(c) for lag in lags for c in lag), default=0)
+    margin = _margin(lags)
+    key_s = strides = None
     if margin:
         key, strides = pack_sites(coords, margin)
         order, key_s = sort_keys(key)
-        cnt_s = counts[order]
+        counts = counts[order]
+    return _lag_sums(key_s, counts, lags, strides)
+
+
+def _margin(lags) -> int:
+    return max((abs(c) for lag in lags for c in lag), default=0)
+
+
+def _lag_sums(keys, counts, lags, strides) -> list[int]:
+    """sum_r N(r + lag) N(r) for each lag, from the distinct sites' keys in
+    increasing order and their local times: lag 0 is sum N^2, and any other
+    lag one ``searchsorted`` of the keys shifted by its offset
+    sum_j lag_j stride_j.  The packing must give every site shifted by a
+    lag its own key, so that a shifted key matches a visited one exactly
+    when the shifted site was visited."""
     out = []
     for lag in lags:
         if not any(lag):
             out.append(int(np.sum(counts * counts)))
             continue
-        shifted = key_s + sum(c * s for c, s in zip(lag, strides))
-        idx = np.searchsorted(key_s, shifted)
-        idx_c = np.clip(idx, 0, key_s.size - 1)
-        match = key_s[idx_c] == shifted
-        out.append(int(np.sum(cnt_s[match] * cnt_s[idx_c[match]])))
+        shifted = keys + sum(c * s for c, s in zip(lag, strides))
+        idx = np.searchsorted(keys, shifted)
+        idx_c = np.clip(idx, 0, keys.size - 1)
+        match = keys[idx_c] == shifted
+        out.append(int(np.sum(counts[match] * counts[idx_c[match]])))
     return out
 
 
@@ -95,13 +112,48 @@ def _field_lags(field, d: int) -> list[Site]:
     return [(h,) + (0,) * (d - 1) for h in range(-window, window + 1)]
 
 
-def _quadratic_form_arrays(coords, counts, field, d: int) -> float:
-    lags = [lag for lag in _field_lags(field, d)
+def _covariance_lags(field, d: int) -> list[Site]:
+    return [lag for lag in _field_lags(field, d)
             if field.covariance(lag) != 0.0]
+
+
+def _contract(field, lags, corrs) -> float:
     total = 0.0
-    for lag, corr in zip(lags, _lag_correlations(coords, counts, lags)):
+    for lag, corr in zip(lags, corrs):
         total += field.covariance(lag) * corr
     return total
+
+
+def _quadratic_form_arrays(coords, counts, field, d: int) -> float:
+    lags = _covariance_lags(field, d)
+    return _contract(field, lags, _lag_correlations(coords, counts, lags))
+
+
+def _walk_quadratic_form(config: RandomWalkSource, n: int, field) -> float:
+    """:func:`quadratic_form` of the first n sites of a random walk, read
+    off the walk's keys: no site array and no per-step occupation.
+
+    Every site within n steps has |z_j| <= n r, r the law's radius, and a
+    field lag moves it by at most the margin max |lag|, so
+    :func:`ledger.walk_strides` at reach n r + margin packs every site and
+    every shifted site.  :func:`sources.walk_keys` draws the keys, one sort
+    in :func:`key_local_times` gives the distinct keys and their local
+    times, and :func:`_lag_sums` the lags.  Where those strides would not
+    fit in 62 bits (the d = 4 simple walk from n ~ 23 000 on) the sites
+    are generated and packed by :func:`pack_sites` instead, and the same
+    sort and lag sums follow.  Each lag sum is an integer that does not
+    depend on the packing, so both routes give the value of
+    :func:`quadratic_form` bit for bit.
+    """
+    lags = _covariance_lags(field, config.d)
+    margin = _margin(lags)
+    strides = walk_strides(config.d, n * config.dist.radius() + margin)
+    if strides is None:
+        key, strides = pack_sites(sources.generate(config, n), margin)
+    else:
+        key = sources.walk_keys(config, n, strides)
+    keys, times = key_local_times(key)
+    return _contract(field, lags, _lag_sums(keys, times, lags, strides))
 
 
 def psi(dist: StepDistribution, t: Sequence[float]) -> complex:
@@ -511,8 +563,10 @@ def transient_variance_report(dist: StepDistribution, field, n: int,
 
     Route (a): Monte Carlo over walk realizations of the exact quadratic
     form (field covariance contracted against lag correlations of the
-    local times), divided by n.  Route (b): the return-probability series,
-    both at the report's n,
+    local times), divided by n.  Each replicate walks in packed-key space
+    (:func:`_walk_quadratic_form`): one draw, one cumulative sum and one
+    key sort, with no site array and no per-step occupation.  Route (b):
+    the return-probability series, both at the report's n,
 
         E[V_n] / n = sum_lags cov(lag) [1{lag=0} + sum_{k=1}^{n-1} (1 - k/n)
                      (P(Z_k = lag) + P(Z_k = -lag))],
@@ -552,8 +606,7 @@ def transient_variance_report(dist: StepDistribution, field, n: int,
     vals = np.empty(replicates)
     for rep in range(replicates):
         cfg = RandomWalkSource(dist, rng.derive(seed_base, "walk", rep))
-        _, sites, times = local_time_block(sources.generate(cfg, n))
-        vals[rep] = _quadratic_form_arrays(sites, times, field, d) / n
+        vals[rep] = _walk_quadratic_form(cfg, n, field) / n
     mc = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(replicates))
     return TransientVarianceReport(

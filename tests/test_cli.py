@@ -541,6 +541,7 @@ def test_selftest_passes():
     assert results["site_hash"]
     assert results["field_batches"]
     assert results["step_draws"]
+    assert results["variance_keys"]
 
 
 def _fresh_python(code: str, **env) -> str:

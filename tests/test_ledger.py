@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from selab import (LocalTimeLedger, RandomWalkSource, brute_force_stats,
                    condition_report, generate, simple_walk, trajectory_stats)
-from selab.ledger import exact_sum, local_time_block, pack_sites, sort_keys
+from selab.ledger import (exact_sum, key_local_times, local_time_block,
+                          pack_sites, sort_keys, walk_strides)
 
 site_lists = st.lists(
     st.tuples(st.integers(-8, 8), st.integers(-8, 8)), min_size=1, max_size=120)
@@ -332,6 +334,30 @@ def test_sort_keys_is_the_stable_argsort(key):
     assert order.dtype == sorted_key.dtype == np.int64
     assert np.array_equal(order, want)
     assert np.array_equal(sorted_key, key[want])
+
+
+@given(key_arrays())
+@settings(max_examples=100, deadline=None)
+def test_key_local_times_are_the_unique_keys_and_counts(key):
+    for signed in (key, -key):
+        keys, times = key_local_times(signed.copy())
+        want_keys, want_times = np.unique(signed, return_counts=True)
+        assert np.array_equal(keys, want_keys)
+        assert np.array_equal(times, want_times)
+
+
+def test_walk_strides_are_balanced_digits_within_62_bits():
+    assert walk_strides(3, 10) == (441, 21, 1)
+    assert walk_strides(1, 0) == (1,)
+    # width 2^31 - 1 fits two axes in 62 bits, width 2^31 + 1 does not
+    assert walk_strides(2, (1 << 30) - 1) == ((1 << 31) - 1, 1)
+    assert walk_strides(2, 1 << 30) is None
+    # each site with every |z_j| <= reach has its own key, of size at most
+    # (width^d - 1) / 2
+    sites = np.array(list(itertools.product(range(-2, 3), repeat=3)))
+    keys = sites @ np.array(walk_strides(3, 2))
+    assert np.unique(keys).size == len(sites)
+    assert np.abs(keys).max() == (5**3 - 1) // 2
 
 
 # spreads that fit the direct 62-bit packing but leave no room in the keys

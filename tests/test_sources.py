@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from selab import (CoboundarySource, ContinuedFraction, ExplicitSource,
-                   RandomWalkSource, RotationCocycle, StepDistribution,
-                   StepFunction, WindowFunctional, classify, cursor, generate,
-                   rng, simple_walk, stream)
+                   RandomWalkSource, RotationCocycle, SpecialFlowSource,
+                   StepDistribution, StepFunction, WindowFunctional, classify,
+                   cursor, generate, minimal_lambda_indices, rng, simple_walk,
+                   stream)
 
 
 def test_step_distribution_validation():
@@ -21,6 +22,47 @@ def test_step_distribution_validation():
         StepDistribution([((0,), 0.5), ((0,), 0.5)])
     with pytest.raises(ValueError):
         StepDistribution([((0,), 1.0), ((1, 2), 0.0)])
+
+
+GOLDEN = ContinuedFraction(periodic=(1,))
+LAM1 = minimal_lambda_indices(GOLDEN, 1)
+
+# each constructor with one integer field set to x, and a valid value of x
+INTEGER_FIELDS = {
+    "step-atom": (lambda x: StepDistribution([((x,), 0.5), ((-1,), 0.5)]), 2),
+    "explicit-site": (lambda x: ExplicitSource([(0,), (x,)]), 2),
+    "window-symbol": (lambda x: WindowFunctional(
+        [(x, 0.5), (1, 0.5)], 1, {(x,): (1,), (1,): (0,)}, 0), 2),
+    "window-output": (lambda x: WindowFunctional(
+        [(0, 0.5), (1, 0.5)], 1, {(0,): (x,), (1,): (0,)}, 0), 2),
+    "window-length": (lambda x: WindowFunctional(
+        [(0, 1.0)], x, {(0, 0): (1,)}, 0), 2),
+    "step-function-value": (lambda x: StepFunction([0], [x]), 2),
+    "cf-coeff": (lambda x: ContinuedFraction(coeffs=[x]), 2),
+    "cf-periodic": (lambda x: ContinuedFraction(periodic=[x]), 2),
+    "flow-levels": (lambda x: SpecialFlowSource(
+        GOLDEN, x, minimal_lambda_indices(GOLDEN, 2), 0), 2),
+    "flow-lambda-index": (lambda x: SpecialFlowSource(
+        GOLDEN, 1, (LAM1[0], x), 0), LAM1[1]),
+}
+
+
+@pytest.mark.parametrize("build, good", INTEGER_FIELDS.values(),
+                         ids=INTEGER_FIELDS.keys())
+def test_constructors_reject_non_integers(build, good):
+    # int() would cut 2.5 to 2 and read "2" as 2: another source, silently
+    build(good)
+    build(np.int64(good))
+    for bad in (good + 0.5, float(good), np.float64(good), str(good)):
+        with pytest.raises(ValueError, match="not an integer"):
+            build(bad)
+
+
+def test_constructors_reject_bools():
+    with pytest.raises(ValueError, match="not an integer"):
+        StepDistribution([((True,), 0.5), ((-1,), 0.5)])
+    with pytest.raises(ValueError, match="not an integer"):
+        ExplicitSource([(0,), (np.int64(1), False)])
 
 
 def test_simple_walk_law():

@@ -4,13 +4,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from selab import spectral
+from selab import ledger, rng, sources, spectral
 from selab import (LocalTimeLedger, RandomWalkSource, StepDistribution,
                    generate, kernel_from_ledger, kernel_grid_mean,
                    lag_correlation, phi, psi, quadratic_form,
                    return_series, simple_walk, transient_variance_report)
 from selab.fields import GaussianField, MovingAverageField, UniformField
+from selab.ledger import local_time_block
 
 PM1 = StepDistribution([((1,), 0.5), ((-1,), 0.5)])
 # G(3) - 1 for the simple walk on Z^3 from Watson's closed form
@@ -101,6 +103,75 @@ def test_quadratic_form_sorts_the_sites_once(monkeypatch):
     assert quadratic_form(led, GaussianField(0.0, 2.0)) == \
         4.0 * led.self_intersections
     assert calls == []
+
+
+@st.composite
+def walk_laws(draw):
+    """Laws on Z^d, d <= 4, of radius <= 2: zero-probability atoms, a lazy
+    (zero) atom and a drift all occur."""
+    d = draw(st.integers(1, 4))
+    r = draw(st.integers(1, 2))
+    atoms = draw(st.lists(st.tuples(*[st.integers(-r, r)] * d), min_size=1,
+                          max_size=6, unique=True))
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(atoms),
+                            max_size=len(atoms)).filter(any))
+    return StepDistribution([(a, w / sum(weights))
+                             for a, w in zip(atoms, weights)])
+
+
+fields_up_to_window_3 = st.one_of(
+    st.just(GaussianField(0.0, 2.0)),
+    st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1,
+             max_size=3).filter(any).map(MovingAverageField))
+
+
+def _coordinate_route(cfg, n, field):
+    _, sites, times = local_time_block(generate(cfg, n))
+    return spectral._quadratic_form_arrays(sites, times, field, cfg.d)
+
+
+@given(walk_laws(), fields_up_to_window_3, st.integers(1, 400),
+       st.integers(0, 2**64 - 1))
+@settings(max_examples=80, deadline=None)
+def test_key_walk_matches_the_coordinate_route(law, field, n, seed):
+    cfg = RandomWalkSource(law, seed)
+    assert spectral._walk_quadratic_form(cfg, n, field) == \
+        _coordinate_route(cfg, n, field)
+
+
+def test_key_walk_falls_back_to_the_sites_past_62_bits():
+    # the d = 4 simple walk's keys need (2 (n + margin) + 1)^4 < 2^62, so at
+    # n = 30 000 the sites are generated and packed
+    cfg = RandomWalkSource(simple_walk(4), 8)
+    assert ledger.walk_strides(4, 30_000) is None
+    for field in (GaussianField(), MovingAverageField([1.0, 0.5, 0.25])):
+        assert spectral._walk_quadratic_form(cfg, 30_000, field) == \
+            _coordinate_route(cfg, 30_000, field)
+
+
+# the d = 4 simple walk under a three-weight field (margin 2) takes the key
+# walk while (2 (n + 2) + 1)^4 < 2^62, that is up to n = 23 167
+@pytest.mark.parametrize("n, route", [
+    (23_167, {"walk_keys": 3, "key_local_times": 3}),
+    (23_168, {"generate": 3, "pack_sites": 3, "key_local_times": 3})])
+def test_variance_replicates_sort_once_and_skip_the_occupation(
+        monkeypatch, n, route):
+    calls = Counter()
+    for module, name in ((sources, "generate"), (sources, "walk_keys"),
+                         (spectral, "pack_sites"), (spectral, "sort_keys"),
+                         (spectral, "key_local_times"),
+                         (ledger, "local_time_block")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, fn=fn, name=name:
+                            calls.update([name]) or fn(*a))
+    field = MovingAverageField([1.0, 0.5, 0.25])
+    rep = transient_variance_report(simple_walk(4), field, n, 3, seed_base=2,
+                                    kmax=10)
+    assert calls == route
+    walks = [RandomWalkSource(simple_walk(4), rng.derive(2, "walk", r))
+             for r in range(3)]
+    vals = np.array([_coordinate_route(cfg, n, field) / n for cfg in walks])
+    assert rep.mc_estimate == float(vals.mean())
 
 
 def test_psi_and_phi_pm1_walk():
@@ -277,6 +348,12 @@ def test_transient_variance_requires_transient():
 def test_transient_variance_rejects_lower_dimensional_laws(law):
     with pytest.raises(ValueError, match="recurrent|dimensional"):
         transient_variance_report(law, UniformField(), 100, 10, 1, kmax=10)
+
+
+def test_transient_variance_needs_a_step():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        transient_variance_report(simple_walk(3), UniformField(), 0, 2, 1,
+                                  kmax=10)
 
 
 def test_transient_variance_small_run():
