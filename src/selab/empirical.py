@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng, sources
-from .ledger import LocalTimeLedger
+from .ledger import LocalTimeLedger, run_starts
 
 
 @dataclass(frozen=True)
@@ -163,9 +163,7 @@ def _merged_ecdf(xs: np.ndarray, cs: np.ndarray, n: int) -> WeightedEcdf:
     """The ECDF with weight cs[i] / n at xs[i], for nondecreasing xs and
     int64 weights cs.  Equal values merge into one atom, whose integer
     weights sum exactly in any order."""
-    first = np.empty(xs.size, dtype=bool)
-    first[0] = True
-    np.not_equal(xs[1:], xs[:-1], out=first[1:])
+    first = run_starts(xs)
     if not first.all():
         starts = np.flatnonzero(first)
         xs, cs = xs[starts], np.add.reduceat(cs, starts)

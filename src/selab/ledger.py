@@ -9,10 +9,11 @@ time; ``counts`` is a read-only {site: local time} view built from them.
 The ledger's local times come from one vectorized kernel,
 :func:`local_time_block`: :func:`pack_sites` packs each site into one int64
 key, and :func:`sort_keys`, the package's one stable key sort, groups equal
-keys.  Where only the final local times are read (the variance Monte
-Carlo), :func:`key_local_times` groups a walk's keys after one plain sort,
-and :func:`walk_strides` lets the walk be drawn as keys.  The statistics
-follow the step recursion
+keys.  :func:`key_strides` is the one key layout, which ``pack_sites`` and
+the variance Monte Carlo's walk drawn as keys share, and :func:`run_starts`
+the one grouper of sorted runs.  Where only the final local times are read
+(the variance Monte Carlo), :func:`key_local_times` groups a walk's keys
+after one plain sort.  The statistics follow the step recursion
 
     V_n = V_{n-1} + 2 * N_{n-1}(z_n) + 1
     M_n = max(M_{n-1}, N_{n-1}(z_n) + 1)
@@ -172,8 +173,16 @@ def _as_coords(sites: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
     return coords
 
 
-def _key_bits(widths: Sequence[int]) -> int:
-    return sum(max(1, w - 1).bit_length() for w in widths)
+def key_strides(widths: Sequence[int]) -> tuple[int, ...] | None:
+    """Mixed-radix strides, axis 0 the most significant: stride_j =
+    prod_{i > j} width_i, or None where prod width_i > 2^62.  Digits
+    0 <= c_j < width_j, or balanced digits |c_j| <= (width_j - 1) / 2 of
+    odd widths, then give each site its own key sum_j c_j stride_j, and
+    every such key and every lag offset between two such sites fits in
+    int64."""
+    if math.prod(widths) > 1 << 62:
+        return None
+    return tuple(math.prod(widths[j + 1:]) for j in range(len(widths)))
 
 
 def pack_sites(coords: np.ndarray, margin: int = 0
@@ -181,11 +190,13 @@ def pack_sites(coords: np.ndarray, margin: int = 0
     """Injectively pack (n, d) int64 coordinates into int64 keys.
 
     Returns the keys and the axis strides, key = sum_j (z_j - min_j z_j +
-    margin) stride_j.  ``margin`` widens each axis so that sites shifted by
-    up to ``margin`` in every coordinate share the strides: a lag becomes
-    the key offset sum_j lag_j stride_j.  Offsets are formed only once they
-    are known to fit in 62 bits; with ``margin`` 0 and a wider spread each
-    axis packs the dense rank of its coordinate instead.
+    margin) stride_j, from :func:`key_strides` at widths spread_j + 1 +
+    2 margin.  ``margin`` widens each axis so that sites shifted by up to
+    ``margin`` in every coordinate share the strides: a lag becomes the
+    key offset sum_j lag_j stride_j.  Where those widths do not fit in 62
+    bits, ``margin`` 0 packs the dense rank of each axis's coordinate
+    instead, with the counts of distinct values as widths; a nonzero
+    ``margin``, or ranks that do not fit either, raise.
     """
     coords = _as_coords(coords)
     n, d = coords.shape
@@ -193,22 +204,21 @@ def pack_sites(coords: np.ndarray, margin: int = 0
     lo = [int(coords[:, j].min()) if n else 0 for j in range(d)]
     widths = [int(coords[:, j].max()) - lo[j] + 1 + 2 * margin if n else 1
               for j in range(d)]
-    if _key_bits(widths) <= 62:
+    strides = key_strides(widths)
+    if strides is not None:
         cols = [coords[:, j] - lo[j] + margin for j in range(d)]
     elif margin == 0:
         ranks = [np.unique(coords[:, j], return_inverse=True) for j in range(d)]
         widths = [values.size for values, _ in ranks]
         cols = [inverse.reshape(-1) for _, inverse in ranks]
-    if _key_bits(widths) > 62:
+        strides = key_strides(widths)
+    if strides is None:
         raise OverflowError("site spread too large to pack into int64 keys")
-    strides = [1] * d
-    for j in range(d - 2, -1, -1):
-        strides[j] = strides[j + 1] * widths[j + 1]
     key = cols[0]  # a fresh array: the Horner steps run in place
     for j in range(1, d):
         key *= widths[j]
         key += cols[j]
-    return key, tuple(strides)
+    return key, strides
 
 
 def sort_keys(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,21 +248,13 @@ def sort_keys(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, key if values is None else values[key]
 
 
-def walk_strides(d: int, reach: int) -> tuple[int, ...] | None:
-    """Strides of the signed keys sum_j z_j stride_j of sites with every
-    |z_j| <= reach, or None where they would not fit in 62 bits.
-
-    With width = 2 reach + 1 and stride_j = width^(d - 1 - j) the
-    coordinates are balanced base-width digits, so the key is injective,
-    and a lag is the key offset sum_j lag_j stride_j for as long as the
-    shifted site keeps its coordinates within reach.  Every such key has
-    |key| <= (width^d - 1) / 2, so the strides are given only where
-    width^d < 2^62.
-    """
-    width = 2 * reach + 1
-    if width**d >= 1 << 62:
-        return None
-    return tuple(width ** (d - 1 - j) for j in range(d))
+def run_starts(xs: np.ndarray) -> np.ndarray:
+    """Flags of the first element of each run of equal values in a sorted
+    1-d array (none for an empty one)."""
+    first = np.empty(xs.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(xs[1:], xs[:-1], out=first[1:])
+    return first
 
 
 def key_local_times(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -261,10 +263,7 @@ def key_local_times(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     distinct keys start the runs of equal sorted keys, and each local time
     is the length of its run.  ``key`` is left sorted."""
     key.sort()
-    new = np.empty(key.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(key[1:], key[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
+    starts = np.flatnonzero(run_starts(key))
     return key[starts], np.diff(starts, append=key.size)
 
 
@@ -294,9 +293,7 @@ def local_time_block(coords: Sequence[Sequence[int]] | np.ndarray,
     both = np.concatenate([sites, coords]) if k else coords
     total = both.shape[0]
     order, sorted_key = sort_keys(pack_sites(both)[0])
-    new_group = np.empty(total, dtype=bool)
-    new_group[0] = True
-    np.not_equal(sorted_key[1:], sorted_key[:-1], out=new_group[1:])
+    new_group = run_starts(sorted_key)
     weight = np.ones(total, dtype=np.int64)
     if k:
         weight[:k] = times

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ledger import _as_coords, pack_sites, sort_keys
+from .ledger import _as_coords, pack_sites, run_starts, sort_keys
 
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -131,9 +131,7 @@ class Sites:
         head = self.coords[:, :-1]
         if n and d > 1:
             order, key = sort_keys(pack_sites(head)[0])
-            new = np.empty(n, dtype=bool)
-            new[0] = True
-            np.not_equal(key[1:], key[:-1], out=new[1:])
+            new = run_starts(key)
             self.prefix = np.empty(n, dtype=np.int64)
             self.prefix[order] = np.cumsum(new) - 1
             head = head[order[new]]

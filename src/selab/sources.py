@@ -345,8 +345,9 @@ def walk_keys(config: RandomWalkSource, n: int,
     Packing is linear, so the key of z_k = zeta_0 + ... + zeta_k is the
     running sum of the steps' keys: one int64 key per atom, drawn with the
     cursor's own uniforms and atom indices, and one cumulative sum in
-    place.  The strides must give every site within n steps an exact key,
-    as :func:`ledger.walk_strides` does for reach n * radius.
+    place.  The strides must give every site within n steps, and each site
+    a field lag away, an exact key, as :func:`ledger.key_strides` does at
+    width 2 (n * radius + margin) + 1 per axis.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

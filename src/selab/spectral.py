@@ -30,8 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from . import rng, sources
-from .ledger import (LocalTimeLedger, key_local_times, pack_sites, sort_keys,
-                     walk_strides)
+from .ledger import (LocalTimeLedger, key_local_times, key_strides,
+                     pack_sites, sort_keys)
 from .sources import RandomWalkSource, StepDistribution, classify
 
 Site = tuple[int, ...]
@@ -62,9 +62,10 @@ def lag_correlation(coords: np.ndarray, counts: np.ndarray,
 
 def _lag_correlations(coords, counts, lags) -> list[int]:
     """:func:`lag_correlation` at each lag: the sites are packed once, with
-    margin max |lag| so that each lag is a key offset, and their keys
-    sorted once by :func:`sort_keys` for :func:`_lag_sums`.  Lag 0 alone,
-    sum N^2, needs neither the pack nor the sort."""
+    margin max |lag| so that each lag is a key offset (OverflowError where
+    the widened axes' product passes 2^62), and their keys sorted once by
+    :func:`sort_keys` for :func:`_lag_sums`.  Lag 0 alone, sum N^2, needs
+    neither the pack nor the sort."""
     lags = [tuple(int(c) for c in lag) for lag in lags]
     counts = np.asarray(counts)
     margin = _margin(lags)
@@ -135,19 +136,21 @@ def _walk_quadratic_form(config: RandomWalkSource, n: int, field) -> float:
 
     Every site within n steps has |z_j| <= n r, r the law's radius, and a
     field lag moves it by at most the margin max |lag|, so
-    :func:`ledger.walk_strides` at reach n r + margin packs every site and
-    every shifted site.  :func:`sources.walk_keys` draws the keys, one sort
-    in :func:`key_local_times` gives the distinct keys and their local
-    times, and :func:`_lag_sums` the lags.  Where those strides would not
-    fit in 62 bits (the d = 4 simple walk from n ~ 23 000 on) the sites
-    are generated and packed by :func:`pack_sites` instead, and the same
-    sort and lag sums follow.  Each lag sum is an integer that does not
+    :func:`ledger.key_strides` at width 2 (n r + margin) + 1 per axis
+    packs every site and every shifted site as balanced digits.
+    :func:`sources.walk_keys` draws the keys, one sort in
+    :func:`key_local_times` gives the distinct keys and their local times,
+    and :func:`_lag_sums` the lags.  Where width^d > 2^62 (the d = 4 simple
+    walk from n = 23 168 on, at margin 2) the sites are generated and
+    packed by :func:`pack_sites` instead, and the same sort and lag sums
+    follow.  Each lag sum is an integer that does not
     depend on the packing, so both routes give the value of
     :func:`quadratic_form` bit for bit.
     """
     lags = _covariance_lags(field, config.d)
     margin = _margin(lags)
-    strides = walk_strides(config.d, n * config.dist.radius() + margin)
+    width = 2 * (n * config.dist.radius() + margin) + 1
+    strides = key_strides([width] * config.d)
     if strides is None:
         key, strides = pack_sites(sources.generate(config, n), margin)
     else:

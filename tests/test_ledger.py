@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from selab import (LocalTimeLedger, RandomWalkSource, brute_force_stats,
                    condition_report, generate, simple_walk, trajectory_stats)
-from selab.ledger import (exact_sum, key_local_times, local_time_block,
-                          pack_sites, sort_keys, walk_strides)
+from selab.ledger import (exact_sum, key_local_times, key_strides,
+                          local_time_block, pack_sites, run_starts, sort_keys)
 
 site_lists = st.lists(
     st.tuples(st.integers(-8, 8), st.integers(-8, 8)), min_size=1, max_size=120)
@@ -346,18 +346,97 @@ def test_key_local_times_are_the_unique_keys_and_counts(key):
         assert np.array_equal(times, want_times)
 
 
-def test_walk_strides_are_balanced_digits_within_62_bits():
-    assert walk_strides(3, 10) == (441, 21, 1)
-    assert walk_strides(1, 0) == (1,)
+def test_key_strides_are_balanced_digits_within_62_bits():
+    assert key_strides([21] * 3) == (441, 21, 1)
+    assert key_strides([1]) == (1,)
     # width 2^31 - 1 fits two axes in 62 bits, width 2^31 + 1 does not
-    assert walk_strides(2, (1 << 30) - 1) == ((1 << 31) - 1, 1)
-    assert walk_strides(2, 1 << 30) is None
-    # each site with every |z_j| <= reach has its own key, of size at most
-    # (width^d - 1) / 2
+    assert key_strides([(1 << 31) - 1] * 2) == ((1 << 31) - 1, 1)
+    assert key_strides([(1 << 31) + 1] * 2) is None
+    # each site with every |z_j| <= 2 has its own key as balanced digits of
+    # width 5, of size at most (width^d - 1) / 2
     sites = np.array(list(itertools.product(range(-2, 3), repeat=3)))
-    keys = sites @ np.array(walk_strides(3, 2))
+    keys = sites @ np.array(key_strides([5] * 3))
     assert np.unique(keys).size == len(sites)
     assert np.abs(keys).max() == (5**3 - 1) // 2
+
+
+@st.composite
+def site_sets(draw):
+    """(rows, margin): up to 12 sites of Z^d, d <= 4, with coordinates near
+    0, near the 62-bit edge or at the int64 extremes, so that the direct
+    layout, the rank route (margin 0) and the overflow (margin > 0) all
+    occur."""
+    d = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.one_of(
+        st.integers(-3, 3), st.sampled_from([-(1 << 63), (1 << 63) - 1,
+                                             1 << 62, 1 << 61, 1 << 20])),
+        min_size=1, max_size=4))
+    rows = draw(st.lists(st.tuples(*[st.sampled_from(pool)] * d),
+                         min_size=1, max_size=12))
+    return rows, draw(st.integers(0, 2))
+
+
+# widths of 2^20 + 1 (+ 2 margin): 3 x 21 bits, but a product below 2^61;
+# and one axis 2^61 + 3 wide, just inside 2^62
+@given(site_sets())
+@example(([(0, 0, 0), (1 << 20, 1 << 20, 1 << 20)], 0))
+@example(([(0, 0, 0), (1 << 20, 1 << 20, 1 << 20), (1, 0, 0)], 1))
+@example(([(0,), (1 << 61,)], 1))
+@settings(max_examples=150, deadline=None)
+def test_pack_sites_keys_are_exact_and_lags_are_offsets(case):
+    rows, margin = case
+    coords = np.array(rows, dtype=np.int64)
+    cols = list(zip(*rows))
+    widths = [max(c) - min(c) + 1 + 2 * margin for c in cols]
+    if math.prod(widths) > 1 << 62 and margin:
+        with pytest.raises(OverflowError):
+            pack_sites(coords, margin)
+        return
+    key, strides = pack_sites(coords, margin)
+    if math.prod(widths) <= 1 << 62:
+        assert strides == key_strides(widths)
+    else:  # the dense ranks of each axis
+        assert strides == key_strides([len(set(c)) for c in cols])
+    assert all(0 <= k < 1 << 62 for k in key.tolist())
+    for (r, k), (s, m) in itertools.combinations(zip(rows, key.tolist()), 2):
+        assert (r == s) == (k == m)
+    want = np.lexsort(coords.T[::-1])
+    assert np.array_equal(sort_keys(key.copy())[0], want)
+    # a lag of up to the margin per axis is the key offset
+    # sum_j lag_j stride_j: each shifted site gets one key of its own
+    key_of, site_of = {}, {}
+    for lag in itertools.product(range(-margin, margin + 1), repeat=len(cols)):
+        off = sum(c * s for c, s in zip(lag, strides))
+        for r, k in zip(rows, key.tolist()):
+            site = tuple(a + b for a, b in zip(r, lag))
+            assert 0 <= k + off < 1 << 62
+            assert key_of.setdefault(site, k + off) == k + off
+            assert site_of.setdefault(k + off, site) == site
+
+
+sorted_arrays = st.one_of(
+    st.lists(st.one_of(st.integers(-3, 3),
+                       st.sampled_from([-(1 << 63), (1 << 63) - 1])),
+             max_size=40).map(lambda v: np.sort(np.array(v, dtype=np.int64))),
+    st.lists(st.one_of(st.sampled_from([-1.5, -0.0, 0.0, 2.0]),
+                       st.floats(allow_nan=False)),
+             max_size=40).map(lambda v: np.sort(np.array(v, dtype=np.float64))))
+
+
+@given(sorted_arrays)
+@example(np.array([], dtype=np.int64))
+@example(np.array([], dtype=np.float64))
+@example(np.array([7], dtype=np.int64))
+@example(np.array([0.5]))
+@example(np.full(5, -(1 << 63), dtype=np.int64))
+@example(np.full(5, 2.5))
+@settings(max_examples=150, deadline=None)
+def test_run_starts_flags_the_first_of_each_run(xs):
+    want = np.zeros(xs.size, dtype=bool)
+    want[np.unique(xs, return_index=True)[1]] = True
+    got = run_starts(xs)
+    assert got.dtype == bool
+    assert np.array_equal(got, want)
 
 
 # spreads that fit the direct 62-bit packing but leave no room in the keys

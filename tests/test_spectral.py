@@ -105,6 +105,25 @@ def test_quadratic_form_sorts_the_sites_once(monkeypatch):
     assert calls == []
 
 
+def test_quadratic_form_packs_keys_that_fit_62_bits():
+    # with margin 1 each axis is B + 3 wide: (B + 3)^3 < 2^61, though the
+    # per-axis bit lengths of B + 2 add up to 63
+    big = 1 << 20
+    sites = [(0, 0, 0), (big, big, big), (1, 0, 0), (big - 1, big, big)]
+    led = LocalTimeLedger.from_trajectory(sites)
+    field = MovingAverageField([1.0, 1.0])
+    table = Counter(sites)
+    want = 0.0
+    for h in (-1, 0, 1):
+        want += field.covariance((h, 0, 0)) * sum(
+            n * table.get((r[0] + h,) + r[1:], 0) for r, n in table.items())
+    assert want == 12.0  # 2 * 4 from lag 0, 2 from each of lags +-1
+    assert quadratic_form(led, field) == want
+    # at margin 0 the same sites take the direct layout, not the dense ranks
+    widths = [big + 1] * 3
+    assert ledger.pack_sites(np.array(sites))[1] == ledger.key_strides(widths)
+
+
 @st.composite
 def walk_laws(draw):
     """Laws on Z^d, d <= 4, of radius <= 2: zero-probability atoms, a lazy
@@ -143,7 +162,7 @@ def test_key_walk_falls_back_to_the_sites_past_62_bits():
     # the d = 4 simple walk's keys need (2 (n + margin) + 1)^4 < 2^62, so at
     # n = 30 000 the sites are generated and packed
     cfg = RandomWalkSource(simple_walk(4), 8)
-    assert ledger.walk_strides(4, 30_000) is None
+    assert ledger.key_strides([60_001] * 4) is None
     for field in (GaussianField(), MovingAverageField([1.0, 0.5, 0.25])):
         assert spectral._walk_quadratic_form(cfg, 30_000, field) == \
             _coordinate_route(cfg, 30_000, field)
