@@ -2,8 +2,10 @@
 
 ``selab run plan.json [--threads N] [--assert] [--out DIR]`` parses a JSON
 plan, dispatches to the library modules, and writes CSV checkpoint tables
-plus a JSON summary.  ``selab selftest`` runs quick oracle suites.  Output
-bytes (CSV) are a pure function of the plan.
+plus a JSON summary; ``--threads`` maps rw-asym's walks over a thread pool,
+and every other experiment runs on one thread.  ``selab selftest`` runs the
+oracle checks of :mod:`selab.selftest` on fixed inputs; the tier-1 tests
+drive the same checks.  Output bytes (CSV) are a pure function of the plan.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import math
 import os
 import sys
 import time
-from bisect import bisect_right
 from collections.abc import Callable, Set
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -327,13 +328,10 @@ def _run_gc(plan, threads):
     reps, cps = plan["replicates"], plan["_checkpoints"]
     field = plan["_field"]
     leds = _checkpoint_ledgers(sources.cursor(plan["_source"]), cps)
-    ecdfs = empirical.SampledEcdfs(field, leds)  # built once, read by threads
-
-    def sups(rep):
-        seed = rng.derive(plan["seed_base"], "field", rep)
-        return [empirical.sup_deviation(e, field) for e in ecdfs(seed)]
-
-    devs = _pmap(sups, range(reps), threads)
+    ecdfs = empirical.SampledEcdfs(field, leds)  # built once per run
+    # on one thread: on 2 cores a second one made gc-rw3 no faster
+    devs = [[empirical.sup_deviation(e, field) for e in ecdfs(
+        rng.derive(plan["seed_base"], "field", rep))] for rep in range(reps)]
     rows = [(rep, c, dev) for rep, row in enumerate(devs)
             for c, dev in zip(cps, row)]
     improved = sum(row[-1] < row[0] for row in devs)
@@ -445,214 +443,9 @@ def _run_variance(plan, threads):
 
 
 def run_selftest() -> dict:
-    """Small oracle suite: the block-fed ledger against the quadratic oracle
-    and the exact rational Sigma M_k / k^2, the local-time kernel through
-    the rank pre-step of its key sort, convergent quality, the grid
-    Parseval identity, the axis-split return series against the Fourier
-    grid, the two-limb rotation orbit against the 128-bit scalar loop, the
-    prefix-grouped site hash against the flat one, the replicate-batched
-    field analyzers against one replicate at a time, the guide-table step
-    draws against a binary search, and the variance Monte Carlo's key walk
-    against the route through the sites."""
-    results = {}
-    ok = True
-    for trial in range(20):
-        d = 1 + trial % 2
-        cfg = sources.RandomWalkSource(sources.simple_walk(d), seed=1000 + trial)
-        coords = sources.generate(cfg, 300)
-        led = ledger.LocalTimeLedger(d)
-        # blocks of 1..64 steps, so most of them meet a nonempty prior
-        cuts = np.cumsum(1 + (64 * rng.uniforms(2000 + trial, 300)).astype(int))
-        for block in np.split(coords, cuts[cuts < coords.shape[0]]):
-            led.record_block(block)
-        v, m, counts = ledger.brute_force_stats(coords)
-        led.rescan()
-        pqd = sum(Fraction(m_k / (k * k)) for k, m_k in enumerate(
-            ledger.trajectory_stats(coords).m.tolist(), start=1))
-        if ((v, m) != (led.self_intersections, led.max_count)
-                or counts != led.counts or led.pqd_partial_sum != float(pqd)):
-            ok = False
-    results["ledger_vs_brute_force"] = ok
-    results["local_times"] = _selftest_local_times()
-    cf = rotation.ContinuedFraction.golden()
-    alpha = cf.convergent(40)
-    conv_ok = all(abs(alpha - Fraction(p, q)) < Fraction(1, q * q)
-                  for p, q in cf.convergents(20))
-    results["convergent_quality"] = conv_ok
-    led = ledger.LocalTimeLedger(1)
-    led.record_many([(i % 7,) for i in range(30)])
-    pars = abs(spectral.kernel_grid_mean(led, 13) - led.self_intersections)
-    results["parseval"] = pars < 1e-6 * led.self_intersections
-    rs_err = 0.0
-    for d in (2, 3):
-        law = sources.simple_walk(d)
-        lags = [(0,) * d, (1,) + (0,) * (d - 1)]
-        want = spectral._requested_lags(law, 30, lags)
-        rs_err = max(rs_err, float(np.max(np.abs(
-            spectral._axis_probs(law, 30, want)
-            - spectral._grid_probs(law, 30, want)))))
-    results["return_series"] = rs_err <= 1e-15
-    results["source_blocks"] = _selftest_source_blocks()
-    results["site_hash"] = _selftest_site_hash()
-    results["field_batches"] = _selftest_field_batches()
-    results["step_draws"] = _selftest_step_draws()
-    results["variance_keys"] = _selftest_variance_keys()
-    results["ok"] = all(results.values())
-    return results
-
-
-def _selftest_local_times(n: int = 300) -> bool:
-    """``local_time_block`` against the quadratic oracle on a walk over
-    {0, 2^55}: its keys leave no room for a 9-bit row index, so the sort
-    takes the rank pre-step.  The stable order comes from ``np.sort``, whose
-    SIMD kernel numpy picks per CPU."""
-    coords = (rng.uniforms(4000, n) < 0.5).astype(np.int64)[:, None] << 55
-    occ, sites, times = ledger.local_time_block(coords)
-    v, m, counts = ledger.brute_force_stats(coords)
-    return (int(np.sum(2 * occ - 1)), int(occ.max())) == (v, m) and list(
-        zip(map(tuple, sites.tolist()), times.tolist())) == list(counts.items())
-
-
-def _selftest_site_hash(n: int = 3000) -> bool:
-    """A d = 3 walk's ``rng.Sites``, which hashes each distinct
-    (x, y)-prefix once per seed, against the flat fold of the raw
-    coordinates under a few seeds."""
-    coords = sources.generate(
-        sources.RandomWalkSource(sources.simple_walk(3), 31), n)
-    sites = rng.Sites(coords)
-    return sites.prefixes < n and all(
-        np.array_equal(rng.hash_sites(seed, sites),
-                       rng.hash_sites(seed, coords))
-        for seed in (0, 1, rng.derive(7, "field", 0), rng.MASK64))
-
-
-def _selftest_field_batches() -> bool:
-    """Batched gc and fclt outputs against one replicate and checkpoint at
-    a time, with ECDFs built apart from the batched path: local times by
-    ``np.unique`` over the trajectory, values hashed from the coordinates
-    per seed (the batched path reuses each site's seed-free hash words), a
-    stable sort, atoms summed by ``bincount`` into a validated
-    ``WeightedEcdf``, then ``sup_deviation``.  gc on five fields (the
-    moving-average one, and a discrete law listed in decreasing order, whose
-    values the key sort must repair), over a walk and over the same walk
-    held at one site for 2600 steps, a local time past the key's 11 bits;
-    fclt covariances and sups on the uniform and discrete fields, with the
-    bridge n (F_n(s) - F(s)) / sqrt(V_n) read off the same ECDFs."""
-    src = sources.RandomWalkSource(sources.simple_walk(2), 21)
-    traj = sources.generate(src, 3000)
-    held = np.concatenate([traj[:400], np.repeat(traj[399:400], 2600, axis=0)])
-
-    def ecdf(field, seed, n, traj=traj):  # (F_n, sqrt V_n), first n steps
-        sites, counts = np.unique(traj[:n], axis=0, return_counts=True)
-        x = field.site_values(seed, sites)
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        new = np.concatenate([[True], xs[1:] != xs[:-1]])
-        w = np.bincount(np.cumsum(new) - 1, weights=counts[order]) / n
-        return (empirical.WeightedEcdf(values=xs[new], weights=w),
-                math.sqrt(counts @ counts))
-
-    seeds = [rng.derive(5, "field", rep) for rep in range(100)]
-    iid = (UniformField(), DiscreteField([(0, 0.5), (1, 0.2), (2, 0.3)]))
-    ok = True
-    gc_fields = iid + (DiscreteField([(2, 0.3), (1, 0.2), (0, 0.5)]),
-                       GaussianField(), MovingAverageField([1, .5, .25]))
-    for walk, coords in ((src, traj),
-                         (sources.ExplicitSource(held.tolist()), held)):
-        for field in gc_fields:
-            plan = {"_source": walk, "_field": field, "n": 3000,
-                    "_checkpoints": [30, 300, 3000], "replicates": 7,
-                    "seed_base": 5}
-            rows = [(rep, c, empirical.sup_deviation(
-                        ecdf(field, seed, c, coords)[0], field))
-                    for rep, seed in enumerate(seeds[:7])
-                    for c in (30, 300, 3000)]
-            ok = ok and _run_gc(plan, 1)[0]["gc.csv"][1] == rows
-    grid = np.array([0.5, 1.0])
-    for field in iid:
-        res = empirical.mc_fclt(field, src, 3000, grid, 100, 5)
-        fits = [ecdf(field, seed, 3000) for seed in seeds]
-        ys = np.array([(e(grid) - field.cdf(grid)) * 3000 / root_v
-                       for e, root_v in fits])
-        sups = [empirical.sup_deviation(e, field) * 3000 / root_v
-                for e, root_v in fits]
-        p = (ys[:, :, None] * ys[:, None, :]).sum(axis=0)
-        mean = ys.mean(axis=0)
-        ok = (ok and np.array_equal(res.cov, p / 100 - np.outer(mean, mean))
-              and res.sup_sample.tolist() == sups)
-    return ok
-
-
-def _selftest_step_draws() -> bool:
-    """Each law's guide-table inverse cdf against ``np.searchsorted`` of its
-    running sums, the last set to 1, at the uniforms where a lookup could
-    slip: every threshold, the floats either side of it, 0 and 1 - 2^-53,
-    plus hashed ones.  The laws: a d = 3 simple walk, a window alphabet with
-    a zero-probability symbol, and a discrete field with two clustered tiny
-    atoms, its values out of order, drawn through ``quantile``."""
-    window = sources.WindowFunctional(
-        [(0, 0.2), (1, 0.0), (2, 0.5), (3, 0.3)], 1,
-        {(a,): (a,) for a in range(4)}, 0)
-    field = DiscreteField([(2, 0.3), (-1, 1e-12), (0.5, 1e-12),
-                           (1.5, 0.7 - 2e-12)])
-    walk = sources.simple_walk(3)
-    ok = True
-    for draw, probs, values in (
-            (walk.inverse_cdf, walk.probs(), np.arange(6)),
-            (window.inverse_cdf, [p for _, p in window.inner], np.arange(4)),
-            (field.quantile, [p for _, p in field.atoms],
-             np.array([v for v, _ in field.atoms]))):
-        cum = np.cumsum(probs)
-        u = np.concatenate([cum, np.nextafter(cum, 0), np.nextafter(cum, 1),
-                            [0.0, 1 - 2.0**-53], rng.uniforms(5000, 1000)])
-        u = u[u < 1]
-        cum[-1] = 1.0
-        want = values[np.searchsorted(cum, u, side="right")]
-        ok = ok and np.array_equal(draw(u.copy()), want)
-    return ok
-
-
-def _selftest_variance_keys(n: int = 5000) -> bool:
-    """The quadratic form of a d = 3 walk read off its packed keys, as the
-    variance Monte Carlo reads it, against the route through the sites:
-    ``generate``, ``local_time_block`` and the packed lag sums, under a
-    Gaussian and a moving-average field."""
-    cfg = sources.RandomWalkSource(sources.simple_walk(3), 51)
-    _, sites, times = ledger.local_time_block(sources.generate(cfg, n))
-    return all(spectral._walk_quadratic_form(cfg, n, field)
-               == spectral._quadratic_form_arrays(sites, times, field, 3)
-               for field in (GaussianField(), MovingAverageField([1, .5, .25])))
-
-
-def _selftest_source_blocks(n: int = 2000) -> bool:
-    """The two-limb orbit and the cocycle cursor, fed blocks of 1..64
-    steps, against a step-by-step loop on 128-bit ints: orbit points, sums
-    and near-breakpoint hits."""
-    f = rotation.StepFunction([0, Fraction(1, 5), Fraction(1, 2),
-                               Fraction(4, 5)], [1, -2, 2, -1])
-    bps = f.breakpoints_fp() + [rotation.ONE]
-    ok = True
-    for k in range(3):
-        rc = rotation.RotationCocycle(rotation.ContinuedFraction.golden(), f,
-                                      rotation.point_from_seed(k))
-        alpha = rc.alpha_fp
-        pos, total, near, points, sums = rc.x_fp, 0, 0, [], []
-        for _ in range(n):
-            total += f.values[bisect_right(bps, pos) - 1]
-            near += any(abs(pos - b) < rotation.NEAR_THRESHOLD for b in bps)
-            points.append(pos)
-            sums.append(total)
-            pos = (pos + alpha) % rotation.ONE
-        cuts = np.cumsum(1 + (64 * rng.uniforms(3000 + k, n)).astype(int))
-        bounds = [0, *cuts[cuts < n].tolist(), n]
-        cur = rc.cursor()
-        for a, b in zip(bounds, bounds[1:]):
-            hi, lo = rotation._orbit(points[a], alpha, b - a)
-            orbit = [(h << 64) | l for h, l in zip(hi.tolist(), lo.tolist())]
-            ok = (ok and orbit == points[a:b]
-                  and cur.take(b - a)[:, 0].tolist() == sums[a:b])
-        ok = ok and cur.near_hits == near
-    return ok
+    """:func:`selab.selftest.run`, imported only when the suites run."""
+    from . import selftest
+    return selftest.run()
 
 
 def _run_selftest(plan, threads):
@@ -725,7 +518,8 @@ def main(argv: list[str] | None = None) -> int:
                           + "; see each runner's docstring for the rest.")
     runp.add_argument("plan", help="path to the plan JSON")
     runp.add_argument("--threads", type=int, default=None,
-                      help="worker threads (default: SELAB_THREADS or 1)")
+                      help="worker threads for rw-asym's walks; other "
+                      "experiments run on one (default: SELAB_THREADS or 1)")
     runp.add_argument("--assert", dest="assert_mode", action="store_true",
                       help="exit 2 if any condition check fails")
     runp.add_argument("--out", default=None, help="output directory")

@@ -82,8 +82,7 @@ class SampledEcdfs:
     one's sites are a prefix of the last one's (first-visit order).  What
     every seed shares is built once, here: the prefix check, the sites'
     seed-free hash words (:class:`rng.Sites`) and each ledger's local times
-    packed into 11 bits.  A call only reads that state, so threads may map
-    one object over the seeds.
+    packed into 11 bits.
     """
 
     def __init__(self, field, ledgers: Sequence[LocalTimeLedger]):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from selab import cli, rng, rotation, sources
+from selab import cli, empirical, rng, rotation, sources
 from selab.cli import PlanError, main, parse_plan, run_plan, run_selftest
 
 
@@ -444,7 +444,7 @@ def test_cli_gc_threads_deterministic(tmp_path):
 
 def test_gc_threads_share_one_build_of_the_sites(tmp_path, monkeypatch):
     # the prefix check, the sites' hash words and the packed local times
-    # are built once per run and read by every thread, not once per thread
+    # are built once per run, at any thread count
     plan_obj = {"experiment": "gc",
                 "source": {"variant": "rw", "simple": 3, "seed": 6},
                 "field": {"variant": "uniform"}, "n": 20000,
@@ -544,6 +544,46 @@ def test_selftest_passes():
     assert results["variance_keys"]
 
 
+def _sup_without_the_left_gap(ecdf, field):
+    """``empirical.sup_deviation`` with its F(v-) - F_n(v-) term dropped."""
+    return float(np.max(ecdf.cumulative() - field.cdf(ecdf.values)))
+
+
+def test_selftest_fails_when_the_sup_drops_its_left_gap(monkeypatch,
+                                                        capsys):
+    # main prints each entry of run_selftest() and exits 1 unless "ok"
+    monkeypatch.setattr(empirical, "sup_deviation", _sup_without_the_left_gap)
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "field_batches: FAIL" in out and "ok: FAIL" in out
+    assert "site_hash: ok" in out
+
+
+# rng.mix64_array with the last shift of the mixer at 30 in place of 31
+MIXER_WITH_SHIFT_30 = """
+import sys
+import numpy as np
+from selab import cli, rng
+
+def mix(z):
+    for shift, mult in ((30, rng._M1), (27, rng._M2), (30, 0)):
+        z ^= z >> np.uint64(shift)
+        if mult:
+            z *= np.uint64(mult)
+    return z
+
+rng.mix64_array = mix
+results = cli.run_selftest()
+print(sys.flags.optimize, results["site_hash"], results["ok"])
+"""
+
+
+def test_selftest_fails_under_a_mixer_with_its_last_shift_at_30():
+    # under python -O, which would strip any assert from the checks
+    out = _fresh_python(MIXER_WITH_SHIFT_30, PYTHONOPTIMIZE="1")
+    assert out.split() == ["1", "False", "False"]
+
+
 def _fresh_python(code: str, **env) -> str:
     """stdout of ``python -c code`` in a new process importing this selab."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -557,6 +597,12 @@ def test_importing_the_cli_loads_no_scipy():
     out = _fresh_python("import sys, selab.cli; print(sorted(m for m in "
                         "sys.modules if m.split('.')[0] == 'scipy'))")
     assert out.strip() == "[]"
+
+
+def test_importing_the_cli_leaves_the_selftest_unloaded():
+    out = _fresh_python("import sys, selab.cli; "
+                        "print('selab.selftest' in sys.modules)")
+    assert out.strip() == "False"
 
 
 def test_plan_errors_do_not_depend_on_string_hashing():

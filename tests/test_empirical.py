@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -15,6 +14,7 @@ from selab.cli import parse_plan
 from selab.empirical import WeightedEcdf
 from selab.fields import (DiscreteField, GaussianField, MovingAverageField,
                           UniformField)
+from selab.selftest import ecdf_from_scratch, fclt_replicates
 
 
 def make_ledger(sites):
@@ -178,37 +178,6 @@ ORACLE_FIELDS = [UniformField(), GaussianField(0.5, 2.0),
                  MovingAverageField([1.0, 0.5, 0.25])]
 
 
-def _oracle_ecdf(field, seed, coords):
-    """F_n from scratch, as (atoms, F_n at the atoms): np.unique local
-    times, values hashed per site, a stable sort and atoms summed by
-    bincount."""
-    sites, counts = np.unique(coords, axis=0, return_counts=True)
-    x = field.site_values(seed, sites)
-    order = np.argsort(x, kind="stable")
-    xs, cs = x[order], counts[order]
-    new = np.concatenate([[True], xs[1:] != xs[:-1]])
-    cum = np.cumsum(np.bincount(np.cumsum(new) - 1, weights=cs) / len(coords))
-    return xs[new], cum
-
-
-def _oracle_sup(field, seed, coords) -> float:
-    """sup |F_n - F| over the oracle ECDF's jumps."""
-    values, cum = _oracle_ecdf(field, seed, coords)
-    below = np.concatenate([[0.0], cum[:-1]])
-    f = field.cdf(values)
-    left = field.cdf_left(values)
-    left = f if left is None else left
-    return float(np.maximum(cum - f, left - below).max())
-
-
-def _oracle_bridge(field, seed, coords, grid) -> np.ndarray:
-    """Y_n = n (F_n - F) / sqrt(V_n) on the grid, off the oracle ECDF."""
-    values, cum = _oracle_ecdf(field, seed, coords)
-    fn = np.concatenate([[0.0], cum])[np.searchsorted(values, grid, "right")]
-    v = int(np.sum(np.unique(coords, axis=0, return_counts=True)[1] ** 2))
-    return (fn - field.cdf(grid)) * len(coords) / math.sqrt(v)
-
-
 @settings(max_examples=30, deadline=None)
 @given(d=st.integers(1, 4), field=st.sampled_from(ORACLE_FIELDS),
        walk_seed=st.integers(0, 2**32), n=st.integers(1, 400), data=st.data())
@@ -223,7 +192,7 @@ def test_batched_sup_deviations_match_per_checkpoint_oracle(d, field,
                                max_size=6))
     ecdfs = empirical.SampledEcdfs(field, leds)
     got = [[sup_deviation(e, field) for e in ecdfs(s)] for s in seeds]
-    assert got == [[_oracle_sup(field, s, coords[:c]) for c in cps]
+    assert got == [[ecdf_from_scratch(field, s, coords[:c])[2] for c in cps]
                    for s in seeds]
 
 
@@ -251,7 +220,7 @@ def test_sampled_ecdfs_builds_the_words_once(monkeypatch):
     assert calls == ([p] * (d - 1) + [n]
                      + (["hash"] + [p] * (d - 1) + [n, n]) * len(seeds))
     monkeypatch.undo()
-    assert got == [[_oracle_sup(field, s, coords[:c]) for c in cps]
+    assert got == [[ecdf_from_scratch(field, s, coords[:c])[2] for c in cps]
                    for s in seeds]
 
 
@@ -276,22 +245,7 @@ def test_one_atom_ecdf_sup_is_exact(field):
 def test_batched_fclt_matches_per_replicate_oracle(d, field, walk_seed, n,
                                                    seed_base, quenched, grid):
     src = RandomWalkSource(simple_walk(d), walk_seed)
-    res = mc_fclt(field, src, n, grid, 100, seed_base, quenched=quenched)
-    grid = np.asarray(grid)
-    ys, sups = [], []
-    for rep in range(100):
-        walk = src if quenched else dataclasses.replace(
-            src, seed=rng.derive(seed_base, "trajectory", rep))
-        coords = generate(walk, n)
-        seed = rng.derive(seed_base, "field", rep)
-        ys.append(_oracle_bridge(field, seed, coords, grid))
-        v = int(np.sum(np.unique(coords, axis=0, return_counts=True)[1] ** 2))
-        sups.append(_oracle_sup(field, seed, coords) * n / math.sqrt(v))
-    ys = np.array(ys)
-    p = (ys[:, :, None] * ys[:, None, :]).sum(axis=0)
-    mean = ys.mean(axis=0)
-    assert np.array_equal(res.sup_sample, sups)
-    assert np.array_equal(res.cov, p / 100 - np.outer(mean, mean))
+    assert fclt_replicates(field, src, n, grid, 100, seed_base, quenched)
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS)
@@ -310,7 +264,7 @@ def test_local_times_past_the_key_bits_match_the_oracle(field):
     for seed in range(12):
         got = ecdfs(seed)
         assert [sup_deviation(e, field) for e in got] == \
-            [_oracle_sup(field, seed, coords[:c]) for c in cps]
+            [ecdf_from_scratch(field, seed, coords[:c])[2] for c in cps]
         # the key route and the value route give the same atoms, bit for bit
         by_values = ecdfs.from_values(field.site_values(seed, ecdfs.sites))
         assert all(np.array_equal(a.values, b.values)

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from selab import selftest
 from selab.fields import (DiscreteField, GaussianField, MovingAverageField,
                           UniformField)
 
@@ -57,6 +59,24 @@ def test_discrete_field():
     assert f.variance == pytest.approx(0.75)
     with pytest.raises(ValueError):
         DiscreteField([(0.0, 0.5), (0.0, 0.5)])
+
+
+@st.composite
+def discrete_laws(draw):
+    """1 to 12 distinct values in any order, zero probabilities allowed."""
+    values = draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12,
+                           unique=True))
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1.0)),
+                            min_size=len(values), max_size=len(values))
+                   .filter(lambda w: sum(w) > 0))
+    return DiscreteField([(v, w / sum(weights))
+                          for v, w in zip(values, weights)])
+
+
+@given(discrete_laws())
+def test_discrete_quantile_maps_each_atom_to_its_value(field):
+    values, probs = zip(*field.atoms)
+    assert selftest.step_draws(field.quantile, probs, values)
 
 
 def test_moving_average_marginal_and_covariance():

@@ -10,6 +10,7 @@ from selab import (LocalTimeLedger, RandomWalkSource, brute_force_stats,
                    condition_report, generate, simple_walk, trajectory_stats)
 from selab.ledger import (exact_sum, key_local_times, key_strides,
                           local_time_block, pack_sites, run_starts, sort_keys)
+from selab.selftest import dict_local_times, ledger_blocks, takes_rank_pre_step
 
 site_lists = st.lists(
     st.tuples(st.integers(-8, 8), st.integers(-8, 8)), min_size=1, max_size=120)
@@ -224,18 +225,9 @@ EXTREME_TRAJECTORIES = [
 ]
 
 
-def _dict_oracle(sites):
-    counts, v, m = {}, [], []
-    for s in sites:
-        counts[s] = counts.get(s, 0) + 1
-        v.append(sum(c * c for c in counts.values()))
-        m.append(max(counts.values()))
-    return counts, v, m
-
-
 @pytest.mark.parametrize("sites", EXTREME_TRAJECTORIES)
 def test_extreme_coordinates_in_every_route(sites):
-    counts, v, m = _dict_oracle(sites)
+    counts, v, m = dict_local_times(sites)
     led = LocalTimeLedger(len(sites[0]))
     for s in sites:
         led.record(s)
@@ -258,19 +250,7 @@ coordinates = st.one_of(st.integers(-3, 3),
        st.lists(st.integers(1, 30), min_size=1, max_size=80))
 @settings(max_examples=60, deadline=None)
 def test_record_block_splits_agree_with_brute_force(sites, sizes):
-    led = LocalTimeLedger(2)
-    bounds = np.cumsum([0] + sizes + [len(sites)])
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        led.record_block(np.array(sites[a:b], dtype=np.int64).reshape(-1, 2))
-    v, m, counts = brute_force_stats(sites)
-    assert (led.n, led.self_intersections, led.max_count, led.range_card) \
-        == (len(sites), v, m, len(counts))
-    assert led.counts == counts
-    assert [tuple(s) for s in led.sites.tolist()] == list(dict.fromkeys(sites))
-    # the correctly rounded sum of the rounded terms M_k / k^2
-    exact = sum(Fraction(m_k / (k * k))
-                for k, m_k in enumerate(_dict_oracle(sites)[2], start=1))
-    assert led.pqd_partial_sum == float(exact)
+    assert ledger_blocks(np.array(sites, dtype=np.int64), np.cumsum(sizes))
 
 
 @given(st.integers(1, 6), st.integers(1 << 25, 1 << 45),
@@ -288,7 +268,7 @@ def test_pqd_partial_sum_is_exact_far_along_the_sequence(head, start, sites,
     bounds = np.cumsum([0] + sizes + [len(sites)])
     for a, b in zip(bounds[:-1], bounds[1:]):
         led.record_block(np.array(sites[a:b], dtype=np.int64).reshape(-1, 1))
-    m = _dict_oracle([0] * head + sites)[2]
+    m = dict_local_times([0] * head + sites)[2]
     ks = [*range(1, head + 1), *range(start + 1, start + len(sites) + 1)]
     # the ledger's float64 terms: m / (k * k) with k * k rounded past 2^53
     exact = sum(Fraction(m_k / (float(k) * float(k))) for k, m_k in zip(ks, m))
@@ -449,19 +429,8 @@ WIDE_KEY_SITES = [[(0,), (1 << 55,)], [(0, 0), (1 << 27, 1 << 27)]]
 @pytest.mark.parametrize("seed", range(3))
 def test_block_splits_through_the_rank_pre_step(pair, seed):
     gen = np.random.default_rng(seed)
-    sites = [pair[i] for i in gen.integers(0, 2, 700)]
-    coords = np.array(sites, dtype=np.int64)
-    key, _ = pack_sites(coords)
-    assert int(key.max()) >= 1 << (63 - (len(sites) - 1).bit_length())
-    counts, v, m = _dict_oracle(sites)
-    assert brute_force_stats(sites) == (v[-1], m[-1], counts)
+    coords = np.array(pair, dtype=np.int64)[gen.integers(0, 2, 700)]
+    assert takes_rank_pre_step(coords)
     cuts = np.cumsum(gen.integers(1, 400, size=8))
-    for blocks in ([coords], np.split(coords, cuts[cuts < len(sites)])):
-        led = LocalTimeLedger(len(pair[0]))
-        for block in blocks:
-            led.record_block(block)
-        assert (led.self_intersections, led.max_count) == (v[-1], m[-1])
-        assert led.counts == counts
-        assert [tuple(s) for s in led.sites.tolist()] == list(counts)
-    ts = trajectory_stats(sites)
-    assert (ts.v.tolist(), ts.m.tolist()) == (v, m)
+    assert ledger_blocks(coords, [])
+    assert ledger_blocks(coords, cuts[cuts < len(coords)])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from selab import rng
+from selab import rng, selftest
 
 
 def test_mix64_golden():
@@ -60,13 +60,6 @@ def test_site_uniforms_roughly_uniform():
     assert abs(np.mean(u < 0.25) - 0.25) < 0.01
 
 
-def _scalar_hash(seed: int, site) -> int:
-    h = rng.mix64(seed ^ rng._GAMMA)
-    for j, c in enumerate(site):
-        h = rng.mix64(h ^ rng.mix64((c & rng.MASK64) + (j + 1) * rng._GAMMA))
-    return rng.mix64(h)
-
-
 I64 = np.iinfo(np.int64)
 coordinate = st.one_of(st.integers(I64.min, I64.max),
                        st.sampled_from([I64.min, I64.min + 1, -1, 0,
@@ -89,42 +82,15 @@ def _sites(d: int):
               [I64.max, -1, 5]]), 7)
 def test_hash_sites_matches_scalar_mix_composition(d_sites, seed):
     # coordinates as an array (the flat fold), and as Sites grouped by
-    # their (d - 1)-prefixes, hashed twice (int64 wraparound is the
-    # mixer's mod 2^64)
+    # their (d - 1)-prefixes (int64 wraparound is the mixer's mod 2^64)
     d, sites = d_sites
     coords = np.array(sites, dtype=np.int64).reshape(len(sites), d)
-    words = rng.Sites(coords)
-    assert words.prefixes == len({tuple(site[:-1]) for site in sites})
-    want = [_scalar_hash(seed, site) for site in sites]
-    for route in (coords, words, words):  # the words serve any number of seeds
-        assert [int(h) for h in rng.hash_sites(seed, route)] == want
-        assert np.array_equal(rng.site_uniforms(seed, route),
-                              [(h >> 11) * 2.0**-53 for h in want])
-
-
-def _searchsorted_draws(probs, u):
-    """The atom indices by binary search: the running sums, the last set
-    to 1, searched from the right."""
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
-    return np.searchsorted(cum, u, side="right")
-
-
-def _edge_uniforms(probs):
-    """Every threshold, the floats either side of it, 0 and 1 - 2^-53, and
-    a block of hashed uniforms, all in [0, 1)."""
-    cum = np.cumsum(probs)
-    u = np.concatenate([cum, np.nextafter(cum, 0), np.nextafter(cum, 1),
-                        [0.0, 1 - 2.0**-53], rng.uniforms(77, 500)])
-    return u[u < 1]
+    assert selftest.site_hash(coords, seed)
 
 
 def _check_inverse(probs):
     inverse = rng.InverseCdf(probs)
-    u = _edge_uniforms(probs)
-    got = inverse(u.copy())
-    assert got.dtype == np.intp
-    assert np.array_equal(got, _searchsorted_draws(probs, u))
+    assert selftest.step_draws(inverse, probs)
     return inverse
 
 

@@ -10,7 +10,8 @@ from selab.rotation import (ContinuedFraction, LevelCheckpoint,
                             RotationCocycle, SpecialFlowSource, StepFunction,
                             counterexample_ratio_schedule, fraction_to_fp,
                             minimal_lambda_indices, point_from_seed,
-                            ratio_floors, NEAR_THRESHOLD, ONE, _orbit)
+                            ratio_floors, NEAR_THRESHOLD, ONE)
+from selab.selftest import cocycle_blocks, cocycle_by_steps
 
 GOLDEN = ContinuedFraction.golden()
 
@@ -214,18 +215,6 @@ STEP_FUNCTIONS = (StepFunction.square_wave(),
 LOW_LIMB = (1 << 64) - 1
 
 
-def cocycle_oracle(rc, n):
-    """Partial sums of f along the orbit and the near-breakpoint count."""
-    bps = rc.f.breakpoints_fp()
-    pos, total, near, out = rc.x_fp, 0, 0, []
-    for _ in range(n):
-        total += rc.f.values[bisect_right(bps, pos) - 1]
-        near += any(abs(pos - b) < NEAR_THRESHOLD for b in bps + [ONE])
-        out.append(total)
-        pos = (pos + rc.alpha_fp) % ONE
-    return out, near
-
-
 def flow_oracle(src, n):
     levels = list(zip(src.intervals_fp(), src.tower_heights()))
     pos, tower, out = src.x_fp, 0, []
@@ -268,16 +257,10 @@ def test_cocycle_blocks_match_the_128_bit_loop(data, cf, f, n, sizes):
     alpha = cf.angle_fixed_point()
     x = data.draw(circle_points(f.breakpoints_fp(), alpha))
     rc = RotationCocycle(cf, f, x)
-    cur = rc.cursor()
-    got = take_in_blocks(cur, n, sizes)
-    want, near = cocycle_oracle(rc, n)
-    assert got.dtype == np.int64 and got.shape == (n, 1)
-    assert got[:, 0].tolist() == want
-    assert cur.near_hits == near
-    assert np.array_equal(got, generate(rc, n))
-    hi, lo = _orbit(x, alpha, n)
-    assert [(h << 64) | l for h, l in zip(hi.tolist(), lo.tolist())] \
-        == [(x + j * alpha) % ONE for j in range(n)]
+    cuts = np.minimum(np.cumsum(sizes, dtype=np.int64), n).tolist()
+    assert cocycle_blocks(rc, cuts + [n])
+    assert np.array_equal(take_in_blocks(rc.cursor(), n, sizes),
+                          generate(rc, n))
 
 
 def test_cocycle_near_hits_at_the_threshold():
@@ -299,12 +282,10 @@ def test_cocycle_started_on_a_breakpoint(x):
     # 0.  Both starts are near hits, found from the high limb alone
     f = StepFunction([0, Fraction(1, 3), Fraction(1, 2)], [1, 4, -2])
     rc = RotationCocycle(GOLDEN, f, fraction_to_fp(x))
-    want, near = cocycle_oracle(rc, 300)
-    assert want[0] == (4 if x == Fraction(1, 3) else -2) and near >= 1
-    for sizes in ([], [1, 2, 5]):
-        cur = rc.cursor()
-        assert take_in_blocks(cur, 300, sizes)[:, 0].tolist() == want
-        assert cur.near_hits == near
+    sums, near = cocycle_by_steps(rc, 300)
+    assert sums[0] == (4 if x == Fraction(1, 3) else -2) and near >= 1
+    for cuts in ([300], [1, 3, 8, 300]):
+        assert cocycle_blocks(rc, cuts)
 
 
 @given(st.sampled_from(ANGLES), st.integers(1, 3), st.integers(0, 50),

@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from selab import ledger, rng, sources, spectral
 from selab import (LocalTimeLedger, RandomWalkSource, StepDistribution,
-                   generate, kernel_from_ledger, kernel_grid_mean,
-                   lag_correlation, phi, psi, quadratic_form,
-                   return_series, simple_walk, transient_variance_report)
+                   kernel_from_ledger, kernel_grid_mean, lag_correlation, phi,
+                   psi, quadratic_form, return_series, simple_walk,
+                   transient_variance_report)
 from selab.fields import GaussianField, MovingAverageField, UniformField
-from selab.ledger import local_time_block
+from selab.selftest import (coordinate_quadratic_form, return_series_routes,
+                            variance_keys)
 
 PM1 = StepDistribution([((1,), 0.5), ((-1,), 0.5)])
 # G(3) - 1 for the simple walk on Z^3 from Watson's closed form
@@ -144,18 +145,11 @@ fields_up_to_window_3 = st.one_of(
              max_size=3).filter(any).map(MovingAverageField))
 
 
-def _coordinate_route(cfg, n, field):
-    _, sites, times = local_time_block(generate(cfg, n))
-    return spectral._quadratic_form_arrays(sites, times, field, cfg.d)
-
-
 @given(walk_laws(), fields_up_to_window_3, st.integers(1, 400),
        st.integers(0, 2**64 - 1))
 @settings(max_examples=80, deadline=None)
 def test_key_walk_matches_the_coordinate_route(law, field, n, seed):
-    cfg = RandomWalkSource(law, seed)
-    assert spectral._walk_quadratic_form(cfg, n, field) == \
-        _coordinate_route(cfg, n, field)
+    assert variance_keys(RandomWalkSource(law, seed), n, field)
 
 
 def test_key_walk_falls_back_to_the_sites_past_62_bits():
@@ -164,8 +158,7 @@ def test_key_walk_falls_back_to_the_sites_past_62_bits():
     cfg = RandomWalkSource(simple_walk(4), 8)
     assert ledger.key_strides([60_001] * 4) is None
     for field in (GaussianField(), MovingAverageField([1.0, 0.5, 0.25])):
-        assert spectral._walk_quadratic_form(cfg, 30_000, field) == \
-            _coordinate_route(cfg, 30_000, field)
+        assert variance_keys(cfg, 30_000, field)
 
 
 # the d = 4 simple walk under a three-weight field (margin 2) takes the key
@@ -189,7 +182,8 @@ def test_variance_replicates_sort_once_and_skip_the_occupation(
     assert calls == route
     walks = [RandomWalkSource(simple_walk(4), rng.derive(2, "walk", r))
              for r in range(3)]
-    vals = np.array([_coordinate_route(cfg, n, field) / n for cfg in walks])
+    vals = np.array([coordinate_quadratic_form(cfg, n, field) / n
+                     for cfg in walks])
     assert rep.mc_estimate == float(vals.mean())
 
 
@@ -309,11 +303,7 @@ def test_return_series_matches_direct_convolution_d3(law):
     (StepDistribution([((1, 0), 0.5), ((-1, 0), 0.5)]), [(0, 0), (1, 1)]),
 ])
 def test_axis_route_matches_grid_route(law, lags):
-    kmax = 24
-    want = spectral._requested_lags(law, kmax, lags)
-    axis = spectral._axis_probs(law, kmax, want)
-    grid = spectral._grid_probs(law, kmax, want)
-    assert np.max(np.abs(axis - grid)) <= 1e-15
+    assert return_series_routes(law, 24, lags)
 
 
 def test_return_series_reproduces_watson_g3():
