@@ -434,6 +434,7 @@ def _run_variance(plan, threads):
     record = rep.record()
     summary = {"comparison": record,
                "finite_n_mean": rep.finite_n_mean,
+               "n": rep.n, "replicates": rep.replicates, "route": rep.route,
                "op": "spectral.transient_variance_report"}
     checks = {"positive": rep.positive,
               "defect_small": abs(rep.defect_estimate)

@@ -261,10 +261,17 @@ def key_local_times(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(distinct keys in increasing order, their local times) of the keys
     of a block of steps, from one unstable in-place ``ndarray.sort``: the
     distinct keys start the runs of equal sorted keys, and each local time
-    is the length of its run.  ``key`` is left sorted."""
+    is the length of its run.  ``key`` is left sorted.  Beside the two
+    outputs only the run flags and starts are allocated: in a replicate
+    loop each further temporary adds to what glibc trims off the heap top
+    and faults back in."""
     key.sort()
     starts = np.flatnonzero(run_starts(key))
-    return key[starts], np.diff(starts, append=key.size)
+    # each run ends where the next one starts, the last one at the end
+    times = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=times[:-1])
+    times[-1:] = key.size - starts[-1:]
+    return key[starts], times
 
 
 def local_time_block(coords: Sequence[Sequence[int]] | np.ndarray,

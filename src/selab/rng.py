@@ -81,20 +81,32 @@ def uniform_at(seed: int, index: int) -> float:
     return (h >> 11) * _INV53
 
 
-def uniforms(seed: int, count: int, offset: int = 0) -> np.ndarray:
-    """Vector of uniforms ``[uniform_at(seed, offset + i) for i < count]``."""
-    idx = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
-    h = mix64_array(np.uint64(seed & MASK64) + idx * _U_GAMMA)
-    return word_uniforms(h)
+def uniforms(seed: int, count: int, offset: int = 0,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Vector of uniforms ``[uniform_at(seed, offset + i) for i < count]``.
+
+    The counter words i gamma + seed + (offset + 1) gamma mod 2^64 are
+    mixed in place and read by :func:`word_uniforms` in place.  ``out``, a
+    float64 array of ``count`` entries, holds the words and then the
+    uniforms, and is returned; by default it is a fresh one.  The counters
+    i and the mixer's temporary are the other arrays."""
+    u = np.empty(count) if out is None else out
+    h = np.multiply(np.arange(count, dtype=np.uint64), _U_GAMMA,
+                    out=u.view(np.uint64))
+    h += np.uint64((seed + (offset + 1) * _GAMMA) & MASK64)
+    return word_uniforms(mix64_array(h), out=u)
 
 
-def word_uniforms(h: np.ndarray) -> np.ndarray:
+def word_uniforms(h: np.ndarray, out: np.ndarray | None = None
+                  ) -> np.ndarray:
     """The uniform (h >> 11) * 2^-53 in [0, 1) of each uint64 word of h:
     its top 53 bits, so the low 11 bits are free to carry other data.  The
-    shifted words are below 2^53, so their int64 view converts exactly."""
-    u = (h >> _U11).view(np.int64).astype(np.float64)
-    u *= _INV53
-    return u
+    shifted words are below 2^53, so their int64 view converts exactly.
+    ``out``, a float64 array of h's size, receives them (h's own memory
+    may be it, and is then overwritten)."""
+    shifted = np.right_shift(h, _U11,
+                             out=None if out is None else out.view(np.uint64))
+    return np.multiply(shifted.view(np.int64), _INV53, out=out)
 
 
 def _axis_words(column: np.ndarray, j: int) -> np.ndarray:
@@ -212,14 +224,18 @@ class InverseCdf:
                 break
         self.thresholds = np.append(th * self.scale, np.inf)
 
-    def __call__(self, u: np.ndarray) -> np.ndarray:
+    def __call__(self, u: np.ndarray, out: np.ndarray | None = None
+                 ) -> np.ndarray:
         """Atom indices of the uniforms u in [0, 1).  u is overwritten: it
         is scaled by 2^B in place, and the buckets become the indices in
-        place, so the lookup holds one index array beside u."""
+        place.  ``out``, an intp array of u's shape, receives the indices
+        and is returned; by default it is a fresh one.  Each pass gathers
+        its thresholds into one temporary array."""
         u *= self.scale
-        idx = u.astype(np.intp)
-        # each output reads only its own bucket; "clip" (a no-op on these
-        # in-range buckets) writes to out directly, where "raise" would
+        idx = np.empty(u.shape, np.intp) if out is None else out
+        np.copyto(idx, u, casting="unsafe")  # the floor: u >= 0
+        # each output reads only its own index; "clip" (a no-op on these
+        # in-range indices) writes to out directly, where "raise" would
         # write to a copy of it
         np.take(self.start, idx, out=idx, mode="clip")
         for _ in range(self.passes):

@@ -326,34 +326,50 @@ class Cursor:
         return out
 
 
-def _law_block(law: StepDistribution, seed: int, table: np.ndarray):
-    """Blocks of i.i.d. draws of the law, each read off the per-atom
-    ``table``: the atoms' coordinates (``law.support()``) for a cursor, or
-    their keys for :func:`walk_keys`.  Both take the same uniforms and atom
-    indices, so they draw the same steps."""
+def _atom_indices(law: StepDistribution, seed: int, offset: int, count: int,
+                  work: np.ndarray | None = None) -> np.ndarray:
+    """The atom indices of i.i.d. draws offset .. offset + count - 1 of the
+    law: :func:`rng.uniforms` through the law's guide table.  ``work``, a
+    float64 array of shape (2, count), takes the counter words and then
+    the uniforms in row 0, and the indices (as intp) in row 1; by default
+    each is a fresh array."""
     # rng.uniforms is looked up per call, so wrappers installed on it see
     # every draw
+    u, idx = (None, None) if work is None else (work[0], work[1].view(np.intp))
+    return law.inverse_cdf(rng.uniforms(seed, count, offset, out=u), idx)
+
+
+def _law_block(law: StepDistribution, seed: int, table: np.ndarray):
+    """Blocks of i.i.d. draws of the law, each read off the per-atom
+    ``table``, the atoms' coordinates (``law.support()``).  :func:`walk_keys`
+    reads the same atom indices off the atoms' keys, so both draw the same
+    steps."""
     return lambda offset, count: np.take(
-        table, law.inverse_cdf(rng.uniforms(seed, count, offset)), axis=0)
+        table, _atom_indices(law, seed, offset, count), axis=0)
 
 
-def walk_keys(config: RandomWalkSource, n: int,
-              strides: Sequence[int]) -> np.ndarray:
+def walk_keys(config: RandomWalkSource, n: int, strides: Sequence[int],
+              work: np.ndarray) -> np.ndarray:
     """The keys sum_j z_j stride_j of the first n sites of a random walk,
     without the sites.
 
     Packing is linear, so the key of z_k = zeta_0 + ... + zeta_k is the
     running sum of the steps' keys: one int64 key per atom, drawn with the
-    cursor's own uniforms and atom indices, and one cumulative sum in
-    place.  The strides must give every site within n steps, and each site
-    a field lag away, an exact key, as :func:`ledger.key_strides` does at
-    width 2 (n * radius + margin) + 1 per axis.
+    cursor's own uniforms and atom indices, gathered over the indices in
+    place, and one cumulative sum in place.  The strides must give every
+    site within n steps, and each site a field lag away, an exact key, as
+    :func:`ledger.key_strides` does at width 2 (n * radius + margin) + 1
+    per axis.  ``work``, a float64 array of shape (2, n) that a caller
+    sizes once for many walks, holds the draw (see :func:`_atom_indices`),
+    and the keys returned are its row 1, written over the indices.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     law = config.dist
     atom_keys = law.support() @ np.array(strides, dtype=np.int64)
-    keys = _law_block(law, config.seed, atom_keys)(0, n)
+    keys = _atom_indices(law, config.seed, 0, n, work)
+    # each output reads only its own index, as in rng.InverseCdf
+    np.take(atom_keys, keys, out=keys, mode="clip")
     return np.cumsum(keys, out=keys)
 
 

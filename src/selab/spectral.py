@@ -30,8 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from . import rng, sources
-from .ledger import (LocalTimeLedger, key_local_times, key_strides,
-                     pack_sites, sort_keys)
+from .ledger import (LocalTimeLedger, _as_coords, key_local_times,
+                     key_strides, pack_sites, sort_keys)
 from .sources import RandomWalkSource, StepDistribution, classify
 
 Site = tuple[int, ...]
@@ -62,19 +62,22 @@ def lag_correlation(coords: np.ndarray, counts: np.ndarray,
 
 def _lag_correlations(coords, counts, lags) -> list[int]:
     """:func:`lag_correlation` at each lag: the sites are packed once, with
-    margin max |lag| so that each lag is a key offset (OverflowError where
-    the widened axes' product passes 2^62), and their keys sorted once by
-    :func:`sort_keys` for :func:`_lag_sums`.  Lag 0 alone, sum N^2, needs
-    neither the pack nor the sort."""
+    margin max |lag| so that each lag is a key offset, and their keys
+    sorted once by :func:`sort_keys` for :func:`_lag_sums`.  Where the
+    widened axes' product passes 2^62, :func:`_ranked_lag_sums` matches the
+    lags instead.  Lag 0 alone, sum N^2, needs neither the pack nor the
+    sort."""
     lags = [tuple(int(c) for c in lag) for lag in lags]
     counts = np.asarray(counts)
     margin = _margin(lags)
-    key_s = strides = None
-    if margin:
+    if not margin:
+        return _lag_sums(None, counts, lags, None)
+    try:
         key, strides = pack_sites(coords, margin)
-        order, key_s = sort_keys(key)
-        counts = counts[order]
-    return _lag_sums(key_s, counts, lags, strides)
+    except OverflowError:
+        return _ranked_lag_sums(coords, counts, lags)
+    order, key_s = sort_keys(key)
+    return _lag_sums(key_s, counts[order], lags, strides)
 
 
 def _margin(lags) -> int:
@@ -84,21 +87,54 @@ def _margin(lags) -> int:
 def _lag_sums(keys, counts, lags, strides) -> list[int]:
     """sum_r N(r + lag) N(r) for each lag, from the distinct sites' keys in
     increasing order and their local times: lag 0 is sum N^2, and any other
-    lag one ``searchsorted`` of the keys shifted by its offset
+    lag :func:`_matched_sum` of the keys shifted by its offset
     sum_j lag_j stride_j.  The packing must give every site shifted by a
     lag its own key, so that a shifted key matches a visited one exactly
     when the shifted site was visited."""
-    out = []
-    for lag in lags:
-        if not any(lag):
-            out.append(int(np.sum(counts * counts)))
-            continue
-        shifted = keys + sum(c * s for c, s in zip(lag, strides))
-        idx = np.searchsorted(keys, shifted)
-        idx_c = np.clip(idx, 0, keys.size - 1)
-        match = keys[idx_c] == shifted
-        out.append(int(np.sum(counts[match] * counts[idx_c[match]])))
-    return out
+    return [_matched_sum(keys, counts,
+                         keys + sum(c * s for c, s in zip(lag, strides)),
+                         counts) if any(lag)
+            else int(np.sum(counts * counts)) for lag in lags]
+
+
+def _matched_sum(keys, counts, shifted, shifted_counts) -> int:
+    """sum N(r) N(r + lag) over the shifted keys (those of r + lag, with
+    N(r) in ``shifted_counts``) that match one of the increasing ``keys``
+    (with N in ``counts``), by one ``searchsorted``."""
+    idx = np.searchsorted(keys, shifted)
+    idx_c = np.clip(idx, 0, keys.size - 1)
+    match = keys[idx_c] == shifted
+    return int(np.sum(shifted_counts[match] * counts[idx_c[match]]))
+
+
+def _ranked_lag_sums(coords, counts, lags) -> list[int]:
+    """:func:`_lag_sums` where no margin-widened packing fits 62 bits: the
+    sites and their copies shifted by each nonzero lag are packed together
+    by :func:`pack_sites` at margin 0, through its rank route, so a shifted
+    copy has a site's key exactly when it is that site.  A shifted copy
+    must stay in int64 (OverflowError otherwise), and the ranks must fit
+    62 bits."""
+    coords = _as_coords(coords)
+    k = coords.shape[0]
+    moved = [lag for lag in lags if any(lag)]
+    key = pack_sites(np.concatenate(
+        [coords] + [_shifted(coords, lag) for lag in moved]))[0]
+    copies = dict(zip(moved, np.split(key[k:], len(moved))))
+    order, site_keys = sort_keys(key[:k])  # in place; key[k:] is left
+    sorted_counts = counts[order]
+    return [_matched_sum(site_keys, sorted_counts, copies[lag], counts)
+            if any(lag) else int(np.sum(counts * counts)) for lag in lags]
+
+
+def _shifted(coords: np.ndarray, lag) -> np.ndarray:
+    """coords + lag, OverflowError where a coordinate would leave int64."""
+    info = np.iinfo(np.int64)
+    for j, c in enumerate(lag):
+        col = coords[:, j]
+        if col.size and not (info.min - min(c, 0) <= int(col.min())
+                             and int(col.max()) <= info.max - max(c, 0)):
+            raise OverflowError("a lag moves a site out of int64")
+    return coords + np.array(lag, dtype=np.int64)
 
 
 def quadratic_form(ledger: LocalTimeLedger, field) -> float:
@@ -130,33 +166,46 @@ def _quadratic_form_arrays(coords, counts, field, d: int) -> float:
     return _contract(field, lags, _lag_correlations(coords, counts, lags))
 
 
-def _walk_quadratic_form(config: RandomWalkSource, n: int, field) -> float:
-    """:func:`quadratic_form` of the first n sites of a random walk, read
-    off the walk's keys: no site array and no per-step occupation.
+class _WalkForms:
+    """:func:`quadratic_form` of the first n sites of walks of one law
+    under one field, one seed per call, read off the walks' keys: no site
+    array and no per-step occupation.
 
     Every site within n steps has |z_j| <= n r, r the law's radius, and a
     field lag moves it by at most the margin max |lag|, so
     :func:`ledger.key_strides` at width 2 (n r + margin) + 1 per axis
-    packs every site and every shifted site as balanced digits.
-    :func:`sources.walk_keys` draws the keys, one sort in
-    :func:`key_local_times` gives the distinct keys and their local times,
-    and :func:`_lag_sums` the lags.  Where width^d > 2^62 (the d = 4 simple
-    walk from n = 23 168 on, at margin 2) the sites are generated and
-    packed by :func:`pack_sites` instead, and the same sort and lag sums
-    follow.  Each lag sum is an integer that does not
-    depend on the packing, so both routes give the value of
-    :func:`quadratic_form` bit for bit.
+    packs every site and every shifted site as balanced digits (``route``
+    "keys").  :func:`sources.walk_keys` draws the keys into one work array
+    sized here, which every call overwrites, one sort in
+    :func:`key_local_times` gives the distinct keys and their local times
+    as fresh arrays, and :func:`_lag_sums` the lags.  Where width^d > 2^62
+    (the d = 4 simple walk from n = 23 168 on, at margin 2) the sites are
+    generated and packed by :func:`pack_sites` instead (``route``
+    "sites"), and the same sort and lag sums follow.  Each lag sum is an
+    integer that does not depend on the packing, so both routes give the
+    value of :func:`quadratic_form` bit for bit.
     """
-    lags = _covariance_lags(field, config.d)
-    margin = _margin(lags)
-    width = 2 * (n * config.dist.radius() + margin) + 1
-    strides = key_strides([width] * config.d)
-    if strides is None:
-        key, strides = pack_sites(sources.generate(config, n), margin)
-    else:
-        key = sources.walk_keys(config, n, strides)
-    keys, times = key_local_times(key)
-    return _contract(field, lags, _lag_sums(keys, times, lags, strides))
+
+    def __init__(self, dist: StepDistribution, n: int, field):
+        self.dist, self.n, self.field = dist, n, field
+        self.lags = _covariance_lags(field, dist.d)
+        self.margin = _margin(self.lags)
+        width = 2 * (n * dist.radius() + self.margin) + 1
+        self.strides = key_strides([width] * dist.d)
+        self.route = "sites" if self.strides is None else "keys"
+        self._work = None if self.strides is None else np.empty((2, n))
+
+    def __call__(self, seed: int) -> float:
+        cfg = RandomWalkSource(self.dist, seed)
+        if self.strides is None:
+            key, strides = pack_sites(sources.generate(cfg, self.n),
+                                      self.margin)
+        else:
+            strides = self.strides
+            key = sources.walk_keys(cfg, self.n, strides, self._work)
+        keys, times = key_local_times(key)
+        return _contract(self.field, self.lags,
+                         _lag_sums(keys, times, self.lags, strides))
 
 
 def psi(dist: StepDistribution, t: Sequence[float]) -> complex:
@@ -547,6 +596,9 @@ class TransientVarianceReport:
     positive: bool
     n: int
     replicates: int
+    # "keys" where the replicates walked in packed-key space, "sites" where
+    # they took the pack_sites fallback
+    route: str
 
     def record(self) -> dict:
         return {
@@ -567,8 +619,9 @@ def transient_variance_report(dist: StepDistribution, field, n: int,
     Route (a): Monte Carlo over walk realizations of the exact quadratic
     form (field covariance contracted against lag correlations of the
     local times), divided by n.  Each replicate walks in packed-key space
-    (:func:`_walk_quadratic_form`): one draw, one cumulative sum and one
-    key sort, with no site array and no per-step occupation.  Route (b):
+    (:class:`_WalkForms`): one draw, one cumulative sum and one key sort,
+    with no site array and no per-step occupation, into working arrays
+    sized once per call.  Route (b):
     the return-probability series, both at the report's n,
 
         E[V_n] / n = sum_lags cov(lag) [1{lag=0} + sum_{k=1}^{n-1} (1 - k/n)
@@ -606,14 +659,15 @@ def transient_variance_report(dist: StepDistribution, field, n: int,
         tail_bound += abs(c) * float(series.tails[i] + series.tails[j])
         finite += c * (all(x == 0 for x in lag)
                        + math.fsum(weights * (probs[i] + probs[j])))
+    forms = _WalkForms(dist, n, field)
     vals = np.empty(replicates)
     for rep in range(replicates):
-        cfg = RandomWalkSource(dist, rng.derive(seed_base, "walk", rep))
-        vals[rep] = _walk_quadratic_form(cfg, n, field) / n
+        vals[rep] = forms(rng.derive(seed_base, "walk", rep)) / n
     mc = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(replicates))
     return TransientVarianceReport(
         mc_estimate=mc, mc_stderr=stderr, series_prediction=prediction,
         tail_bound=tail_bound, finite_n_mean=finite,
         defect_estimate=mc - finite,
-        positive=prediction > 0, n=n, replicates=replicates)
+        positive=prediction > 0, n=n, replicates=replicates,
+        route=forms.route)

@@ -416,6 +416,24 @@ def test_cli_variance_plan_comparison_record(tmp_path):
     assert rec["positive"] is True
 
 
+@pytest.mark.parametrize("n, route", [(23_167, "keys"), (23_168, "sites")])
+def test_cli_variance_summary_reports_the_route(tmp_path, n, route):
+    # the d = 4 simple walk under a three-weight field (margin 2) walks in
+    # key space while (2 (n + 2) + 1)^4 < 2^62, up to n = 23 167
+    plan = write_plan(tmp_path, {
+        "experiment": "variance",
+        "source": {"variant": "rw", "simple": 4, "seed": 1},
+        "field": {"variant": "ma", "weights": [1.0, 0.5, 0.25]}, "n": n,
+        "replicates": 2, "seed_base": 3, "kmax": 10})
+    assert main(["run", str(plan), "--out", str(tmp_path / "v")]) == 0
+    summary = json.loads((tmp_path / "v" / "summary.json").read_text())
+    assert {k: summary["summary"][k] for k in ("route", "n", "replicates")} \
+        == {"route": route, "n": n, "replicates": 2}
+    header = (tmp_path / "v" / "variance.csv").read_text().splitlines()[0]
+    assert header == ("mc_estimate,mc_stderr,series_prediction,tail_bound,"
+                      "defect_estimate,positive")
+
+
 def test_cli_fclt_plan_threads_env(tmp_path, monkeypatch):
     plan = write_plan(tmp_path, {
         "experiment": "fclt",

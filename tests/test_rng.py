@@ -29,6 +29,19 @@ def test_uniforms_match_uniform_at(seed, offset, count):
                           for i in range(count)]
 
 
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**40),
+       st.integers(0, 40), st.integers(0, 2**32 - 1))
+def test_uniforms_overwrite_a_garbage_buffer(seed, offset, count, junk):
+    # any prior bits, NaNs and infinities included, are overwritten
+    buf = np.empty(count)
+    buf.view(np.uint64)[:] = np.random.default_rng(junk).integers(
+        0, 2**64 - 1, count, dtype=np.uint64, endpoint=True)
+    assert rng.uniforms(seed, count, offset, out=buf) is buf
+    assert np.array_equal(buf, rng.uniforms(seed, count, offset))
+    assert buf.tolist() == [rng.uniform_at(seed, offset + i)
+                            for i in range(count)]
+
+
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5))
 def test_mix64_array_matches_scalar(zs):
     # in place: the caller's array is overwritten with its mix and returned

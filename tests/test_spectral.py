@@ -149,16 +149,47 @@ fields_up_to_window_3 = st.one_of(
        st.integers(0, 2**64 - 1))
 @settings(max_examples=80, deadline=None)
 def test_key_walk_matches_the_coordinate_route(law, field, n, seed):
-    assert variance_keys(RandomWalkSource(law, seed), n, field)
+    assert variance_keys(law, n, field, [seed])
+
+
+@st.composite
+def reused_walk_laws(draw):
+    """A lazy, an asymmetric or a radius-2 law on Z^d, d <= 3."""
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["lazy", "asymmetric", "radius-2"]))
+    axes = [tuple(s * (i == j) for j in range(d)) for i in range(d)
+            for s in (1, -1)]
+    if kind == "radius-2":
+        axes += [tuple(2 * c for c in a) for a in axes]
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(axes),
+                            max_size=len(axes)))
+    if kind != "asymmetric":  # each axis's +- pair shares its weight
+        weights = [weights[i - i % 2] for i in range(len(axes))]
+    if kind == "lazy":
+        axes.append((0,) * d)
+        weights.append(draw(st.integers(1, 8)))
+    return StepDistribution([(a, w / sum(weights))
+                             for a, w in zip(axes, weights)])
+
+
+@given(reused_walk_laws(), fields_up_to_window_3, st.integers(1, 300),
+       st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=3,
+                unique=True))
+@settings(max_examples=40, deadline=None)
+def test_reused_key_walk_buffers_leak_nothing_between_seeds(law, field, n,
+                                                            seeds):
+    # one walker per seed order, its arrays drawn over by every seed
+    assert spectral._WalkForms(law, n, field).route == "keys"
+    for order in (seeds, seeds[::-1], seeds + seeds[:1]):
+        assert variance_keys(law, n, field, order)
 
 
 def test_key_walk_falls_back_to_the_sites_past_62_bits():
     # the d = 4 simple walk's keys need (2 (n + margin) + 1)^4 < 2^62, so at
     # n = 30 000 the sites are generated and packed
-    cfg = RandomWalkSource(simple_walk(4), 8)
     assert ledger.key_strides([60_001] * 4) is None
     for field in (GaussianField(), MovingAverageField([1.0, 0.5, 0.25])):
-        assert variance_keys(cfg, 30_000, field)
+        assert variance_keys(simple_walk(4), 30_000, field, [8])
 
 
 # the d = 4 simple walk under a three-weight field (margin 2) takes the key
@@ -391,6 +422,38 @@ def test_lag_correlation_through_the_rank_pre_step():
     assert lag_correlation(sites, counts, (1,)) == 15
     assert lag_correlation(sites, counts, (-1,)) == 15
     assert lag_correlation(sites, counts, (2,)) == 0
+
+
+def _dict_quadratic_form(sites, field) -> float:
+    """sum_lags cov(lag) sum_r N(r + lag) N(r) over a Counter of the sites,
+    with Python ints for coordinates: no packing and no int64."""
+    table = Counter(map(tuple, sites))
+    total = 0.0
+    for lag in spectral._field_lags(field, len(sites[0])):
+        c = field.covariance(lag)
+        if c != 0.0:
+            total += c * sum(
+                n * table.get(tuple(x + h for x, h in zip(r, lag)), 0)
+                for r, n in table.items())
+    return total
+
+
+@pytest.mark.parametrize("sites, field", [
+    # margin 1 widens the spread 2^62 past 62 bits
+    ([(0,), (2**62,), (1,)], MovingAverageField([1.0, 1.0])),
+    ([(0,), (2**62,), (1,), (2**62 - 1,), (2**62,), (-3,)],
+     MovingAverageField([1.0, 0.5, 0.25])),
+    ([(0, 5), (-(2**40), 5), (1, 5), (2**40, -(2**30)), (2**40 + 2, -(2**30)),
+      (0, 5)], MovingAverageField([1.0, 0.0, 0.5, 0.25])),
+    # shifted copies reach the int64 ends without leaving int64
+    ([(-(2**63) + 1,), (2**63 - 2,), (-(2**63) + 2,)],
+     MovingAverageField([1.0, 1.0]))])
+def test_quadratic_form_past_62_bits_matches_a_dict(sites, field):
+    led = LocalTimeLedger.from_trajectory(sites)
+    assert quadratic_form(led, field) == _dict_quadratic_form(sites, field)
+    # the first case by hand: 2 * 3 from lag 0, 1 from each of lags +-1
+    assert _dict_quadratic_form([(0,), (2**62,), (1,)],
+                                MovingAverageField([1.0, 1.0])) == 8.0
 
 
 def _enumerated_variance(field, n: int) -> float:
