@@ -276,25 +276,38 @@ def _pmap(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _checkpoint_ledgers(cur, checkpoints: list[int]) -> list:
+def _checkpoint_ledgers(cur, checkpoints: list[int]) -> tuple[list, int]:
     """One ledger snapshot (a shallow copy) per checkpoint, fed by the
-    source cursor ``cur``.
+    source cursor ``cur``, and the number of blocks fed.
 
-    Blocks hold min(steps to the next checkpoint, max(4096, distinct sites
-    so far)) steps: the trajectory is never held whole, and each block
-    costs about as much as re-sorting the sites.
+    Blocks hold min(steps to the next checkpoint, max(``ledger.BLOCK``,
+    distinct sites so far)) steps: the trajectory is never held whole, and
+    each block costs about as much as re-sorting the sites.  The feed owns
+    one int64 work array of d + 4 rows, sized once for k + b up to
+    2 BLOCK, k the sites before a block and b its steps: each block is
+    drawn into its first d rows, and the cursor and the ledger take their
+    scratch from the 4 rows after them (see ``sources.Cursor`` and
+    ``LocalTimeLedger.record_block``).  Once a block no longer fits,
+    because the sites outnumber BLOCK, the array is freed and each block
+    allocates its own.  No snapshot holds a view of it.
     """
-    led = ledger.LocalTimeLedger(cur.d)
-    snaps = []
+    d = cur.d
+    led = ledger.LocalTimeLedger(d)
+    work = np.empty((d + 4, min(2 * ledger.BLOCK, checkpoints[-1])),
+                    dtype=np.int64)
+    snaps, blocks = [], 0
     for c in checkpoints:
         while led.n < c:
-            size = min(c - led.n, max(4096, led.range_card))
-            block = cur.take(size)
+            size = min(c - led.n, max(ledger.BLOCK, led.range_card))
+            if work is not None and led.range_card + size > work.shape[1]:
+                work = None  # outgrown: freed, and each block allocates
+            block = cur.take(size, out=work)
             if len(block) < size:
                 raise PlanError("source exhausted before the last checkpoint")
-            led.record_block(block)
+            led.record_block(block, None if work is None else work[d:])
+            blocks += 1
         snaps.append(copy.copy(led))
-    return snaps
+    return snaps, blocks
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -311,11 +324,19 @@ def _write_csv(path: Path, header, rows) -> None:
 # experiment runners, one per row of EXPERIMENTS
 
 
+def _feed_sizes(leds: list, blocks: int) -> dict:
+    """A checkpoint feed's problem sizes, for a summary."""
+    return {"n": leds[-1].n,
+            "distinct_sites": [led.range_card for led in leds],
+            "ledger_blocks": blocks}
+
+
 def _run_stats(plan, threads):
-    leds = _checkpoint_ledgers(sources.cursor(plan["_source"]),
-                               plan["_checkpoints"])
+    leds, blocks = _checkpoint_ledgers(sources.cursor(plan["_source"]),
+                                       plan["_checkpoints"])
     rows = [led.snapshot_row() for led in leds]
     summary = {"final": dict(zip(STATS_HEADER, rows[-1])),
+               **_feed_sizes(leds, blocks),
                "op": "ledger.LocalTimeLedger.snapshot_row"}
     if len(rows) >= 3 and rows[0][0] >= 16:
         rep = ledger.condition_report([led.checkpoint() for led in leds])
@@ -327,7 +348,7 @@ def _run_stats(plan, threads):
 def _run_gc(plan, threads):
     reps, cps = plan["replicates"], plan["_checkpoints"]
     field = plan["_field"]
-    leds = _checkpoint_ledgers(sources.cursor(plan["_source"]), cps)
+    leds, _ = _checkpoint_ledgers(sources.cursor(plan["_source"]), cps)
     ecdfs = empirical.SampledEcdfs(field, leds)  # built once per run
     # on one thread: on 2 cores a second one made gc-rw3 no faster
     devs = [[empirical.sup_deviation(e, field) for e in ecdfs(
@@ -376,28 +397,33 @@ def _run_fclt(plan, threads):
 def _run_rw_asym(plan, threads):
     src, cps, reps = plan["_source"], plan["_checkpoints"], plan["replicates"]
 
-    def one(rep: int):  # (rows, slope of log V against log n)
+    def one(rep: int):  # (rows, slope of log V against log n, sizes)
         cfg = dataclasses.replace(src, seed=rng.derive(plan["seed_base"],
                                                        "walk", rep))
-        rows = [(rep,) + led.snapshot_row()
-                for led in _checkpoint_ledgers(sources.cursor(cfg), cps)]
-        return rows, float(np.polyfit([math.log(r[1]) for r in rows],
-                                      [math.log(r[3]) for r in rows], 1)[0])
+        leds, blocks = _checkpoint_ledgers(sources.cursor(cfg), cps)
+        rows = [(rep,) + led.snapshot_row() for led in leds]
+        slope = float(np.polyfit([math.log(r[1]) for r in rows],
+                                 [math.log(r[3]) for r in rows], 1)[0])
+        return rows, slope, _feed_sizes(leds, blocks)
 
     done = _pmap(one, range(reps), threads)
-    rows = [r for chunk, _ in done for r in chunk]
-    summary = {"log_v_slopes": [slope for _, slope in done],
+    rows = [r for chunk, _, _ in done for r in chunk]
+    summary = {"log_v_slopes": [slope for _, slope, _ in done],
+               "n": cps[-1],
+               "distinct_sites": [s["distinct_sites"] for _, _, s in done],
+               "ledger_blocks": [s["ledger_blocks"] for _, _, s in done],
                "op": "ledger.LocalTimeLedger.snapshot_row"}
     return {"rw_asym.csv": (("rep",) + STATS_HEADER, rows)}, summary, {}
 
 
 def _run_rotation(plan, threads):
     cur = sources.cursor(plan["_source"])
-    rows = [led.snapshot_row()
-            for led in _checkpoint_ledgers(cur, plan["_checkpoints"])]
+    leds, blocks = _checkpoint_ledgers(cur, plan["_checkpoints"])
+    rows = [led.snapshot_row() for led in leds]
     norm = [r[2] * math.sqrt(math.log(r[0])) / r[0] ** 2 for r in rows]
     summary = {"v_sqrtlog_over_n2": norm,
                "near_breakpoint_hits": getattr(cur, "near_hits", 0),
+               **_feed_sizes(leds, blocks),
                "op": "ledger.LocalTimeLedger.snapshot_row"}
     return {"rotation.csv": (STATS_HEADER, rows)}, summary, {}
 

@@ -5,7 +5,9 @@ steps, the local times N_n(site), the maximal local time M_n, the number of
 self-intersections V_n = sum N_n(site)^2, and the cardinality of the visited
 range.  Its state is two arrays, the distinct sites in first-visit order and
 their local times, which ``record_block`` advances a block of steps at a
-time; ``counts`` is a read-only {site: local time} view built from them.
+time, its temporaries written into a work array that a feed may size once
+for many blocks; ``counts`` is a read-only {site: local time} view built
+from them.
 The ledger's local times come from one vectorized kernel,
 :func:`local_time_block`: :func:`pack_sites` packs each site into one int64
 key, and :func:`sort_keys`, the package's one stable key sort, groups equal
@@ -42,6 +44,12 @@ Site = tuple[int, ...]
 
 CSV_HEADER = ("n", "M", "V", "range", "m2_over_v", "pqd_partial_sum")
 
+# steps per block wherever a feed picks the split: long enough that the
+# ~60 short numpy calls of a block cost little per step, short enough that
+# a feed's work array (128 KiB per row of int64 steps) adds little to the
+# peak RSS
+BLOCK = 1 << 14
+
 
 class LocalTimeLedger:
     """Exact bookkeeping of local times along a trajectory, fed in blocks.
@@ -66,22 +74,35 @@ class LocalTimeLedger:
         self._pqd_sum = 0.0
         self._pqd_num, self._pqd_exp = 0, 0  # the exact sum: num * 2^exp
 
-    def record_block(self, coords: Sequence[Sequence[int]] | np.ndarray) -> None:
-        """Append a (b, d) block of steps."""
+    def record_block(self, coords: Sequence[Sequence[int]] | np.ndarray,
+                     work: np.ndarray | None = None) -> None:
+        """Append a (b, d) block of steps.
+
+        ``work``, an int64 array of shape (4, k + b) or wider, k the
+        distinct sites so far, takes every block-sized temporary: those of
+        :func:`local_time_block`, then the running max, the k, the terms
+        M_k / k^2 and :func:`exact_sum`'s split.  A feed sizes it once for
+        many blocks; by default the block allocates its own.
+        """
         coords = _as_coords(coords)
-        if coords.shape[0] == 0:
+        b = coords.shape[0]
+        if b == 0:
             return
         if coords.shape[1] != self.d:
             raise ValueError(f"site has {coords.shape[1]} coordinates, "
                              f"expected {self.d}")
+        if work is None:
+            work = np.empty((4, self.range_card + b), dtype=np.int64)
         occ, self.sites, self.local_times = local_time_block(
-            coords, self.sites, self.local_times)
-        self.self_intersections += int(np.sum(2 * occ - 1))
-        running_m = np.maximum(np.maximum.accumulate(occ), self.max_count)
+            coords, self.sites, self.local_times, work)
+        # the occupation is in row 3, and rows 0 .. 2 are free again
+        self.self_intersections += 2 * int(occ.sum()) - b
+        running_m = np.maximum.accumulate(occ, out=work[1, :b])
+        np.maximum(running_m, self.max_count, out=running_m)
         self.max_count = int(running_m[-1])
-        k = np.arange(self.n + 1, self.n + coords.shape[0] + 1,
-                      dtype=np.float64)
-        num, exp = exact_sum(running_m / (k * k))
+        k = np.add(np.arange(b), self.n + 1, out=work[0, :b].view(np.float64))
+        k *= k
+        num, exp = exact_sum(np.divide(running_m, k, out=k), work[1:])
         if exp < self._pqd_exp:
             self._pqd_num <<= self._pqd_exp - exp
             self._pqd_exp = exp
@@ -145,21 +166,30 @@ class LocalTimeLedger:
                                  "statistics disagree with a full rescan")
 
 
-def exact_sum(terms: np.ndarray) -> tuple[int, int]:
+def exact_sum(terms: np.ndarray, work: np.ndarray | None = None
+              ) -> tuple[int, int]:
     """(num, exp) with num * 2^exp the exact sum of finite float64 terms.
 
     ``np.frexp`` splits each term into a 53-bit integer and an exponent.
     The integers are added per exponent in int64, in two halves of 27 and
     26 bits, so no per-exponent sum overflows below 2^36 terms; a Horner
-    pass over the exponents joins the sums into one Python int.
+    pass over the exponents joins the sums into one Python int.  ``work``,
+    an int64 array of shape (3, terms.size) or wider, takes the mantissas,
+    the exponents and the integers; by default they are allocated.
     """
-    mant, exp = np.frexp(np.asarray(terms, dtype=np.float64))
-    ints = (mant * 2.0**53).astype(np.int64)  # term = ints * 2^(exp - 53)
+    terms = np.asarray(terms, dtype=np.float64)
+    n = terms.size
+    if work is None:
+        work = np.empty((3, n), dtype=np.int64)
+    mant, exp, ints = work[0, :n].view(np.float64), work[1, :n], work[2, :n]
+    np.frexp(terms, out=(mant, exp))
+    mant *= 2.0**53
+    np.copyto(ints, mant, casting="unsafe")  # term = ints * 2^(exp - 53)
     low = int(exp.min(initial=0))
     exp -= low
     sums = np.zeros((2, int(exp.max(initial=0)) + 1), dtype=np.int64)
-    np.add.at(sums[0], exp, ints >> 26)
-    np.add.at(sums[1], exp, ints & ((1 << 26) - 1))
+    np.add.at(sums[0], exp, np.right_shift(ints, 26, out=mant.view(np.int64)))
+    np.add.at(sums[1], exp, np.bitwise_and(ints, (1 << 26) - 1, out=ints))
     num = 0
     for hi, lo in zip(sums[0, ::-1].tolist(), sums[1, ::-1].tolist()):
         num = (num << 1) + (hi << 26) + lo
@@ -198,30 +228,50 @@ def pack_sites(coords: np.ndarray, margin: int = 0
     instead, with the counts of distinct values as widths; a nonzero
     ``margin``, or ranks that do not fit either, raise.
     """
-    coords = _as_coords(coords)
-    n, d = coords.shape
-    # per column: a min over axis 0 of an (n, d) array is ~20x slower
-    lo = [int(coords[:, j].min()) if n else 0 for j in range(d)]
-    widths = [int(coords[:, j].max()) - lo[j] + 1 + 2 * margin if n else 1
-              for j in range(d)]
+    return _pack_parts([_as_coords(coords)], margin, None)
+
+
+def _pack_parts(parts: Sequence[np.ndarray], margin: int,
+                out: np.ndarray | None) -> tuple[np.ndarray, tuple[int, ...]]:
+    """:func:`pack_sites` of the (n_i, d) arrays ``parts`` as if joined
+    along axis 0, without joining them; the keys are written into ``out``
+    if given."""
+    d = parts[0].shape[1]
+    n = sum(len(part) for part in parts)
+    # per axis, the nonempty parts' columns; per column: a min over axis 0
+    # of an (n, d) array is ~20x slower
+    cols = [[part[:, j] for part in parts if len(part)] for j in range(d)]
+    lo = [min(int(c.min()) for c in col) if n else 0 for col in cols]
+    widths = [max(int(c.max()) for c in col) - lo[j] + 1 + 2 * margin
+              if n else 1 for j, col in enumerate(cols)]
     strides = key_strides(widths)
-    if strides is not None:
-        cols = [coords[:, j] - lo[j] + margin for j in range(d)]
-    elif margin == 0:
-        ranks = [np.unique(coords[:, j], return_inverse=True) for j in range(d)]
+    if strides is None and margin == 0:
+        ranks = [np.unique(np.concatenate(col), return_inverse=True)
+                 for col in cols]
         widths = [values.size for values, _ in ranks]
-        cols = [inverse.reshape(-1) for _, inverse in ranks]
+        cols = [[inverse.reshape(-1)] for _, inverse in ranks]
+        lo = [0] * d
         strides = key_strides(widths)
     if strides is None:
         raise OverflowError("site spread too large to pack into int64 keys")
-    key = cols[0]  # a fresh array: the Horner steps run in place
-    for j in range(1, d):
-        key *= widths[j]
-        key += cols[j]
+    key = np.empty(n, dtype=np.int64) if out is None else out[:n]
+    start = 0
+    for part in zip(*cols):
+        # Horner steps in place: int64 wraps, and wraps associatively, so
+        # the steps may pass its ends while every key lands in [0, 2^62]
+        seg = np.subtract(part[0], lo[0], out=key[start:start + len(part[0])])
+        for j in range(1, d):
+            seg *= widths[j]
+            seg += part[j]
+            seg -= lo[j]
+        start += len(seg)
+    if margin:
+        key += margin * sum(strides)
     return key, strides
 
 
-def sort_keys(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def sort_keys(key: np.ndarray, out: np.ndarray | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
     """(order, key[order]) with ``order`` the stable argsort of nonnegative
     int64 keys, from one unstable in-place ``ndarray.sort``.
 
@@ -230,7 +280,8 @@ def sort_keys(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     row), which is the stable order, so any sort gives it.  Keys of
     2^(63 - ib) or more leave no room for the index and are first replaced
     by their dense ranks.  ``key`` is overwritten: it is packed in place and
-    left holding the sorted keys, which are returned.
+    left holding the sorted keys, which are returned.  ``order`` is written
+    into ``out`` if given.
     """
     n = key.size
     ib = (n - 1).bit_length()
@@ -239,19 +290,19 @@ def sort_keys(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if 2 * ib > 63:
             raise OverflowError("too many keys to tag with their row index")
         values, key = np.unique(key, return_inverse=True)
-    order = np.arange(n, dtype=np.int64)
     key <<= ib
-    key |= order
+    key |= np.arange(n, dtype=np.int64)
     key.sort()
-    np.bitwise_and(key, (1 << ib) - 1, out=order)
+    order = np.bitwise_and(key, (1 << ib) - 1, out=out)
     key >>= ib
     return order, key if values is None else values[key]
 
 
-def run_starts(xs: np.ndarray) -> np.ndarray:
+def run_starts(xs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Flags of the first element of each run of equal values in a sorted
-    1-d array (none for an empty one)."""
-    first = np.empty(xs.size, dtype=bool)
+    1-d array (none for an empty one), into the bool array ``out`` if
+    given."""
+    first = np.empty(xs.size, dtype=bool) if out is None else out
     first[:1] = True
     np.not_equal(xs[1:], xs[:-1], out=first[1:])
     return first
@@ -276,7 +327,8 @@ def key_local_times(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def local_time_block(coords: Sequence[Sequence[int]] | np.ndarray,
                      sites: np.ndarray | None = None,
-                     times: np.ndarray | None = None
+                     times: np.ndarray | None = None,
+                     work: np.ndarray | None = None
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance the local times (sites, times) by a block of steps.
 
@@ -290,36 +342,55 @@ def local_time_block(coords: Sequence[Sequence[int]] | np.ndarray,
     group of equal steps, and the steps in time order, so a cumulative sum
     of the weights (prior local time, then 1 per step) gives the local
     times, and the first row of a group is the site's first visit.
+
+    ``work``, an int64 array of shape (4, k + b) or wider that a feed sizes
+    once for many blocks, takes every (k + b)-sized temporary: row 0 the
+    keys, then the weights in key order and each site's final local time;
+    row 1 the order; row 2 the weights, their sums and the occupation in
+    key order; row 3 the run flags and then the occupation, which is
+    returned as a view of it.  By default one such array is allocated, and
+    the occupation copied out of it.  The prior sites and the block are
+    packed where they lie, and the new state arrays are always fresh.
     """
     coords = _as_coords(coords)
-    if not coords.shape[0]:  # no steps: the prior state as it is
+    b, d = coords.shape
+    if not b:  # no steps: the prior state as it is
         if times is None:
             sites, times = coords, np.empty(0, dtype=np.int64)
         return np.empty(0, dtype=np.int64), sites, times
     k = 0 if times is None else times.size
-    both = np.concatenate([sites, coords]) if k else coords
-    total = both.shape[0]
-    order, sorted_key = sort_keys(pack_sites(both)[0])
-    new_group = run_starts(sorted_key)
-    weight = np.ones(total, dtype=np.int64)
+    total = k + b
+    rows = (np.empty((4, total), dtype=np.int64) if work is None
+            else work[:, :total])
+    key, _ = _pack_parts([sites, coords] if k else [coords], 0, rows[0])
+    order, sorted_key = sort_keys(key, out=rows[1])
+    new_group = run_starts(sorted_key, out=rows[3].view(bool)[:total])
+    starts = np.flatnonzero(new_group)
+    weight = rows[2]
+    weight[k:] = 1
     if k:
         weight[:k] = times
-        weight = weight[order]
-    cum = np.cumsum(weight)
+    weight = np.take(weight, order, out=rows[0], mode="clip")
+    cum = np.cumsum(weight, out=rows[2])
     # the sums before each row are nondecreasing, so a running max of their
     # values at group starts carries each group's start value
     base = np.subtract(cum, weight, out=weight)
     base *= new_group
     np.maximum.accumulate(base, out=base)
     occ_sorted = np.subtract(cum, base, out=cum)
-    occ = np.empty(total, dtype=np.int64)
+    occ = rows[3]  # over the run flags, which are read no more
     occ[order] = occ_sorted
     # each site's final local time, stored at the row of its first visit
-    starts = np.flatnonzero(new_group)
-    final = np.zeros(total, dtype=np.int64)
+    final = rows[0]
+    final.fill(0)
     final[order[starts]] = occ_sorted[np.append(starts[1:], total) - 1]
-    firsts = np.flatnonzero(final > 0)
-    return occ[k:], both.take(firsts, axis=0), final[firsts]
+    firsts = np.flatnonzero(np.greater(final, 0,
+                                       out=rows[1].view(bool)[:total]))
+    # every prior site heads its group, so firsts starts with 0 .. k - 1
+    new_sites = coords.take(firsts[k:] - k, axis=0)
+    occ = occ[k:] if work is not None else occ[k:].copy()
+    return (occ, np.concatenate([sites, new_sites]) if k else new_sites,
+            final[firsts])
 
 
 def brute_force_stats(sites: Sequence[Sequence[int]] | np.ndarray,

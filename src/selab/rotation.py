@@ -136,17 +136,25 @@ _M64 = (1 << 64) - 1
 _ORBIT_BLOCK = 1 << 16  # orbit points per block of a bulk walk
 
 
-def _orbit(start: int, alpha: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """start + j * alpha mod 2^128 for j < count, as (hi, lo) uint64 limbs.
+def _orbit(start: int, alpha: int, count: int,
+           out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """start + j * alpha mod 2^128 for j < count, as (hi, lo) uint64 limbs,
+    written into the rows of ``out`` (2, count) if given.
 
     The low limb wraps mod 2^64; it carries into the high limb exactly when
     it decreases, because each step adds less than 2^64 to it.
     """
+    if out is None:
+        out = np.empty((2, count), dtype=np.uint64)
+    hi, lo = out[0, :count], out[1, :count]
     j = np.arange(count, dtype=np.uint64)
-    lo = np.uint64(start & _M64) + j * np.uint64(alpha & _M64)
-    carry = np.zeros(count, dtype=np.uint64)
-    np.cumsum(lo[1:] < lo[:-1], dtype=np.uint64, out=carry[1:])
-    hi = np.uint64(start >> 64) + j * np.uint64(alpha >> 64) + carry
+    np.multiply(j, np.uint64(alpha & _M64), out=lo)
+    lo += np.uint64(start & _M64)
+    hi[:1] = 0
+    np.less(lo[1:], lo[:-1], out=hi[1:])
+    np.cumsum(hi, out=hi)  # the carries
+    hi += np.multiply(j, np.uint64(alpha >> 64), out=j)
+    hi += np.uint64(start >> 64)
     return hi, lo
 
 
@@ -228,17 +236,27 @@ class CocycleCursor(sources.Cursor):
                           np.uint64(((b - 1) >> 64) - (a >> 64)))
                          for a, b in self._near]
 
-    def _steps(self, offset: int, count: int) -> np.ndarray:
+    def _steps(self, offset: int, count: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+        # the steps, and first the pieces, in row 0; the limbs, the flags
+        # and the spread in rows 1 .. 4
+        rows = (np.empty((5, count), dtype=np.int64) if out is None
+                else out[:5, :count])
+        limbs = rows[1:].view(np.uint64)
         hi, lo = _orbit((self._x + offset * self._alpha) & _FP_MASK,
-                        self._alpha, count)
-        mask = np.empty(count, dtype=bool)
-        piece = np.zeros(count, dtype=np.intp)
+                        self._alpha, count, limbs[:2])
+        flags = limbs[2].view(bool)
+        mask, rare = flags[:count], flags[count:2 * count]
+        spread = limbs[3]
+        piece = rows[0]
+        piece.fill(0)
         for b_hi in self._bp_hi:
-            piece += np.greater(hi, b_hi, out=mask)
-        rare, spread = np.zeros(count, dtype=bool), None
+            np.greater(hi, b_hi, out=spread)
+            piece += spread.view(np.int64)
+        rare.fill(False)
         for first, width in self._near_hi:
             if width:
-                spread = np.subtract(hi, first, out=spread)
+                np.subtract(hi, first, out=spread)
                 np.less_equal(spread, width, out=mask)
             else:
                 np.equal(hi, first, out=mask)
@@ -254,7 +272,10 @@ class CocycleCursor(sources.Cursor):
                 near |= _in_interval(r_hi, r_lo, a, b)
             piece[rare] = exact
             self.near_hits += int(np.count_nonzero(near))
-        return self._vals[piece].reshape(count, 1)
+        # each output reads only its own piece
+        np.take(self._vals, piece, out=piece, mode="clip")
+        steps = rows[:1].T
+        return steps if out is not None else steps.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +397,14 @@ class FlowCursor:
         self._levels = src._levels
         self._roof = src.roof
 
-    def take(self, count: int) -> np.ndarray:
+    def take(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The next ``count`` sites, as :meth:`sources.Cursor.take`."""
         head = min(self._left, count)
         self._left -= head
         rest = count - head
         if rest == 0:
-            return np.full((count, 1), self._towers, dtype=np.int64)
+            return sources._into(np.full((count, 1), self._towers,
+                                         dtype=np.int64), out)
         hi, lo = _orbit(self._pos, self._alpha, rest)
         reps = np.ones(rest, dtype=np.int64)
         for (a, b), h in self._levels:
@@ -396,10 +419,10 @@ class FlowCursor:
         first = self._towers + 1
         self._towers += k + 1
         self._pos = (self._pos + (k + 1) * self._alpha) & _FP_MASK
-        out = np.empty((count, 1), dtype=np.int64)
-        out[:head] = first - 1
-        out[head:, 0] = np.repeat(np.arange(first, self._towers + 1), reps)
-        return out
+        sites = np.empty((count, 1), dtype=np.int64)
+        sites[:head] = first - 1
+        sites[head:, 0] = np.repeat(np.arange(first, self._towers + 1), reps)
+        return sources._into(sites, out)
 
 
 @dataclass(frozen=True)

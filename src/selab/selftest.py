@@ -90,23 +90,38 @@ def coordinate_quadratic_form(cfg, n: int, field) -> float:
 
 
 def ledger_blocks(coords, cuts) -> bool:
-    """A ledger fed the (n, d) coords split at ``cuts``, ``trajectory_stats``
+    """Two ledgers fed the (n, d) coords split at ``cuts``, one allocating
+    and one through a single work array of garbage, ``trajectory_stats``
     and ``brute_force_stats`` against :func:`dict_local_times`, with the
     exact sum of the rounded M_k / k^2."""
     coords = np.asarray(coords, dtype=np.int64)
     sites = [tuple(s) for s in coords.tolist()]
     counts, v, m = dict_local_times(sites)
-    led = ledger.LocalTimeLedger(coords.shape[1])
+    leds = [ledger.LocalTimeLedger(coords.shape[1]) for _ in range(2)]
+    work = garbage((4, len(coords)))
     for block in np.split(coords, cuts):
-        led.record_block(block)
+        leds[0].record_block(block)
+        leds[1].record_block(block, work)
     ts = ledger.trajectory_stats(coords)
     pqd = sum(Fraction(m_k / (k * k)) for k, m_k in enumerate(m, start=1))
-    return ((led.n, led.self_intersections, led.max_count, led.range_card)
-            == (len(sites), v[-1], m[-1], len(counts))
-            and list(led.counts.items()) == list(counts.items())  # in order
+    return (all((led.n, led.self_intersections, led.max_count, led.range_card)
+                == (len(sites), v[-1], m[-1], len(counts))
+                and list(led.counts.items()) == list(counts.items())  # in order
+                and led.pqd_partial_sum == float(pqd) for led in leds)
             and (ts.v.tolist(), ts.m.tolist()) == (v, m)
-            and led.pqd_partial_sum == float(pqd)
-            and ledger.brute_force_stats(sites) == (v[-1], m[-1], counts))
+            and ledger.brute_force_stats(sites, 1024) == (v[-1], m[-1], counts))
+
+
+def garbage(shape) -> np.ndarray:
+    """An int64 array of the given shape, filled with the bits of hashed
+    uniforms: a work array as a previous block may leave it."""
+    words = rng.uniforms(99, math.prod(shape)).view(np.int64)
+    return words.reshape(shape)
+
+
+def spans(cuts, n: int) -> list[tuple[int, int]]:
+    """The blocks [a, b) of n steps split at the nondecreasing ``cuts``."""
+    return list(zip([0, *cuts], [*cuts, n]))
 
 
 def takes_rank_pre_step(coords) -> bool:
@@ -139,18 +154,21 @@ def site_hash(coords, seed: int) -> bool:
 
 
 def cocycle_blocks(rc, cuts) -> bool:
-    """The cursor's sums and ``_orbit``'s points x + j alpha mod 2^128 in the
-    blocks that end at the nondecreasing ``cuts`` (the last one n)."""
+    """Two cursors' sums, one allocating and one drawing into a single
+    work array of garbage, and ``_orbit``'s points x + j alpha mod 2^128
+    in the blocks that end at the nondecreasing ``cuts`` (the last one
+    n)."""
     sums, near = cocycle_by_steps(rc, cuts[-1])
-    x, alpha, cur, ok = rc.x_fp, rc.alpha_fp, rc.cursor(), True
-    for a, b in zip([0, *cuts], cuts):
+    x, alpha, ok = rc.x_fp, rc.alpha_fp, True
+    curs, work = (rc.cursor(), rc.cursor()), garbage((5, cuts[-1]))
+    for a, b in spans(cuts[:-1], cuts[-1]):
         hi, lo = rotation._orbit((x + a * alpha) % rotation.ONE, alpha, b - a)
-        block = cur.take(b - a)
-        ok = (ok and block.dtype == np.int64 and block.shape == (b - a, 1)
-              and block[:, 0].tolist() == sums[a:b]
-              and [(h << 64) | l for h, l in zip(hi.tolist(), lo.tolist())]
-              == [(x + j * alpha) % rotation.ONE for j in range(a, b)])
-    return ok and cur.near_hits == near
+        for block in (curs[0].take(b - a), curs[1].take(b - a, out=work)):
+            ok = (ok and block.dtype == np.int64 and block.shape == (b - a, 1)
+                  and block[:, 0].tolist() == sums[a:b])
+        ok = ok and ([(h << 64) | l for h, l in zip(hi.tolist(), lo.tolist())]
+                     == [(x + j * alpha) % rotation.ONE for j in range(a, b)])
+    return ok and curs[0].near_hits == curs[1].near_hits == near
 
 
 def return_series_routes(law, kmax: int, lags) -> bool:
@@ -212,12 +230,23 @@ def _cuts(seed: int, n: int) -> list[int]:  # blocks of 1..64 steps
 def run() -> dict:
     """The suites in order, each true when its input takes the route that
     it names and its checks hold, and ``ok``."""
-    res = {"ledger_vs_brute_force": all(ledger_blocks(sources.generate(
-        sources.RandomWalkSource(sources.simple_walk(1 + t % 2), 1000 + t),
-        300), _cuts(2000 + t, 300)) for t in range(20))}
+    cf = rotation.ContinuedFraction.golden()
+    f = rotation.StepFunction([0, Fraction(1, 5), Fraction(1, 2),
+                               Fraction(4, 5)], [1, -2, 2, -1])
+    # one split straddles BLOCK, and one has a block longer than it
+    n, top = ledger.BLOCK + 600, ledger.BLOCK
+    splits = [[top - 300, top + 300], [200]]
+    around_block = (any(a < top < b for a, b in spans(splits[0], n))
+                    and any(b - a > top for a, b in spans(splits[1], n)))
+    long_rc = rotation.RotationCocycle(cf, f, rotation.point_from_seed(9))
+    z = long_rc.generate(n)
+    res = {"ledger_vs_brute_force": around_block and all(ledger_blocks(
+        sources.generate(sources.RandomWalkSource(
+            sources.simple_walk(1 + t % 2), 1000 + t), 300),
+        _cuts(2000 + t, 300)) for t in range(20)) and all(
+        ledger_blocks(np.hstack([z, z % 3]), cuts) for cuts in splits)}
     wide = (rng.uniforms(4000, 300) < 0.5).astype(np.int64)[:, None] << 55
     res["local_times"] = takes_rank_pre_step(wide) and ledger_blocks(wide, [])
-    cf = rotation.ContinuedFraction.golden()
     res["convergent_quality"] = all(abs(cf.convergent(40) - Fraction(p, q))
                                     < Fraction(1, q * q)
                                     for p, q in cf.convergents(20))
@@ -227,11 +256,10 @@ def run() -> dict:
     res["return_series"] = all(return_series_routes(
         sources.simple_walk(d), 30, [(0,) * d, (1,) + (0,) * (d - 1)])
         for d in (2, 3))
-    f = rotation.StepFunction([0, Fraction(1, 5), Fraction(1, 2),
-                               Fraction(4, 5)], [1, -2, 2, -1])
-    res["source_blocks"] = all(cocycle_blocks(
+    res["source_blocks"] = around_block and all(cocycle_blocks(
         rotation.RotationCocycle(cf, f, rotation.point_from_seed(k)),
-        _cuts(3000 + k, 2000) + [2000]) for k in range(3))
+        _cuts(3000 + k, 2000) + [2000]) for k in range(3)) and all(
+        cocycle_blocks(long_rc, cuts + [n]) for cuts in splits)
     # a d = 3 walk, whose sites share (x, y)-prefixes
     coords = sources.generate(
         sources.RandomWalkSource(sources.simple_walk(3), 31), 3000)

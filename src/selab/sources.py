@@ -3,9 +3,10 @@
 Every source is a frozen configuration; realizations are pure functions of
 (config, seed).  Each variant has one generation path, a block path:
 :func:`cursor` returns a cursor whose ``take(count)`` draws the next
-``count`` sites as a (count, d) int64 array.  The randomness is
-counter-based, so the block at any offset is a pure function of (seed,
-offset) and any split into blocks gives the same sites.  :func:`generate`
+``count`` sites as a (count, d) int64 array, fresh or in a caller's work
+array.  The randomness is counter-based, so the block at any offset is a
+pure function of (seed, offset) and any split into blocks gives the same
+sites.  :func:`generate`
 is one block from a fresh cursor, and :func:`stream` is an adapter that
 yields the cursor's blocks as tuples, one site at a time.  A random walk's
 draws can also be read as packed site keys, with no sites: :func:`walk_keys`
@@ -21,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import rng
+from . import ledger, rng
 
 Site = tuple[int, ...]
 
@@ -298,15 +299,18 @@ SourceConfig = (RandomWalkSource | CoboundarySource | WindowFunctional |
 class Cursor:
     """A position in one realization; ``take`` draws the next block of sites.
 
-    ``block(offset, count)`` gives the sites (or, when ``cumulative``, the
-    steps) at indices offset .. offset + count - 1 as a (count, d) int64
-    array, a pure function of (config, offset); the cursor carries only the
-    offset and the last position, so any split into blocks gives the same
-    sites.  A finite source returns a short block once it runs out.  A
-    cumulative block must be a fresh array: ``take`` adds the carried
-    position to its first step in place, then sums it.  int64 addition
-    wraps, and wraps associatively, so the sites are those of adding the
-    position to every partial sum.
+    ``block(offset, count, out)`` gives the sites (or, when ``cumulative``,
+    the steps) at indices offset .. offset + count - 1 as a (count, d)
+    int64 array, a pure function of (config, offset); the cursor carries
+    only the offset and the last position, so any split into blocks gives
+    the same sites.  A finite source returns a short block once it runs
+    out.  ``out`` is None, for a fresh array, or an int64 work array of
+    shape (d + 4, count) or wider: the block is written into its rows
+    0 .. d - 1, transposed, and returned as a view of them, and the source
+    may use the other rows as scratch.  ``take`` adds the carried position
+    to a cumulative block's first step in place, then sums it in place.
+    int64 addition wraps, and wraps associatively, so the sites are those
+    of adding the position to every partial sum.
     """
 
     def __init__(self, d: int, block, cumulative: bool):
@@ -315,15 +319,26 @@ class Cursor:
         self._block = block
         self._pos = np.zeros(d, dtype=np.int64) if cumulative else None
 
-    def take(self, count: int) -> np.ndarray:
-        """The next ``count`` sites as a (count, d) int64 array."""
-        out = self._block(self.offset, count)
-        if self._pos is not None and len(out):
-            out[0] += self._pos
-            out = np.cumsum(out, axis=0)
-            self._pos = out[-1].copy()
-        self.offset += len(out)
-        return out
+    def take(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The next ``count`` sites as a (count, d) int64 array, in a view
+        of ``out``'s first d rows if it is given (see :class:`Cursor`)."""
+        sites = self._block(self.offset, count, out)
+        if self._pos is not None and len(sites):
+            sites[0] += self._pos
+            np.cumsum(sites, axis=0, out=sites)
+            self._pos = sites[-1].copy()
+        self.offset += len(sites)
+        return sites
+
+
+def _into(block: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """A (count, d) block as :meth:`Cursor.take` returns it: ``block``
+    itself, or written into ``out``'s first d rows, transposed."""
+    if out is None:
+        return block
+    view = out[:block.shape[1], :len(block)].T
+    view[...] = block
+    return view
 
 
 def _atom_indices(law: StepDistribution, seed: int, offset: int, count: int,
@@ -343,9 +358,19 @@ def _law_block(law: StepDistribution, seed: int, table: np.ndarray):
     """Blocks of i.i.d. draws of the law, each read off the per-atom
     ``table``, the atoms' coordinates (``law.support()``).  :func:`walk_keys`
     reads the same atom indices off the atoms' keys, so both draw the same
-    steps."""
-    return lambda offset, count: np.take(
-        table, _atom_indices(law, seed, offset, count), axis=0)
+    steps.  With a work array, the draw takes the rows after the block's
+    and each axis is gathered into its own row."""
+    def block(offset, count, out=None):
+        if out is None:
+            return np.take(table, _atom_indices(law, seed, offset, count),
+                           axis=0)
+        d = table.shape[1]
+        idx = _atom_indices(law, seed, offset, count,
+                            out[d:d + 2, :count].view(np.float64))
+        for j in range(d):
+            np.take(table[:, j], idx, out=out[j, :count], mode="clip")
+        return out[:d, :count].T
+    return block
 
 
 def walk_keys(config: RandomWalkSource, n: int, strides: Sequence[int],
@@ -385,13 +410,13 @@ def _window_block(config: WindowFunctional):
             c = c * base + sym_pos[x]
         lut[c] = s
 
-    def block(offset, count):
+    def block(offset, count, out=None):
         sym = config.inverse_cdf(rng.uniforms(config.seed, count + r - 1,
                                               offset))
         code = np.zeros(count, dtype=np.int64)
         for j in range(r):
             code = code * base + sym[j:j + count]
-        return lut[code]
+        return _into(lut[code], out)
     return block
 
 
@@ -405,14 +430,18 @@ def cursor(config):
     if isinstance(config, CoboundarySource):
         psi = _law_block(config.law, config.seed, config.law.support())
         psi0 = psi(0, 1)[0]
-        return Cursor(config.d, lambda offset, count: psi(offset, count) - psi0,
-                      False)
+
+        def block(offset, count, out=None):
+            z = psi(offset, count, out)
+            z -= psi0
+            return z
+        return Cursor(config.d, block, False)
     if isinstance(config, WindowFunctional):
         return Cursor(config.d, _window_block(config), True)
     if isinstance(config, ExplicitSource):
         sites = np.array(config.sites, dtype=np.int64)
-        return Cursor(config.d,
-                      lambda offset, count: sites[offset:offset + count], False)
+        return Cursor(config.d, lambda offset, count, out=None: _into(
+            sites[offset:offset + count], out), False)
     # rotation-driven sources live in selab.rotation; duck-type on cursor()
     make = getattr(config, "cursor", None)
     if make is not None:
@@ -431,9 +460,6 @@ def generate(config, n: int) -> np.ndarray:
     return out
 
 
-_STREAM_BLOCK = 4096
-
-
 def stream(config) -> Iterator[Site]:
     """Yield the realization site by site, as tuples of ints.
 
@@ -442,7 +468,7 @@ def stream(config) -> Iterator[Site]:
     """
     cur = cursor(config)
     while True:
-        block = cur.take(_STREAM_BLOCK)
+        block = cur.take(ledger.BLOCK)
         yield from map(tuple, block.tolist())
-        if len(block) < _STREAM_BLOCK:
+        if len(block) < ledger.BLOCK:
             return

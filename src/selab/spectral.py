@@ -30,8 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from . import rng, sources
-from .ledger import (LocalTimeLedger, _as_coords, key_local_times,
-                     key_strides, pack_sites, sort_keys)
+from .ledger import (LocalTimeLedger, _as_coords, _pack_parts,
+                     key_local_times, key_strides, pack_sites, sort_keys)
 from .sources import RandomWalkSource, StepDistribution, classify
 
 Site = tuple[int, ...]
@@ -110,31 +110,34 @@ def _matched_sum(keys, counts, shifted, shifted_counts) -> int:
 def _ranked_lag_sums(coords, counts, lags) -> list[int]:
     """:func:`_lag_sums` where no margin-widened packing fits 62 bits: the
     sites and their copies shifted by each nonzero lag are packed together
-    by :func:`pack_sites` at margin 0, through its rank route, so a shifted
-    copy has a site's key exactly when it is that site.  A shifted copy
-    must stay in int64 (OverflowError otherwise), and the ranks must fit
-    62 bits."""
+    by :func:`ledger._pack_parts` at margin 0, through its rank route, so a
+    shifted copy has a site's key exactly when it is that site.  A copy
+    that would leave int64 is a site that no int64 trajectory visits, with
+    N = 0, so it is dropped.  The ranks must fit 62 bits."""
     coords = _as_coords(coords)
-    k = coords.shape[0]
     moved = [lag for lag in lags if any(lag)]
-    key = pack_sites(np.concatenate(
-        [coords] + [_shifted(coords, lag) for lag in moved]))[0]
-    copies = dict(zip(moved, np.split(key[k:], len(moved))))
-    order, site_keys = sort_keys(key[:k])  # in place; key[k:] is left
+    shifted = [_shifted(coords, lag) for lag in moved]
+    parts = [coords] + [copy for _, copy in shifted]
+    key = _pack_parts(parts, 0, None)[0]
+    keys = np.split(key, np.cumsum([len(part) for part in parts])[:-1])
+    order, site_keys = sort_keys(keys[0])  # in place; the copies are left
     sorted_counts = counts[order]
-    return [_matched_sum(site_keys, sorted_counts, copies[lag], counts)
-            if any(lag) else int(np.sum(counts * counts)) for lag in lags]
+    sums = {lag: _matched_sum(site_keys, sorted_counts, copy_keys,
+                              counts[kept])
+            for lag, (kept, _), copy_keys in zip(moved, shifted, keys[1:])}
+    return [sums[lag] if any(lag) else int(np.sum(counts * counts))
+            for lag in lags]
 
 
-def _shifted(coords: np.ndarray, lag) -> np.ndarray:
-    """coords + lag, OverflowError where a coordinate would leave int64."""
+def _shifted(coords: np.ndarray, lag) -> tuple[np.ndarray, np.ndarray]:
+    """(kept, coords[kept] + lag), ``kept`` the rows whose shifted copy
+    stays in int64."""
     info = np.iinfo(np.int64)
+    kept = np.ones(coords.shape[0], dtype=bool)
     for j, c in enumerate(lag):
         col = coords[:, j]
-        if col.size and not (info.min - min(c, 0) <= int(col.min())
-                             and int(col.max()) <= info.max - max(c, 0)):
-            raise OverflowError("a lag moves a site out of int64")
-    return coords + np.array(lag, dtype=np.int64)
+        kept &= (info.min - min(c, 0) <= col) & (col <= info.max - max(c, 0))
+    return kept, coords[kept] + np.array(lag, dtype=np.int64)
 
 
 def quadratic_form(ledger: LocalTimeLedger, field) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -7,9 +8,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from selab import cli, empirical, rng, rotation, sources
+from selab import cli, empirical, ledger, rng, rotation, sources
 from selab.cli import PlanError, main, parse_plan, run_plan, run_selftest
+from selab.selftest import dict_local_times
 
 
 def write_plan(tmp_path, obj, name="plan.json"):
@@ -504,6 +507,110 @@ def test_rw_asym_slopes_fit_each_replicates_rows(tmp_path):
                        1)[0] for rep in range(3)]
     assert summary["log_v_slopes"] == pytest.approx(want, rel=1e-12)
     assert len(set(summary["log_v_slopes"])) == 3
+
+
+@st.composite
+def feed_sources(draw):
+    """A random walk that mostly holds (d = 1 or 2), an explicit source
+    over a few sites, or a golden rotation cocycle: few distinct sites, so
+    the dict and brute-force oracles stay cheap past BLOCK steps."""
+    kind = draw(st.sampled_from(["rw", "explicit", "rotation"]))
+    seed = draw(st.integers(0, 2**64 - 1))
+    n = draw(st.integers(ledger.BLOCK + 1, ledger.BLOCK + 800))
+    if kind == "rotation":
+        return rotation.RotationCocycle(
+            rotation.ContinuedFraction.golden(),
+            rotation.StepFunction.square_wave(),
+            rotation.point_from_seed(seed)), n
+    d = draw(st.integers(1, 2))
+    if kind == "explicit":
+        words = (4 * rng.uniforms(seed, n * d)).astype(np.int64) - 1
+        return sources.ExplicitSource(words.reshape(n, d).tolist()), n
+    moves = sources.simple_walk(d).atoms
+    law = sources.StepDistribution([((0,) * d, 0.99)] + [
+        (a, 0.01 / len(moves)) for a, _ in moves])
+    return sources.RandomWalkSource(law, seed), n
+
+
+@given(feed_sources(), st.data())
+@settings(max_examples=10, deadline=None)
+def test_feed_snapshots_survive_the_reused_work_array(src_n, data):
+    # checkpoints on both sides of BLOCK; every block takes the work array,
+    # which later blocks overwrite after each snapshot is taken
+    src, n = src_n
+    below = data.draw(st.integers(1, ledger.BLOCK - 1))
+    cps = sorted({below, data.draw(st.integers(below + 1, n)), n})
+    snaps, _ = cli._checkpoint_ledgers(sources.cursor(src), cps)
+    coords = sources.generate(src, n)
+    for led, c in zip(snaps, cps):
+        sites = [tuple(s) for s in coords[:c].tolist()]
+        counts, v, m = dict_local_times(sites)
+        pqd = float(sum(Fraction(m_k / (k * k))
+                        for k, m_k in enumerate(m, start=1)))
+        assert list(map(tuple, led.sites.tolist())) == list(counts)
+        assert led.local_times.tolist() == list(counts.values())
+        assert led.snapshot_row() == (c, m[-1], v[-1], len(counts),
+                                      m[-1] ** 2 / v[-1], pqd)
+        assert ledger.brute_force_stats(sites, 1024) == (v[-1], m[-1], counts)
+
+
+def test_rw_asym_csv_bytes_do_not_depend_on_the_threads(tmp_path):
+    # each walk feeds its ledgers through a work array of its own; by the
+    # last checkpoint the sites outnumber BLOCK, and the blocks allocate
+    plan_obj = {"experiment": "rw-asym",
+                "source": {"variant": "rw", "simple": 3, "seed": 0},
+                "checkpoints": [1000, 10000, 40000], "replicates": 4,
+                "seed_base": 7}
+    outs = []
+    for threads in (1, 2):
+        summary, _ = run_plan(parse_plan(json.dumps(plan_obj)),
+                              tmp_path / str(threads), threads=threads)
+        outs.append((tmp_path / str(threads) / "rw_asym.csv").read_bytes())
+    assert outs[0] == outs[1]
+    assert all(sites[-1] > ledger.BLOCK for sites in summary["distinct_sites"])
+
+
+def _feed_blocks(coords, cps) -> int:
+    """Blocks of min(steps to the next checkpoint, max(BLOCK, distinct
+    sites so far)) steps, the sites counted by ``np.unique``."""
+    n, blocks = 0, 0
+    for c in cps:
+        while n < c:
+            seen = len(np.unique(coords[:n], axis=0))
+            n += min(c - n, max(ledger.BLOCK, seen))
+            blocks += 1
+    return blocks
+
+
+@pytest.mark.parametrize("plan_obj", [
+    {"experiment": "stats", "source": {"variant": "rw", "simple": 3,
+                                       "seed": 4},
+     "n": 60000, "checkpoints": [100, 20000, 60000]},
+    {"experiment": "rotation",
+     "source": {"variant": "rotation", "cf": {"periodic": [1]},
+                "x": {"seed": 3}},
+     "checkpoints": [10, 1000, 100000]},
+    {"experiment": "rw-asym", "source": {"variant": "rw", "simple": 1,
+                                         "seed": 0},
+     "checkpoints": [10, 20000, 40000], "replicates": 2, "seed_base": 5}])
+def test_feed_summaries_report_the_problem_sizes(tmp_path, plan_obj):
+    plan = parse_plan(json.dumps(plan_obj))
+    summary, _ = run_plan(plan, tmp_path)
+    cps = plan["_checkpoints"]
+    srcs = [plan["_source"]]
+    if plan_obj["experiment"] == "rw-asym":
+        srcs = [dataclasses.replace(srcs[0], seed=rng.derive(5, "walk", rep))
+                for rep in range(2)]
+    want_sites, want_blocks = [], []
+    for src in srcs:
+        coords = sources.generate(src, cps[-1])
+        want_sites.append([len(np.unique(coords[:c], axis=0)) for c in cps])
+        want_blocks.append(_feed_blocks(coords, cps))
+    if len(srcs) == 1:
+        want_sites, want_blocks = want_sites[0], want_blocks[0]
+    assert summary["n"] == cps[-1]
+    assert summary["distinct_sites"] == want_sites
+    assert summary["ledger_blocks"] == want_blocks
 
 
 def test_numpy_scalars_are_written_as_plain_numbers(tmp_path, monkeypatch):

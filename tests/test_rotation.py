@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from selab import LocalTimeLedger, generate, rotation, stream
+from selab import LocalTimeLedger, generate, ledger, rotation, stream
 from selab.rotation import (ContinuedFraction, LevelCheckpoint,
                             RotationCocycle, SpecialFlowSource, StepFunction,
                             counterexample_ratio_schedule, fraction_to_fp,
                             minimal_lambda_indices, point_from_seed,
                             ratio_floors, NEAR_THRESHOLD, ONE)
-from selab.selftest import cocycle_blocks, cocycle_by_steps
+from selab.selftest import cocycle_blocks, cocycle_by_steps, garbage
 
 GOLDEN = ContinuedFraction.golden()
 
@@ -261,6 +261,22 @@ def test_cocycle_blocks_match_the_128_bit_loop(data, cf, f, n, sizes):
     assert cocycle_blocks(rc, cuts + [n])
     assert np.array_equal(take_in_blocks(rc.cursor(), n, sizes),
                           generate(rc, n))
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(1, ledger.BLOCK + 300),
+       st.integers(1, ledger.BLOCK + 300))
+@settings(max_examples=8, deadline=None)
+def test_cocycle_blocks_over_garbage_match_the_128_bit_loop(seed, first,
+                                                            second):
+    f = StepFunction([0, Fraction(1, 5), Fraction(1, 2)], [2, -3, 1])
+    rc = RotationCocycle(GOLDEN, f, point_from_seed(seed))
+    sums, near = cocycle_by_steps(rc, first + second)
+    cur = rc.cursor()
+    out = np.empty((5, max(first, second)), dtype=np.int64)
+    assert cur.take(first, out=out)[:, 0].tolist() == sums[:first]
+    out[...] = garbage(out.shape)
+    assert cur.take(second, out=out)[:, 0].tolist() == sums[first:]
+    assert cur.near_hits == near
 
 
 def test_cocycle_near_hits_at_the_threshold():

@@ -11,6 +11,7 @@ from selab import (CoboundarySource, ContinuedFraction, ExplicitSource,
                    StepDistribution, StepFunction, WindowFunctional, classify,
                    cursor, generate, minimal_lambda_indices, rng, simple_walk,
                    stream)
+from selab.selftest import garbage
 
 
 def test_step_distribution_validation():
@@ -201,15 +202,19 @@ def test_walk_increments_in_support(seed, d):
     assert all(tuple(s) in support for s in steps)
 
 
-def take_in_blocks(cur, n, sizes):
+def take_in_blocks(cur, n, sizes, out=None):
     """Concatenated cursor blocks of the given sizes (the last one cut or
-    stretched so that n sites come out)."""
+    stretched so that n sites come out).  With a work array ``out``, each
+    block is drawn into it over fresh garbage, and copied out of it."""
     parts, taken = [], 0
     for size in sizes:
         size = min(size, n - taken)
-        parts.append(cur.take(size))
+        if out is not None:
+            out[...] = garbage(out.shape)
+        block = cur.take(size, out=out)
+        parts.append(block if out is None else block.copy())
         taken += size
-    parts.append(cur.take(n - taken))
+    parts.append(cur.take(n - taken, out=out))
     return np.concatenate(parts)
 
 
@@ -281,6 +286,9 @@ def test_cursor_blocks_match_generate_and_per_step_oracle(config, n, sizes):
     assert got.dtype == np.int64 and got.shape == (n, config.d)
     assert np.array_equal(got, generate(config, n))
     assert got.tolist() == per_step_oracle(config, n)
+    reused = np.empty((config.d + 4, n), dtype=np.int64)
+    assert np.array_equal(take_in_blocks(cursor(config), n, sizes, reused),
+                          got)
 
 
 def test_explicit_cursor_runs_short_at_the_end():

@@ -411,8 +411,38 @@ def test_lag_correlation_at_the_int64_edge():
     top = (1 << 63) - 1
     assert lag_correlation([[top - 1], [top]], [1, 1], (1,)) == 1
     assert lag_correlation([[-top - 1], [-top]], [2, 3], (-1,)) == 6
-    with pytest.raises(OverflowError):
-        lag_correlation([[-top - 1], [top]], [1, 1], (1,))
+    # the copies are 2^63, which no int64 trajectory visits, and
+    # -2^63 + 1, which is not among the sites: both have N = 0
+    assert lag_correlation([[-top - 1], [top]], [1, 1], (1,)) == 0
+
+
+def _dict_lag_correlation(sites, counts, lag) -> int:
+    """sum_r N(r + lag) N(r) over a Counter of Python-int sites: no int64,
+    so a copy past the int64 ends is simply a site that is not there."""
+    table = Counter()
+    for site, count in zip(sites, counts):
+        table[tuple(site)] += count
+    return sum(n * table[tuple(x + h for x, h in zip(r, lag))]
+               for r, n in table.items())
+
+
+TOP = (1 << 63) - 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sites, counts, lag", [
+    ([[-TOP - 1], [TOP]], [1, 1], (1,)),
+    ([[-TOP - 1], [TOP]], [1, 1], (-1,)),
+    ([[-TOP - 1], [TOP], [TOP - 1]], [1, 2, 3], (1,)),
+    ([[-TOP - 1], [-TOP], [TOP]], [2, 3, 5], (-1,)),
+    ([[-TOP - 1], [TOP]], [4, 7], (2,)),
+    ([[TOP, 0], [0, -TOP - 1], [TOP - 1, 0], [1, -TOP - 1]], [1, 2, 3, 4],
+     (1, 0)),
+    ([[TOP, 0], [0, -TOP - 1], [TOP - 1, 0], [0, -TOP]], [1, 2, 3, 4],
+     (0, -1))])
+def test_lag_correlation_drops_copies_past_the_int64_ends(sites, counts, lag):
+    assert lag_correlation(sites, counts, lag) == _dict_lag_correlation(
+        sites, counts, lag)
 
 
 def test_lag_correlation_through_the_rank_pre_step():
@@ -447,7 +477,10 @@ def _dict_quadratic_form(sites, field) -> float:
       (0, 5)], MovingAverageField([1.0, 0.0, 0.5, 0.25])),
     # shifted copies reach the int64 ends without leaving int64
     ([(-(2**63) + 1,), (2**63 - 2,), (-(2**63) + 2,)],
-     MovingAverageField([1.0, 1.0]))])
+     MovingAverageField([1.0, 1.0])),
+    # and past them
+    ([(-(2**63),), (2**63 - 1,), (2**63 - 2,), (-(2**63),), (2**63 - 1,)],
+     MovingAverageField([1.0, 0.5, 0.25]))])
 def test_quadratic_form_past_62_bits_matches_a_dict(sites, field):
     led = LocalTimeLedger.from_trajectory(sites)
     assert quadratic_form(led, field) == _dict_quadratic_form(sites, field)
