@@ -755,6 +755,25 @@ def test_benchmark_names_are_still_there():
     assert _fresh_python(code).strip() == "3"
 
 
+def test_traced_runs_reach_every_patched_name(tmp_path):
+    # perfbench/tracer.py replaces named functions of selab before a run; a
+    # name that moved or changed its signature fails here, in a traced gc
+    # run and a traced rotation run, not first in the benchmark
+    bench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench")
+    code = (f"import json, pathlib, sys; sys.path.insert(0, {bench!r})\n"
+            "import plans, tracer\n"
+            "from selab import cli\n"
+            "t = tracer.Tracer()\n"
+            "t.install()\n"
+            "for w in ('gc-rw3', 'rotation-golden'):\n"
+            "    plan = cli.parse_plan(json.dumps(plans.make_plan(w, 1, True)))\n"
+            f"    cli.run_plan(plan, pathlib.Path({str(tmp_path)!r}, w))\n"
+            "m = t.layer_metrics()\n"
+            "print(m['ledger.distinct_sites'] > 0, m['empirical.self_s'] > 0)")
+    assert _fresh_python(code).split() == ["True", "True"]
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "selab.cli", "selftest"],
                           capture_output=True, text=True)

@@ -32,7 +32,7 @@ from fractions import Fraction
 import pytest
 
 import selab
-from selab import generate, rng, trajectory_stats
+from selab import generate, ledger, rng, trajectory_stats
 from selab.cli import parse_plan, run_plan
 
 # keyed by the name of the CSV file each plan writes, with a suffix after
@@ -174,6 +174,34 @@ def test_csv_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
     kernels = [None, "Prescott"] + (["Haswell"] if _has_avx2() else [])
     got = [_csv_bytes(k, tmp_path / str(k)) for k in kernels]
     assert all(g == got[0] for g in got[1:])
+
+
+# every golden plan and the grid-route variance plan
+BLOCK_PLANS = dict(PLANS, **{"variance-grid": KERNEL_PLANS["variance-grid"]})
+
+
+def _plan_bytes(root):
+    """The CSV bytes of every plan of ``BLOCK_PLANS``, run in this process."""
+    out = {}
+    for name, plan in BLOCK_PLANS.items():
+        run_plan(parse_plan(json.dumps(plan)), root / name)
+        out[name] = (root / name / f"{name.split('-')[0]}.csv").read_bytes()
+    return out
+
+
+@pytest.fixture(scope="module")
+def default_block_bytes(tmp_path_factory):
+    return _plan_bytes(tmp_path_factory.mktemp("default-block"))
+
+
+@pytest.mark.parametrize("block", [7, 1000, 1 << 20])
+def test_csv_bytes_do_not_depend_on_the_block(block, default_block_bytes,
+                                              tmp_path, monkeypatch):
+    # the feed splits at BLOCK steps and at the checkpoints; a split may
+    # move no CSV byte, whether blocks are shorter than a checkpoint gap,
+    # hold many sites or take a whole plan at once
+    monkeypatch.setattr(ledger, "BLOCK", block)
+    assert _plan_bytes(tmp_path) == default_block_bytes
 
 
 @pytest.mark.parametrize("name", ["rotation", "rw_asym", "stats"])
