@@ -11,7 +11,6 @@ drive the same checks.  Output bytes (CSV) are a pure function of the plan.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import dataclasses
 import json
@@ -276,40 +275,6 @@ def _pmap(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _checkpoint_ledgers(cur, checkpoints: list[int]) -> tuple[list, int]:
-    """One ledger snapshot (a shallow copy) per checkpoint, fed by the
-    source cursor ``cur``, and the number of blocks fed.
-
-    Blocks hold min(steps to the next checkpoint, max(``ledger.BLOCK``,
-    distinct sites so far)) steps: the trajectory is never held whole, and
-    each block costs about as much as re-sorting the sites.  The feed owns
-    one int64 work array of d + 4 rows, sized once for k + b up to
-    2 BLOCK, k the sites before a block and b its steps: each block is
-    drawn into its first d rows, and the cursor and the ledger take their
-    scratch from the 4 rows after them (see ``sources.Cursor`` and
-    ``LocalTimeLedger.record_block``).  Once a block no longer fits,
-    because the sites outnumber BLOCK, the array is freed and each block
-    allocates its own.  No snapshot holds a view of it.
-    """
-    d = cur.d
-    led = ledger.LocalTimeLedger(d)
-    work = np.empty((d + 4, min(2 * ledger.BLOCK, checkpoints[-1])),
-                    dtype=np.int64)
-    snaps, blocks = [], 0
-    for c in checkpoints:
-        while led.n < c:
-            size = min(c - led.n, max(ledger.BLOCK, led.range_card))
-            if work is not None and led.range_card + size > work.shape[1]:
-                work = None  # outgrown: freed, and each block allocates
-            block = cur.take(size, out=work)
-            if len(block) < size:
-                raise PlanError("source exhausted before the last checkpoint")
-            led.record_block(block, None if work is None else work[d:])
-            blocks += 1
-        snaps.append(copy.copy(led))
-    return snaps, blocks
-
-
 def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -324,19 +289,21 @@ def _write_csv(path: Path, header, rows) -> None:
 # experiment runners, one per row of EXPERIMENTS
 
 
-def _feed_sizes(leds: list, blocks: int) -> dict:
-    """A checkpoint feed's problem sizes, for a summary."""
-    return {"n": leds[-1].n,
-            "distinct_sites": [led.range_card for led in leds],
-            "ledger_blocks": blocks}
+def _feed(cur, checkpoints: list[int]) -> tuple[list, dict]:
+    """:func:`ledger.feed`'s ledgers, and its problem sizes and its time,
+    ``feed_s``, for a summary (:func:`run_plan` moves ``feed_s`` out)."""
+    start = time.perf_counter()
+    leds, blocks = ledger.feed(cur, checkpoints)
+    return leds, {"n": leds[-1].n,
+                  "distinct_sites": [led.range_card for led in leds],
+                  "ledger_blocks": blocks,
+                  "feed_s": time.perf_counter() - start}
 
 
 def _run_stats(plan, threads):
-    leds, blocks = _checkpoint_ledgers(sources.cursor(plan["_source"]),
-                                       plan["_checkpoints"])
+    leds, sizes = _feed(sources.cursor(plan["_source"]), plan["_checkpoints"])
     rows = [led.snapshot_row() for led in leds]
-    summary = {"final": dict(zip(STATS_HEADER, rows[-1])),
-               **_feed_sizes(leds, blocks),
+    summary = {"final": dict(zip(STATS_HEADER, rows[-1])), **sizes,
                "op": "ledger.LocalTimeLedger.snapshot_row"}
     if len(rows) >= 3 and rows[0][0] >= 16:
         rep = ledger.condition_report([led.checkpoint() for led in leds])
@@ -348,7 +315,7 @@ def _run_stats(plan, threads):
 def _run_gc(plan, threads):
     reps, cps = plan["replicates"], plan["_checkpoints"]
     field = plan["_field"]
-    leds, _ = _checkpoint_ledgers(sources.cursor(plan["_source"]), cps)
+    leds, sizes = _feed(sources.cursor(plan["_source"]), cps)
     ecdfs = empirical.SampledEcdfs(field, leds)  # built once per run
     # on one thread: on 2 cores a second one made gc-rw3 no faster
     devs = [[empirical.sup_deviation(e, field) for e in ecdfs(
@@ -357,8 +324,7 @@ def _run_gc(plan, threads):
             for c, dev in zip(cps, row)]
     improved = sum(row[-1] < row[0] for row in devs)
     summary = {"final_sup_deviation_max": max(row[-1] for row in devs),
-               "replicates_improved": improved,
-               "distinct_sites": [led.range_card for led in leds],
+               "replicates_improved": improved, **sizes,
                "hash_prefixes": ecdfs.sites.prefixes,
                "max_local_time": leds[-1].max_count,
                "op": "empirical.sup_deviation"}
@@ -400,30 +366,29 @@ def _run_rw_asym(plan, threads):
     def one(rep: int):  # (rows, slope of log V against log n, sizes)
         cfg = dataclasses.replace(src, seed=rng.derive(plan["seed_base"],
                                                        "walk", rep))
-        leds, blocks = _checkpoint_ledgers(sources.cursor(cfg), cps)
+        leds, sizes = _feed(sources.cursor(cfg), cps)
         rows = [(rep,) + led.snapshot_row() for led in leds]
         slope = float(np.polyfit([math.log(r[1]) for r in rows],
                                  [math.log(r[3]) for r in rows], 1)[0])
-        return rows, slope, _feed_sizes(leds, blocks)
+        return rows, slope, sizes
 
     done = _pmap(one, range(reps), threads)
     rows = [r for chunk, _, _ in done for r in chunk]
     summary = {"log_v_slopes": [slope for _, slope, _ in done],
                "n": cps[-1],
-               "distinct_sites": [s["distinct_sites"] for _, _, s in done],
-               "ledger_blocks": [s["ledger_blocks"] for _, _, s in done],
+               **{key: [s[key] for _, _, s in done] for key in
+                  ("distinct_sites", "ledger_blocks", "feed_s")},
                "op": "ledger.LocalTimeLedger.snapshot_row"}
     return {"rw_asym.csv": (("rep",) + STATS_HEADER, rows)}, summary, {}
 
 
 def _run_rotation(plan, threads):
     cur = sources.cursor(plan["_source"])
-    leds, blocks = _checkpoint_ledgers(cur, plan["_checkpoints"])
+    leds, sizes = _feed(cur, plan["_checkpoints"])
     rows = [led.snapshot_row() for led in leds]
     norm = [r[2] * math.sqrt(math.log(r[0])) / r[0] ** 2 for r in rows]
     summary = {"v_sqrtlog_over_n2": norm,
-               "near_breakpoint_hits": getattr(cur, "near_hits", 0),
-               **_feed_sizes(leds, blocks),
+               "near_breakpoint_hits": getattr(cur, "near_hits", 0), **sizes,
                "op": "ledger.LocalTimeLedger.snapshot_row"}
     return {"rotation.csv": (STATS_HEADER, rows)}, summary, {}
 
@@ -514,6 +479,22 @@ EXPERIMENTS = {
 }
 
 
+_STATUS = "/proc/self/status"
+
+
+def _peak_rss_mb() -> float | None:
+    """The process's peak resident set (VmHWM) in MB, or None where
+    :data:`_STATUS` does not give it."""
+    try:
+        with open(_STATUS) as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    return None
+
+
 def run_plan(plan: dict, out_dir: Path, threads: int = 1) -> tuple[dict, dict]:
     """Execute a parsed plan; writes artifacts, returns (summary, checks)."""
     start = time.monotonic()
@@ -522,8 +503,12 @@ def run_plan(plan: dict, out_dir: Path, threads: int = 1) -> tuple[dict, dict]:
     for name, (header, rows) in files.items():
         _write_csv(out_dir / name, header, rows)
     echo = {k: v for k, v in plan.items() if not k.startswith("_")}
+    # timings beside wall_time_s: the summary returned is a function of the
+    # plan alone
+    timings = {"feed_s": summary.pop("feed_s")} if "feed_s" in summary else {}
     summary_doc = {"plan": echo, "version": __version__,
-                   "wall_time_s": time.monotonic() - start,
+                   "wall_time_s": time.monotonic() - start, **timings,
+                   "peak_rss_mb": _peak_rss_mb(),
                    "summary": summary, "checks": checks}
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(summary_doc, fh, indent=2, sort_keys=True,

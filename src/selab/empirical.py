@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng, sources
-from .ledger import LocalTimeLedger, run_starts
+from .ledger import LocalTimeLedger, feed, run_starts
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,8 @@ def ledger_arrays(ledger: LocalTimeLedger) -> tuple[np.ndarray, np.ndarray]:
     return ledger.sites, ledger.local_times
 
 
+# entries per piece of the sweeps over an ECDF: temporaries of 128 KiB
+_PIECE = 1 << 14
 _SATURATED = 0x7FF       # local times from here on share one key value
 _LOW = np.uint64(_SATURATED)  # a key's low 11 bits: the saturated local time
 _HIGH = ~_LOW                 # its high 53 bits: the site's uniform
@@ -81,14 +83,15 @@ class SampledEcdfs:
     ``ledgers`` are snapshots of one trajectory, in increasing n, so each
     one's sites are a prefix of the last one's (first-visit order).  What
     every seed shares is built once, here: the prefix check, the sites'
-    seed-free hash words (:class:`rng.Sites`) and each ledger's local times
-    packed into 11 bits.
+    seed-free hash words (:class:`rng.Sites`), each ledger's local times
+    packed into 11 bits, and, for an i.i.d. field, the hash words and the
+    counts of the largest ledger, two arrays of its size that every call
+    reuses.
     """
 
     def __init__(self, field, ledgers: Sequence[LocalTimeLedger]):
         coords, _ = ledger_arrays(ledgers[-1])
-        if any(led.n == 0 or not np.array_equal(led.sites,
-                                                coords[:len(led.sites)])
+        if any(led.n == 0 or not _is_prefix(led.sites, coords)
                for led in ledgers):
             raise ValueError("ledgers must be nonempty, each one's sites a "
                              "prefix of the last one's")
@@ -97,9 +100,13 @@ class SampledEcdfs:
         self._quantile = getattr(field, "quantile", None)
         # per ledger: the saturated local times, and the saturated sites
         self._packed = [(np.minimum(led.local_times, _SATURATED)
-                         .astype(np.uint64),
+                         .astype(np.uint16),
                          np.flatnonzero(led.local_times >= _SATURATED))
                         for led in ledgers]
+        if self._quantile is not None:
+            k = coords.shape[0]
+            self._words = np.empty(k, dtype=np.uint64)
+            self._counts = np.empty(k, dtype=np.int64)
 
     def __call__(self, seed: int) -> list[WeightedEcdf]:
         """The ECDFs of the field under ``seed``, one per ledger.
@@ -109,32 +116,42 @@ class SampledEcdfs:
         (h & ~0x7FF) | min(local time, 0x7FF) is sorted: its high bits
         sort the uniforms and its low bits carry the weights along, with
         no argsort and no gather.  The last ledger sorts in place in the
-        hash array.  Other fields sort their values (:meth:`from_values`).
+        hash array, which then holds its values, and its weights go into
+        the counts array: both are this object's, so the next call
+        overwrites the last ECDF of this one.  Other fields sort their
+        values (:meth:`from_values`).
         """
         if self._quantile is None:
             return self.from_values(self.field.site_values(seed, self.sites))
-        h = rng.hash_sites(seed, self.sites)
+        h = rng.hash_sites(seed, self.sites, self._words)
         ecdfs = []
         for i, (led, (low, big)) in enumerate(zip(self.ledgers, self._packed)):
             last = i == len(self.ledgers) - 1  # the largest: it takes h
             key = (np.bitwise_and(h, _HIGH, out=h) if last
                    else h[:low.size] & _HIGH)
-            ecdfs.append(self._from_keys(key, led, low, big))
+            ecdfs.append(self._from_keys(key, led, low, big,
+                                         self._counts if last else None))
         return ecdfs
 
     def _from_keys(self, key: np.ndarray, led: LocalTimeLedger,
-                   low: np.ndarray, big: np.ndarray) -> WeightedEcdf:
+                   low: np.ndarray, big: np.ndarray,
+                   counts: np.ndarray | None) -> WeightedEcdf:
+        """The ECDF from the keys, sorted in place: the counts go into one
+        int64 array, ``counts`` if given, and the uniforms, then the values,
+        over the keys."""
         key |= low
         if big.size:  # local times of 2047 or more
             big_times = led.local_times[big][np.argsort(key[big])]
         key.sort()
-        cs = (key & _LOW).view(np.int64)  # below 2^11: the same values
+        # below 2^11: the same values as int64
+        cs = np.bitwise_and(key, _LOW, out=None if counts is None else
+                            counts.view(np.uint64)).view(np.int64)
         if big.size:
             # in key order, as the sorted keys hold them; sites with equal
             # keys have equal values, so the merge sums them in any order
             cs[cs == _SATURATED] = big_times
-        xs = self._quantile(rng.word_uniforms(key))
-        if np.any(xs[1:] < xs[:-1]):  # the quantile is not monotone here
+        xs = self._quantile(rng.word_uniforms(key, out=key.view(np.float64)))
+        if _any_pair(np.less, xs):  # the quantile is not monotone here
             # stable sort (timsort): on nearly sorted values about one pass
             order = np.argsort(xs, kind="stable")
             xs, cs = xs[order], cs[order]
@@ -158,17 +175,36 @@ def sampled_ecdf(field, field_seed: int, ledger: LocalTimeLedger) -> WeightedEcd
     return SampledEcdfs(field, [ledger])(field_seed)[0]
 
 
+def _is_prefix(sites: np.ndarray, coords: np.ndarray) -> bool:
+    """Whether ``sites`` are the first rows of ``coords``: at once where
+    they are a view of them, as a feed's snapshots are."""
+    k = len(sites)
+    if k > len(coords):
+        return False
+    head = coords[:k]
+    return ((sites.ctypes.data, sites.strides, sites.shape)
+            == (head.ctypes.data, head.strides, head.shape)
+            or np.array_equal(sites, head))
+
+
+def _any_pair(op, xs: np.ndarray) -> bool:
+    """Whether op(xs[i + 1], xs[i]) holds for some i, in ``_PIECE``-entry
+    pieces, so that no temporary is as long as xs."""
+    return any(op(w[1:], w[:-1]).any() for w in (
+        xs[a:a + _PIECE + 1] for a in range(0, xs.size - 1, _PIECE)))
+
+
 def _merged_ecdf(xs: np.ndarray, cs: np.ndarray, n: int) -> WeightedEcdf:
     """The ECDF with weight cs[i] / n at xs[i], for nondecreasing xs and
-    int64 weights cs.  Equal values merge into one atom, whose integer
-    weights sum exactly in any order."""
-    first = run_starts(xs)
-    if not first.all():
-        starts = np.flatnonzero(first)
+    int64 weights cs, which the weights overwrite.  Equal values merge into
+    one atom, whose integer weights sum exactly in any order."""
+    if _any_pair(np.equal, xs):
+        starts = np.flatnonzero(run_starts(xs))
         xs, cs = xs[starts], np.add.reduceat(cs, starts)
     ecdf = object.__new__(WeightedEcdf)  # valid by construction: no checks
     object.__setattr__(ecdf, "values", xs)
-    object.__setattr__(ecdf, "weights", cs / n)
+    object.__setattr__(ecdf, "weights", np.divide(cs, n,
+                                                  out=cs.view(np.float64)))
     return ecdf
 
 
@@ -179,14 +215,27 @@ def sup_deviation(ecdf: WeightedEcdf, field) -> float:
     nondecreasing, so the supremum is the larger of F_n(v_i) - F(v_i) and
     F(v_{i+1}-) - F_n(v_i): it is max over jumps v of max(F_n(v) - F(v),
     F(v-) - F_n(v-)).  F(v-) is F(v) unless the law has an atom at v.
+
+    The jumps are swept in ``_PIECE``-entry pieces, so that no temporary
+    is as long as the ECDF.  Each piece's cumulative sum starts from the
+    last sum before it, added to the piece's first weight, so every F_n(v)
+    is the same float as that of one cumulative sum over all the weights:
+    ``np.cumsum`` adds in order.
     """
-    cum = ecdf.cumulative()
-    f = field.cdf(ecdf.values)
-    left = field.cdf_left(ecdf.values)
-    left = f if left is None else left
-    # F(v-) - F_n(v-) at the jumps after the first; at the first F_n(v-) = 0
-    below = (left[1:] - cum[:-1]).max(initial=left[0])
-    return float(max(np.subtract(cum, f, out=cum).max(), below))
+    sup, before = -np.inf, 0.0  # F_n(v-) at the piece's first jump
+    for a in range(0, ecdf.values.size, _PIECE):
+        cum = ecdf.weights[a:a + _PIECE].copy()
+        cum[0] += before
+        np.cumsum(cum, out=cum)
+        f = field.cdf(ecdf.values[a:a + _PIECE])
+        left = field.cdf_left(ecdf.values[a:a + _PIECE])
+        left = f if left is None else left
+        # F(v-) - F_n(v-), with F_n(v-) the sum before each jump
+        below = max(left[0] - before, (left[1:] - cum[:-1]).max(
+            initial=-np.inf))
+        sup = max(sup, below, (cum - f).max())
+        before = float(cum[-1])
+    return float(sup)
 
 
 def bridge_values(field, field_seed: int, ledger: LocalTimeLedger,
@@ -229,9 +278,9 @@ def mc_fclt(field, source_config, n: int, grid: Sequence[float],
             replicates: int, seed_base: int, quenched: bool = True) -> FcltResult:
     """Monte Carlo bridge statistics over independent field realizations.
 
-    In quenched mode (default) one trajectory is generated from the source
-    and held fixed across all replicates; otherwise each replicate draws a
-    fresh trajectory too.  Field seeds are split deterministically from
+    In quenched mode (default) one trajectory is fed from the source's
+    cursor (:func:`ledger.feed`) and held fixed across all replicates;
+    otherwise each replicate feeds a fresh trajectory too.  Field seeds are split deterministically from
     ``seed_base``, so results are reproducible and order-independent.
     """
     if replicates < 100:
@@ -243,7 +292,7 @@ def mc_fclt(field, source_config, n: int, grid: Sequence[float],
         cfg = source_config
         if not quenched:
             cfg = _reseed(source_config, rng.derive(seed_base, "trajectory", rep))
-        return LocalTimeLedger.from_trajectory(sources.generate(cfg, n))
+        return feed(sources.cursor(cfg), [n])[0][-1]
 
     seeds = [rng.derive(seed_base, "field", rep) for rep in range(replicates)]
     first = make_ledger(0)

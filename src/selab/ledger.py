@@ -3,19 +3,30 @@
 For a sequence z_0, z_1, ... of sites in Z^d the ledger tracks, after n
 steps, the local times N_n(site), the maximal local time M_n, the number of
 self-intersections V_n = sum N_n(site)^2, and the cardinality of the visited
-range.  Its state is two arrays, the distinct sites in first-visit order and
-their local times, which ``record_block`` advances a block of steps at a
-time, its temporaries written into a work array that a feed may size once
-for many blocks; ``counts`` is a read-only {site: local time} view built
-from them.
-The ledger's local times come from one vectorized kernel,
-:func:`local_time_block`: :func:`pack_sites` packs each site into one int64
-key, and :func:`sort_keys`, the package's one stable key sort, groups equal
-keys.  :func:`key_strides` is the one key layout, which ``pack_sites`` and
-the variance Monte Carlo's walk drawn as keys share, and :func:`run_starts`
-the one grouper of sorted runs.  Where only the final local times are read
-(the variance Monte Carlo), :func:`key_local_times` groups a walk's keys
-after one plain sort.  The statistics follow the step recursion
+range.  Its memory is its sites: the distinct sites in an array that blocks
+only append to, in first-visit order, their local times beside them, and an
+index of log-structured sorted runs (O'Neil et al., "The log-structured
+merge-tree", Acta Informatica 33, 1996) of the sites' packed int64 keys.
+``record_block`` sorts a block's keys once and looks them up in each run by
+``searchsorted``; the block's new sites are appended and form a new run,
+and runs of like size merge, so no block re-packs, re-sorts or copies the
+prior sites.  :func:`feed` advances one ledger through a source's
+checkpoints in blocks of at most :data:`BLOCK` steps, and a checkpoint's
+snapshot is a view of the sites' prefix and a copy of the local times.
+
+A ledger packs its keys in one layout (:func:`key_strides`) and rebuilds it
+only when a block leaves it: each axis that a block leaves doubles its
+width, and where 62 bits cannot hold the widths every axis takes the dense
+ranks of its coordinates instead.  Both layouts order the sites
+lexicographically, so a rebuild re-packs the runs where they lie and sorts
+nothing.  :func:`pack_sites` packs a site array in one shot,
+:func:`sort_keys` is the package's one stable key sort and
+:func:`run_starts` the one grouper of sorted runs.  :func:`local_time_block`
+computes a whole trajectory's local times in one shot, the reference route
+of :func:`trajectory_stats` beside the ledger, and :func:`key_local_times`
+groups a walk's keys after one plain sort where only the final local times
+are read (the variance Monte Carlo).  The statistics follow the step
+recursion
 
     V_n = V_{n-1} + 2 * N_{n-1}(z_n) + 1
     M_n = max(M_{n-1}, N_{n-1}(z_n) + 1)
@@ -26,13 +37,14 @@ are float64 quotients, equal to Python's ``m / (k * k)`` while k^2 is exact
 (k < 2^26.5, about 9.49e7) and within a relative 2^-52 of M_k / k^2 beyond.
 Their sum is carried exactly, as one Python int and a power of two:
 :func:`exact_sum` splits a block's terms into 53-bit integers and
-exponents and adds them per exponent in int64.  ``pqd_partial_sum`` reads
-the carry back by one correctly rounded int division, so it is the
-correctly rounded sum of the terms for every n and any block split.
+exponents and adds them per exponent.  ``pqd_partial_sum`` reads the carry
+back by one correctly rounded int division, so it is the correctly rounded
+sum of the terms for every n and any block split.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -46,43 +58,83 @@ CSV_HEADER = ("n", "M", "V", "range", "m2_over_v", "pqd_partial_sum")
 
 # steps per block wherever a feed picks the split: long enough that the
 # ~60 short numpy calls of a block cost little per step, short enough that
-# a feed's work array (128 KiB per row of int64 steps) adds little to the
-# peak RSS
+# a feed's work array (128 KiB per row of int64 steps) and a block's other
+# temporaries add little to the peak RSS
 BLOCK = 1 << 14
+
+# terms per bincount in exact_sum: each half-mantissa is below 2^27, so
+# the sums of fewer than 2^26 of them are exact in float64
+_PIECE = 1 << 26
+_RATIO = 4
 
 
 class LocalTimeLedger:
     """Exact bookkeeping of local times along a trajectory, fed in blocks.
 
-    ``sites`` (k, d) holds the distinct sites in first-visit order and
-    ``local_times`` (k,) their local times.  A block replaces both arrays
-    instead of writing into them, so a shallow copy is a snapshot.
+    ``sites`` (k, d) holds the distinct sites in first-visit order, the
+    first k rows of an array that blocks only append to, and
+    ``local_times`` (k,) their local times.  The index is a list of runs,
+    each the sorted keys of some of the sites and the sites' first-visit
+    numbers, every run at least twice as long as the next, so k sites have
+    at most log2(k) + 1 runs.  A :meth:`snapshot` has no index; it builds
+    one from its sites if it is fed.
     """
 
-    __slots__ = ("d", "n", "sites", "local_times", "max_count",
-                 "self_intersections", "_pqd_sum", "_pqd_num", "_pqd_exp")
+    __slots__ = ("d", "n", "max_count", "self_intersections", "_k", "_sites",
+                 "_times", "_runs", "_layout", "_lo", "_hi", "_pqd_sum",
+                 "_pqd_num", "_pqd_exp")
 
     def __init__(self, d: int):
         if d < 1:
             raise ValueError("dimension must be >= 1")
         self.d = d
         self.n = 0
-        self.sites = np.empty((0, d), dtype=np.int64)
-        self.local_times = np.empty(0, dtype=np.int64)
         self.max_count = 0
         self.self_intersections = 0
+        self._k = 0
+        self._sites = np.empty((0, d), dtype=np.int64)
+        self._times = np.empty(0, dtype=np.int64)
+        self._runs: list | None = []
+        self._layout = None
+        self._lo = self._hi = None  # each axis's bounds over the sites
         self._pqd_sum = 0.0
         self._pqd_num, self._pqd_exp = 0, 0  # the exact sum: num * 2^exp
+
+    @property
+    def sites(self) -> np.ndarray:
+        return self._sites[:self._k]
+
+    @property
+    def local_times(self) -> np.ndarray:
+        return self._times[:self._k]
+
+    def reserve(self, rows: int) -> None:
+        """Room for ``rows`` distinct sites.  The arrays are ``np.empty``,
+        so their pages are touched only as sites are written."""
+        if rows > self._times.size:
+            k = self._k
+            sites = np.empty((rows, self.d), dtype=np.int64)
+            times = np.empty(rows, dtype=np.int64)
+            sites[:k], times[:k] = self.sites, self.local_times
+            self._sites, self._times = sites, times
+
+    def snapshot(self) -> "LocalTimeLedger":
+        """The ledger as it stands: its sites a view of this one's, whose
+        rows later blocks never rewrite, its local times a copy."""
+        snap = copy.copy(self)
+        snap._sites, snap._times = self.sites, self.local_times.copy()
+        snap._runs = None
+        return snap
 
     def record_block(self, coords: Sequence[Sequence[int]] | np.ndarray,
                      work: np.ndarray | None = None) -> None:
         """Append a (b, d) block of steps.
 
-        ``work``, an int64 array of shape (4, k + b) or wider, k the
-        distinct sites so far, takes every block-sized temporary: those of
-        :func:`local_time_block`, then the running max, the k, the terms
-        M_k / k^2 and :func:`exact_sum`'s split.  A feed sizes it once for
-        many blocks; by default the block allocates its own.
+        ``work``, an int64 array of shape (4, b) or wider, takes every
+        block-sized temporary: those of :meth:`_occupation`, then the
+        running max, the k, the terms M_k / k^2 and :func:`exact_sum`'s
+        split.  A feed sizes it once for many blocks; by default the block
+        allocates its own.
         """
         coords = _as_coords(coords)
         b = coords.shape[0]
@@ -92,9 +144,8 @@ class LocalTimeLedger:
             raise ValueError(f"site has {coords.shape[1]} coordinates, "
                              f"expected {self.d}")
         if work is None:
-            work = np.empty((4, self.range_card + b), dtype=np.int64)
-        occ, self.sites, self.local_times = local_time_block(
-            coords, self.sites, self.local_times, work)
+            work = np.empty((4, b), dtype=np.int64)
+        occ = self._occupation(coords, work[:, :b])
         # the occupation is in row 3, and rows 0 .. 2 are free again
         self.self_intersections += 2 * int(occ.sum()) - b
         running_m = np.maximum.accumulate(occ, out=work[1, :b])
@@ -109,7 +160,132 @@ class LocalTimeLedger:
         self._pqd_num += num << (exp - self._pqd_exp)
         # every term is at most 1, so exp < 0
         self._pqd_sum = self._pqd_num / (1 << -self._pqd_exp)
-        self.n += coords.shape[0]
+        self.n += b
+
+    def _occupation(self, coords: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Advance the sites and local times by the (b, d) block ``coords``
+        and return its occupation: the local time of each step's site just
+        after the step.
+
+        :func:`sort_keys` gives the stable order of the block's keys, which
+        puts the steps of each site together and in time order.  Each
+        group's key is looked up in the runs; the sites found nowhere are
+        new, appended in the order of their groups' first rows, and their
+        keys form a new run.  Along a group the occupation counts on from
+        the site's prior local time, as a cumulative sum of steps of 1 with
+        a jump at each group's start.  ``rows`` (4, b): row 0 the keys,
+        row 1 the order, row 2 the steps and their sums, row 3 the run
+        flags and then the occupation, which is returned as a view of it.
+        """
+        b = coords.shape[0]
+        cols = [coords[:, j] for j in range(self.d)]
+        lo, hi = [int(c.min()) for c in cols], [int(c.max()) for c in cols]
+        if self._runs is None:  # a snapshot
+            self._runs = self._index()
+        if self._lo is not None:
+            lo = [min(a, c) for a, c in zip(self._lo, lo)]
+            hi = [max(a, c) for a, c in zip(self._hi, hi)]
+        self._lo, self._hi = lo, hi
+        if self._layout is None or not self._layout.fits(cols, lo, hi):
+            self._relayout(cols)
+        order, key = sort_keys(self._layout.pack(cols, rows[0]), out=rows[1])
+        starts = np.flatnonzero(run_starts(key, out=rows[3].view(bool)[:b]))
+        key = key[starts]
+        site = np.full(key.size, -1, dtype=np.int64)
+        new = np.arange(key.size)  # the groups not found yet
+        for run_keys, run_sites in reversed(self._runs):  # newest first
+            at = np.searchsorted(run_keys, key[new])
+            np.minimum(at, run_keys.size - 1, out=at)
+            hit = run_keys[at] == key[new]
+            site[new[hit]] = run_sites[at[hit]]
+            new = new[~hit]
+        if new.size:
+            first = order[starts[new]]
+            by_visit = np.argsort(first)
+            k, m = self._k, new.size
+            if k + m > self._times.size:
+                self.reserve(max(k + m, 2 * self._times.size))
+            np.take(coords, first[by_visit], axis=0, out=self._sites[k:k + m])
+            self._times[k:k + m] = 0
+            site[new[by_visit]] = np.arange(k, k + m)
+            self._k = k + m
+            self._push(key[new], _numbers(site[new], k + m))
+        prior = self._times[site]
+        length = np.diff(starts, append=b)
+        self._times[site] = prior + length
+        step = rows[2]
+        step.fill(1)
+        # a group starts at prior + 1, after the last group's prior + length
+        jump = prior + 1
+        jump[1:] -= prior[:-1] + length[:-1]
+        step[starts] = jump
+        occ = rows[3]  # over the run flags, which are read no more
+        occ[order] = np.cumsum(step, out=step)
+        return occ
+
+    def _push(self, keys: np.ndarray, sites: np.ndarray) -> None:
+        """Add a run, then merge the last two runs while the one before the
+        last is less than twice as long as the last."""
+        runs = self._runs
+        runs.append((keys, sites))
+        while len(runs) > 1 and runs[-2][0].size < _RATIO * runs[-1][0].size:
+            (ka, sa), (kb, sb) = runs[-2], runs.pop()
+            # the keys of two runs differ: each of kb lands after the ka
+            # below it and the kb before it
+            at = np.searchsorted(ka, kb)
+            at += np.arange(kb.size)
+            keys = np.empty(ka.size + kb.size, dtype=np.int64)
+            sites = np.empty(keys.size, dtype=np.result_type(sa, sb))
+            rest = np.ones(keys.size, dtype=bool)
+            rest[at] = False
+            keys[at], sites[at] = kb, sb
+            keys[rest], sites[rest] = ka, sa
+            runs[-1] = (keys, sites)
+
+    def _packed(self, sites: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The keys of the sites numbered ``sites`` under the layout, into
+        ``out``, BLOCK sites at a time."""
+        for a in range(0, sites.size, BLOCK):
+            part = self._sites.take(sites[a:a + BLOCK], axis=0)
+            self._layout.pack(list(part.T), out[a:a + BLOCK])
+        return out
+
+    def _index(self) -> list:
+        """The runs of a ledger that has none: its sites as one run."""
+        if not self._k:
+            return []
+        keys = self._packed(np.arange(self._k), np.empty(self._k, np.int64))
+        order = np.argsort(keys)
+        return [(keys[order], _numbers(order, self._k))]
+
+    def _relayout(self, cols: list[np.ndarray]) -> None:
+        """A layout for the sites and the block's columns ``cols``, and
+        every run re-packed in it where it lies.  An axis that holds the
+        bounds keeps its digits; any other doubles the larger of its old
+        width and its bounds' span, centred on them.  Where that passes 62
+        bits the bounds themselves are the widths, and where they do too,
+        the dense ranks of each axis's coordinates."""
+        old, lo, hi = self._layout, self._lo, self._hi
+        offsets = old is not None and old.ranks is None
+        axes = []
+        for j, (a, b) in enumerate(zip(lo, hi)):
+            if (offsets and old.lo[j] <= a and b < old.lo[j] + old.widths[j]
+                    and 2 * (b - a + 1) <= old.widths[j]):
+                axes.append((old.lo[j], old.widths[j]))
+                continue
+            w = 2 * max(b - a + 1, old.widths[j] if offsets else 0)
+            axes.append((a - (w - (b - a + 1)) // 2, w))
+        if math.prod(w for _, w in axes) > 1 << 62:
+            axes = [(a, b - a + 1) for a, b in zip(lo, hi)]
+        if math.prod(w for _, w in axes) <= 1 << 62:
+            self._layout = _Layout([min(max(a, -1 << 63), (1 << 63) - w)
+                                    for a, w in axes], [w for _, w in axes])
+        else:
+            k = self._k
+            self._layout = _Layout.ranked([np.unique(np.concatenate(
+                [self._sites[:k, j], c])) for j, c in enumerate(cols)])
+        for keys, sites in self._runs:
+            self._packed(sites, keys)
 
     def record(self, site: Sequence[int]) -> None:
         self.record_block([tuple(site)])
@@ -134,7 +310,7 @@ class LocalTimeLedger:
 
     @property
     def range_card(self) -> int:
-        return int(self.local_times.size)
+        return self._k
 
     @property
     def pqd_partial_sum(self) -> float:
@@ -166,33 +342,132 @@ class LocalTimeLedger:
                                  "statistics disagree with a full rescan")
 
 
+def _numbers(sites: np.ndarray, k: int) -> np.ndarray:
+    """The site numbers ``sites``, all below k, as a run holds them: int32
+    while k fits, which saves a third of a run's bytes."""
+    return sites.astype(np.int32) if k <= 1 << 31 else sites
+
+
+class _Layout:
+    """A ledger's key layout: site z gets the key sum_j c_j stride_j
+    (:func:`key_strides` of ``widths``), with the digit c_j = z_j - lo_j
+    in [0, width_j), or, given ``ranks``, the rank of z_j among the sorted
+    distinct coordinates ranks[j].  Either way the keys order the sites
+    lexicographically, axis 0 first."""
+
+    __slots__ = ("lo", "widths", "ranks")
+
+    def __init__(self, lo: list[int], widths: list[int],
+                 ranks: list[np.ndarray] | None = None):
+        if key_strides(widths) is None:
+            raise OverflowError("site spread too large to pack into int64 "
+                                "keys")
+        self.lo, self.widths, self.ranks = lo, widths, ranks
+
+    @classmethod
+    def ranked(cls, ranks: list[np.ndarray]) -> "_Layout":
+        return cls([0] * len(ranks), [r.size for r in ranks], ranks)
+
+    def fits(self, cols: list[np.ndarray], lo: list[int], hi: list[int]
+             ) -> bool:
+        """Whether every site with the columns ``cols``, within the
+        per-axis bounds [lo, hi], has a key."""
+        if self.ranks is None:
+            return all(a <= b and c < a + w for a, w, b, c
+                       in zip(self.lo, self.widths, lo, hi))
+        for r, c in zip(self.ranks, cols):
+            at = np.searchsorted(r, c)
+            if not np.array_equal(r[np.minimum(at, r.size - 1, out=at)], c):
+                return False
+        return True
+
+    def pack(self, cols: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+        """The keys of the sites with the columns ``cols``, by Horner steps
+        in place in ``out``: int64 wraps, and wraps associatively, so the
+        steps may pass its ends while every key lands in [0, 2^62]."""
+        if self.ranks is not None:
+            cols = [np.searchsorted(r, c) for r, c in zip(self.ranks, cols)]
+        key = np.subtract(cols[0], self.lo[0], out=out)
+        for j in range(1, len(cols)):
+            key *= self.widths[j]
+            key += cols[j]
+            key -= self.lo[j]
+        return key
+
+
+def feed(cursor, checkpoints: Sequence[int]
+         ) -> tuple[list[LocalTimeLedger], int]:
+    """One ledger per checkpoint, fed from the source cursor ``cursor``
+    (``sources.Cursor``), and the number of blocks fed.
+
+    Blocks hold min(steps to the next checkpoint, ``BLOCK``) steps, so the
+    trajectory is never held whole and a block's cost does not grow with
+    the sites before it.  The ledger reserves one row per step up to the
+    last checkpoint, touched only as sites are written, and the feed owns
+    one int64 work array of d + 4 rows and up to BLOCK columns: each block
+    is drawn into its first d rows, and the cursor and the ledger take
+    their scratch from the 4 rows after them (``sources.Cursor``,
+    :meth:`LocalTimeLedger.record_block`).  Each checkpoint but the last
+    takes a :meth:`LocalTimeLedger.snapshot`; the last one is the ledger
+    itself, without its index.  No snapshot holds a view of the work
+    array.  A source that runs out first raises ValueError.
+    """
+    d = cursor.d
+    led = LocalTimeLedger(d)
+    led.reserve(checkpoints[-1])
+    work = np.empty((d + 4, min(BLOCK, checkpoints[-1])), dtype=np.int64)
+    snaps, blocks = [], 0
+    for c in checkpoints:
+        while led.n < c:
+            size = min(c - led.n, BLOCK)
+            block = cursor.take(size, out=work)
+            if len(block) < size:
+                raise ValueError("source exhausted before the last "
+                                 "checkpoint")
+            led.record_block(block, work[d:])
+            blocks += 1
+        snaps.append(led.snapshot() if c < checkpoints[-1] else led)
+    led._runs = None  # read no more: the snapshots' sites are its own
+    return snaps, blocks
+
+
 def exact_sum(terms: np.ndarray, work: np.ndarray | None = None
               ) -> tuple[int, int]:
     """(num, exp) with num * 2^exp the exact sum of finite float64 terms.
 
-    ``np.frexp`` splits each term into a 53-bit integer and an exponent.
-    The integers are added per exponent in int64, in two halves of 27 and
-    26 bits, so no per-exponent sum overflows below 2^36 terms; a Horner
-    pass over the exponents joins the sums into one Python int.  ``work``,
-    an int64 array of shape (3, terms.size) or wider, takes the mantissas,
-    the exponents and the integers; by default they are allocated.
+    ``np.frexp`` splits each term into a 53-bit mantissa and an exponent,
+    and each mantissa into a high half of 27 bits and a low half of 26,
+    both integers held in float64.  ``np.bincount`` adds the halves per
+    exponent, exactly while a call has fewer than 2^26 terms, so longer
+    terms go in pieces of ``_PIECE``; a Horner pass over the exponents joins
+    the sums into one Python int.  ``work``, an int64 array of shape
+    (3, terms.size) or wider, takes the mantissas, the exponents and the
+    high halves; by default they are allocated.
     """
     terms = np.asarray(terms, dtype=np.float64)
     n = terms.size
     if work is None:
         work = np.empty((3, n), dtype=np.int64)
-    mant, exp, ints = work[0, :n].view(np.float64), work[1, :n], work[2, :n]
+    mant, exp, high = (work[0, :n].view(np.float64), work[1, :n],
+                       work[2, :n].view(np.float64))
     np.frexp(terms, out=(mant, exp))
-    mant *= 2.0**53
-    np.copyto(ints, mant, casting="unsafe")  # term = ints * 2^(exp - 53)
+    mant *= 2.0**27  # term = mant * 2^(exp - 27), 26 bits after the point
+    np.floor(mant, out=high)
+    mant -= high  # exact: the fraction, a multiple of 2^-26
+    mant *= 2.0**26
     low = int(exp.min(initial=0))
     exp -= low
-    sums = np.zeros((2, int(exp.max(initial=0)) + 1), dtype=np.int64)
-    np.add.at(sums[0], exp, np.right_shift(ints, 26, out=mant.view(np.int64)))
-    np.add.at(sums[1], exp, np.bitwise_and(ints, (1 << 26) - 1, out=ints))
+    size = int(exp.max(initial=0)) + 1
+    sums = [0] * size
+    for a in range(0, n, _PIECE):
+        part = slice(a, a + _PIECE)
+        for e, (hi, lo) in enumerate(zip(
+                np.bincount(exp[part], high[part], size).tolist(),
+                np.bincount(exp[part], mant[part], size).tolist())):
+            sums[e] += (int(hi) << 26) + int(lo)
     num = 0
-    for hi, lo in zip(sums[0, ::-1].tolist(), sums[1, ::-1].tolist()):
-        num = (num << 1) + (hi << 26) + lo
+    for s in reversed(sums):
+        num = (num << 1) + s
     return num, low - 53
 
 
@@ -228,14 +503,13 @@ def pack_sites(coords: np.ndarray, margin: int = 0
     instead, with the counts of distinct values as widths; a nonzero
     ``margin``, or ranks that do not fit either, raise.
     """
-    return _pack_parts([_as_coords(coords)], margin, None)
+    return _pack_parts([_as_coords(coords)], margin)
 
 
-def _pack_parts(parts: Sequence[np.ndarray], margin: int,
-                out: np.ndarray | None) -> tuple[np.ndarray, tuple[int, ...]]:
+def _pack_parts(parts: Sequence[np.ndarray], margin: int
+                ) -> tuple[np.ndarray, tuple[int, ...]]:
     """:func:`pack_sites` of the (n_i, d) arrays ``parts`` as if joined
-    along axis 0, without joining them; the keys are written into ``out``
-    if given."""
+    along axis 0, without joining them."""
     d = parts[0].shape[1]
     n = sum(len(part) for part in parts)
     # per axis, the nonempty parts' columns; per column: a min over axis 0
@@ -246,25 +520,16 @@ def _pack_parts(parts: Sequence[np.ndarray], margin: int,
               if n else 1 for j, col in enumerate(cols)]
     strides = key_strides(widths)
     if strides is None and margin == 0:
-        ranks = [np.unique(np.concatenate(col), return_inverse=True)
-                 for col in cols]
-        widths = [values.size for values, _ in ranks]
-        cols = [[inverse.reshape(-1)] for _, inverse in ranks]
-        lo = [0] * d
-        strides = key_strides(widths)
-    if strides is None:
-        raise OverflowError("site spread too large to pack into int64 keys")
-    key = np.empty(n, dtype=np.int64) if out is None else out[:n]
+        layout = _Layout.ranked([np.unique(np.concatenate(col))
+                                 for col in cols])
+        strides = key_strides(layout.widths)
+    else:
+        layout = _Layout(lo, widths)
+    key = np.empty(n, dtype=np.int64)
     start = 0
-    for part in zip(*cols):
-        # Horner steps in place: int64 wraps, and wraps associatively, so
-        # the steps may pass its ends while every key lands in [0, 2^62]
-        seg = np.subtract(part[0], lo[0], out=key[start:start + len(part[0])])
-        for j in range(1, d):
-            seg *= widths[j]
-            seg += part[j]
-            seg -= lo[j]
-        start += len(seg)
+    for part in parts:
+        layout.pack(list(part.T), key[start:start + len(part)])
+        start += len(part)
     if margin:
         key += margin * sum(strides)
     return key, strides
@@ -291,7 +556,8 @@ def sort_keys(key: np.ndarray, out: np.ndarray | None = None
             raise OverflowError("too many keys to tag with their row index")
         values, key = np.unique(key, return_inverse=True)
     key <<= ib
-    key |= np.arange(n, dtype=np.int64)
+    for a in range(0, n, BLOCK):  # counters of at most BLOCK entries
+        key[a:a + BLOCK] |= np.arange(a, min(a + BLOCK, n))
     key.sort()
     order = np.bitwise_and(key, (1 << ib) - 1, out=out)
     key >>= ib
@@ -325,72 +591,27 @@ def key_local_times(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return key[starts], times
 
 
-def local_time_block(coords: Sequence[Sequence[int]] | np.ndarray,
-                     sites: np.ndarray | None = None,
-                     times: np.ndarray | None = None,
-                     work: np.ndarray | None = None
+def local_time_block(coords: Sequence[Sequence[int]] | np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Advance the local times (sites, times) by a block of steps.
-
-    ``sites`` (k, d) and ``times`` (k,) are the prior state, the distinct
-    sites in first-visit order and their local times (None: empty).
-    Returns ``(occupation, sites, times)``: occupation[i] is the local time
-    of coords[i] just after step i, and the state gains the block's new
-    sites in first-visit order.  :func:`sort_keys` gives the stable order
-    of the packed keys from an unstable sort, as each key carries its row
-    index in its low bits.  That order puts each prior site ahead of its
-    group of equal steps, and the steps in time order, so a cumulative sum
-    of the weights (prior local time, then 1 per step) gives the local
-    times, and the first row of a group is the site's first visit.
-
-    ``work``, an int64 array of shape (4, k + b) or wider that a feed sizes
-    once for many blocks, takes every (k + b)-sized temporary: row 0 the
-    keys, then the weights in key order and each site's final local time;
-    row 1 the order; row 2 the weights, their sums and the occupation in
-    key order; row 3 the run flags and then the occupation, which is
-    returned as a view of it.  By default one such array is allocated, and
-    the occupation copied out of it.  The prior sites and the block are
-    packed where they lie, and the new state arrays are always fresh.
-    """
+    """(occupation, sites, times) of a whole trajectory in one shot, the
+    reference route of :func:`trajectory_stats` beside the ledger's runs:
+    occupation[i] is the local time of coords[i] just after step i, and
+    ``sites`` (k, d) and ``times`` (k,) are the distinct sites in
+    first-visit order and their local times.  :func:`sort_keys` gives the
+    stable order of the :func:`pack_sites` keys, which puts the steps of
+    each site together and in time order, so the occupation counts 1, 2,
+    ... along each group, and a group's first row is the site's first
+    visit."""
     coords = _as_coords(coords)
-    b, d = coords.shape
-    if not b:  # no steps: the prior state as it is
-        if times is None:
-            sites, times = coords, np.empty(0, dtype=np.int64)
-        return np.empty(0, dtype=np.int64), sites, times
-    k = 0 if times is None else times.size
-    total = k + b
-    rows = (np.empty((4, total), dtype=np.int64) if work is None
-            else work[:, :total])
-    key, _ = _pack_parts([sites, coords] if k else [coords], 0, rows[0])
-    order, sorted_key = sort_keys(key, out=rows[1])
-    new_group = run_starts(sorted_key, out=rows[3].view(bool)[:total])
-    starts = np.flatnonzero(new_group)
-    weight = rows[2]
-    weight[k:] = 1
-    if k:
-        weight[:k] = times
-    weight = np.take(weight, order, out=rows[0], mode="clip")
-    cum = np.cumsum(weight, out=rows[2])
-    # the sums before each row are nondecreasing, so a running max of their
-    # values at group starts carries each group's start value
-    base = np.subtract(cum, weight, out=weight)
-    base *= new_group
-    np.maximum.accumulate(base, out=base)
-    occ_sorted = np.subtract(cum, base, out=cum)
-    occ = rows[3]  # over the run flags, which are read no more
-    occ[order] = occ_sorted
-    # each site's final local time, stored at the row of its first visit
-    final = rows[0]
-    final.fill(0)
-    final[order[starts]] = occ_sorted[np.append(starts[1:], total) - 1]
-    firsts = np.flatnonzero(np.greater(final, 0,
-                                       out=rows[1].view(bool)[:total]))
-    # every prior site heads its group, so firsts starts with 0 .. k - 1
-    new_sites = coords.take(firsts[k:] - k, axis=0)
-    occ = occ[k:] if work is not None else occ[k:].copy()
-    return (occ, np.concatenate([sites, new_sites]) if k else new_sites,
-            final[firsts])
+    b = coords.shape[0]
+    order, key = sort_keys(pack_sites(coords)[0])
+    starts = np.flatnonzero(run_starts(key))
+    times = np.diff(starts, append=b)
+    occ = np.empty(b, dtype=np.int64)
+    occ[order] = np.arange(1, b + 1) - np.repeat(starts, times)
+    first = order[starts]
+    by_visit = np.argsort(first)
+    return occ, coords[first[by_visit]], times[by_visit]
 
 
 def brute_force_stats(sites: Sequence[Sequence[int]] | np.ndarray,
@@ -432,8 +653,8 @@ class TrajectoryStats:
 
 
 def trajectory_stats(sites: Sequence[Sequence[int]] | np.ndarray) -> TrajectoryStats:
-    """Per-step statistics from one :func:`local_time_block` on an empty
-    prior, the vectorized reference route beside the ledger.  ``pqd`` is a
+    """Per-step statistics from one :func:`local_time_block`, the
+    vectorized reference route beside the ledger.  ``pqd`` is a
     plain ``np.cumsum`` of the ledger's terms, off by up to (n - 1) 2^-53
     S_n at step n, to first order."""
     occ, _, _ = local_time_block(sites)

@@ -45,17 +45,26 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+# words per piece of mix64_array: its temporary is 128 KiB
+_PIECE = 1 << 14
+
+
 def mix64_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`mix64`, in place: the writable uint64 array ``z`` is
-    overwritten with its mix and returned, with one temporary array."""
-    t = np.right_shift(z, _U30)
-    z ^= t
-    z *= _U_M1
-    np.right_shift(z, _U27, out=t)
-    z ^= t
-    z *= _U_M2
-    np.right_shift(z, _U31, out=t)
-    z ^= t
+    """Vectorized :func:`mix64`, in place: the writable 1-d uint64 array
+    ``z`` is overwritten with its mix and returned.  It is mixed in pieces
+    of ``_PIECE`` words, through one temporary of that size."""
+    t = np.empty(min(z.size, _PIECE), dtype=np.uint64)
+    for a in range(0, z.size, _PIECE):
+        p = z[a:a + _PIECE]
+        s = t[:p.size]
+        np.right_shift(p, _U30, out=s)
+        p ^= s
+        p *= _U_M1
+        np.right_shift(p, _U27, out=s)
+        p ^= s
+        p *= _U_M2
+        np.right_shift(p, _U31, out=s)
+        p ^= s
     return z
 
 
@@ -109,11 +118,12 @@ def word_uniforms(h: np.ndarray, out: np.ndarray | None = None
     return np.multiply(shifted.view(np.int64), _INV53, out=out)
 
 
-def _axis_words(column: np.ndarray, j: int) -> np.ndarray:
+def _axis_words(column: np.ndarray, j: int,
+                out: np.ndarray | None = None) -> np.ndarray:
     """The seed-free word mix64(c + (j + 1) * gamma) of each coordinate c
-    on axis j."""
-    return mix64_array(column.view(np.uint64)
-                       + np.uint64((j + 1) * _GAMMA & MASK64))
+    on axis j, into the uint64 array ``out`` if given."""
+    return mix64_array(np.add(column.view(np.uint64),
+                              np.uint64((j + 1) * _GAMMA & MASK64), out=out))
 
 
 def _fold(h: np.ndarray, words) -> np.ndarray:
@@ -135,6 +145,9 @@ class Sites:
     :func:`ledger.sort_keys`; ``head`` holds the d - 1 prefix axes' words at
     the ``prefixes`` distinct prefixes, ``prefix`` each site's prefix index
     and ``last`` each site's last-axis word.  No word depends on the seed.
+    Beside ``prefix`` and ``last`` the grouping takes one n-sized int64
+    temporary, the order, and the run flags: the prefix numbers are
+    counted in the sorted keys' memory, which then holds ``last``.
     """
 
     def __init__(self, coords):
@@ -145,21 +158,25 @@ class Sites:
             order, key = sort_keys(pack_sites(head)[0])
             new = run_starts(key)
             self.prefix = np.empty(n, dtype=np.int64)
-            self.prefix[order] = np.cumsum(new) - 1
+            self.prefix[order] = np.subtract(np.cumsum(new, out=key), 1,
+                                             out=key)
             head = head[order[new]]
         else:  # d = 1 or no sites: the sites, if any, share one prefix
             self.prefix = np.zeros(n, dtype=np.int64)
-            head = head[:min(n, 1)]
+            head, key = head[:min(n, 1)], np.empty(n, dtype=np.int64)
         self.prefixes = head.shape[0]
         self.head = [_axis_words(head[:, j], j) for j in range(d - 1)]
-        self.last = _axis_words(self.coords[:, -1], d - 1)
+        self.last = _axis_words(self.coords[:, -1], d - 1,
+                                key.view(np.uint64))
 
     def __len__(self) -> int:
         return self.coords.shape[0]
 
 
-def hash_sites(seed: int, sites) -> np.ndarray:
-    """Hash sites to uint64 words, keyed by seed.
+def hash_sites(seed: int, sites, out: np.ndarray | None = None
+               ) -> np.ndarray:
+    """Hash sites to uint64 words, keyed by seed, into the uint64 array
+    ``out`` if given.
 
     From h = mix64(seed ^ gamma), each axis j's word w_j (see
     :class:`Sites`) is folded in as h = mix64(h ^ w_j), and the result is
@@ -173,10 +190,11 @@ def hash_sites(seed: int, sites) -> np.ndarray:
     h0 = mix64(seed ^ _GAMMA)
     if isinstance(sites, Sites):
         head = _fold(np.full(sites.prefixes, h0, dtype=np.uint64), sites.head)
-        h, words = head[sites.prefix], [sites.last]
+        h, words = np.take(head, sites.prefix, out=out), [sites.last]
     else:
         coords = _as_coords(sites)
-        h = np.full(coords.shape[0], h0, dtype=np.uint64)
+        h = np.empty(coords.shape[0], dtype=np.uint64) if out is None else out
+        h.fill(h0)
         words = (_axis_words(coords[:, j], j) for j in range(coords.shape[1]))
     return mix64_array(_fold(h, words))
 

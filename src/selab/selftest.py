@@ -112,6 +112,26 @@ def ledger_blocks(coords, cuts) -> bool:
             and ledger.brute_force_stats(sites, 1024) == (v[-1], m[-1], counts))
 
 
+def feed_snapshots(src, cps) -> bool:
+    """``ledger.feed``'s snapshots of the source at the checkpoints ``cps``
+    against a dict of local times advanced one step at a time: the sites
+    and local times in first-visit order, n, V, M, the range and the exact
+    sum of the rounded M_k / k^2."""
+    snaps, _ = ledger.feed(sources.cursor(src), cps)
+    want, counts, m, pqd = [], {}, 0, Fraction(0)
+    for k, site in enumerate(map(tuple, sources.generate(src, cps[-1])
+                                 .tolist()), start=1):
+        counts[site] = counts.get(site, 0) + 1
+        m = max(m, counts[site])
+        pqd += Fraction(m / (k * k))
+        if k in cps:
+            v = sum(c * c for c in counts.values())
+            want.append((list(counts.items()),
+                         (k, m, v, len(counts), m * m / v, float(pqd))))
+    return [(list(led.counts.items()), led.snapshot_row())
+            for led in snaps] == want
+
+
 def garbage(shape) -> np.ndarray:
     """An int64 array of the given shape, filled with the bits of hashed
     uniforms: a work array as a previous block may leave it."""
@@ -245,6 +265,13 @@ def run() -> dict:
             sources.simple_walk(1 + t % 2), 1000 + t), 300),
         _cuts(2000 + t, 300)) for t in range(20)) and all(
         ledger_blocks(np.hstack([z, z % 3]), cuts) for cuts in splits)}
+    # a d = 3 walk past two BLOCKs, its sites in several runs, and sites at
+    # the int64 ends, which only dense ranks pack
+    ends = [(-(1 << 63), 0), ((1 << 63) - 1, 5), (0, 0), (1, -(1 << 63))]
+    res["feed"] = feed_snapshots(sources.RandomWalkSource(
+        sources.simple_walk(3), 41), [100, top + 7, 2 * top + 500]) and \
+        feed_snapshots(sources.ExplicitSource(
+            ends[int(4 * u)] for u in rng.uniforms(42, 400)), [3, 40, 400])
     wide = (rng.uniforms(4000, 300) < 0.5).astype(np.int64)[:, None] << 55
     res["local_times"] = takes_rank_pre_step(wide) and ledger_blocks(wide, [])
     res["convergent_quality"] = all(abs(cf.convergent(40) - Fraction(p, q))

@@ -118,7 +118,7 @@ def _ranked_lag_sums(coords, counts, lags) -> list[int]:
     moved = [lag for lag in lags if any(lag)]
     shifted = [_shifted(coords, lag) for lag in moved]
     parts = [coords] + [copy for _, copy in shifted]
-    key = _pack_parts(parts, 0, None)[0]
+    key = _pack_parts(parts, 0)[0]
     keys = np.split(key, np.cumsum([len(part) for part in parts])[:-1])
     order, site_keys = sort_keys(keys[0])  # in place; the copies are left
     sorted_counts = counts[order]

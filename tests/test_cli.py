@@ -540,7 +540,7 @@ def test_feed_snapshots_survive_the_reused_work_array(src_n, data):
     src, n = src_n
     below = data.draw(st.integers(1, ledger.BLOCK - 1))
     cps = sorted({below, data.draw(st.integers(below + 1, n)), n})
-    snaps, _ = cli._checkpoint_ledgers(sources.cursor(src), cps)
+    snaps, _ = ledger.feed(sources.cursor(src), cps)
     coords = sources.generate(src, n)
     for led, c in zip(snaps, cps):
         sites = [tuple(s) for s in coords[:c].tolist()]
@@ -556,7 +556,8 @@ def test_feed_snapshots_survive_the_reused_work_array(src_n, data):
 
 def test_rw_asym_csv_bytes_do_not_depend_on_the_threads(tmp_path):
     # each walk feeds its ledgers through a work array of its own; by the
-    # last checkpoint the sites outnumber BLOCK, and the blocks allocate
+    # last checkpoint the sites outnumber BLOCK, so each index holds
+    # several runs
     plan_obj = {"experiment": "rw-asym",
                 "source": {"variant": "rw", "simple": 3, "seed": 0},
                 "checkpoints": [1000, 10000, 40000], "replicates": 4,
@@ -570,14 +571,12 @@ def test_rw_asym_csv_bytes_do_not_depend_on_the_threads(tmp_path):
     assert all(sites[-1] > ledger.BLOCK for sites in summary["distinct_sites"])
 
 
-def _feed_blocks(coords, cps) -> int:
-    """Blocks of min(steps to the next checkpoint, max(BLOCK, distinct
-    sites so far)) steps, the sites counted by ``np.unique``."""
+def _feed_blocks(cps) -> int:
+    """Blocks of min(steps to the next checkpoint, BLOCK) steps."""
     n, blocks = 0, 0
     for c in cps:
         while n < c:
-            seen = len(np.unique(coords[:n], axis=0))
-            n += min(c - n, max(ledger.BLOCK, seen))
+            n += min(c - n, ledger.BLOCK)
             blocks += 1
     return blocks
 
@@ -605,12 +604,59 @@ def test_feed_summaries_report_the_problem_sizes(tmp_path, plan_obj):
     for src in srcs:
         coords = sources.generate(src, cps[-1])
         want_sites.append([len(np.unique(coords[:c], axis=0)) for c in cps])
-        want_blocks.append(_feed_blocks(coords, cps))
+        want_blocks.append(_feed_blocks(cps))
     if len(srcs) == 1:
         want_sites, want_blocks = want_sites[0], want_blocks[0]
     assert summary["n"] == cps[-1]
     assert summary["distinct_sites"] == want_sites
     assert summary["ledger_blocks"] == want_blocks
+
+
+@pytest.mark.parametrize("name, fed", [
+    ("stats", True), ("rotation", True), ("rw-asym", True), ("gc", True),
+    ("fclt", False), ("counterexample", False)])
+def test_summaries_report_peak_rss_and_feed_time(tmp_path, monkeypatch, name,
+                                                 fed):
+    plans = {
+        "stats": STATS_PLAN,
+        "rotation": {"experiment": "rotation",
+                     "source": {"variant": "rotation",
+                                "cf": {"periodic": [1]}, "x": "0"},
+                     "checkpoints": [10, 100]},
+        "rw-asym": {"experiment": "rw-asym",
+                    "source": {"variant": "rw", "simple": 1, "seed": 0},
+                    "checkpoints": [10, 100], "replicates": 2,
+                    "seed_base": 5},
+        "gc": {"experiment": "gc", "source": {"variant": "rw", "simple": 2,
+                                              "seed": 1},
+               "field": {"variant": "uniform"}, "n": 300, "replicates": 2,
+               "seed_base": 3},
+        "fclt": {"experiment": "fclt", "source": {"variant": "rw",
+                                                  "simple": 1, "seed": 4},
+                 "field": {"variant": "uniform"}, "n": 50, "grid": [0.5],
+                 "replicates": 100, "seed_base": 9},
+        "counterexample": {"experiment": "counterexample",
+                           "source": {"variant": "special-flow",
+                                      "cf": {"periodic": [1]}, "levels": 2,
+                                      "x": "0"}, "budget": 10**4}}
+    plan = parse_plan(json.dumps(plans[name]))
+    summary, _ = run_plan(plan, tmp_path / "a")
+    doc = json.loads((tmp_path / "a" / "summary.json").read_text())
+    assert doc["peak_rss_mb"] > 1
+    assert "feed_s" not in summary  # the returned summary has no timings
+    if not fed:
+        assert "feed_s" not in doc
+    elif name == "rw-asym":
+        assert len(doc["feed_s"]) == 2 and min(doc["feed_s"]) > 0
+    else:
+        assert doc["feed_s"] > 0
+    monkeypatch.setattr(cli, "_STATUS", str(tmp_path / "no-such-file"))
+    run_plan(plan, tmp_path / "b")
+    doc_b = json.loads((tmp_path / "b" / "summary.json").read_text())
+    assert doc_b["peak_rss_mb"] is None
+    csv_name = f"{name.replace('-', '_')}.csv"
+    assert ((tmp_path / "a" / csv_name).read_bytes()
+            == (tmp_path / "b" / csv_name).read_bytes())
 
 
 def test_numpy_scalars_are_written_as_plain_numbers(tmp_path, monkeypatch):

@@ -294,3 +294,21 @@ def test_gc_on_an_iid_field_sorts_keys_not_values(field, monkeypatch):
     rows = cli._run_gc(plan, 1)[0]["gc.csv"][1]
     assert len(rows) == 15
     assert "site_values" not in calls and "f" not in calls
+
+
+@pytest.mark.parametrize("piece", [1, 7, 1000])
+def test_piecewise_sweeps_move_no_bit(monkeypatch, piece):
+    # sup_deviation's cumulative sums, the ECDF's order and tie checks and
+    # the mixer all run in pieces; at any piece size each sup is the same
+    # float as that of the one-pass oracle
+    coords = generate(RandomWalkSource(simple_walk(3), 11), 3000)
+    cps = (30, 300, 3000)
+    leds = [LocalTimeLedger.from_trajectory(coords[:c]) for c in cps]
+    monkeypatch.setattr(empirical, "_PIECE", piece)
+    monkeypatch.setattr(rng, "_PIECE", piece)
+    for field in (UniformField(), GaussianField(),
+                  DiscreteField([(0, 0.5), (1, 0.2), (2, 0.3)])):
+        ecdfs = empirical.SampledEcdfs(field, leds)
+        for seed in (1, 2):
+            assert [sup_deviation(e, field) for e in ecdfs(seed)] == [
+                ecdf_from_scratch(field, seed, coords[:c])[2] for c in cps]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from selab import (LocalTimeLedger, RandomWalkSource, brute_force_stats,
-                   condition_report, generate, simple_walk, trajectory_stats)
+                   condition_report, generate, ledger, rng, simple_walk,
+                   sources, trajectory_stats)
 from selab.ledger import (exact_sum, key_local_times, key_strides,
                           local_time_block, pack_sites, run_starts, sort_keys)
-from selab.selftest import dict_local_times, ledger_blocks, takes_rank_pre_step
+from selab.selftest import (dict_local_times, feed_snapshots, ledger_blocks,
+                            takes_rank_pre_step)
 
 site_lists = st.lists(
     st.tuples(st.integers(-8, 8), st.integers(-8, 8)), min_size=1, max_size=120)
@@ -159,10 +162,11 @@ def test_empty_block_keeps_the_state(d):
     assert (occ.shape, sites.shape, times.shape) == ((0,), (0, d), (0,))
     prior = generate(RandomWalkSource(simple_walk(d), 2), 50)
     _, prior_sites, prior_times = local_time_block(prior)
-    occ, sites, times = local_time_block(empty, prior_sites, prior_times)
-    assert occ.shape == (0,)
-    assert np.array_equal(sites, prior_sites)
-    assert np.array_equal(times, prior_times)
+    led = LocalTimeLedger.from_trajectory(prior)
+    led.record_block(empty)
+    assert led.n == 50
+    assert np.array_equal(led.sites, prior_sites)
+    assert np.array_equal(led.local_times, prior_times)
     ts = trajectory_stats(empty)
     assert all(a.shape == (0,) for a in (ts.occupation, ts.v, ts.m,
                                           ts.range_card, ts.pqd))
@@ -434,3 +438,84 @@ def test_block_splits_through_the_rank_pre_step(pair, seed):
     cuts = np.cumsum(gen.integers(1, 400, size=8))
     assert ledger_blocks(coords, [])
     assert ledger_blocks(coords, cuts[cuts < len(coords)])
+
+
+def test_feed_memory_is_its_sites():
+    # a d = 3 walk of 2e5 steps visits about 1.3e5 sites: the feed's traced
+    # peak must be the sites, their local times and their index, at most
+    # 96 bytes per site, plus block-sized scratch
+    cur = sources.cursor(RandomWalkSource(simple_walk(3), 1))
+    tracemalloc.start()
+    try:
+        snaps, _ = ledger.feed(cur, [2000, 20000, 200000])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    k = snaps[-1].range_card
+    assert k > 130_000
+    assert peak < 96 * k + 64 * ledger.BLOCK
+
+
+@st.composite
+def feeds(draw):
+    """(source, checkpoints, block): a walk in d = 1 .. 3 whose spread
+    outgrows its key layout, or an explicit source over sites near 0, near
+    the 62-bit edge and at the int64 ends, where the layout grows, falls
+    back to exact widths or takes dense ranks; blocks of 1 .. 40 steps, so
+    the feed crosses many blocks, runs and run merges."""
+    seed = draw(st.integers(0, 2**64 - 1))
+    n = draw(st.integers(1, 400))
+    if draw(st.booleans()):
+        src = RandomWalkSource(simple_walk(draw(st.integers(1, 3))), seed)
+    else:
+        pool = draw(st.lists(st.one_of(
+            st.integers(-3, 3), st.sampled_from([-(1 << 63), (1 << 63) - 1,
+                                                 1 << 62, 1 << 61])),
+            min_size=1, max_size=6))
+        d = draw(st.integers(1, 3))
+        pick = (len(pool) * rng.uniforms(seed, n * d)).astype(int)
+        src = sources.ExplicitSource(
+            np.array(pool, dtype=np.int64)[pick].reshape(n, d).tolist())
+    cps = sorted(set(draw(st.lists(st.integers(1, n), max_size=4))) | {n})
+    return src, cps, draw(st.integers(1, 40))
+
+
+@given(feeds())
+@example((sources.ExplicitSource([(-(1 << 63), 0), ((1 << 63) - 1, 5), (0, 0),
+                                  (1, 0), (-(1 << 63), 0), (1 << 62, 1)]),
+          [2, 4, 6], 2))
+@settings(max_examples=80, deadline=None)
+def test_feed_snapshots_match_a_dict_through_runs_and_layouts(case):
+    src, cps, block = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ledger, "BLOCK", block)
+        assert feed_snapshots(src, cps)
+
+
+def test_a_fed_snapshot_builds_its_own_index():
+    # a snapshot holds a view of the live ledger's sites and no runs: fed
+    # on, it rebuilds them and appends to a copy, and the ledger it was
+    # taken from, fed too, is not disturbed
+    coords = generate(RandomWalkSource(simple_walk(2), 6), 3000)
+    led = LocalTimeLedger(2)
+    led.record_block(coords[:1000])
+    snap = led.snapshot()
+    for a, b in ((led, coords[1000:2000]), (snap, coords[2000:])):
+        a.record_block(b)
+    for got, rows in ((led, coords[:2000]),
+                      (snap, np.concatenate([coords[:1000], coords[2000:]]))):
+        counts, v, m = dict_local_times([tuple(s) for s in rows.tolist()])
+        assert list(got.counts.items()) == list(counts.items())
+        assert (got.self_intersections, got.max_count) == (v[-1], m[-1])
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50),
+       st.integers(1, 7))
+@settings(max_examples=150, deadline=None)
+def test_exact_sum_in_pieces_is_the_exact_sum(terms, piece):
+    # the bincount sums are exact below 2^26 terms a piece; pieces of a few
+    # terms run the loop that joins them
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ledger, "_PIECE", piece)
+        num, exp = exact_sum(np.array(terms, dtype=np.float64))
+    assert Fraction(num) * Fraction(2) ** exp == sum(map(Fraction, terms))
