@@ -65,6 +65,10 @@ BLOCK = 1 << 14
 # terms per bincount in exact_sum: each half-mantissa is below 2^27, so
 # the sums of fewer than 2^26 of them are exact in float64
 _PIECE = 1 << 26
+
+# each run of a ledger's index is at least this many times as long as the
+# next: a block looks up its keys in at most log_4(k) + 1 runs, and each
+# site is merged about 1.5 times per factor of 4 that the sites grow
 _RATIO = 4
 
 
@@ -75,9 +79,9 @@ class LocalTimeLedger:
     first k rows of an array that blocks only append to, and
     ``local_times`` (k,) their local times.  The index is a list of runs,
     each the sorted keys of some of the sites and the sites' first-visit
-    numbers, every run at least twice as long as the next, so k sites have
-    at most log2(k) + 1 runs.  A :meth:`snapshot` has no index; it builds
-    one from its sites if it is fed.
+    numbers, every run at least ``_RATIO`` times as long as the next.  A
+    :meth:`snapshot` has no index; it builds one from its sites if it is
+    fed.
     """
 
     __slots__ = ("d", "n", "max_count", "self_intersections", "_k", "_sites",
@@ -169,8 +173,8 @@ class LocalTimeLedger:
 
         :func:`sort_keys` gives the stable order of the block's keys, which
         puts the steps of each site together and in time order.  Each
-        group's key is looked up in the runs; the sites found nowhere are
-        new, appended in the order of their groups' first rows, and their
+        group's key is looked up in the runs, newest first, until found;
+        the sites found nowhere are new, appended in the order of their groups' first rows, and their
         keys form a new run.  Along a group the occupation counts on from
         the site's prior local time, as a cumulative sum of steps of 1 with
         a jump at each group's start.  ``rows`` (4, b): row 0 the keys,
@@ -225,7 +229,7 @@ class LocalTimeLedger:
 
     def _push(self, keys: np.ndarray, sites: np.ndarray) -> None:
         """Add a run, then merge the last two runs while the one before the
-        last is less than twice as long as the last."""
+        last is less than ``_RATIO`` times as long as the last."""
         runs = self._runs
         runs.append((keys, sites))
         while len(runs) > 1 and runs[-2][0].size < _RATIO * runs[-1][0].size:
