@@ -265,8 +265,8 @@ class LocalTimeLedger:
     def _relayout(self, cols: list[np.ndarray]) -> None:
         """A layout for the sites and the block's columns ``cols``, and
         every run re-packed in it where it lies.  An axis that holds the
-        bounds keeps its digits; any other doubles the larger of its old
-        width and its bounds' span, centred on them.  Where that passes 62
+        bounds within half its width keeps its digits; any other doubles
+        the larger of its old width and its bounds' span, centred on them.  Where that passes 62
         bits the bounds themselves are the widths, and where they do too,
         the dense ranks of each axis's coordinates."""
         old, lo, hi = self._layout, self._lo, self._hi
