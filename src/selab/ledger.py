@@ -209,7 +209,8 @@ class LocalTimeLedger:
             k, m = self._k, new.size
             if k + m > self._times.size:
                 self.reserve(max(k + m, 2 * self._times.size))
-            np.take(coords, first[by_visit], axis=0, out=self._sites[k:k + m])
+            np.take(coords, first[by_visit], axis=0, out=self._sites[k:k + m],
+                    mode="clip")
             self._times[k:k + m] = 0
             site[new[by_visit]] = np.arange(k, k + m)
             self._k = k + m

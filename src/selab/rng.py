@@ -190,7 +190,9 @@ def hash_sites(seed: int, sites, out: np.ndarray | None = None
     h0 = mix64(seed ^ _GAMMA)
     if isinstance(sites, Sites):
         head = _fold(np.full(sites.prefixes, h0, dtype=np.uint64), sites.head)
-        h, words = np.take(head, sites.prefix, out=out), [sites.last]
+        # mode "clip": every index is in range, and "raise" would buffer out
+        h = np.take(head, sites.prefix, out=out, mode="clip")
+        words = [sites.last]
     else:
         coords = _as_coords(sites)
         h = np.empty(coords.shape[0], dtype=np.uint64) if out is None else out
