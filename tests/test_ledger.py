@@ -481,6 +481,9 @@ def feeds(draw):
 
 
 @given(feeds())
+# the first block lays axis 1 out over [-1, 3); (0, 3) is one past its end,
+# where its digit would give the key of (1, -1), met in the same block
+@example((sources.ExplicitSource([(0, 0), (0, 1), (1, -1), (0, 3)]), [4], 2))
 @example((sources.ExplicitSource([(-(1 << 63), 0), ((1 << 63) - 1, 5), (0, 0),
                                   (1, 0), (-(1 << 63), 0), (1 << 62, 1)]),
           [2, 4, 6], 2))
