@@ -204,19 +204,19 @@ class LocalTimeLedger:
             site[new[hit]] = run_sites[at[hit]]
             new = new[~hit]
         if new.size:
-            first = order[starts[new]]
-            by_visit = np.argsort(first)
+            # the new sites' first rows, in visit order
+            by_visit, first = sort_keys(order[starts[new]])
             k, m = self._k, new.size
             if k + m > self._times.size:
                 self.reserve(max(k + m, 2 * self._times.size))
-            np.take(coords, first[by_visit], axis=0, out=self._sites[k:k + m],
+            np.take(coords, first, axis=0, out=self._sites[k:k + m],
                     mode="clip")
             self._times[k:k + m] = 0
             site[new[by_visit]] = np.arange(k, k + m)
             self._k = k + m
             self._push(key[new], _numbers(site[new], k + m))
         prior = self._times[site]
-        length = np.diff(starts, append=b)
+        length = np.subtract(np.append(starts[1:], b), starts)
         self._times[site] = prior + length
         step = rows[2]
         step.fill(1)
