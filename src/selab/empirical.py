@@ -22,10 +22,10 @@ the sorted uniforms is nondecreasing up to rounding (see :mod:`fields`);
 where it is not, one stable sort of the values repairs the order.  A field
 without ``quantile`` (the moving average) sorts its values once, and the
 earlier ledgers restrict that order to their prefix of the sites.  Either
-way equal values merge into one atom.  No step builds a temporary as long
-as the sites beside its outputs: the largest ledger's values and weights go
-into two arrays that the object sizes once and every seed reuses, and the
-order checks and :func:`sup_deviation` run in pieces.  The ``gc`` runner
+way equal values merge into one atom.  A seed's ECDFs take no temporary
+as long as the sites beside their outputs: the largest ledger's values and
+weights go into two arrays that the object sizes once and every seed
+reuses, and the order checks and :func:`sup_deviation` run in pieces.  The ``gc`` runner
 and :func:`mc_fclt` map one object over their seeds, reading each seed's
 ECDFs before the next, and :func:`mc_fclt` reads its bridge
 n (F_n - F) / sqrt(V_n) off the ECDF it takes the sup of;
