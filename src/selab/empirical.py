@@ -12,9 +12,9 @@ F(min(s, t)) - F(s) F(t).
 Replicates (field seeds) go through one batched path, :class:`SampledEcdfs`:
 built once over nested checkpoint ledgers, it holds the sites' seed-free
 hash words (:class:`rng.Sites`, grouped by their first d - 1 coordinates)
-and the packed local times, and each seed then finishes the hash: d - 1
-mixer passes over the distinct prefixes, one gather and 2 passes over the
-sites on Z^d.  For an i.i.d. field, whose value at a site is
+and the local times, but no ledger, and each seed then finishes the hash:
+d - 1 mixer passes over the distinct prefixes, one gather and 2 passes
+over the sites on Z^d.  For an i.i.d. field, whose value at a site is
 ``quantile(u)`` of the site's one uniform u, each ledger sorts one uint64
 key per site: u's 53 bits above the local time's 11, saturated at 0x7FF,
 whose sites take their true local times after the sort.  The quantile of
@@ -87,10 +87,13 @@ class SampledEcdfs:
     ``ledgers`` are snapshots of one trajectory, in increasing n, so each
     one's sites are a prefix of the last one's (first-visit order).  What
     every seed shares is built once, here: the prefix check, the sites'
-    seed-free hash words (:class:`rng.Sites`), each ledger's local times
-    packed into 11 bits, and, for an i.i.d. field, the hash words and the
-    counts of the largest ledger, two arrays of its size that every call
-    reuses.
+    seed-free hash words (:class:`rng.Sites`), each ledger's n, local times
+    and local times packed into 11 bits, and, for an i.i.d. field, the
+    hash words and the counts of the largest ledger, two arrays of its size
+    that every call reuses.  The object keeps no ledger and, for an i.i.d.
+    field, no site coordinates: once the words are built, a caller that
+    drops its ledgers frees their sites.  The moving average, which hashes
+    shifted coordinates per seed, keeps them in its :class:`rng.Sites`.
     """
 
     def __init__(self, field, ledgers: Sequence[LocalTimeLedger]):
@@ -99,14 +102,20 @@ class SampledEcdfs:
                for led in ledgers):
             raise ValueError("ledgers must be nonempty, each one's sites a "
                              "prefix of the last one's")
-        self.field, self.ledgers = field, list(ledgers)
+        self.field = field
         self.sites = rng.Sites(coords)  # the seed-free hash words
         self._quantile = getattr(field, "quantile", None)
-        # per ledger: the saturated local times, and the saturated sites
-        self._packed = [(np.minimum(led.local_times, _SATURATED)
-                         .astype(np.uint16),
-                         np.flatnonzero(led.local_times >= _SATURATED))
-                        for led in ledgers]
+        if self._quantile is None:
+            self.sites.coords = coords
+        # per ledger: n, the local times, the saturated local times written
+        # straight into uint16, and the saturated sites
+        self._ledgers = []
+        for led in ledgers:
+            times = led.local_times
+            low = np.minimum(times, _SATURATED, casting="unsafe",
+                             out=np.empty(times.size, dtype=np.uint16))
+            self._ledgers.append((led.n, times, low,
+                                  np.flatnonzero(times >= _SATURATED)))
         if self._quantile is not None:
             k = coords.shape[0]
             self._words = np.empty(k, dtype=np.uint64)
@@ -129,23 +138,23 @@ class SampledEcdfs:
             return self.from_values(self.field.site_values(seed, self.sites))
         h = rng.hash_sites(seed, self.sites, self._words)
         ecdfs = []
-        for i, (led, (low, big)) in enumerate(zip(self.ledgers, self._packed)):
-            last = i == len(self.ledgers) - 1  # the largest: it takes h
+        for i, (n, times, low, big) in enumerate(self._ledgers):
+            last = i == len(self._ledgers) - 1  # the largest: it takes h
             key = (np.bitwise_and(h, _HIGH, out=h) if last
                    else h[:low.size] & _HIGH)
-            ecdfs.append(self._from_keys(key, led, low, big,
+            ecdfs.append(self._from_keys(key, n, times, low, big,
                                          self._counts if last else None))
         return ecdfs
 
-    def _from_keys(self, key: np.ndarray, led: LocalTimeLedger,
+    def _from_keys(self, key: np.ndarray, n: int, times: np.ndarray,
                    low: np.ndarray, big: np.ndarray,
                    counts: np.ndarray | None) -> WeightedEcdf:
-        """The ECDF from the keys, sorted in place: the counts go into one
-        int64 array, ``counts`` if given, and the uniforms, then the values,
-        over the keys."""
+        """The ECDF of n steps from the keys, sorted in place: the counts
+        go into one int64 array, ``counts`` if given, and the uniforms,
+        then the values, over the keys."""
         key |= low
         if big.size:  # local times of 2047 or more
-            big_times = led.local_times[big][np.argsort(key[big])]
+            big_times = times[big][np.argsort(key[big])]
         key.sort()
         # below 2^11: the same values as int64
         cs = np.bitwise_and(key, _LOW, out=None if counts is None else
@@ -159,7 +168,7 @@ class SampledEcdfs:
             # stable sort (timsort): on nearly sorted values about one pass
             order = np.argsort(xs, kind="stable")
             xs, cs = xs[order], cs[order]
-        return _merged_ecdf(xs, cs, led.n)
+        return _merged_ecdf(xs, cs, n)
 
     def from_values(self, x: np.ndarray) -> list[WeightedEcdf]:
         """The ECDFs of the field values ``x`` at the last ledger's sites:
@@ -167,10 +176,9 @@ class SampledEcdfs:
         its prefix of the sites."""
         order = np.argsort(x)
         ecdfs = []
-        for led in self.ledgers:
-            k = led.local_times.size
-            o = order if k == x.size else order[order < k]
-            ecdfs.append(_merged_ecdf(x[o], led.local_times[o], led.n))
+        for n, times, _, _ in self._ledgers:
+            o = order if times.size == x.size else order[order < times.size]
+            ecdfs.append(_merged_ecdf(x[o], times[o], n))
         return ecdfs
 
 

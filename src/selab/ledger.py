@@ -6,13 +6,18 @@ self-intersections V_n = sum N_n(site)^2, and the cardinality of the visited
 range.  Its memory is its sites: the distinct sites in an array that blocks
 only append to, in first-visit order, their local times beside them, and an
 index of log-structured sorted runs (O'Neil et al., "The log-structured
-merge-tree", Acta Informatica 33, 1996) of the sites' packed int64 keys.
-``record_block`` sorts a block's keys once and looks them up in each run by
-``searchsorted``; the block's new sites are appended and form a new run,
-and runs of like size merge, so no block re-packs, re-sorts or copies the
-prior sites.  :func:`feed` advances one ledger through a source's
-checkpoints in blocks of at most :data:`BLOCK` steps, and a checkpoint's
-snapshot is a view of the sites' prefix and a copy of the local times.
+merge-tree", Acta Informatica 33, 1996) of the sites' packed int64 keys and
+int32 first-visit numbers.  The runs are adjacent segments, oldest first,
+of two arrays reserved beside the sites, so the index holds one entry per
+site and no more.  ``record_block`` sorts a block's keys once and looks
+them up in each run by ``searchsorted``; the block's new sites are appended
+and their keys form a new run at the index's end, and runs of like size
+merge in place, the older run's entries moved back to front to their final
+rows and the newer run's scattered in, so no block re-packs, re-sorts or
+copies the prior sites and no merge allocates the merged run.
+:func:`feed` advances one ledger through a source's checkpoints in blocks
+of at most :data:`BLOCK` steps, and a checkpoint's snapshot is a view of
+the sites' prefix and a copy of the local times.
 
 A ledger packs its keys in one layout (:func:`key_strides`) and rebuilds it
 only when a block leaves it: each axis that a block leaves doubles its
@@ -77,16 +82,18 @@ class LocalTimeLedger:
 
     ``sites`` (k, d) holds the distinct sites in first-visit order, the
     first k rows of an array that blocks only append to, and
-    ``local_times`` (k,) their local times.  The index is a list of runs,
-    each the sorted keys of some of the sites and the sites' first-visit
-    numbers, every run at least ``_RATIO`` times as long as the next.  A
-    :meth:`snapshot` has no index; it builds one from its sites if it is
-    fed.
+    ``local_times`` (k,) their local times.  The index is the first k rows
+    of two arrays of the same reserve, ``_keys`` (int64) and ``_nums``
+    (int32 first-visit numbers, int64 past 2^31 rows): a run of sorted keys
+    starts at each row of ``_runs``, oldest first, and ends where the next
+    one starts, each run at least ``_RATIO`` times as long as the next.  A
+    :meth:`snapshot` has no index; it builds one, in arrays of its own, if
+    it is fed.
     """
 
     __slots__ = ("d", "n", "max_count", "self_intersections", "_k", "_sites",
-                 "_times", "_runs", "_layout", "_lo", "_hi", "_pqd_sum",
-                 "_pqd_num", "_pqd_exp")
+                 "_times", "_keys", "_nums", "_runs", "_layout", "_lo", "_hi",
+                 "_pqd_sum", "_pqd_num", "_pqd_exp")
 
     def __init__(self, d: int):
         if d < 1:
@@ -98,7 +105,9 @@ class LocalTimeLedger:
         self._k = 0
         self._sites = np.empty((0, d), dtype=np.int64)
         self._times = np.empty(0, dtype=np.int64)
-        self._runs: list | None = []
+        self._keys = np.empty(0, dtype=np.int64)
+        self._nums = np.empty(0, dtype=np.int32)
+        self._runs: list[int] | None = []
         self._layout = None
         self._lo = self._hi = None  # each axis's bounds over the sites
         self._pqd_sum = 0.0
@@ -113,21 +122,27 @@ class LocalTimeLedger:
         return self._times[:self._k]
 
     def reserve(self, rows: int) -> None:
-        """Room for ``rows`` distinct sites.  The arrays are ``np.empty``,
-        so their pages are touched only as sites are written."""
+        """Room for ``rows`` distinct sites and their index entries.  The
+        arrays are ``np.empty``, so their pages are touched only as sites
+        are written."""
         if rows > self._times.size:
             k = self._k
             sites = np.empty((rows, self.d), dtype=np.int64)
             times = np.empty(rows, dtype=np.int64)
             sites[:k], times[:k] = self.sites, self.local_times
+            keys, nums = _index_arrays(rows)
+            if self._runs is not None:
+                keys[:k], nums[:k] = self._keys[:k], self._nums[:k]
             self._sites, self._times = sites, times
+            self._keys, self._nums = keys, nums
 
     def snapshot(self) -> "LocalTimeLedger":
         """The ledger as it stands: its sites a view of this one's, whose
-        rows later blocks never rewrite, its local times a copy."""
+        rows later blocks never rewrite, its local times a copy, and no
+        index."""
         snap = copy.copy(self)
         snap._sites, snap._times = self.sites, self.local_times.copy()
-        snap._runs = None
+        snap._keys = snap._nums = snap._runs = None
         return snap
 
     def record_block(self, coords: Sequence[Sequence[int]] | np.ndarray,
@@ -185,7 +200,7 @@ class LocalTimeLedger:
         cols = [coords[:, j] for j in range(self.d)]
         lo, hi = [int(c.min()) for c in cols], [int(c.max()) for c in cols]
         if self._runs is None:  # a snapshot
-            self._runs = self._index()
+            self._index()
         if self._lo is not None:
             lo = [min(a, c) for a, c in zip(self._lo, lo)]
             hi = [max(a, c) for a, c in zip(self._hi, hi)]
@@ -197,11 +212,13 @@ class LocalTimeLedger:
         key = key[starts]
         site = np.full(key.size, -1, dtype=np.int64)
         new = np.arange(key.size)  # the groups not found yet
-        for run_keys, run_sites in reversed(self._runs):  # newest first
-            at = np.searchsorted(run_keys, key[new])
+        ends = self._runs[1:] + [self._k]
+        for r, e in zip(reversed(self._runs), reversed(ends)):  # newest first
+            run_keys, want = self._keys[r:e], key[new]
+            at = np.searchsorted(run_keys, want)
             np.minimum(at, run_keys.size - 1, out=at)
-            hit = run_keys[at] == key[new]
-            site[new[hit]] = run_sites[at[hit]]
+            hit = run_keys[at] == want
+            site[new[hit]] = self._nums[r:e][at[hit]]
             new = new[~hit]
         if new.size:
             # the new sites' first rows, in visit order
@@ -214,7 +231,9 @@ class LocalTimeLedger:
             self._times[k:k + m] = 0
             site[new[by_visit]] = np.arange(k, k + m)
             self._k = k + m
-            self._push(key[new], _numbers(site[new], k + m))
+            np.take(key, new, out=self._keys[k:k + m], mode="clip")
+            self._nums[k:k + m] = site[new]
+            self._push(k)
         prior = self._times[site]
         length = np.subtract(np.append(starts[1:], b), starts)
         self._times[site] = prior + length
@@ -228,24 +247,51 @@ class LocalTimeLedger:
         occ[order] = np.cumsum(step, out=step)
         return occ
 
-    def _push(self, keys: np.ndarray, sites: np.ndarray) -> None:
-        """Add a run, then merge the last two runs while the one before the
-        last is less than ``_RATIO`` times as long as the last."""
-        runs = self._runs
-        runs.append((keys, sites))
-        while len(runs) > 1 and runs[-2][0].size < _RATIO * runs[-1][0].size:
-            (ka, sa), (kb, sb) = runs[-2], runs.pop()
-            # the keys of two runs differ: each of kb lands after the ka
-            # below it and the kb before it
-            at = np.searchsorted(ka, kb)
-            at += np.arange(kb.size)
-            keys = np.empty(ka.size + kb.size, dtype=np.int64)
-            sites = np.empty(keys.size, dtype=np.result_type(sa, sb))
-            rest = np.ones(keys.size, dtype=bool)
-            rest[at] = False
-            keys[at], sites[at] = kb, sb
-            keys[rest], sites[rest] = ka, sa
-            runs[-1] = (keys, sites)
+    def _push(self, start: int) -> None:
+        """Make the index's rows from ``start`` on, sorted keys, a run; then
+        merge the last two runs while the one before the last is less than
+        ``_RATIO`` times as long as the last."""
+        runs, end = self._runs, self._k
+        runs.append(start)
+        while len(runs) > 1 and (runs[-1] - runs[-2]
+                                 < _RATIO * (end - runs[-1])):
+            self._merge(runs[-2], runs.pop(), end)
+
+    def _merge(self, a: int, b: int, c: int) -> None:
+        """Merge the runs in rows [a, b) and [b, c) of the index in place.
+
+        The keys of two runs differ.  With at_j the number of older keys
+        below the newer key j, that entry goes to row a + at_j + j, and the
+        older entries fill the other rows in order.  The newer entries past
+        every older one are in place already, and so are the older entries
+        below every newer one.  The other newer entries are copied out, and
+        the older ones are placed back to front, ``BLOCK`` at a time: a
+        piece of them and the newer entries whose at_j fall in it fill a
+        window of rows after every older entry not yet read, the newer ones
+        where their at_j put them and the piece in the rest.  Beside the
+        index the merge holds the copied entries, their at_j and
+        piece-sized temporaries.
+        """
+        keys, nums = self._keys, self._nums
+        at = np.searchsorted(keys[a:b], keys[b:c])  # nondecreasing
+        hi = int(np.searchsorted(at, b - a))  # the at_j below the older end
+        if not hi:
+            return
+        new_keys, new_nums = keys[b:b + hi].copy(), nums[b:b + hi].copy()
+        first = int(at[0])
+        for q in range(b - a, first, -BLOCK):
+            p = max(q - BLOCK, first)
+            lo = int(np.searchsorted(at[:hi], p))  # the at_j below p
+            start = a + p + lo  # the window: rows start .. a + q + hi - 1
+            new_rows = at[lo:hi] + np.arange(a + lo, a + hi)
+            free = np.ones(q - p + hi - lo, dtype=bool)
+            free[new_rows - start] = False
+            old_rows = np.flatnonzero(free)
+            old_rows += start
+            keys[old_rows], nums[old_rows] = (keys[a + p:a + q].copy(),
+                                              nums[a + p:a + q].copy())
+            keys[new_rows], nums[new_rows] = new_keys[lo:hi], new_nums[lo:hi]
+            hi = lo
 
     def _packed(self, sites: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The keys of the sites numbered ``sites`` under the layout, into
@@ -255,22 +301,24 @@ class LocalTimeLedger:
             self._layout.pack(list(part.T), out[a:a + BLOCK])
         return out
 
-    def _index(self) -> list:
-        """The runs of a ledger that has none: its sites as one run."""
-        if not self._k:
-            return []
-        keys = self._packed(np.arange(self._k), np.empty(self._k, np.int64))
+    def _index(self) -> None:
+        """Index a ledger that has none, a snapshot: its sites as one run,
+        in arrays of its own."""
+        k = self._k
+        self._keys, self._nums = _index_arrays(self._times.size)
+        keys = self._packed(np.arange(k), self._keys[:k])
         order = np.argsort(keys)
-        return [(keys[order], _numbers(order, self._k))]
+        keys[:], self._nums[:k] = keys[order], order
+        self._runs = [0] if k else []
 
     def _relayout(self, cols: list[np.ndarray]) -> None:
         """A layout for the sites and the block's columns ``cols``, and
-        every run re-packed in it where it lies.  An axis that holds the
+        the index re-packed in it where it lies.  An axis that holds the
         bounds within half its width keeps its digits; any other doubles
         the larger of its old width and its bounds' span, centred on them.  Where that passes 62
         bits the bounds themselves are the widths, and where they do too,
         the dense ranks of each axis's coordinates."""
-        old, lo, hi = self._layout, self._lo, self._hi
+        old, lo, hi, k = self._layout, self._lo, self._hi, self._k
         offsets = old is not None and old.ranks is None
         axes = []
         for j, (a, b) in enumerate(zip(lo, hi)):
@@ -286,11 +334,9 @@ class LocalTimeLedger:
             self._layout = _Layout([min(max(a, -1 << 63), (1 << 63) - w)
                                     for a, w in axes], [w for _, w in axes])
         else:
-            k = self._k
             self._layout = _Layout.ranked([np.unique(np.concatenate(
                 [self._sites[:k, j], c])) for j, c in enumerate(cols)])
-        for keys, sites in self._runs:
-            self._packed(sites, keys)
+        self._packed(self._nums[:k], self._keys[:k])
 
     def record(self, site: Sequence[int]) -> None:
         self.record_block([tuple(site)])
@@ -347,10 +393,12 @@ class LocalTimeLedger:
                                  "statistics disagree with a full rescan")
 
 
-def _numbers(sites: np.ndarray, k: int) -> np.ndarray:
-    """The site numbers ``sites``, all below k, as a run holds them: int32
-    while k fits, which saves a third of a run's bytes."""
-    return sites.astype(np.int32) if k <= 1 << 31 else sites
+def _index_arrays(rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Empty key and first-visit number arrays for an index of ``rows``
+    entries: the numbers are below ``rows``, so int32 while that fits,
+    which saves a third of the index's bytes."""
+    return (np.empty(rows, dtype=np.int64),
+            np.empty(rows, dtype=np.int32 if rows <= 1 << 31 else np.int64))
 
 
 class _Layout:
@@ -432,7 +480,8 @@ def feed(cursor, checkpoints: Sequence[int]
             led.record_block(block, work[d:])
             blocks += 1
         snaps.append(led.snapshot() if c < checkpoints[-1] else led)
-    led._runs = None  # read no more: the snapshots' sites are its own
+    # read no more: the snapshots' sites are its own
+    led._keys = led._nums = led._runs = None
     return snaps, blocks
 
 

@@ -144,16 +144,21 @@ class Sites:
     is n sites of Z): the sites are grouped by that prefix through
     :func:`ledger.sort_keys`; ``head`` holds the d - 1 prefix axes' words at
     the ``prefixes`` distinct prefixes, ``prefix`` each site's prefix index
-    and ``last`` each site's last-axis word.  No word depends on the seed.
+    and ``last`` each site's last-axis word.  No word depends on the seed,
+    and the words are all that :func:`hash_sites` reads: the object keeps
+    no coordinates, so the caller's may be freed once it is built.
+    ``coords`` is None unless the caller sets it, as the moving-average
+    field's route does, which hashes shifted copies of them per seed.
     Beside ``prefix`` and ``last`` the grouping takes one n-sized int64
     temporary, the order, and the run flags: the prefix numbers are
     counted in the sorted keys' memory, which then holds ``last``.
     """
 
     def __init__(self, coords):
-        self.coords = _as_coords(coords)
-        n, d = self.coords.shape
-        head = self.coords[:, :-1]
+        coords = _as_coords(coords)
+        self.coords = None
+        n, d = coords.shape
+        head = coords[:, :-1]
         if n and d > 1:
             order, key = sort_keys(pack_sites(head)[0])
             new = run_starts(key)
@@ -166,11 +171,10 @@ class Sites:
             head, key = head[:min(n, 1)], np.empty(n, dtype=np.int64)
         self.prefixes = head.shape[0]
         self.head = [_axis_words(head[:, j], j) for j in range(d - 1)]
-        self.last = _axis_words(self.coords[:, -1], d - 1,
-                                key.view(np.uint64))
+        self.last = _axis_words(coords[:, -1], d - 1, key.view(np.uint64))
 
     def __len__(self) -> int:
-        return self.coords.shape[0]
+        return self.last.size
 
 
 def hash_sites(seed: int, sites, out: np.ndarray | None = None

@@ -272,7 +272,13 @@ def _geometric_fit(p: np.ndarray) -> tuple[int, float, float, int] | None:
         return None
     ks = nz[-10:]
     vals = p[ks]
-    slope = np.polyfit(ks.astype(np.float64), np.log(vals), 1)[0]
+    # the least-squares slope of log P_k on k in closed form, each sum
+    # correctly rounded (math.fsum) and each log libm's: no LAPACK call, so
+    # no bit depends on the BLAS kernel
+    x, y = ks.tolist(), [math.log(v) for v in vals.tolist()]
+    mx, my = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    slope = (math.fsum((a - mx) * (b - my) for a, b in zip(x, y))
+             / math.fsum((a - mx) ** 2 for a in x))
     gap = int(round(np.diff(ks).mean()))
     return int(ks[-1]), float(vals[-1]), math.exp(slope), max(gap, 1)
 
@@ -502,14 +508,18 @@ def _one_axis_series(kernel: dict[int, float], weight: float, kmax: int,
 
 
 def _binomial_merge(a: np.ndarray, b: np.ndarray, q: float) -> np.ndarray:
-    """c[:, k] = sum_m P(Bin(k, q) = m) a[:, m] b[:, k - m]."""
+    """c[:, k] = sum_m P(Bin(k, q) = m) a[:, m] b[:, k - m].  The products
+    are summed over m by numpy's own reduction: a BLAS matrix-vector
+    product would round the sums by the OpenBLAS kernel."""
     out = np.empty_like(a)
     pmf = np.ones(1)
     for k in range(a.shape[1]):
         if k:
             # Pascal's rule: positive terms only, no cancellation
             pmf = np.append(0.0, q * pmf) + np.append((1 - q) * pmf, 0.0)
-        out[:, k] = (a[:, :k + 1] * b[:, k::-1]) @ pmf
+        prod = a[:, :k + 1] * b[:, k::-1]
+        prod *= pmf
+        out[:, k] = prod.sum(axis=1)
     return out
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from selab import (ExplicitSource, LocalTimeLedger, RandomWalkSource,
                    bridge_values, generate, ledger_covariance, mc_fclt,
                    sampled_ecdf, simple_walk, sup_deviation, trajectory_stats)
-from selab import cli, empirical, rng
+from selab import cli, empirical, ledger, rng, sources
 from selab.cli import parse_plan
 from selab.empirical import WeightedEcdf
 from selab.fields import (DiscreteField, GaussianField, MovingAverageField,
@@ -309,6 +310,24 @@ def test_piecewise_sweeps_move_no_bit(monkeypatch, piece):
     for field in (UniformField(), GaussianField(),
                   DiscreteField([(0, 0.5), (1, 0.2), (2, 0.3)])):
         ecdfs = empirical.SampledEcdfs(field, leds)
+        for seed in (1, 2):
+            assert [sup_deviation(e, field) for e in ecdfs(seed)] == [
+                ecdf_from_scratch(field, seed, coords[:c])[2] for c in cps]
+
+
+def test_sampled_ecdfs_let_the_ledgers_sites_go():
+    # an i.i.d. field's object keeps its hash words and the local times:
+    # once the fed ledgers are dropped, their sites are freed.  The moving
+    # average hashes shifted coordinates per seed, so it keeps them, and
+    # either field still matches the oracle
+    walk, cps = RandomWalkSource(simple_walk(3), 5), [30, 300, 3000]
+    coords = generate(walk, cps[-1])
+    for field in (UniformField(), MovingAverageField([1.0, 0.5])):
+        leds, _ = ledger.feed(sources.cursor(walk), cps)
+        sites = weakref.ref(leds[-1]._sites)
+        ecdfs = empirical.SampledEcdfs(field, leds)
+        del leds
+        assert (sites() is None) == (field == UniformField())
         for seed in (1, 2):
             assert [sup_deviation(e, field) for e in ecdfs(seed)] == [
                 ecdf_from_scratch(field, seed, coords[:c])[2] for c in cps]

@@ -129,42 +129,59 @@ def test_csv_bytes_match_the_recorded_digest(name, tmp_path):
     assert hashlib.sha256(data).hexdigest() == DIGESTS[name]
 
 
-def _has_avx2() -> bool:
+def _cpu_features() -> tuple[dict, list]:
+    """numpy's CPU features of this machine and its dispatch targets, the
+    instruction sets above its baseline that it picks kernels for."""
     try:
-        from numpy._core._multiarray_umath import __cpu_features__
+        from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy 1.x
-        from numpy.core._multiarray_umath import __cpu_features__
-    return __cpu_features__.get("AVX2", False)
+        from numpy.core import _multiarray_umath as umath
+    return umath.__cpu_features__, umath.__cpu_dispatch__
 
 
-# plans whose CSVs once read BLAS products: fclt's bridge, the variance
-# report's finite-n mean, and the Fourier-grid return series of a law whose
-# atoms move two coordinates
+def _has_avx2() -> bool:
+    return _cpu_features()[0].get("AVX2", False)
+
+
+# plans whose CSVs once read BLAS or LAPACK: fclt's bridge, the variance
+# report's finite-n mean, the Fourier-grid return series of a law whose
+# atoms move two coordinates, and the geometric tail fit of a law with a
+# drift, whose series_prediction once came from np.polyfit
 KERNEL_PLANS = {
     "fclt": PLANS["fclt"], "variance": PLANS["variance"],
     "variance-grid": dict(PLANS["variance"], kmax=30, source={
         "variant": "rw", "seed": 1,
         "atoms": [[[s * a for a in atom], 1 / 6] for s in (1, -1)
                   for atom in ([1, 1, 0], [0, 1, 1], [1, 0, 1])]}),
+    "variance-drift": dict(PLANS["variance"], kmax=60, source={
+        "variant": "rw", "seed": 1,
+        "atoms": [[[1, 0], 0.4], [[-1, 0], 0.2], [[0, 1], 0.2],
+                  [[0, -1], 0.2]]}),
 }
 
 
-def _csv_bytes(kernel, out):
-    """The CSVs of ``KERNEL_PLANS``, written by a new process whose OpenBLAS
-    runs the named kernel (``None``: the one it picks for this CPU)."""
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(selab.__file__))
-    if kernel:
-        env["OPENBLAS_CORETYPE"] = kernel
+def _child_env(**env) -> dict:
+    """This process's environment, without an OpenBLAS kernel or a numpy
+    CPU feature set named, with selab importable, plus ``env``."""
+    named = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+    return dict({k: v for k, v in os.environ.items() if k not in named},
+                PYTHONPATH=os.pathsep.join([
+                    os.path.dirname(os.path.dirname(selab.__file__)),
+                    os.path.dirname(__file__)]), **env)
+
+
+def _csv_bytes(plans, out, **env):
+    """The CSVs of ``plans``, written by a new process whose environment
+    is :func:`_child_env` of ``env``."""
     code = ("import json, pathlib, sys\n"
             "from selab.cli import parse_plan, run_plan\n"
             "for name, plan in json.loads(sys.argv[2]).items():\n"
             "    run_plan(parse_plan(json.dumps(plan)),\n"
             "             pathlib.Path(sys.argv[1], name))\n")
-    subprocess.run([sys.executable, "-c", code, str(out),
-                    json.dumps(KERNEL_PLANS)], check=True, env=env)
+    subprocess.run([sys.executable, "-c", code, str(out), json.dumps(plans)],
+                   check=True, env=_child_env(**env))
     return {k: (out / k / f"{k.split('-')[0]}.csv").read_bytes()
-            for k in KERNEL_PLANS}
+            for k in plans}
 
 
 def test_csv_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
@@ -172,7 +189,9 @@ def test_csv_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
     # AMD Zen, Prescott its SSE3 fallback; every column counts here,
     # variance.csv's series columns included
     kernels = [None, "Prescott"] + (["Haswell"] if _has_avx2() else [])
-    got = [_csv_bytes(k, tmp_path / str(k)) for k in kernels]
+    got = [_csv_bytes(KERNEL_PLANS, tmp_path / str(k),
+                      **({"OPENBLAS_CORETYPE": k} if k else {}))
+           for k in kernels]
     assert all(g == got[0] for g in got[1:])
 
 
@@ -192,6 +211,26 @@ def _plan_bytes(root):
 @pytest.fixture(scope="module")
 def default_block_bytes(tmp_path_factory):
     return _plan_bytes(tmp_path_factory.mktemp("default-block"))
+
+
+def test_csv_bytes_do_not_depend_on_the_simd_dispatch(default_block_bytes,
+                                                     tmp_path):
+    # numpy picks a kernel per instruction set above its baseline (sort,
+    # bincount, the scatters and the float loops); a child process with
+    # every such set this CPU has switched off must write the same bytes
+    features, dispatch = _cpu_features()
+    targets = [t for t in dispatch if features.get(t)]
+    if not targets:
+        pytest.skip("this CPU has no numpy dispatch target above the "
+                    "baseline")
+    env = {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+    # the child's numpy must see the targets as switched off
+    seen = subprocess.run(
+        [sys.executable, "-c", "import json, test_golden; "
+         "print(json.dumps(test_golden._cpu_features()[0]))"],
+        check=True, capture_output=True, text=True, env=_child_env(**env))
+    assert not any(json.loads(seen.stdout)[t] for t in targets)
+    assert _csv_bytes(BLOCK_PLANS, tmp_path, **env) == default_block_bytes
 
 
 @pytest.mark.parametrize("block", [7, 1000, 1 << 20])

@@ -503,8 +503,11 @@ def test_a_fed_snapshot_builds_its_own_index():
     led = LocalTimeLedger(2)
     led.record_block(coords[:1000])
     snap = led.snapshot()
+    assert snap._keys is None and snap._nums is None
     for a, b in ((led, coords[1000:2000]), (snap, coords[2000:])):
         a.record_block(b)
+    assert not np.shares_memory(snap._keys, led._keys)
+    assert not np.shares_memory(snap._nums, led._nums)
     for got, rows in ((led, coords[:2000]),
                       (snap, np.concatenate([coords[:1000], coords[2000:]]))):
         counts, v, m = dict_local_times([tuple(s) for s in rows.tolist()])
@@ -522,3 +525,69 @@ def test_exact_sum_in_pieces_is_the_exact_sum(terms, piece):
         mp.setattr(ledger, "_PIECE", piece)
         num, exp = exact_sum(np.array(terms, dtype=np.float64))
     assert Fraction(num) * Fraction(2) ** exp == sum(map(Fraction, terms))
+
+
+@st.composite
+def pushed_runs(draw):
+    """(runs, numbers, block): 2 .. 4 runs of distinct sorted int64 keys in
+    push order, each placed wholly before the keys pushed so far, wholly
+    after them or among them; a first-visit number for every key; and
+    merge pieces of 1 .. 7 entries."""
+    runs, used = [], set()
+    for _ in range(draw(st.integers(2, 4))):
+        raw = sorted(draw(st.sets(st.integers(0, 1000), min_size=1,
+                                  max_size=40)))
+        if used:
+            lo, hi = min(used), max(used)
+            place = draw(st.sampled_from(["before", "after", "among"]))
+            if place == "before":
+                raw = [x - raw[-1] - 1 + lo for x in raw]
+            elif place == "after":
+                raw = [x - raw[0] + 1 + hi for x in raw]
+            else:  # spread over the keys so far, between and beyond them
+                raw = [lo - 2 + x * (hi - lo + 4) // 1000 for x in raw]
+            raw = sorted(set(raw) - used) or [hi + 1]
+        used |= set(raw)
+        runs.append(np.array(raw, dtype=np.int64))
+    total = sum(r.size for r in runs)
+    numbers = np.array(draw(st.permutations(range(total))), dtype=np.int32)
+    return runs, numbers, draw(st.integers(1, 7))
+
+
+@given(pushed_runs())
+# a newer run wholly before, wholly after and among an older one twice
+# as long, so that each merges
+@example(([np.arange(10, 20), np.arange(0, 5)], np.arange(15, dtype=np.int32),
+          3))
+@example(([np.arange(0, 10), np.arange(10, 15)], np.arange(15, dtype=np.int32),
+          3))
+@example(([np.arange(0, 20, 2), np.arange(-1, 21, 4)],
+          np.arange(16, dtype=np.int32)[::-1].copy(), 2))
+@settings(max_examples=150, deadline=None)
+def test_pushed_runs_merge_in_place_into_sorted_runs(case):
+    # each run of the index must hold the keys of the pushed runs that
+    # merged into it, as np.sort orders them, each carrying its number;
+    # and each run must be at least _RATIO times as long as the next
+    runs, numbers, block = case
+    led = LocalTimeLedger(1)
+    led.reserve(numbers.size)
+    starts = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ledger, "BLOCK", block)
+        for keys in runs:
+            k = led._k
+            starts.append(k)
+            led._keys[k:k + keys.size] = keys
+            led._nums[k:k + keys.size] = numbers[k:k + keys.size]
+            led._k = k + keys.size
+            led._push(k)
+            bounds = led._runs + [led._k]
+            assert set(led._runs) <= set(starts)
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                keys_in = np.concatenate([r for r, s in zip(runs, starts)
+                                          if a <= s < b])
+                order = np.argsort(keys_in)
+                assert led._keys[a:b].tolist() == keys_in[order].tolist()
+                assert led._nums[a:b].tolist() == numbers[a:b][order].tolist()
+            sizes = np.diff(bounds)
+            assert all(sizes[:-1] >= ledger._RATIO * sizes[1:])
