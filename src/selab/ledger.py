@@ -274,14 +274,14 @@ class LocalTimeLedger:
         """
         keys, nums = self._keys, self._nums
         at = np.searchsorted(keys[a:b], keys[b:c])  # nondecreasing
-        hi = int(np.searchsorted(at, b - a))  # the at_j below the older end
-        if not hi:
-            return
-        new_keys, new_nums = keys[b:b + hi].copy(), nums[b:b + hi].copy()
-        first = int(at[0])
-        for q in range(b - a, first, -BLOCK):
-            p = max(q - BLOCK, first)
-            lo = int(np.searchsorted(at[:hi], p))  # the at_j below p
+        # the older rows from the first at_j on, in pieces, and the number
+        # of at_j below each piece's first row and below the older end
+        cuts = list(range(int(at[0]), b - a, BLOCK)) + [b - a]
+        below = np.searchsorted(at, cuts).tolist()
+        new_keys = keys[b:b + below[-1]].copy()
+        new_nums = nums[b:b + below[-1]].copy()
+        for p, q, lo, hi in reversed(list(zip(cuts, cuts[1:], below,
+                                              below[1:]))):
             start = a + p + lo  # the window: rows start .. a + q + hi - 1
             new_rows = at[lo:hi] + np.arange(a + lo, a + hi)
             free = np.ones(q - p + hi - lo, dtype=bool)
@@ -291,7 +291,6 @@ class LocalTimeLedger:
             keys[old_rows], nums[old_rows] = (keys[a + p:a + q].copy(),
                                               nums[a + p:a + q].copy())
             keys[new_rows], nums[new_rows] = new_keys[lo:hi], new_nums[lo:hi]
-            hi = lo
 
     def _packed(self, sites: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The keys of the sites numbered ``sites`` under the layout, into
