@@ -210,6 +210,9 @@ def parse_plan(text: str) -> dict:
         plan["_source"] = parse_source(obj["source"])
     if "field" in obj:
         plan["_field"] = parse_field(obj["field"])
+        if row.fields and obj["field"]["variant"] not in row.fields:
+            raise PlanError(f"\"$.field.variant\" must be one of "
+                            f"{', '.join(row.fields)} for this {exp} plan")
     for key in ("n", "replicates", "budget", "kmax"):
         if key in obj:
             _int(obj[key], f"$.{key}")
@@ -354,12 +357,9 @@ def _run_fclt(plan, threads):
     summary = {"n": res.n, "v": res.v, "m2_over_v": res.m2_over_v,
                "sup_95th_percentile": sup95, "quenched": res.quenched,
                "op": "empirical.mc_fclt"}
-    why = {DiscreteField: "a continuous F, and the field has atoms",
-           MovingAverageField: "i.i.d. values, and the moving-average field "
-                               "is dependent"}.get(type(plan["_field"]))
-    if why:
+    if isinstance(plan["_field"], DiscreteField):
         summary["sup_law"] = ("not applicable: the Kolmogorov law of sup |Y| "
-                              f"needs {why}")
+                              "needs a continuous F, and the field has atoms")
     checks = {"covariance_within_3_stderr": ok}
     return {"fclt.csv": (("s", "t", "cov", "stderr", "target"), rows)}, summary, checks
 
@@ -372,8 +372,8 @@ def _run_rw_asym(plan, threads):
                                                        "walk", rep))
         leds, sizes = _feed(sources.cursor(cfg), cps)
         rows = [(rep,) + led.snapshot_row() for led in leds]
-        slope = float(np.polyfit([math.log(r[1]) for r in rows],
-                                 [math.log(r[3]) for r in rows], 1)[0])
+        slope = ledger.ls_slope([math.log(r[1]) for r in rows],
+                                [math.log(r[3]) for r in rows])
         return rows, slope, sizes
 
     done = _pmap(one, range(reps), threads)
@@ -452,18 +452,21 @@ def _run_selftest(plan, threads):
 class Experiment(NamedTuple):
     """A row of :data:`EXPERIMENTS`: the runner, returning (csv files, summary,
     checks), the plan keys it requires and allows besides ``experiment``, the
-    least replicates and the source variants it can read (empty: any)."""
+    least replicates, the source variants it can read and the field
+    variants its targets hold for (empty: any)."""
 
     run: Callable[[dict, int], tuple[dict, dict, dict]]
     required: Set[str]
     optional: Set[str] = frozenset()
     min_replicates: int = 0
     variants: tuple[str, ...] = ()
+    fields: tuple[str, ...] = ()
 
 
 # The schedule needs a special flow's towers, the series a step law, fresh
 # walks a seed to replace; the Monte Carlo standard error of variance two
-# replicates, the jackknife and percentile estimates of fclt a hundred.
+# replicates, the jackknife and percentile estimates of fclt a hundred;
+# fclt's target F(min(s, t)) - F(s) F(t) holds for i.i.d. fields only.
 _SEEDED = ("rw", "coboundary", "window")
 _REPS = {"replicates", "seed_base"}
 EXPERIMENTS = {
@@ -471,7 +474,8 @@ EXPERIMENTS = {
     "gc": Experiment(_run_gc, {"source", "field", "n"} | _REPS,
                      {"checkpoints"}, min_replicates=1),
     "fclt": Experiment(_run_fclt, {"source", "field", "n", "grid"} | _REPS,
-                       {"quenched"}, min_replicates=100),
+                       {"quenched"}, min_replicates=100,
+                       fields=("uniform", "gaussian", "discrete")),
     "rw-asym": Experiment(_run_rw_asym, {"source", "checkpoints"} | _REPS,
                           min_replicates=1, variants=_SEEDED),
     "rotation": Experiment(_run_rotation, {"source", "checkpoints"}),

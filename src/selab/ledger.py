@@ -24,9 +24,10 @@ only when a block leaves it: each axis that a block leaves doubles its
 width, and where 62 bits cannot hold the widths every axis takes the dense
 ranks of its coordinates instead.  Both layouts order the sites
 lexicographically, so a rebuild re-packs the runs where they lie and sorts
-nothing.  :func:`pack_sites` packs a site array in one shot,
-:func:`sort_keys` is the package's one stable key sort and
-:func:`run_starts` the one grouper of sorted runs.  :func:`local_time_block`
+nothing.  :func:`pack_sites` packs a site array in one shot, in a layout of
+its own whose :meth:`_Layout.shift` moves keys by a lag; :func:`sort_keys`
+is the package's one stable key sort, :func:`run_starts` the one grouper of
+sorted runs and :func:`find_keys` the one lookup.  :func:`local_time_block`
 computes a whole trajectory's local times in one shot, the reference route
 of :func:`trajectory_stats` beside the ledger, and :func:`key_local_times`
 groups a walk's keys after one plain sort where only the final local times
@@ -214,10 +215,7 @@ class LocalTimeLedger:
         new = np.arange(key.size)  # the groups not found yet
         ends = self._runs[1:] + [self._k]
         for r, e in zip(reversed(self._runs), reversed(ends)):  # newest first
-            run_keys, want = self._keys[r:e], key[new]
-            at = np.searchsorted(run_keys, want)
-            np.minimum(at, run_keys.size - 1, out=at)
-            hit = run_keys[at] == want
+            at, hit = find_keys(self._keys[r:e], key[new])
             site[new[hit]] = self._nums[r:e][at[hit]]
             new = new[~hit]
         if new.size:
@@ -401,17 +399,18 @@ def _index_arrays(rows: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Layout:
-    """A ledger's key layout: site z gets the key sum_j c_j stride_j
-    (:func:`key_strides` of ``widths``), with the digit c_j = z_j - lo_j
+    """A key layout: site z gets the key sum_j c_j stride_j (``strides``,
+    :func:`key_strides` of ``widths``), with the digit c_j = z_j - lo_j
     in [0, width_j), or, given ``ranks``, the rank of z_j among the sorted
     distinct coordinates ranks[j].  Either way the keys order the sites
     lexicographically, axis 0 first."""
 
-    __slots__ = ("lo", "widths", "ranks")
+    __slots__ = ("lo", "widths", "ranks", "strides")
 
     def __init__(self, lo: list[int], widths: list[int],
                  ranks: list[np.ndarray] | None = None):
-        if key_strides(widths) is None:
+        self.strides = key_strides(widths)
+        if self.strides is None:
             raise OverflowError("site spread too large to pack into int64 "
                                 "keys")
         self.lo, self.widths, self.ranks = lo, widths, ranks
@@ -427,11 +426,7 @@ class _Layout:
         if self.ranks is None:
             return all(a <= b and c < a + w for a, w, b, c
                        in zip(self.lo, self.widths, lo, hi))
-        for r, c in zip(self.ranks, cols):
-            at = np.searchsorted(r, c)
-            if not np.array_equal(r[np.minimum(at, r.size - 1, out=at)], c):
-                return False
-        return True
+        return all(find_keys(r, c)[1].all() for r, c in zip(self.ranks, cols))
 
     def pack(self, cols: list[np.ndarray], out: np.ndarray) -> np.ndarray:
         """The keys of the sites with the columns ``cols``, by Horner steps
@@ -445,6 +440,42 @@ class _Layout:
             key += cols[j]
             key -= self.lo[j]
         return key
+
+    def shift(self, keys: np.ndarray, lag: Sequence[int], digits: dict
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """(kept, moved): the flags of the sites with the keys ``keys``
+        whose copy moved by ``lag`` is on the layout, and those copies' keys.
+        Each moved axis's digit, key // stride_j % width_j, is read once into
+        ``digits`` for every call on the same keys.  At offsets a copy is kept
+        iff 0 <= digit + lag_j < width_j; at ranks iff ranks[j][digit] +
+        lag_j is in ranks[j] and, as every site is, in int64."""
+        kept, moved, delta = np.ones(keys.size, dtype=bool), keys, 0
+        for j, h in enumerate(lag):
+            if not h:
+                continue
+            ranks = None if self.ranks is None else self.ranks[j]
+            # past the axis's span no copy is kept: h * stride_j and the
+            # int64 bounds below would leave int64
+            if abs(h) >= (self.widths[j] if ranks is None
+                          else int(ranks[-1]) - int(ranks[0]) + 1):
+                return np.zeros(keys.size, dtype=bool), keys[:0]
+            if j not in digits:
+                digits[j] = keys // self.strides[j] % self.widths[j]
+            c = digits[j]
+            if ranks is None:
+                kept &= (-h <= c) & (c < self.widths[j] - h)
+                delta += h * self.strides[j]
+                continue
+            z, top = ranks[c], (1 << 63) - 1
+            kept &= (z <= top - h) if h > 0 else (z >= -top - 1 - h)
+            # int64 adds wrap, so h mod 2^64 moves the kept ones exactly
+            z += np.int64((h + top + 1) % (1 << 64) - top - 1)
+            at, hit = find_keys(ranks, z)
+            kept &= hit
+            moved = moved + (at - c) * self.strides[j]
+        moved = moved[kept]  # a copy, which the offsets then move in place
+        moved += delta
+        return kept, moved
 
 
 def feed(cursor, checkpoints: Sequence[int]
@@ -524,6 +555,15 @@ def exact_sum(terms: np.ndarray, work: np.ndarray | None = None
     return num, low - 53
 
 
+def ls_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """The least-squares slope of ``ys`` on ``xs`` in closed form, S_xy /
+    S_xx about the means, each sum correctly rounded (``math.fsum``): no
+    LAPACK call, so no bit depends on the BLAS kernel."""
+    mx, my = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    return (math.fsum((a - mx) * (b - my) for a, b in zip(xs, ys))
+            / math.fsum((a - mx) ** 2 for a in xs))
+
+
 def _as_coords(sites: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
     coords = np.asarray(sites, dtype=np.int64)
     if coords.ndim == 1:
@@ -543,49 +583,28 @@ def key_strides(widths: Sequence[int]) -> tuple[int, ...] | None:
     return tuple(math.prod(widths[j + 1:]) for j in range(len(widths)))
 
 
-def pack_sites(coords: np.ndarray, margin: int = 0
-               ) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Injectively pack (n, d) int64 coordinates into int64 keys.
+def pack_sites(coords: np.ndarray) -> tuple[np.ndarray, _Layout]:
+    """Injectively pack (n, d) int64 coordinates into int64 keys in
+    [0, 2^62), in the lexicographic order of the sites.
 
-    Returns the keys and the axis strides, key = sum_j (z_j - min_j z_j +
-    margin) stride_j, from :func:`key_strides` at widths spread_j + 1 +
-    2 margin.  ``margin`` widens each axis so that sites shifted by up to
-    ``margin`` in every coordinate share the strides: a lag becomes the
-    key offset sum_j lag_j stride_j.  Where those widths do not fit in 62
-    bits, ``margin`` 0 packs the dense rank of each axis's coordinate
-    instead, with the counts of distinct values as widths; a nonzero
-    ``margin``, or ranks that do not fit either, raise.
+    Returns the keys and their :class:`_Layout`, which carries the strides:
+    key = sum_j (z_j - min_j z_j) stride_j, from :func:`key_strides` at
+    widths spread_j + 1, or, where those do not fit in 62 bits, the same
+    sum over the dense rank of each axis's coordinate, with the counts of
+    distinct values as widths; ranks that do not fit either raise.  A lag
+    moves the keys by :meth:`_Layout.shift`.
     """
-    return _pack_parts([_as_coords(coords)], margin)
-
-
-def _pack_parts(parts: Sequence[np.ndarray], margin: int
-                ) -> tuple[np.ndarray, tuple[int, ...]]:
-    """:func:`pack_sites` of the (n_i, d) arrays ``parts`` as if joined
-    along axis 0, without joining them."""
-    d = parts[0].shape[1]
-    n = sum(len(part) for part in parts)
-    # per axis, the nonempty parts' columns; per column: a min over axis 0
-    # of an (n, d) array is ~20x slower
-    cols = [[part[:, j] for part in parts if len(part)] for j in range(d)]
-    lo = [min(int(c.min()) for c in col) if n else 0 for col in cols]
-    widths = [max(int(c.max()) for c in col) - lo[j] + 1 + 2 * margin
-              if n else 1 for j, col in enumerate(cols)]
-    strides = key_strides(widths)
-    if strides is None and margin == 0:
-        layout = _Layout.ranked([np.unique(np.concatenate(col))
-                                 for col in cols])
-        strides = key_strides(layout.widths)
+    coords = _as_coords(coords)
+    n = coords.shape[0]
+    # per column: a min over axis 0 of an (n, d) array is ~20x slower
+    cols = [coords[:, j] for j in range(coords.shape[1])]
+    lo = [int(c.min()) if n else 0 for c in cols]
+    widths = [int(c.max()) - a + 1 if n else 1 for c, a in zip(cols, lo)]
+    if key_strides(widths) is None:
+        layout = _Layout.ranked([np.unique(c) for c in cols])
     else:
         layout = _Layout(lo, widths)
-    key = np.empty(n, dtype=np.int64)
-    start = 0
-    for part in parts:
-        layout.pack(list(part.T), key[start:start + len(part)])
-        start += len(part)
-    if margin:
-        key += margin * sum(strides)
-    return key, strides
+    return layout.pack(cols, np.empty(n, dtype=np.int64)), layout
 
 
 def sort_keys(key: np.ndarray, out: np.ndarray | None = None
@@ -625,6 +644,15 @@ def run_starts(xs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     first[:1] = True
     np.not_equal(xs[1:], xs[:-1], out=first[1:])
     return first
+
+
+def find_keys(keys: np.ndarray, values: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """(at, hit): each of ``values`` is in the increasing array ``keys``
+    (nonempty unless ``values`` is) iff ``hit``, at row ``at``."""
+    at = np.searchsorted(keys, values)
+    np.minimum(at, keys.size - 1, out=at)
+    return at, keys[at] == values
 
 
 def key_local_times(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -747,9 +775,8 @@ def condition_report(checkpoints: Sequence[tuple[int, int, int, float]]
     if ns[0] < 16:
         raise ValueError("first checkpoint must have n >= 16")
 
-    x = np.array([math.log(math.log(n)) for n, _, _, _ in checkpoints])
-    y = np.array([math.log(n * n / v) for n, _, v, _ in checkpoints])
-    slope = float(np.polyfit(x, y, 1)[0])
+    slope = ls_slope([math.log(math.log(n)) for n, _, _, _ in checkpoints],
+                     [math.log(n * n / v) for n, _, v, _ in checkpoints])
 
     ratios = [m * m / v for _, m, v, _ in checkpoints[-3:]]
     fclt = ratios[0] > ratios[1] > ratios[2] and ratios[2] < 0.1

@@ -1,6 +1,10 @@
 """Fourier-side quantities: occupation kernels, characteristic functions,
 return-probability series and the transient variance prediction.
 
+The lag sums sum_r N(r + lag) N(r) of a quadratic form take one route: the
+sites are packed once (:func:`ledger.pack_sites`) and their keys sorted
+once, and each lag moves the keys' digits (:meth:`ledger._Layout.shift`).
+
 The return-probability series P(Z_k = l), k <= kmax, is exact along one of
 two routes, chosen from the law's atoms:
 
@@ -25,13 +29,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from . import rng, sources
-from .ledger import (LocalTimeLedger, _as_coords, _pack_parts,
-                     key_local_times, key_strides, pack_sites, sort_keys)
+from .ledger import (LocalTimeLedger, find_keys, key_local_times,
+                     key_strides, ls_slope, pack_sites, sort_keys)
 from .sources import RandomWalkSource, StepDistribution, classify
 
 Site = tuple[int, ...]
@@ -61,83 +66,34 @@ def lag_correlation(coords: np.ndarray, counts: np.ndarray,
 
 
 def _lag_correlations(coords, counts, lags) -> list[int]:
-    """:func:`lag_correlation` at each lag: the sites are packed once, with
-    margin max |lag| so that each lag is a key offset, and their keys
-    sorted once by :func:`sort_keys` for :func:`_lag_sums`.  Where the
-    widened axes' product passes 2^62, :func:`_ranked_lag_sums` matches the
-    lags instead.  Lag 0 alone, sum N^2, needs neither the pack nor the
-    sort."""
+    """:func:`lag_correlation` at each lag, from one :func:`pack_sites`
+    and one :func:`sort_keys` of the sites, each moved axis's digits read
+    once for the layout's shifts.  Lag 0 alone, sum N^2, needs neither."""
     lags = [tuple(int(c) for c in lag) for lag in lags]
     counts = np.asarray(counts)
-    margin = _margin(lags)
-    if not margin:
+    if not any(map(any, lags)):
         return _lag_sums(None, counts, lags, None)
-    try:
-        key, strides = pack_sites(coords, margin)
-    except OverflowError:
-        return _ranked_lag_sums(coords, counts, lags)
-    order, key_s = sort_keys(key)
-    return _lag_sums(key_s, counts[order], lags, strides)
+    key, layout = pack_sites(coords)
+    order, keys = sort_keys(key)
+    return _lag_sums(keys, counts[order], lags,
+                     partial(layout.shift, keys, digits={}))
 
 
-def _margin(lags) -> int:
-    return max((abs(c) for lag in lags for c in lag), default=0)
-
-
-def _lag_sums(keys, counts, lags, strides) -> list[int]:
+def _lag_sums(keys, counts, lags, shift) -> list[int]:
     """sum_r N(r + lag) N(r) for each lag, from the distinct sites' keys in
     increasing order and their local times: lag 0 is sum N^2, and any other
-    lag :func:`_matched_sum` of the keys shifted by its offset
-    sum_j lag_j stride_j.  The packing must give every site shifted by a
-    lag its own key, so that a shifted key matches a visited one exactly
-    when the shifted site was visited."""
-    return [_matched_sum(keys, counts,
-                         keys + sum(c * s for c, s in zip(lag, strides)),
-                         counts) if any(lag)
+    lag :func:`_matched_sum` of ``shift(lag)``, whose moved keys must be a
+    site's key exactly when the moved copy is that site."""
+    return [_matched_sum(keys, counts, *shift(lag)) if any(lag)
             else int(np.sum(counts * counts)) for lag in lags]
 
 
-def _matched_sum(keys, counts, shifted, shifted_counts) -> int:
-    """sum N(r) N(r + lag) over the shifted keys (those of r + lag, with
-    N(r) in ``shifted_counts``) that match one of the increasing ``keys``
-    (with N in ``counts``), by one ``searchsorted``."""
-    idx = np.searchsorted(keys, shifted)
-    idx_c = np.clip(idx, 0, keys.size - 1)
-    match = keys[idx_c] == shifted
-    return int(np.sum(shifted_counts[match] * counts[idx_c[match]]))
-
-
-def _ranked_lag_sums(coords, counts, lags) -> list[int]:
-    """:func:`_lag_sums` where no margin-widened packing fits 62 bits: the
-    sites and their copies shifted by each nonzero lag are packed together
-    by :func:`ledger._pack_parts` at margin 0, through its rank route, so a
-    shifted copy has a site's key exactly when it is that site.  A copy
-    that would leave int64 is a site that no int64 trajectory visits, with
-    N = 0, so it is dropped.  The ranks must fit 62 bits."""
-    coords = _as_coords(coords)
-    moved = [lag for lag in lags if any(lag)]
-    shifted = [_shifted(coords, lag) for lag in moved]
-    parts = [coords] + [copy for _, copy in shifted]
-    key = _pack_parts(parts, 0)[0]
-    keys = np.split(key, np.cumsum([len(part) for part in parts])[:-1])
-    order, site_keys = sort_keys(keys[0])  # in place; the copies are left
-    sorted_counts = counts[order]
-    sums = {lag: _matched_sum(site_keys, sorted_counts, copy_keys,
-                              counts[kept])
-            for lag, (kept, _), copy_keys in zip(moved, shifted, keys[1:])}
-    return [sums[lag] if any(lag) else int(np.sum(counts * counts))
-            for lag in lags]
-
-
-def _shifted(coords: np.ndarray, lag) -> tuple[np.ndarray, np.ndarray]:
-    """(kept, coords[kept] + lag), ``kept`` the rows whose shifted copy
-    stays in int64."""
-    info = np.iinfo(np.int64)
-    kept = np.ones(coords.shape[0], dtype=bool)
-    for j, c in enumerate(lag):
-        col = coords[:, j]
-        kept &= (info.min - min(c, 0) <= col) & (col <= info.max - max(c, 0))
-    return kept, coords[kept] + np.array(lag, dtype=np.int64)
+def _matched_sum(keys, counts, kept, moved) -> int:
+    """sum N(r) N(r + lag) over the sites r flagged (or sliced) by ``kept``
+    whose moved keys ``moved``, those of r + lag, match one of the
+    increasing ``keys``, with N in ``counts``."""
+    at, hit = find_keys(keys, moved)
+    return int(np.sum(counts[kept][hit] * counts[at[hit]]))
 
 
 def quadratic_form(ledger: LocalTimeLedger, field) -> float:
@@ -178,22 +134,23 @@ class _WalkForms:
     field lag moves it by at most the margin max |lag|, so
     :func:`ledger.key_strides` at width 2 (n r + margin) + 1 per axis
     packs every site and every shifted site as balanced digits (``route``
-    "keys").  :func:`sources.walk_keys` draws the keys into one work array
-    sized here, which every call overwrites, one sort in
-    :func:`key_local_times` gives the distinct keys and their local times
-    as fresh arrays, and :func:`_lag_sums` the lags.  Where width^d > 2^62
-    (the d = 4 simple walk from n = 23 168 on, at margin 2) the sites are
-    generated and packed by :func:`pack_sites` instead (``route``
-    "sites"), and the same sort and lag sums follow.  Each lag sum is an
-    integer that does not depend on the packing, so both routes give the
-    value of :func:`quadratic_form` bit for bit.
+    "keys"), and a lag is a key offset.  :func:`sources.walk_keys` draws
+    the keys into one work array sized here, which every call overwrites,
+    one sort in :func:`key_local_times` gives the distinct keys and their
+    local times as fresh arrays, and :func:`_lag_sums` the lags.  Where
+    width^d > 2^62 (the d = 4 simple walk from n = 23 168 on, at margin 2)
+    the sites are generated and packed by :func:`pack_sites` instead
+    (``route`` "sites"), and the same sort and layout shifts as
+    :func:`quadratic_form`'s follow.  Each lag sum is an integer that does
+    not depend on the packing, so both routes give the value of
+    :func:`quadratic_form` bit for bit.
     """
 
     def __init__(self, dist: StepDistribution, n: int, field):
         self.dist, self.n, self.field = dist, n, field
         self.lags = _covariance_lags(field, dist.d)
-        self.margin = _margin(self.lags)
-        width = 2 * (n * dist.radius() + self.margin) + 1
+        margin = max((abs(c) for lag in self.lags for c in lag), default=0)
+        width = 2 * (n * dist.radius() + margin) + 1
         self.strides = key_strides([width] * dist.d)
         self.route = "sites" if self.strides is None else "keys"
         self._work = None if self.strides is None else np.empty((2, n))
@@ -201,14 +158,20 @@ class _WalkForms:
     def __call__(self, seed: int) -> float:
         cfg = RandomWalkSource(self.dist, seed)
         if self.strides is None:
-            key, strides = pack_sites(sources.generate(cfg, self.n),
-                                      self.margin)
+            key, layout = pack_sites(sources.generate(cfg, self.n))
+            keys, times = key_local_times(key)
+            shift = partial(layout.shift, keys, digits={})
         else:
-            strides = self.strides
-            key = sources.walk_keys(cfg, self.n, strides, self._work)
-        keys, times = key_local_times(key)
+            keys, times = key_local_times(sources.walk_keys(
+                cfg, self.n, self.strides, self._work))
+            shift = partial(_offset_shift, keys, self.strides)
         return _contract(self.field, self.lags,
-                         _lag_sums(keys, times, self.lags, strides))
+                         _lag_sums(keys, times, self.lags, shift))
+
+
+def _offset_shift(keys, strides, lag) -> tuple[slice, np.ndarray]:
+    """A lag as the key offset sum_j lag_j stride_j, for every site."""
+    return slice(None), keys + sum(c * s for c, s in zip(lag, strides))
 
 
 def psi(dist: StepDistribution, t: Sequence[float]) -> complex:
@@ -272,13 +235,8 @@ def _geometric_fit(p: np.ndarray) -> tuple[int, float, float, int] | None:
         return None
     ks = nz[-10:]
     vals = p[ks]
-    # the least-squares slope of log P_k on k in closed form, each sum
-    # correctly rounded (math.fsum) and each log libm's: no LAPACK call, so
-    # no bit depends on the BLAS kernel
-    x, y = ks.tolist(), [math.log(v) for v in vals.tolist()]
-    mx, my = math.fsum(x) / len(x), math.fsum(y) / len(y)
-    slope = (math.fsum((a - mx) * (b - my) for a, b in zip(x, y))
-             / math.fsum((a - mx) ** 2 for a in x))
+    # each log libm's, so no bit depends on the BLAS kernel
+    slope = ls_slope(ks.tolist(), [math.log(v) for v in vals.tolist()])
     gap = int(round(np.diff(ks).mean()))
     return int(ks[-1]), float(vals[-1]), math.exp(slope), max(gap, 1)
 
@@ -489,20 +447,28 @@ def _axis_probs(dist: StepDistribution, kmax: int,
 def _one_axis_series(kernel: dict[int, float], weight: float, kmax: int,
                      targets: np.ndarray) -> np.ndarray:
     """P(S_m = t) for m = 0..kmax and each target t, S a 1-D walk with step
-    law kernel / weight."""
+    law kernel / weight: each step adds shifted multiples of the last, tap
+    by tap, into a buffer reused across m, and no BLAS dot rounds the sums.
+    The taps go in decreasing offset, the order in which ``np.convolve``
+    summed a kernel of radius up to 5, so those series keep their bits."""
     r = max(abs(o) for o in kernel)
-    kern = np.zeros(2 * r + 1)
-    for o, p in kernel.items():
-        kern[r + o] += p / weight
     width = 2 * kmax * r + 1
+    # each tap's source: the mass at i moves to i + o
+    (first, p0), *rest = [(slice(r - o, r - o + width), p / weight) for o, p
+                          in sorted(kernel.items(), reverse=True) if p]
     inside = np.abs(targets) <= kmax * r
-    idx = np.where(inside, targets + kmax * r, 0)
-    vec = np.zeros(width)
-    vec[kmax * r] = 1.0
+    idx = np.where(inside, targets + (kmax + 1) * r, 0)
+    # the sites -kmax r .. kmax r, with r zeros beside each end, which the
+    # taps read and never write
+    vec, step = np.zeros(width + 2 * r), np.zeros(width + 2 * r)
+    vec[(kmax + 1) * r] = 1.0
     out = np.empty((targets.size, kmax + 1))
-    for m in range(kmax + 1):
-        if m:
-            vec = np.convolve(vec, kern, mode="same")
+    out[:, 0] = vec[idx] * inside
+    for m in range(1, kmax + 1):
+        live = np.multiply(vec[first], p0, out=step[r:r + width])
+        for moved, p in rest:
+            live += p * vec[moved]
+        vec, step = step, vec
         out[:, m] = vec[idx] * inside
     return out
 

@@ -145,8 +145,10 @@ def _has_avx2() -> bool:
 
 # plans whose CSVs once read BLAS or LAPACK: fclt's bridge, the variance
 # report's finite-n mean, the Fourier-grid return series of a law whose
-# atoms move two coordinates, and the geometric tail fit of a law with a
-# drift, whose series_prediction once came from np.polyfit
+# atoms move two coordinates, the geometric tail fit of a law with a
+# drift, whose series_prediction once came from np.polyfit, and the axis
+# series of a law with steps of up to 6 along axis 0, which np.convolve
+# once summed by BLAS's dot
 KERNEL_PLANS = {
     "fclt": PLANS["fclt"], "variance": PLANS["variance"],
     "variance-grid": dict(PLANS["variance"], kmax=30, source={
@@ -157,6 +159,12 @@ KERNEL_PLANS = {
         "variant": "rw", "seed": 1,
         "atoms": [[[1, 0], 0.4], [[-1, 0], 0.2], [[0, 1], 0.2],
                   [[0, -1], 0.2]]}),
+    "variance-wide": dict(PLANS["variance"], kmax=60, source={
+        "variant": "rw", "seed": 1,
+        "atoms": [[[s * k, 0, 0], 1 / 24] for k in range(1, 7)
+                  for s in (1, -1)]
+        + [[[0, s, 0], 1 / 8] for s in (1, -1)]
+        + [[[0, 0, s], 1 / 8] for s in (1, -1)]}),
 }
 
 

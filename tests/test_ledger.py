@@ -345,11 +345,46 @@ def test_key_strides_are_balanced_digits_within_62_bits():
 
 
 @st.composite
+def near_lines(draw):
+    """(xs, ys): 2 to 12 points on distinct integer abscissae of size up to
+    10^6, on a line of slope 0.1 to 10 in size, each ordinate moved off it
+    by at most 10^-4 of the slope."""
+    xs = draw(st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=12,
+                       unique=True))
+    slope = draw(st.floats(0.1, 10)) * draw(st.sampled_from([1, -1]))
+    base = draw(st.floats(-100, 100))
+    noise = draw(st.lists(st.floats(-1e-4, 1e-4), min_size=len(xs),
+                          max_size=len(xs)))
+    return ([float(x) for x in xs],
+            [base + slope * (x + e) for x, e in zip(xs, noise)])
+
+
+@given(near_lines())
+@settings(max_examples=300, deadline=None)
+def test_ls_slope_is_the_exact_slope_within_ten_ulps(case):
+    xs, ys = case
+    x, y = list(map(Fraction, xs)), list(map(Fraction, ys))
+    mx, my = sum(x) / len(x), sum(y) / len(y)
+    dx, dy = [a - mx for a in x], [b - my for b in y]
+    sxy = sum(a * b for a, b in zip(dx, dy))
+    exact = sxy / sum(a * a for a in dx)
+    # each S_xy term is rounded three times (two differences from the
+    # means, a product), each S_xx term twice, each sum once and the
+    # quotient once; the points lie so close to their line that
+    # sum |dx dy| is within 0.1 % of |S_xy|, so these give a relative
+    # error under 8.01 * 2^-53, and the rounded means add under 2^-53:
+    # under 10 * 2^-53 relative, which is under 10 ulps
+    assert (sum(abs(a * b) for a, b in zip(dx, dy))
+            <= Fraction(1001, 1000) * abs(sxy))
+    got = ledger.ls_slope(xs, ys)
+    assert abs(Fraction(got) - exact) <= 10 * math.ulp(float(exact))
+
+
+@st.composite
 def site_sets(draw):
-    """(rows, margin): up to 12 sites of Z^d, d <= 4, with coordinates near
-    0, near the 62-bit edge or at the int64 extremes, so that the direct
-    layout, the rank route (margin 0) and the overflow (margin > 0) all
-    occur."""
+    """(rows, r): up to 12 sites of Z^d, d <= 4, with coordinates near 0,
+    near the 62-bit edge or at the int64 extremes, so that the offset
+    layout and the rank route both occur, and a lag radius r <= 2."""
     d = draw(st.integers(1, 4))
     pool = draw(st.lists(st.one_of(
         st.integers(-3, 3), st.sampled_from([-(1 << 63), (1 << 63) - 1,
@@ -360,42 +395,45 @@ def site_sets(draw):
     return rows, draw(st.integers(0, 2))
 
 
-# widths of 2^20 + 1 (+ 2 margin): 3 x 21 bits, but a product below 2^61;
-# and one axis 2^61 + 3 wide, just inside 2^62
+# widths of 2^20 + 1: 3 x 21 bits, but a product below 2^61; one axis
+# 2^61 + 1 wide, just inside 2^62; and ranks with copies past the int64 ends
 @given(site_sets())
 @example(([(0, 0, 0), (1 << 20, 1 << 20, 1 << 20)], 0))
 @example(([(0, 0, 0), (1 << 20, 1 << 20, 1 << 20), (1, 0, 0)], 1))
 @example(([(0,), (1 << 61,)], 1))
+@example(([(-(1 << 63), 0), ((1 << 63) - 1, 1), ((1 << 63) - 2, 0)], 2))
 @settings(max_examples=150, deadline=None)
 def test_pack_sites_keys_are_exact_and_lags_are_offsets(case):
-    rows, margin = case
+    rows, r = case
     coords = np.array(rows, dtype=np.int64)
     cols = list(zip(*rows))
-    widths = [max(c) - min(c) + 1 + 2 * margin for c in cols]
-    if math.prod(widths) > 1 << 62 and margin:
-        with pytest.raises(OverflowError):
-            pack_sites(coords, margin)
-        return
-    key, strides = pack_sites(coords, margin)
-    if math.prod(widths) <= 1 << 62:
-        assert strides == key_strides(widths)
+    widths = [max(c) - min(c) + 1 for c in cols]
+    key, layout = pack_sites(coords)
+    offsets = math.prod(widths) <= 1 << 62
+    if offsets:
+        assert layout.ranks is None
+        assert layout.strides == key_strides(widths)
     else:  # the dense ranks of each axis
-        assert strides == key_strides([len(set(c)) for c in cols])
+        assert layout.strides == key_strides([len(set(c)) for c in cols])
     assert all(0 <= k < 1 << 62 for k in key.tolist())
-    for (r, k), (s, m) in itertools.combinations(zip(rows, key.tolist()), 2):
-        assert (r == s) == (k == m)
+    for (a, k), (b, m) in itertools.combinations(zip(rows, key.tolist()), 2):
+        assert (a == b) == (k == m)
     want = np.lexsort(coords.T[::-1])
     assert np.array_equal(sort_keys(key.copy())[0], want)
-    # a lag of up to the margin per axis is the key offset
-    # sum_j lag_j stride_j: each shifted site gets one key of its own
-    key_of, site_of = {}, {}
-    for lag in itertools.product(range(-margin, margin + 1), repeat=len(cols)):
-        off = sum(c * s for c, s in zip(lag, strides))
-        for r, k in zip(rows, key.tolist()):
-            site = tuple(a + b for a, b in zip(r, lag))
-            assert 0 <= k + off < 1 << 62
-            assert key_of.setdefault(site, k + off) == k + off
-            assert site_of.setdefault(k + off, site) == site
+    # a lag moves a site onto the layout when every moved coordinate is in
+    # its axis's span (offsets) or among its axis's values (ranks), and the
+    # moved key is a site's exactly when the moved site is that site
+    digits = {}
+    for lag in itertools.product(range(-r, r + 1), repeat=len(cols)):
+        kept, moved = layout.shift(key, lag, digits)
+        copies = [tuple(x + h for x, h in zip(row, lag)) for row in rows]
+        assert kept.tolist() == [
+            all(min(c) <= x <= max(c) if offsets else x in c
+                for x, c in zip(copy, cols)) for copy in copies]
+        assert all(0 <= m < 1 << 62 for m in moved.tolist())
+        for copy, m in zip(itertools.compress(copies, kept), moved.tolist()):
+            for row, k in zip(rows, key.tolist()):
+                assert (m == k) == (copy == row)
 
 
 sorted_arrays = st.one_of(

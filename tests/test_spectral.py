@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from selab import ledger, rng, sources, spectral
 from selab import (LocalTimeLedger, RandomWalkSource, StepDistribution,
@@ -107,8 +107,8 @@ def test_quadratic_form_sorts_the_sites_once(monkeypatch):
 
 
 def test_quadratic_form_packs_keys_that_fit_62_bits():
-    # with margin 1 each axis is B + 3 wide: (B + 3)^3 < 2^61, though the
-    # per-axis bit lengths of B + 2 add up to 63
+    # each axis is B + 1 wide: (B + 1)^3 < 2^61, though the per-axis bit
+    # lengths of B + 1 add up to 63
     big = 1 << 20
     sites = [(0, 0, 0), (big, big, big), (1, 0, 0), (big - 1, big, big)]
     led = LocalTimeLedger.from_trajectory(sites)
@@ -120,9 +120,10 @@ def test_quadratic_form_packs_keys_that_fit_62_bits():
             n * table.get((r[0] + h,) + r[1:], 0) for r, n in table.items())
     assert want == 12.0  # 2 * 4 from lag 0, 2 from each of lags +-1
     assert quadratic_form(led, field) == want
-    # at margin 0 the same sites take the direct layout, not the dense ranks
-    widths = [big + 1] * 3
-    assert ledger.pack_sites(np.array(sites))[1] == ledger.key_strides(widths)
+    # the sites take the offset layout, not the dense ranks
+    layout = ledger.pack_sites(np.array(sites))[1]
+    assert layout.ranks is None
+    assert layout.strides == ledger.key_strides([big + 1] * 3)
 
 
 @st.composite
@@ -441,6 +442,40 @@ TOP = (1 << 63) - 1
     ([[TOP, 0], [0, -TOP - 1], [TOP - 1, 0], [0, -TOP]], [1, 2, 3, 4],
      (0, -1))])
 def test_lag_correlation_drops_copies_past_the_int64_ends(sites, counts, lag):
+    assert lag_correlation(sites, counts, lag) == _dict_lag_correlation(
+        sites, counts, lag)
+
+
+@st.composite
+def lagged_site_sets(draw):
+    """(sites, counts, lag): up to 10 distinct sites of Z^d, d <= 4, with
+    coordinates near 0, near the 62-bit edge or at the int64 ends, so that
+    both layouts occur, and a lag on any axes, small, past 2^63 or wider
+    than every axis (2^64)."""
+    d = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.one_of(
+        st.integers(-3, 3), st.sampled_from([-TOP - 1, -TOP, TOP, TOP - 1,
+                                             1 << 62, 1 << 61])),
+        min_size=1, max_size=4))
+    sites = draw(st.lists(st.tuples(*[st.sampled_from(pool)] * d),
+                          min_size=1, max_size=10, unique=True))
+    counts = draw(st.lists(st.integers(1, 9), min_size=len(sites),
+                           max_size=len(sites)))
+    lag = draw(st.tuples(*[st.one_of(
+        st.integers(-3, 3), st.sampled_from([TOP, -TOP - 1, 2 * TOP + 1,
+                                             -2 * TOP - 1, 1 << 64]))] * d))
+    return sites, counts, lag
+
+
+# ranks on both axes, moved along the second, by 2^64 - 1 (an int64 end
+# to the other) and by 2^64, past every axis
+@given(lagged_site_sets())
+@example(([(0, -TOP - 1), (0, TOP), (1, 0)], [2, 3, 5], (0, 2 * TOP + 1)))
+@example(([(0, -TOP - 1), (0, TOP), (1, 0)], [2, 3, 5], (0, 1 << 64)))
+@example(([(0, -TOP - 1), (1, TOP), (1, 0)], [2, 3, 5], (1, 2 * TOP + 1)))
+@settings(max_examples=200, deadline=None)
+def test_lag_correlation_moves_every_axis_under_both_layouts(case):
+    sites, counts, lag = case
     assert lag_correlation(sites, counts, lag) == _dict_lag_correlation(
         sites, counts, lag)
 
