@@ -463,13 +463,14 @@ def _one_axis_series(kernel: dict[int, float], weight: float, kmax: int,
     vec, step = np.zeros(width + 2 * r), np.zeros(width + 2 * r)
     vec[(kmax + 1) * r] = 1.0
     out = np.empty((targets.size, kmax + 1))
-    out[:, 0] = vec[idx] * inside
+    out[:, 0] = vec[idx]
     for m in range(1, kmax + 1):
         live = np.multiply(vec[first], p0, out=step[r:r + width])
         for moved, p in rest:
             live += p * vec[moved]
         vec, step = step, vec
-        out[:, m] = vec[idx] * inside
+        out[:, m] = vec[idx]
+    out[~inside] = 0.0
     return out
 
 
