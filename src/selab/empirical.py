@@ -9,26 +9,21 @@ The associated bridge uses sqrt(V_n) normalization,
 whose covariance over field randomness, for a fixed trajectory, is exactly
 F(min(s, t)) - F(s) F(t).
 
-Replicates (field seeds) go through one batched path, :class:`SampledEcdfs`:
-built once over nested checkpoint ledgers, it holds the sites' seed-free
-hash words (:class:`rng.Sites`, grouped by their first d - 1 coordinates)
-and the local times, but no ledger, and each seed then finishes the hash:
-d - 1 mixer passes over the distinct prefixes, one gather and 2 passes
-over the sites on Z^d.  For an i.i.d. field, whose value at a site is
-``quantile(u)`` of the site's one uniform u, each ledger sorts one uint64
-key per site: u's 53 bits above the local time's 11, saturated at 0x7FF,
-whose sites take their true local times after the sort.  The quantile of
-the sorted uniforms is nondecreasing up to rounding (see :mod:`fields`);
-where it is not, one stable sort of the values repairs the order.  A field
-without ``quantile`` (the moving average) sorts its values once, and the
-earlier ledgers restrict that order to their prefix of the sites.  Either
-way equal values merge into one atom.  A seed's ECDFs take no temporary
-as long as the sites beside their outputs: the largest ledger's values and
-weights go into two arrays that the object sizes once and every seed
-reuses, and the order checks and :func:`sup_deviation` run in pieces.  The ``gc`` runner
-and :func:`mc_fclt` map one object over their seeds, reading each seed's
-ECDFs before the next, and :func:`mc_fclt` reads its bridge
-n (F_n - F) / sqrt(V_n) off the ECDF it takes the sup of;
+Every ECDF here is on the probability scale.  An i.i.d. field with a
+continuous law F takes the value q(u) at a site with uniform u, and q(u) <=
+s exactly when u <= F(s): so F_n(s) = G_n(F(s)) for the local-time-weighted
+ECDF G_n of the uniforms, the field's ECDF, whose build and sup evaluate
+neither q nor F.  The moving average's is the ECDF of F(X).  A discrete
+law's holds every atom a, in value order, at F(a).
+
+Replicates (field seeds) go through one batched path, :class:`SampledEcdfs`,
+built once over nested checkpoint ledgers: per seed and ledger, a continuous
+i.i.d. law sorts one uint64 key per site (its uniform above its local time),
+a discrete law sums the local times per atom by one weighted ``bincount``,
+and the moving average restricts one sort of its F(X); equal values merge
+into one atom.  The ``gc`` runner and :func:`mc_fclt` map one object over
+their seeds, and :func:`mc_fclt` reads its bridge n (G_n(F(s)) - F(s)) /
+sqrt(V_n) off the ECDF it takes the sup of;
 :func:`sampled_ecdf` is the one-seed, one-ledger call.
 """
 
@@ -41,23 +36,24 @@ from typing import Sequence
 import numpy as np
 
 from . import rng, sources
+from .fields import DiscreteField
 from .ledger import LocalTimeLedger, feed, run_starts
 
 
 @dataclass(frozen=True)
 class WeightedEcdf:
-    """Right-continuous step cdf with atoms at ``values`` (sorted unique)."""
+    """Right-continuous step cdf with atoms at ``values``, some of weight 0."""
 
-    values: np.ndarray   # strictly increasing
-    weights: np.ndarray  # positive, summing to 1
+    values: np.ndarray   # nondecreasing
+    weights: np.ndarray  # nonnegative, summing to 1
 
     def __post_init__(self):
         if self.values.shape != self.weights.shape or self.values.ndim != 1:
             raise ValueError("values and weights must be 1-d of equal length")
-        if np.any(np.diff(self.values) <= 0):
-            raise ValueError("values must be strictly increasing")
-        if np.any(self.weights <= 0) or abs(self.weights.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must be positive and sum to 1")
+        if np.any(np.diff(self.values) < 0):
+            raise ValueError("values must be nondecreasing")
+        if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-9:
+            raise ValueError("weights must be nonnegative and sum to 1")
 
     def cumulative(self) -> np.ndarray:
         return np.cumsum(self.weights)
@@ -85,15 +81,12 @@ class SampledEcdfs:
     """Per field seed, the sampled ECDF at each of nested checkpoint ledgers.
 
     ``ledgers`` are snapshots of one trajectory, in increasing n, so each
-    one's sites are a prefix of the last one's (first-visit order).  What
-    every seed shares is built once, here: the prefix check, the sites'
-    seed-free hash words (:class:`rng.Sites`), each ledger's n, local times
-    and local times packed into 11 bits, and, for an i.i.d. field, the
-    hash words and the counts of the largest ledger, two arrays of its size
-    that every call reuses.  The object keeps no ledger and, for an i.i.d.
-    field, no site coordinates: once the words are built, a caller that
-    drops its ledgers frees their sites.  The moving average, which hashes
-    shifted coordinates per seed, keeps them in its :class:`rng.Sites`.
+    one's sites are a prefix of the last one's (first-visit order).  Built
+    once: the prefix check, the sites' seed-free hash words, each ledger's
+    n and local times (also packed into 11 bits), a discrete law's atoms in
+    value order with F at each, and for an i.i.d. field two arrays of the
+    largest ledger's size.  The object keeps no ledger, and site
+    coordinates only for the moving average, which hashes shifted ones.
     """
 
     def __init__(self, field, ledgers: Sequence[LocalTimeLedger]):
@@ -104,9 +97,6 @@ class SampledEcdfs:
                              "prefix of the last one's")
         self.field = field
         self.sites = rng.Sites(coords)  # the seed-free hash words
-        self._quantile = getattr(field, "quantile", None)
-        if self._quantile is None:
-            self.sites.coords = coords
         # per ledger: n, the local times, the saturated local times written
         # straight into uint16, and the saturated sites
         self._ledgers = []
@@ -116,27 +106,41 @@ class SampledEcdfs:
                              out=np.empty(times.size, dtype=np.uint16))
             self._ledgers.append((led.n, times, low,
                                   np.flatnonzero(times >= _SATURATED)))
-        if self._quantile is not None:
-            k = coords.shape[0]
-            self._words = np.empty(k, dtype=np.uint64)
-            self._counts = np.empty(k, dtype=np.int64)
+        self._atoms = None
+        if isinstance(field, DiscreteField):  # value order, sorted in Python
+            order = sorted(range(len(field.atoms)), key=field.atoms.__getitem__)
+            self._atoms = np.array(order), field.cdf(
+                [field.atoms[i][0] for i in order])
+        if not hasattr(field, "quantile"):  # the moving average
+            self.sites.coords = coords
+        else:
+            self._words = np.empty(coords.shape[0], dtype=np.uint64)
+            self._counts = np.empty(coords.shape[0], dtype=np.int64)
 
     def __call__(self, seed: int) -> list[WeightedEcdf]:
         """The ECDFs of the field under ``seed``, one per ledger.
 
-        An i.i.d. field's value at a site is quantile(u), and u is the top
-        53 bits of the site's hash word h.  Per ledger the key
-        (h & ~0x7FF) | min(local time, 0x7FF) is sorted: its high bits
-        sort the uniforms and its low bits carry the weights along, with
-        no argsort and no gather.  The last ledger sorts in place in the
-        hash array, which then holds its values, and its weights go into
-        the counts array: both are this object's, so the next call
-        overwrites the last ECDF of this one.  Other fields sort their
-        values (:meth:`from_values`).
+        A site's uniform is the top 53 bits of its hash word h.  For a
+        continuous law, per ledger the key (h & ~0x7FF) | min(local time,
+        0x7FF) is sorted: its high bits sort the uniforms and its low bits
+        carry the weights along, with no argsort and no gather.  The last
+        ledger sorts in place in the hash array and counts into the counts
+        array, both this object's, so the next call overwrites the last
+        ECDF of this one.  A discrete law sums local times per atom by a
+        weighted ``bincount`` of the atom indices (exact integers in
+        float64), and the moving average sorts F(X) (:meth:`from_values`).
         """
-        if self._quantile is None:
-            return self.from_values(self.field.site_values(seed, self.sites))
+        if self.sites.coords is not None:
+            return self.from_values(self.field.cdf(
+                self.field.site_values(seed, self.sites)))
         h = rng.hash_sites(seed, self.sites, self._words)
+        if self._atoms is not None:
+            order, f = self._atoms
+            idx = self.field.inverse_cdf(rng.word_uniforms(
+                h, out=h.view(np.float64)))
+            return [WeightedEcdf(f, np.bincount(
+                idx[:times.size], weights=times, minlength=order.size)[order]
+                / n) for n, times, _, _ in self._ledgers]
         ecdfs = []
         for i, (n, times, low, big) in enumerate(self._ledgers):
             last = i == len(self._ledgers) - 1  # the largest: it takes h
@@ -150,8 +154,8 @@ class SampledEcdfs:
                    low: np.ndarray, big: np.ndarray,
                    counts: np.ndarray | None) -> WeightedEcdf:
         """The ECDF of n steps from the keys, sorted in place: the counts
-        go into one int64 array, ``counts`` if given, and the uniforms,
-        then the values, over the keys."""
+        go into one int64 array, ``counts`` if given, and the uniforms
+        over the keys."""
         key |= low
         if big.size:  # local times of 2047 or more
             big_times = times[big][np.argsort(key[big])]
@@ -161,19 +165,15 @@ class SampledEcdfs:
                             counts.view(np.uint64)).view(np.int64)
         if big.size:
             # in key order, as the sorted keys hold them; sites with equal
-            # keys have equal values, so the merge sums them in any order
+            # keys have equal uniforms, so the merge sums them in any order
             cs[cs == _SATURATED] = big_times
-        xs = self._quantile(rng.word_uniforms(key, out=key.view(np.float64)))
-        if _any_pair(np.less, xs):  # the quantile is not monotone here
-            # stable sort (timsort): on nearly sorted values about one pass
-            order = np.argsort(xs, kind="stable")
-            xs, cs = xs[order], cs[order]
-        return _merged_ecdf(xs, cs, n)
+        return _merged_ecdf(rng.word_uniforms(key, out=key.view(np.float64)),
+                            cs, n)
 
     def from_values(self, x: np.ndarray) -> list[WeightedEcdf]:
-        """The ECDFs of the field values ``x`` at the last ledger's sites:
-        one argsort, and each earlier ledger takes the order restricted to
-        its prefix of the sites."""
+        """The ECDFs of the probability-scale values ``x`` at the last
+        ledger's sites: one argsort, and each earlier ledger takes the
+        order restricted to its prefix of the sites."""
         order = np.argsort(x)
         ecdfs = []
         for n, times, _, _ in self._ledgers:
@@ -199,10 +199,10 @@ def _is_prefix(sites: np.ndarray, coords: np.ndarray) -> bool:
             or np.array_equal(sites, head))
 
 
-def _any_pair(op, xs: np.ndarray) -> bool:
-    """Whether op(xs[i + 1], xs[i]) holds for some i, in ``_PIECE``-entry
-    pieces, so that no temporary is as long as xs."""
-    return any(op(w[1:], w[:-1]).any() for w in (
+def _any_tie(xs: np.ndarray) -> bool:
+    """Whether xs[i + 1] == xs[i] for some i, in ``_PIECE``-entry pieces,
+    so that no temporary is as long as xs."""
+    return any(np.equal(w[1:], w[:-1]).any() for w in (
         xs[a:a + _PIECE + 1] for a in range(0, xs.size - 1, _PIECE)))
 
 
@@ -210,7 +210,7 @@ def _merged_ecdf(xs: np.ndarray, cs: np.ndarray, n: int) -> WeightedEcdf:
     """The ECDF with weight cs[i] / n at xs[i], for nondecreasing xs and
     int64 weights cs, which the weights overwrite.  Equal values merge into
     one atom, whose integer weights sum exactly in any order."""
-    if _any_pair(np.equal, xs):
+    if _any_tie(xs):
         starts = np.flatnonzero(run_starts(xs))
         xs, cs = xs[starts], np.add.reduceat(cs, starts)
     ecdf = object.__new__(WeightedEcdf)  # valid by construction: no checks
@@ -221,31 +221,29 @@ def _merged_ecdf(xs: np.ndarray, cs: np.ndarray, n: int) -> WeightedEcdf:
 
 
 def sup_deviation(ecdf: WeightedEcdf, field) -> float:
-    """Exact sup_s |F_n(s) - F(s)|, evaluated at the empirical jump points.
-
-    On [v_i, v_{i+1}) between consecutive jumps F_n is flat and F
-    nondecreasing, so the supremum is the larger of F_n(v_i) - F(v_i) and
-    F(v_{i+1}-) - F_n(v_i): it is max over jumps v of max(F_n(v) - F(v),
-    F(v-) - F_n(v-)).  F(v-) is F(v) unless the law has an atom at v.
+    """Exact sup_s |F_n(s) - F(s)|, read off the ECDF on the probability
+    scale with no cdf call.  A discrete law's F_n and F are flat between
+    its atoms: the sup is the max over them of |F_n(a) - F(a)|.  A
+    continuous law's is sup_u |G_n(u) - u|; on [u_i, u_{i+1}) G_n is flat,
+    so it is max over jumps u of max(G_n(u) - u, u - G_n(u-)).
 
     The jumps are swept in ``_PIECE``-entry pieces, so that no temporary
     is as long as the ECDF.  Each piece's cumulative sum starts from the
-    last sum before it, added to the piece's first weight, so every F_n(v)
+    last sum before it, added to the piece's first weight, so every G_n(u)
     is the same float as that of one cumulative sum over all the weights:
     ``np.cumsum`` adds in order.
     """
-    sup, before = -np.inf, 0.0  # F_n(v-) at the piece's first jump
+    if isinstance(field, DiscreteField):
+        return float(np.abs(ecdf.cumulative() - ecdf.values).max())
+    sup, before = -np.inf, 0.0  # G_n(u-) at the piece's first jump
     for a in range(0, ecdf.values.size, _PIECE):
         cum = ecdf.weights[a:a + _PIECE].copy()
         cum[0] += before
         np.cumsum(cum, out=cum)
-        f = field.cdf(ecdf.values[a:a + _PIECE])
-        left = field.cdf_left(ecdf.values[a:a + _PIECE])
-        left = f if left is None else left
-        # F(v-) - F_n(v-), with F_n(v-) the sum before each jump
-        below = max(left[0] - before, (left[1:] - cum[:-1]).max(
-            initial=-np.inf))
-        sup = max(sup, below, (cum - f).max())
+        u = ecdf.values[a:a + _PIECE]
+        # u - G_n(u-), with G_n(u-) the sum before each jump
+        below = max(u[0] - before, (u[1:] - cum[:-1]).max(initial=-np.inf))
+        sup = max(sup, below, (cum - u).max())
         before = float(cum[-1])
     return float(sup)
 
@@ -253,15 +251,15 @@ def sup_deviation(ecdf: WeightedEcdf, field) -> float:
 def bridge_values(field, field_seed: int, ledger: LocalTimeLedger,
                   grid: Sequence[float]) -> np.ndarray:
     """Y_n on the grid for one field realization over the fixed ledger."""
-    grid = np.asarray(grid, dtype=np.float64)
-    return _bridge(sampled_ecdf(field, field_seed, ledger), ledger, grid,
-                   field.cdf(grid))
+    return _bridge(sampled_ecdf(field, field_seed, ledger), ledger,
+                   field.cdf(np.asarray(grid, dtype=np.float64)))
 
 
-def _bridge(ecdf: WeightedEcdf, ledger: LocalTimeLedger, grid: np.ndarray,
+def _bridge(ecdf: WeightedEcdf, ledger: LocalTimeLedger,
             f: np.ndarray) -> np.ndarray:
-    """Y_n = n (F_n - F) / sqrt(V_n), in the sup's order of operations."""
-    return (ecdf(grid) - f) * ledger.n / math.sqrt(ledger.self_intersections)
+    """Y_n = n (G_n(F) - F) / sqrt(V_n) at the grid's cdf values f, in the
+    sup's order of operations."""
+    return (ecdf(f) - f) * ledger.n / math.sqrt(ledger.self_intersections)
 
 
 def ledger_covariance(field, ledger: LocalTimeLedger,
@@ -317,7 +315,7 @@ def mc_fclt(field, source_config, n: int, grid: Sequence[float],
         ecdfs = SampledEcdfs(field, [led])
         for seed in batch:
             ecdf, = ecdfs(seed)
-            ys.append(_bridge(ecdf, led, grid, f))
+            ys.append(_bridge(ecdf, led, f))
             dev = sup_deviation(ecdf, field)
             sups.append(dev * led.n / math.sqrt(led.self_intersections))
     ys, sups = np.array(ys), np.array(sups)

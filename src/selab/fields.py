@@ -3,21 +3,17 @@
 A field assigns one real value to every site of Z^d as a pure function of
 (spec, seed, site): values are computed lazily from a site-keyed hash, so a
 trajectory can sample the field anywhere without materializing a box, and
-revisits always see the same value.  Each law gives ``cdf``, and
-``cdf_left`` its left limit F(s-): that differs from F(s) only at the atoms
-of a discrete law, and a continuous law returns ``None`` for it.
+revisits always see the same value.  Each law gives its ``cdf``.
 
 An i.i.d. field also gives ``quantile(u)``, and its value at a site is
-``quantile(rng.site_uniforms(seed, site))``: one uniform per site.  The
-quantile is nondecreasing in u up to rounding, not exactly: ``ndtri`` is
-not monotone at float resolution, and a discrete law keeps its atoms in
-the order given.  A caller that sorts sites by u (``empirical``) checks the
-values it gets for order and repairs them with one stable sort.  The
-moving-average field mixes several uniforms per site, so it has no
-``quantile`` and gives ``site_values`` itself.
+``quantile(rng.site_uniforms(seed, site))``: one uniform per site.  Only
+value draws call the quantile; the ECDFs of :mod:`empirical` read the
+uniforms.  The moving-average field mixes several uniforms per site, so it
+has no ``quantile`` and gives ``site_values`` itself.
 
 Gaussian values and cdfs come from ``scipy.special`` (``ndtri``, ``ndtr``),
-imported where they are evaluated: importing the package loads no scipy.
+imported where they are evaluated: importing the package, or the ECDF of an
+i.i.d. field, loads no scipy.
 """
 
 from __future__ import annotations
@@ -34,14 +30,11 @@ from .ledger import _as_coords
 
 
 class _Field:
-    """Defaults for a continuous law, i.i.d. over sites; a subclass gives
+    """Defaults for a law i.i.d. over sites; a subclass gives
     ``quantile`` (or ``site_values``), ``cdf`` and ``variance``."""
 
     def site_values(self, seed: int, sites) -> np.ndarray:
         return self.quantile(rng.site_uniforms(seed, sites))
-
-    def cdf_left(self, s) -> np.ndarray | None:
-        return None  # continuous: F(s-) = F(s)
 
     def covariance(self, lag: Sequence[int]) -> float:
         return self.variance if all(c == 0 for c in lag) else 0.0
@@ -123,10 +116,6 @@ class DiscreteField(_Field):
             out = out + p * (s >= v)
         return out
 
-    def cdf_left(self, s) -> np.ndarray:
-        # the atoms are floats: v < s exactly when v <= the float below s
-        return self.cdf(np.nextafter(np.asarray(s, dtype=np.float64), -np.inf))
-
     @property
     def mean(self) -> float:
         return sum(v * p for v, p in self.atoms)
@@ -169,26 +158,24 @@ class MovingAverageField(_Field):
         return len(self.weights) - 1
 
     def site_values(self, seed: int, sites) -> np.ndarray:
-        from scipy.special import ndtri
         coords = (sites.coords if isinstance(sites, rng.Sites)
                   else _as_coords(sites))
         inner = rng.derive(seed, "innovations")
+        xi = GaussianField(0.0, self.sigma)  # the innovations' law
         out = np.zeros(coords.shape[0])
         shifted = coords.copy()
         for j, w in enumerate(self.weights):
             shifted[:, 0] = coords[:, 0] + j
-            u = np.clip(rng.site_uniforms(inner, shifted if j else sites),
-                        2.0**-53, 1.0 - 2.0**-53)
-            out += w * (self.sigma * ndtri(u))
+            out += w * xi.quantile(rng.site_uniforms(inner, shifted if j
+                                                     else sites))
         return out
 
     @property
     def variance(self) -> float:
         return self.sigma**2 * sum(w * w for w in self.weights)
 
-    def cdf(self, s) -> np.ndarray:
-        from scipy.special import ndtr
-        return ndtr(np.asarray(s, dtype=np.float64) / math.sqrt(self.variance))
+    def cdf(self, s) -> np.ndarray:  # the marginal's
+        return GaussianField(0.0, math.sqrt(self.variance)).cdf(s)
 
     def covariance(self, lag: Sequence[int]) -> float:
         lag = tuple(int(c) for c in lag)

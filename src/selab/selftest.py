@@ -69,16 +69,23 @@ def cocycle_by_steps(rc, n: int) -> tuple[list[int], int]:
 def ecdf_from_scratch(field, seed: int, coords):
     """(atoms, F_n at them, sup |F_n - F|, V_n) along coords: ``np.unique``
     local times, a stable sort of the site values, ``bincount`` atoms, and
-    the sup of F_n(v) - F(v) and F(v-) - F_n(v-) over the jumps v."""
+    the sup of F_n(v) - F(v) and F(v-) - F_n(v-) over the jumps v.  A
+    continuous law's values are its sites' uniforms u, whose cdf is the
+    identity (q(u) <= s exactly when u <= F(s), so F_n(s) = G_n(F(s))), or
+    the moving average's F(X); a discrete law's F(v-) is F(float below v)."""
     sites, counts = np.unique(coords, axis=0, return_counts=True)
-    x = field.site_values(seed, sites)
+    discrete = isinstance(field, DiscreteField)
+    x = (field.site_values(seed, sites) if discrete
+         else field.cdf(field.site_values(seed, sites))
+         if isinstance(field, MovingAverageField)
+         else rng.site_uniforms(seed, sites))
     order = np.argsort(x, kind="stable")
     xs, cs = x[order], counts[order]
     new = np.concatenate([[True], xs[1:] != xs[:-1]])
     cum = np.cumsum(np.bincount(np.cumsum(new) - 1, weights=cs) / len(coords))
     values, below = xs[new], np.concatenate([[0.0], cum[:-1]])
-    f, left = field.cdf(values), field.cdf_left(values)
-    left = f if left is None else left
+    f, left = ((field.cdf(values), field.cdf(np.nextafter(values, -np.inf)))
+               if discrete else (values, values))
     sup = float(np.maximum(cum - f, left - below).max())
     return values, cum, sup, int(counts @ counts)
 
@@ -226,6 +233,7 @@ def fclt_replicates(field, src, n: int, grid, replicates: int,
     res = empirical.mc_fclt(field, src, n, grid, replicates, seed_base,
                             quenched=quenched)
     grid, coords = np.asarray(grid, dtype=np.float64), sources.generate(src, n)
+    at = grid if isinstance(field, DiscreteField) else field.cdf(grid)
     ys, sups = [], []
     for rep in range(replicates):
         if not quenched:
@@ -233,7 +241,7 @@ def fclt_replicates(field, src, n: int, grid, replicates: int,
                 src, seed=rng.derive(seed_base, "trajectory", rep)), n)
         values, cum, sup, v = ecdf_from_scratch(
             field, rng.derive(seed_base, "field", rep), coords)
-        fn = np.append(0.0, cum)[np.searchsorted(values, grid, "right")]
+        fn = np.append(0.0, cum)[np.searchsorted(values, at, "right")]
         ys.append((fn - field.cdf(grid)) * n / math.sqrt(v))
         sups.append(sup * n / math.sqrt(v))
     ys, mean = np.array(ys), np.mean(ys, axis=0)
@@ -299,14 +307,14 @@ def run() -> dict:
     held = np.concatenate([traj[:400], np.repeat(traj[399:400], 2600, 0)])
     iid = (UniformField(), DiscreteField([(0, 0.5), (1, 0.2), (2, 0.3)]))
     lagged = (GaussianField(), MovingAverageField([1, .5, .25]))
-    # a discrete law listed in decreasing order: the key sort must repair it
+    # a discrete law listed in decreasing order, not in its value order
     fields = iid + lagged + (DiscreteField([(2, 0.3), (1, 0.2), (0, 0.5)]),)
     res["field_batches"] = (
         np.unique(held, axis=0, return_counts=True)[1].max() >= 2047
         and all(gc_rows(walk, field, [30, 300, 3000], 7, 5) for field in fields
                 for walk in (src, sources.ExplicitSource(held.tolist())))
         and all(fclt_replicates(field, src, 3000, [.5, 1.], 100, 5)
-                for field in iid))
+                for field in (*iid, GaussianField())))
     window = sources.WindowFunctional([(0, .2), (1, 0.), (2, .5), (3, .3)], 1,
                                       {(a,): (a,) for a in range(4)}, 0)
     # two clustered tiny atoms, the values out of order

@@ -420,7 +420,8 @@ def _axis_probs(dist: StepDistribution, kmax: int,
     law mu_j; the zero atom counts as a lazy step on axis 0.  Each axis
     gives the 1-D series a_j(m) = P_{mu_j}(S_m = l_j) by direct
     convolution, and axes merge two at a time: with q = W_A / (W_A + W_B),
-    c(k) = sum_m C(k, m) q^m (1 - q)^(k - m) a(m) b(k - m).
+    c(k) = sum_m C(k, m) q^m (1 - q)^(k - m) a(m) b(k - m).  Axes of one
+    law share one series.
     """
     d = dist.d
     lags = np.array(want, dtype=np.int64)
@@ -430,15 +431,18 @@ def _axis_probs(dist: StepDistribution, kmax: int,
         j = next((i for i, c in enumerate(a) if c != 0), 0)
         weights[j] += p
         kernels[j][a[j]] = kernels[j].get(a[j], 0.0) + p
+    laws = {}  # (kernel, weight) -> the axes that move by it
+    for j in np.flatnonzero(weights):  # the walk never moves along the rest
+        laws.setdefault((tuple(sorted(kernels[j].items())), weights[j]),
+                        []).append(j)
+    rows = {}
+    for (kernel, weight), axes in laws.items():
+        rows.update(zip(axes, np.split(_one_axis_series(
+            dict(kernel), weight, kmax, lags[:, axes].T.ravel()), len(axes))))
     out, w_out = None, 0.0
-    for j in range(d):
-        if weights[j] == 0.0:
-            continue  # the walk never moves along axis j
-        series = _one_axis_series(kernels[j], weights[j], kmax, lags[:, j])
-        if out is None:
-            out = series
-        else:
-            out = _binomial_merge(out, series, w_out / (w_out + weights[j]))
+    for j, series in sorted(rows.items()):
+        out = series if out is None else _binomial_merge(
+            out, series, w_out / (w_out + weights[j]))
         w_out += weights[j]
     still = weights == 0.0
     return out * np.all(lags[:, still] == 0, axis=1)[:, None]

@@ -752,8 +752,9 @@ def test_selftest_passes():
 
 
 def _sup_without_the_left_gap(ecdf, field):
-    """``empirical.sup_deviation`` with its F(v-) - F_n(v-) term dropped."""
-    return float(np.max(ecdf.cumulative() - field.cdf(ecdf.values)))
+    """``empirical.sup_deviation`` with its u_i - G_n(u_{i-1}) term
+    dropped: the largest G_n(u) - u over the probability-scale jumps."""
+    return float(np.max(ecdf.cumulative() - ecdf.values))
 
 
 def test_selftest_fails_when_the_sup_drops_its_left_gap(monkeypatch,
@@ -804,6 +805,23 @@ def test_importing_the_cli_loads_no_scipy():
     out = _fresh_python("import sys, selab.cli; print(sorted(m for m in "
                         "sys.modules if m.split('.')[0] == 'scipy'))")
     assert out.strip() == "[]"
+
+
+def test_gc_on_a_gaussian_field_loads_no_scipy(tmp_path):
+    # the ECDF and sup of an i.i.d. field read its sites' uniforms: no
+    # quantile or cdf of the law, and so no scipy.special, is evaluated
+    plan = json.dumps({"experiment": "gc", "source": {"variant": "rw",
+                                                      "simple": 2, "seed": 3},
+                       "field": {"variant": "gaussian", "mu": 1.0,
+                                 "sigma": 2.0},
+                       "n": 500, "checkpoints": [50, 500], "replicates": 3,
+                       "seed_base": 1})
+    out = _fresh_python(
+        "import pathlib, sys\nfrom selab import cli\n"
+        f"cli.run_plan(cli.parse_plan({plan!r}), pathlib.Path({str(tmp_path)!r}))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out.strip() == "[]"
+    assert (tmp_path / "gc.csv").read_text().count("\n") == 7
 
 
 def test_importing_the_cli_leaves_the_selftest_unloaded():

@@ -44,7 +44,8 @@ def test_sampled_ecdf_weights_are_local_time_fractions():
     field = DiscreteField([(0.0, 0.5), (1.0, 0.5)])
     e = sampled_ecdf(field, 99, led)
     assert e.weights.sum() == pytest.approx(1.0)
-    x = field.site_values(99, np.array([[0], [1], [2]]))
+    # on the probability scale: the ECDF holds atom v of the law at F(v)
+    x = field.cdf(field.site_values(99, np.array([[0], [1], [2]])))
     # site 0 carries weight 1/2, the others 1/4
     for v, w in zip(e.values, e.weights):
         expect = sum({0: 0.5, 1: 0.25, 2: 0.25}[s] for s in range(3)
@@ -225,17 +226,48 @@ def test_sampled_ecdfs_builds_the_words_once(monkeypatch):
                    for s in seeds]
 
 
+def probability_values(field, seed, sites):
+    """The field's values at the sites on the probability scale of its
+    ECDF: the sites' uniforms, or F(X) for the moving average."""
+    if isinstance(field, MovingAverageField):
+        return field.cdf(field.site_values(seed, sites))
+    return rng.site_uniforms(seed, sites)
+
+
+def one_site_sup(field, seed, site):
+    """sup |F_n - F| when F_n jumps from 0 to 1 at the site's value v:
+    max(1 - F(v), F(v-)), F(v-) = F(v) but for a discrete law, where it is
+    F of the float below v."""
+    if isinstance(field, DiscreteField):
+        v = field.site_values(seed, np.array([site]))
+        return max(1.0 - field.cdf(v)[0],
+                   field.cdf(np.nextafter(v, -np.inf))[0])
+    u = probability_values(field, seed, np.array([site]))[0]
+    return max(1.0 - u, u)
+
+
 @pytest.mark.parametrize("field", ORACLE_FIELDS)
 def test_one_atom_ecdf_sup_is_exact(field):
     # one site: F_n jumps from 0 to 1 at its value v, so the sup is
     # max(1 - F(v), F(v-)) exactly
     for led in (make_ledger([(4, -2)]), make_ledger([(4, -2)] * 5)):
         e = sampled_ecdf(field, 17, led)
-        assert e.weights.tolist() == [1.0]
-        f = field.cdf(e.values)[0]
-        left = field.cdf_left(e.values)
-        assert sup_deviation(e, field) == max(
-            1.0 - f, f if left is None else left[0])
+        assert e.weights.max() == e.weights.sum() == 1.0
+        assert sup_deviation(e, field) == one_site_sup(field, 17, (4, -2))
+
+
+@pytest.mark.parametrize("atoms", [[(0.0, 0.6), (1.0, 0.4)],
+                                   [(1.0, 0.4), (0.0, 0.6)]])
+def test_discrete_sup_reads_the_atoms_no_site_drew(atoms):
+    # a site that draws the atom at 1 leaves F_n(0) = 0 against F(0) = 0.6:
+    # the sup sits at an atom of no weight
+    field, drew = DiscreteField(atoms), set()
+    for seed in range(40):
+        led = make_ledger([(seed, 0)] * 3)
+        drew.add(float(field.site_values(seed, np.array([[seed, 0]]))[0]))
+        assert sup_deviation(sampled_ecdf(field, seed, led), field) == \
+            one_site_sup(field, seed, (seed, 0))
+    assert drew == {0.0, 1.0}
 
 
 @settings(max_examples=12, deadline=None)
@@ -247,6 +279,47 @@ def test_batched_fclt_matches_per_replicate_oracle(d, field, walk_seed, n,
                                                    seed_base, quenched, grid):
     src = RandomWalkSource(simple_walk(d), walk_seed)
     assert fclt_replicates(field, src, n, grid, 100, seed_base, quenched)
+
+
+def value_route_sup(field, seed, coords):
+    """(sup |F_n - F|, max |F(x) - u|) by the values x = q(u) of the
+    sites' uniforms u through the quantile, sorted, and F(x) through the
+    cdf, with the sup over the jumps of F_n(x) - F(x) and F(x) - F_n(x-)."""
+    sites, counts = np.unique(coords, axis=0, return_counts=True)
+    u, x = rng.site_uniforms(seed, sites), field.site_values(seed, sites)
+    assert np.unique(x).size == np.unique(u).size  # q ties no two sites
+    order = np.argsort(x, kind="stable")
+    xs, cs = x[order], counts[order]
+    cum = np.cumsum(cs / len(coords))
+    f = field.cdf(xs)
+    below = np.concatenate([[0.0], cum[:-1]])
+    return (float(np.maximum(cum - f, f - below).max()),
+            float(np.abs(field.cdf(x) - u).max()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 3), walk_seed=st.integers(0, 2**32),
+       n=st.integers(1, 2000), mu=st.floats(-2, 2), sigma=st.floats(0.25, 4),
+       seed=st.integers(0, 2**64 - 1), data=st.data())
+def test_gaussian_sup_is_the_value_routes_within_its_round_trip(
+        d, walk_seed, n, mu, sigma, seed, data):
+    # Both sups are maxima, over the same jumps, of fl(G_i - a_i) and
+    # fl(a_i - G_{i-1}), with the same partial sums G of the local times
+    # and a_i = u_i (the ECDF of the uniforms) or F(q(u_i)) (the value
+    # route): u <= F(s) exactly when q(u) <= s, so the two orders agree
+    # but where u lies within the round trip's error of a neighbour.  Each
+    # exact difference lies in [-1, 1], where one rounding errs by at most
+    # 2^-54, so a term moves by at most |F(q(u_i)) - u_i| + 2^-53, and the
+    # max by no more: |sup - value route| <= max_i |F(q(u_i)) - u_i| +
+    # 2^-53.  (u = 0, which the quantile clips to 2^-53, is in the max.)
+    field = GaussianField(mu, sigma)
+    coords = generate(RandomWalkSource(simple_walk(d), walk_seed), n)
+    cps = sorted(data.draw(st.sets(st.integers(1, n), min_size=1,
+                                   max_size=3)))
+    leds = [LocalTimeLedger.from_trajectory(coords[:c]) for c in cps]
+    for c, e in zip(cps, empirical.SampledEcdfs(field, leds)(seed)):
+        want, round_trip = value_route_sup(field, seed, coords[:c])
+        assert abs(sup_deviation(e, field) - want) <= round_trip + 2**-53
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS)
@@ -266,8 +339,11 @@ def test_local_times_past_the_key_bits_match_the_oracle(field):
         got = ecdfs(seed)
         assert [sup_deviation(e, field) for e in got] == \
             [ecdf_from_scratch(field, seed, coords[:c])[2] for c in cps]
+        if isinstance(field, DiscreteField):
+            continue  # its atoms' local times are summed, not sorted
         # the key route and the value route give the same atoms, bit for bit
-        by_values = ecdfs.from_values(field.site_values(seed, ecdfs.sites))
+        by_values = ecdfs.from_values(
+            probability_values(field, seed, ecdfs.sites))
         assert all(np.array_equal(a.values, b.values)
                    and np.array_equal(a.weights, b.weights)
                    for a, b in zip(got, by_values))
@@ -278,23 +354,34 @@ def test_local_times_past_the_key_bits_match_the_oracle(field):
                                    {"variant": "discrete",
                                     "atoms": [[0, 0.3], [1, 0.7]]}])
 def test_gc_on_an_iid_field_sorts_keys_not_values(field, monkeypatch):
-    # an i.i.d. field's ECDFs come from sorted hash keys: no site-order
-    # values are built and no float array is argsorted
+    # an i.i.d. field's ECDFs come from its sites' uniforms: a continuous
+    # law's from sorted hash keys, calling neither its quantile nor its
+    # cdf, and a discrete law's from per-atom sums, with no key sort and
+    # one cdf call for its atoms.  No site-order values are built and no
+    # float array is argsorted
     plan = parse_plan(json.dumps({
         "experiment": "gc", "source": {"variant": "rw", "simple": 3,
                                        "seed": 2},
         "field": field, "n": 5000, "checkpoints": [50, 500, 5000],
         "replicates": 5, "seed_base": 1}))
     calls = []
-    argsort, site_values = np.argsort, type(plan["_field"]).site_values
+
+    def count(owner, name):
+        f = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **kw: calls.append(name)
+                            or f(*a, **kw))
+    for name in ("site_values", "quantile", "cdf"):
+        count(type(plan["_field"]), name)
+    count(empirical.SampledEcdfs, "_from_keys")
+    argsort = np.argsort
     monkeypatch.setattr(np, "argsort", lambda a, *args, **kw: calls.append(
         np.asarray(a).dtype.kind) or argsort(a, *args, **kw))
-    monkeypatch.setattr(type(plan["_field"]), "site_values",
-                        lambda *a: calls.append("site_values")
-                        or site_values(*a))
     rows = cli._run_gc(plan, 1)[0]["gc.csv"][1]
     assert len(rows) == 15
-    assert "site_values" not in calls and "f" not in calls
+    assert not {"site_values", "quantile", "f"} & set(calls)
+    discrete = field["variant"] == "discrete"
+    assert calls.count("cdf") == discrete
+    assert ("_from_keys" in calls) != discrete
 
 
 @pytest.mark.parametrize("piece", [1, 7, 1000])

@@ -338,6 +338,33 @@ def test_axis_route_matches_grid_route(law, lags):
     assert return_series_routes(law, 24, lags)
 
 
+@pytest.mark.parametrize("law, series", [
+    (simple_walk(3), 1),
+    # axes 0 and 2 share a kernel and a weight, axis 1 has its own
+    (StepDistribution([((1, 0, 0), 0.15), ((-1, 0, 0), 0.15),
+                       ((0, 1, 0), 0.3), ((0, -1, 0), 0.1),
+                       ((0, 0, 1), 0.15), ((0, 0, -1), 0.15)]), 2),
+])
+def test_axes_that_share_a_law_share_one_series(monkeypatch, law, series):
+    # one series per distinct (kernel, weight), and every probability keeps
+    # the bits of one series per axis merged in axis order
+    want = spectral._requested_lags(law, 24, [(0, 0, 0), (1, -1, 2)])
+    lags, per_axis = np.array(want), None
+    weights = [sum(p for a, p in law.atoms if a[j]) for j in range(3)]
+    for j in range(3):
+        axis = spectral._one_axis_series({a[j]: p for a, p in law.atoms
+                                          if a[j]}, weights[j], 24, lags[:, j])
+        w = sum(weights[:j])
+        per_axis = axis if j == 0 else spectral._binomial_merge(
+            per_axis, axis, w / (w + weights[j]))
+    calls, one_axis = [], spectral._one_axis_series
+    monkeypatch.setattr(spectral, "_one_axis_series",
+                        lambda *a: calls.append(a) or one_axis(*a))
+    assert spectral._axis_probs(law, 24, want).tobytes() == per_axis.tobytes()
+    assert len(calls) == series
+    assert return_series_routes(law, 24, [(0, 0, 0), (1, -1, 2)])
+
+
 def test_return_series_reproduces_watson_g3():
     rs = return_series(simple_walk(3), 200, [(0, 0, 0), (1, 0, 0)])
     assert abs(rs.partial_sum((0, 0, 0)) - WATSON_G3_MINUS_1) < 2e-4
