@@ -30,7 +30,7 @@ sqrt(V_n) off the ECDF it takes the sup of;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +42,9 @@ from .ledger import LocalTimeLedger, feed, run_starts
 
 @dataclass(frozen=True)
 class WeightedEcdf:
-    """Right-continuous step cdf with atoms at ``values``, some of weight 0."""
+    """Right-continuous step cdf with atoms at ``values``, some of weight 0.
+    A sampled ECDF's values are on the probability scale (u, F(X) or F at
+    an atom), so it gives F_n(s) at ``field.cdf(s)``, not at s."""
 
     values: np.ndarray   # nondecreasing
     weights: np.ndarray  # nonnegative, summing to 1
@@ -82,11 +84,11 @@ class SampledEcdfs:
 
     ``ledgers`` are snapshots of one trajectory, in increasing n, so each
     one's sites are a prefix of the last one's (first-visit order).  Built
-    once: the prefix check, the sites' seed-free hash words, each ledger's
-    n and local times (also packed into 11 bits), a discrete law's atoms in
-    value order with F at each, and for an i.i.d. field two arrays of the
-    largest ledger's size.  The object keeps no ledger, and site
-    coordinates only for the moving average, which hashes shifted ones.
+    once: the sites' seed-free hash words, each ledger's n and local times
+    (also packed into 11 bits for a continuous law; float64 for a discrete
+    one, whose atoms it sorts by value) and, for an i.i.d. law, two arrays
+    of the largest ledger's size.  No ledger is kept, and site coordinates
+    only for the moving average, which hashes shifted ones.
     """
 
     def __init__(self, field, ledgers: Sequence[LocalTimeLedger]):
@@ -97,25 +99,24 @@ class SampledEcdfs:
                              "prefix of the last one's")
         self.field = field
         self.sites = rng.Sites(coords)  # the seed-free hash words
-        # per ledger: n, the local times, the saturated local times written
-        # straight into uint16, and the saturated sites
-        self._ledgers = []
-        for led in ledgers:
-            times = led.local_times
-            low = np.minimum(times, _SATURATED, casting="unsafe",
-                             out=np.empty(times.size, dtype=np.uint16))
-            self._ledgers.append((led.n, times, low,
-                                  np.flatnonzero(times >= _SATURATED)))
-        self._atoms = None
+        self._ledgers = [(led.n, led.local_times) for led in ledgers]
+        if not hasattr(field, "quantile"):  # the moving average
+            self.sites.coords = coords
+            return
+        # the hash words, and the key route's counts or the atom indices
+        self._words = np.empty(coords.shape[0], dtype=np.uint64)
+        self._ints = np.empty(coords.shape[0], dtype=np.intp)
         if isinstance(field, DiscreteField):  # value order, sorted in Python
             order = sorted(range(len(field.atoms)), key=field.atoms.__getitem__)
             self._atoms = np.array(order), field.cdf(
                 [field.atoms[i][0] for i in order])
-        if not hasattr(field, "quantile"):  # the moving average
-            self.sites.coords = coords
-        else:
-            self._words = np.empty(coords.shape[0], dtype=np.uint64)
-            self._counts = np.empty(coords.shape[0], dtype=np.int64)
+            # bincount's weights, converted once (exact below 2^53)
+            self._ledgers = [(n, t.astype(np.float64)) for n, t in self._ledgers]
+        else:  # the local times saturated into uint16, the saturated sites
+            self._ledgers = [(n, t, np.minimum(t, _SATURATED, casting="unsafe",
+                                               out=np.empty(t.size, np.uint16)),
+                              np.flatnonzero(t >= _SATURATED))
+                             for n, t in self._ledgers]
 
     def __call__(self, seed: int) -> list[WeightedEcdf]:
         """The ECDFs of the field under ``seed``, one per ledger.
@@ -124,30 +125,31 @@ class SampledEcdfs:
         continuous law, per ledger the key (h & ~0x7FF) | min(local time,
         0x7FF) is sorted: its high bits sort the uniforms and its low bits
         carry the weights along, with no argsort and no gather.  The last
-        ledger sorts in place in the hash array and counts into the counts
+        ledger sorts in place in the hash array and counts into the integer
         array, both this object's, so the next call overwrites the last
-        ECDF of this one.  A discrete law sums local times per atom by a
-        weighted ``bincount`` of the atom indices (exact integers in
-        float64), and the moving average sorts F(X) (:meth:`from_values`).
+        ECDF of this one.  A discrete law writes its atom indices into the
+        integer array and sums the local times per atom by a weighted
+        ``bincount`` (exact integers in float64); the moving average sorts
+        F(X) (:meth:`from_values`).
         """
         if self.sites.coords is not None:
             return self.from_values(self.field.cdf(
                 self.field.site_values(seed, self.sites)))
         h = rng.hash_sites(seed, self.sites, self._words)
-        if self._atoms is not None:
+        if isinstance(self.field, DiscreteField):
             order, f = self._atoms
             idx = self.field.inverse_cdf(rng.word_uniforms(
-                h, out=h.view(np.float64)))
+                h, out=h.view(np.float64)), out=self._ints)
             return [WeightedEcdf(f, np.bincount(
                 idx[:times.size], weights=times, minlength=order.size)[order]
-                / n) for n, times, _, _ in self._ledgers]
+                / n) for n, times in self._ledgers]
         ecdfs = []
         for i, (n, times, low, big) in enumerate(self._ledgers):
             last = i == len(self._ledgers) - 1  # the largest: it takes h
             key = (np.bitwise_and(h, _HIGH, out=h) if last
                    else h[:low.size] & _HIGH)
             ecdfs.append(self._from_keys(key, n, times, low, big,
-                                         self._counts if last else None))
+                                         self._ints if last else None))
         return ecdfs
 
     def _from_keys(self, key: np.ndarray, n: int, times: np.ndarray,
@@ -176,14 +178,15 @@ class SampledEcdfs:
         order restricted to its prefix of the sites."""
         order = np.argsort(x)
         ecdfs = []
-        for n, times, _, _ in self._ledgers:
+        for n, times, *_ in self._ledgers:
             o = order if times.size == x.size else order[order < times.size]
             ecdfs.append(_merged_ecdf(x[o], times[o], n))
         return ecdfs
 
 
 def sampled_ecdf(field, field_seed: int, ledger: LocalTimeLedger) -> WeightedEcdf:
-    """Empirical cdf of the field along the trajectory in the ledger."""
+    """Empirical cdf of the field along the trajectory in the ledger, on
+    the probability scale: its value at ``field.cdf(s)`` is F_n(s)."""
     return SampledEcdfs(field, [ledger])(field_seed)[0]
 
 
@@ -340,6 +343,5 @@ def mc_fclt(field, source_config, n: int, grid: Sequence[float],
 
 def _reseed(config, seed: int):
     if hasattr(config, "seed"):
-        import dataclasses
-        return dataclasses.replace(config, seed=seed)
+        return replace(config, seed=seed)
     raise ValueError("annealed mode needs a seedable source")

@@ -421,7 +421,7 @@ def _axis_probs(dist: StepDistribution, kmax: int,
     gives the 1-D series a_j(m) = P_{mu_j}(S_m = l_j) by direct
     convolution, and axes merge two at a time: with q = W_A / (W_A + W_B),
     c(k) = sum_m C(k, m) q^m (1 - q)^(k - m) a(m) b(k - m).  Axes of one
-    law share one series.
+    law share one series, and each axis gathers its rows at its merge.
     """
     d = dist.d
     lags = np.array(want, dtype=np.int64)
@@ -431,18 +431,18 @@ def _axis_probs(dist: StepDistribution, kmax: int,
         j = next((i for i, c in enumerate(a) if c != 0), 0)
         weights[j] += p
         kernels[j][a[j]] = kernels[j].get(a[j], 0.0) + p
-    laws = {}  # (kernel, weight) -> the axes that move by it
+    # the distinct targets: a series row's bits depend on its target only
+    targets = sorted(set(lags.ravel().tolist()))
+    at = {t: i for i, t in enumerate(targets)}
+    series, out, w_out = {}, None, 0.0  # series: one per (kernel, weight)
     for j in np.flatnonzero(weights):  # the walk never moves along the rest
-        laws.setdefault((tuple(sorted(kernels[j].items())), weights[j]),
-                        []).append(j)
-    rows = {}
-    for (kernel, weight), axes in laws.items():
-        rows.update(zip(axes, np.split(_one_axis_series(
-            dict(kernel), weight, kmax, lags[:, axes].T.ravel()), len(axes))))
-    out, w_out = None, 0.0
-    for j, series in sorted(rows.items()):
-        out = series if out is None else _binomial_merge(
-            out, series, w_out / (w_out + weights[j]))
+        law = tuple(sorted(kernels[j].items())), weights[j]
+        if law not in series:
+            series[law] = _one_axis_series(kernels[j], weights[j], kmax,
+                                           np.array(targets))
+        rows = series[law][[at[t] for t in lags[:, j].tolist()]]
+        out = rows if out is None else _binomial_merge(
+            out, rows, w_out / (w_out + weights[j]))
         w_out += weights[j]
     still = weights == 0.0
     return out * np.all(lags[:, still] == 0, axis=1)[:, None]
@@ -460,7 +460,7 @@ def _one_axis_series(kernel: dict[int, float], weight: float, kmax: int,
     # each tap's source: the mass at i moves to i + o
     (first, p0), *rest = [(slice(r - o, r - o + width), p / weight) for o, p
                           in sorted(kernel.items(), reverse=True) if p]
-    inside = np.abs(targets) <= kmax * r
+    inside = (-kmax * r <= targets) & (targets <= kmax * r)
     idx = np.where(inside, targets + (kmax + 1) * r, 0)
     # the sites -kmax r .. kmax r, with r zeros beside each end, which the
     # taps read and never write

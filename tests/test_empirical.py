@@ -174,8 +174,8 @@ def test_lil_margins_bounded_walk():
 
 ORACLE_FIELDS = [UniformField(), GaussianField(0.5, 2.0),
                  DiscreteField([(0.0, 0.3), (1.0, 0.5), (2.5, 0.2)]),
-                 # decreasing atoms: the quantile of sorted uniforms is not
-                 # sorted, and the key route must repair the order
+                 # decreasing atoms: the atom indices are not in value
+                 # order, which the ECDF's atoms must be
                  DiscreteField([(2.5, 0.2), (1.0, 0.5), (0.0, 0.3)]),
                  MovingAverageField([1.0, 0.5, 0.25])]
 
@@ -252,7 +252,12 @@ def test_one_atom_ecdf_sup_is_exact(field):
     # max(1 - F(v), F(v-)) exactly
     for led in (make_ledger([(4, -2)]), make_ledger([(4, -2)] * 5)):
         e = sampled_ecdf(field, 17, led)
-        assert e.weights.max() == e.weights.sum() == 1.0
+        if isinstance(field, DiscreteField):  # every atom, one of weight 1
+            assert e.weights.size == len(field.atoms)
+            assert sorted(e.weights.tolist()) == [0.0] * (e.weights.size
+                                                         - 1) + [1.0]
+        else:
+            assert e.weights.tolist() == [1.0]
         assert sup_deviation(e, field) == one_site_sup(field, 17, (4, -2))
 
 
