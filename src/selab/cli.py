@@ -216,6 +216,8 @@ def parse_plan(text: str) -> dict:
     for key in ("n", "replicates", "budget", "kmax"):
         if key in obj:
             _int(obj[key], f"$.{key}")
+    if obj.get("n", 1) < 1:
+        raise PlanError("\"$.n\" must be at least 1")
     if "seed_base" in obj:
         _seed(obj["seed_base"], "$.seed_base")
     if "replicates" in obj and obj["replicates"] < row.min_replicates:

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import rng
 from .ledger import _as_coords
+from .sources import _check_probs
 
 
 class _Field:
@@ -63,8 +64,10 @@ class GaussianField(_Field):
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not math.isfinite(self.mu):
+            raise ValueError("mu must be finite")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
         from scipy.special import ndtri
@@ -91,10 +94,9 @@ class DiscreteField(_Field):
         atoms = tuple((float(v), float(p)) for v, p in atoms)
         if not atoms:
             raise ValueError("need at least one atom")
-        if any(p < 0 for _, p in atoms):
-            raise ValueError("probabilities must be nonnegative")
-        if abs(sum(p for _, p in atoms) - 1.0) > 1e-12:
-            raise ValueError("probabilities must sum to 1")
+        if not all(math.isfinite(v) for v, _ in atoms):
+            raise ValueError("atom values must be finite")
+        _check_probs([p for _, p in atoms])
         if len({v for v, _ in atoms}) != len(atoms):
             raise ValueError("duplicate atom values")
         object.__setattr__(self, "atoms", atoms)
@@ -144,12 +146,12 @@ class MovingAverageField(_Field):
         weights = tuple(float(w) for w in weights)
         if not weights:
             raise ValueError("need at least one weight")
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be nonnegative")
+        if not all(0 <= w < math.inf for w in weights):
+            raise ValueError("weights must be finite and nonnegative")
         if sum(weights) <= 0:
             raise ValueError("weights must not be all zero")
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "sigma", float(sigma))
 

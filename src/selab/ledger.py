@@ -64,8 +64,8 @@ CSV_HEADER = ("n", "M", "V", "range", "m2_over_v", "pqd_partial_sum")
 
 # steps per block wherever a feed picks the split: long enough that the
 # ~60 short numpy calls of a block cost little per step, short enough that
-# a feed's work array (128 KiB per row of int64 steps) and a block's other
-# temporaries add little to the peak RSS
+# a block's temporaries (128 KiB per int64 array of its steps) add little
+# to the peak RSS
 BLOCK = 1 << 14
 
 # terms per bincount in exact_sum: each half-mantissa is below 2^27, so
@@ -146,16 +146,10 @@ class LocalTimeLedger:
         snap._keys = snap._nums = snap._runs = None
         return snap
 
-    def record_block(self, coords: Sequence[Sequence[int]] | np.ndarray,
-                     work: np.ndarray | None = None) -> None:
-        """Append a (b, d) block of steps.
-
-        ``work``, an int64 array of shape (4, b) or wider, takes every
-        block-sized temporary: those of :meth:`_occupation`, then the
-        running max, the k, the terms M_k / k^2 and :func:`exact_sum`'s
-        split.  A feed sizes it once for many blocks; by default the block
-        allocates its own.
-        """
+    def record_block(self, coords: Sequence[Sequence[int]] | np.ndarray
+                     ) -> None:
+        """Append a (b, d) block of steps.  The block's temporaries are its
+        own, and ``coords`` is only read."""
         coords = _as_coords(coords)
         b = coords.shape[0]
         if b == 0:
@@ -163,17 +157,14 @@ class LocalTimeLedger:
         if coords.shape[1] != self.d:
             raise ValueError(f"site has {coords.shape[1]} coordinates, "
                              f"expected {self.d}")
-        if work is None:
-            work = np.empty((4, b), dtype=np.int64)
-        occ = self._occupation(coords, work[:, :b])
-        # the occupation is in row 3, and rows 0 .. 2 are free again
+        occ = self._occupation(coords)
         self.self_intersections += 2 * int(occ.sum()) - b
-        running_m = np.maximum.accumulate(occ, out=work[1, :b])
+        running_m = np.maximum.accumulate(occ, out=occ)
         np.maximum(running_m, self.max_count, out=running_m)
         self.max_count = int(running_m[-1])
-        k = np.add(np.arange(b), self.n + 1, out=work[0, :b].view(np.float64))
+        k = np.arange(self.n + 1, self.n + b + 1, dtype=np.float64)
         k *= k
-        num, exp = exact_sum(np.divide(running_m, k, out=k), work[1:])
+        num, exp = exact_sum(np.divide(running_m, k, out=k))
         if exp < self._pqd_exp:
             self._pqd_num <<= self._pqd_exp - exp
             self._pqd_exp = exp
@@ -182,7 +173,7 @@ class LocalTimeLedger:
         self._pqd_sum = self._pqd_num / (1 << -self._pqd_exp)
         self.n += b
 
-    def _occupation(self, coords: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def _occupation(self, coords: np.ndarray) -> np.ndarray:
         """Advance the sites and local times by the (b, d) block ``coords``
         and return its occupation: the local time of each step's site just
         after the step.
@@ -193,9 +184,7 @@ class LocalTimeLedger:
         the sites found nowhere are new, appended in the order of their groups' first rows, and their
         keys form a new run.  Along a group the occupation counts on from
         the site's prior local time, as a cumulative sum of steps of 1 with
-        a jump at each group's start.  ``rows`` (4, b): row 0 the keys,
-        row 1 the order, row 2 the steps and their sums, row 3 the run
-        flags and then the occupation, which is returned as a view of it.
+        a jump at each group's start.
         """
         b = coords.shape[0]
         cols = [coords[:, j] for j in range(self.d)]
@@ -208,8 +197,8 @@ class LocalTimeLedger:
         self._lo, self._hi = lo, hi
         if self._layout is None or not self._layout.fits(cols, lo, hi):
             self._relayout(cols)
-        order, key = sort_keys(self._layout.pack(cols, rows[0]), out=rows[1])
-        starts = np.flatnonzero(run_starts(key, out=rows[3].view(bool)[:b]))
+        order, key = sort_keys(self._layout.pack(cols, np.empty(b, np.int64)))
+        starts = np.flatnonzero(run_starts(key))
         key = key[starts]
         site = np.full(key.size, -1, dtype=np.int64)
         new = np.arange(key.size)  # the groups not found yet
@@ -235,13 +224,12 @@ class LocalTimeLedger:
         prior = self._times[site]
         length = np.subtract(np.append(starts[1:], b), starts)
         self._times[site] = prior + length
-        step = rows[2]
-        step.fill(1)
+        step = np.ones(b, dtype=np.int64)
         # a group starts at prior + 1, after the last group's prior + length
         jump = prior + 1
         jump[1:] -= prior[:-1] + length[:-1]
         step[starts] = jump
-        occ = rows[3]  # over the run flags, which are read no more
+        occ = np.empty(b, dtype=np.int64)
         occ[order] = np.cumsum(step, out=step)
         return occ
 
@@ -486,28 +474,23 @@ def feed(cursor, checkpoints: Sequence[int]
     Blocks hold min(steps to the next checkpoint, ``BLOCK``) steps, so the
     trajectory is never held whole and a block's cost does not grow with
     the sites before it.  The ledger reserves one row per step up to the
-    last checkpoint, touched only as sites are written, and the feed owns
-    one int64 work array of d + 4 rows and up to BLOCK columns: each block
-    is drawn into its first d rows, and the cursor and the ledger take
-    their scratch from the 4 rows after them (``sources.Cursor``,
-    :meth:`LocalTimeLedger.record_block`).  Each checkpoint but the last
-    takes a :meth:`LocalTimeLedger.snapshot`; the last one is the ledger
-    itself, without its index.  No snapshot holds a view of the work
-    array.  A source that runs out first raises ValueError.
+    last checkpoint, touched only as sites are written.  Each block is a
+    fresh array from the cursor, and the ledger copies its new sites into
+    its own rows.  Each checkpoint but the last takes a
+    :meth:`LocalTimeLedger.snapshot`; the last one is the ledger itself,
+    without its index.  A source that runs out first raises ValueError.
     """
-    d = cursor.d
-    led = LocalTimeLedger(d)
+    led = LocalTimeLedger(cursor.d)
     led.reserve(checkpoints[-1])
-    work = np.empty((d + 4, min(BLOCK, checkpoints[-1])), dtype=np.int64)
     snaps, blocks = [], 0
     for c in checkpoints:
         while led.n < c:
             size = min(c - led.n, BLOCK)
-            block = cursor.take(size, out=work)
+            block = cursor.take(size)
             if len(block) < size:
                 raise ValueError("source exhausted before the last "
                                  "checkpoint")
-            led.record_block(block, work[d:])
+            led.record_block(block)
             blocks += 1
         snaps.append(led.snapshot() if c < checkpoints[-1] else led)
     # read no more: the snapshots' sites are its own
@@ -515,8 +498,7 @@ def feed(cursor, checkpoints: Sequence[int]
     return snaps, blocks
 
 
-def exact_sum(terms: np.ndarray, work: np.ndarray | None = None
-              ) -> tuple[int, int]:
+def exact_sum(terms: np.ndarray) -> tuple[int, int]:
     """(num, exp) with num * 2^exp the exact sum of finite float64 terms.
 
     ``np.frexp`` splits each term into a 53-bit mantissa and an exponent,
@@ -524,19 +506,13 @@ def exact_sum(terms: np.ndarray, work: np.ndarray | None = None
     both integers held in float64.  ``np.bincount`` adds the halves per
     exponent, exactly while a call has fewer than 2^26 terms, so longer
     terms go in pieces of ``_PIECE``; a Horner pass over the exponents joins
-    the sums into one Python int.  ``work``, an int64 array of shape
-    (3, terms.size) or wider, takes the mantissas, the exponents and the
-    high halves; by default they are allocated.
+    the sums into one Python int.  ``terms`` is only read.
     """
     terms = np.asarray(terms, dtype=np.float64)
     n = terms.size
-    if work is None:
-        work = np.empty((3, n), dtype=np.int64)
-    mant, exp, high = (work[0, :n].view(np.float64), work[1, :n],
-                       work[2, :n].view(np.float64))
-    np.frexp(terms, out=(mant, exp))
+    mant, exp = np.frexp(terms)
     mant *= 2.0**27  # term = mant * 2^(exp - 27), 26 bits after the point
-    np.floor(mant, out=high)
+    high = np.floor(mant)
     mant -= high  # exact: the fraction, a multiple of 2^-26
     mant *= 2.0**26
     low = int(exp.min(initial=0))

@@ -236,20 +236,18 @@ class CocycleCursor(sources.Cursor):
                           np.uint64(((b - 1) >> 64) - (a >> 64)))
                          for a, b in self._near]
 
-    def _steps(self, offset: int, count: int,
-               out: np.ndarray | None = None) -> np.ndarray:
-        # the steps, and first the pieces, in row 0; the limbs, the flags
-        # and the spread in rows 1 .. 4
-        rows = (np.empty((5, count), dtype=np.int64) if out is None
-                else out[:5, :count])
-        limbs = rows[1:].view(np.uint64)
+    def _steps(self, offset: int, count: int) -> np.ndarray:
+        # the steps, and first the pieces, in the block; the limbs, the
+        # flags and the spread in one scratch array of 4 rows, written in
+        # place rather than as a temporary per operation
+        steps = np.zeros((count, 1), dtype=np.int64)
+        limbs = np.empty((4, count), dtype=np.uint64)
         hi, lo = _orbit((self._x + offset * self._alpha) & _FP_MASK,
                         self._alpha, count, limbs[:2])
         flags = limbs[2].view(bool)
         mask, rare = flags[:count], flags[count:2 * count]
         spread = limbs[3]
-        piece = rows[0]
-        piece.fill(0)
+        piece = steps[:, 0]
         for b_hi in self._bp_hi:
             np.greater(hi, b_hi, out=spread)
             piece += spread.view(np.int64)
@@ -274,8 +272,7 @@ class CocycleCursor(sources.Cursor):
             self.near_hits += int(np.count_nonzero(near))
         # each output reads only its own piece
         np.take(self._vals, piece, out=piece, mode="clip")
-        steps = rows[:1].T
-        return steps if out is not None else steps.copy()
+        return steps
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +394,13 @@ class FlowCursor:
         self._levels = src._levels
         self._roof = src.roof
 
-    def take(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
+    def take(self, count: int) -> np.ndarray:
         """The next ``count`` sites, as :meth:`sources.Cursor.take`."""
         head = min(self._left, count)
         self._left -= head
         rest = count - head
         if rest == 0:
-            return sources._into(np.full((count, 1), self._towers,
-                                         dtype=np.int64), out)
+            return np.full((count, 1), self._towers, dtype=np.int64)
         hi, lo = _orbit(self._pos, self._alpha, rest)
         reps = np.ones(rest, dtype=np.int64)
         for (a, b), h in self._levels:
@@ -422,7 +418,7 @@ class FlowCursor:
         sites = np.empty((count, 1), dtype=np.int64)
         sites[:head] = first - 1
         sites[head:, 0] = np.repeat(np.arange(first, self._towers + 1), reps)
-        return sources._into(sites, out)
+        return sites
 
 
 @dataclass(frozen=True)

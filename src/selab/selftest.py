@@ -97,24 +97,22 @@ def coordinate_quadratic_form(cfg, n: int, field) -> float:
 
 
 def ledger_blocks(coords, cuts) -> bool:
-    """Two ledgers fed the (n, d) coords split at ``cuts``, one allocating
-    and one through a single work array of garbage, ``trajectory_stats``
-    and ``brute_force_stats`` against :func:`dict_local_times`, with the
-    exact sum of the rounded M_k / k^2."""
+    """A ledger fed the (n, d) coords split at ``cuts``,
+    ``trajectory_stats`` and ``brute_force_stats`` against
+    :func:`dict_local_times`, with the exact sum of the rounded
+    M_k / k^2."""
     coords = np.asarray(coords, dtype=np.int64)
     sites = [tuple(s) for s in coords.tolist()]
     counts, v, m = dict_local_times(sites)
-    leds = [ledger.LocalTimeLedger(coords.shape[1]) for _ in range(2)]
-    work = garbage((4, len(coords)))
+    led = ledger.LocalTimeLedger(coords.shape[1])
     for block in np.split(coords, cuts):
-        leds[0].record_block(block)
-        leds[1].record_block(block, work)
+        led.record_block(block)
     ts = ledger.trajectory_stats(coords)
     pqd = sum(Fraction(m_k / (k * k)) for k, m_k in enumerate(m, start=1))
-    return (all((led.n, led.self_intersections, led.max_count, led.range_card)
-                == (len(sites), v[-1], m[-1], len(counts))
-                and list(led.counts.items()) == list(counts.items())  # in order
-                and led.pqd_partial_sum == float(pqd) for led in leds)
+    return ((led.n, led.self_intersections, led.max_count, led.range_card)
+            == (len(sites), v[-1], m[-1], len(counts))
+            and list(led.counts.items()) == list(counts.items())  # in order
+            and led.pqd_partial_sum == float(pqd)
             and (ts.v.tolist(), ts.m.tolist()) == (v, m)
             and ledger.brute_force_stats(sites, 1024) == (v[-1], m[-1], counts))
 
@@ -137,13 +135,6 @@ def feed_snapshots(src, cps) -> bool:
                          (k, m, v, len(counts), m * m / v, float(pqd))))
     return [(list(led.counts.items()), led.snapshot_row())
             for led in snaps] == want
-
-
-def garbage(shape) -> np.ndarray:
-    """An int64 array of the given shape, filled with the bits of hashed
-    uniforms: a work array as a previous block may leave it."""
-    words = rng.uniforms(99, math.prod(shape)).view(np.int64)
-    return words.reshape(shape)
 
 
 def spans(cuts, n: int) -> list[tuple[int, int]]:
@@ -181,21 +172,18 @@ def site_hash(coords, seed: int) -> bool:
 
 
 def cocycle_blocks(rc, cuts) -> bool:
-    """Two cursors' sums, one allocating and one drawing into a single
-    work array of garbage, and ``_orbit``'s points x + j alpha mod 2^128
-    in the blocks that end at the nondecreasing ``cuts`` (the last one
-    n)."""
+    """A cursor's sums and ``_orbit``'s points x + j alpha mod 2^128 in the
+    blocks that end at the nondecreasing ``cuts`` (the last one n)."""
     sums, near = cocycle_by_steps(rc, cuts[-1])
-    x, alpha, ok = rc.x_fp, rc.alpha_fp, True
-    curs, work = (rc.cursor(), rc.cursor()), garbage((5, cuts[-1]))
+    x, alpha, ok, cur = rc.x_fp, rc.alpha_fp, True, rc.cursor()
     for a, b in spans(cuts[:-1], cuts[-1]):
         hi, lo = rotation._orbit((x + a * alpha) % rotation.ONE, alpha, b - a)
-        for block in (curs[0].take(b - a), curs[1].take(b - a, out=work)):
-            ok = (ok and block.dtype == np.int64 and block.shape == (b - a, 1)
-                  and block[:, 0].tolist() == sums[a:b])
-        ok = ok and ([(h << 64) | l for h, l in zip(hi.tolist(), lo.tolist())]
-                     == [(x + j * alpha) % rotation.ONE for j in range(a, b)])
-    return ok and curs[0].near_hits == curs[1].near_hits == near
+        block = cur.take(b - a)
+        ok = (ok and block.dtype == np.int64 and block.shape == (b - a, 1)
+              and block[:, 0].tolist() == sums[a:b]
+              and [(h << 64) | l for h, l in zip(hi.tolist(), lo.tolist())]
+              == [(x + j * alpha) % rotation.ONE for j in range(a, b)])
+    return ok and cur.near_hits == near
 
 
 def return_series_routes(law, kmax: int, lags) -> bool:

@@ -3,14 +3,13 @@
 Every source is a frozen configuration; realizations are pure functions of
 (config, seed).  Each variant has one generation path, a block path:
 :func:`cursor` returns a cursor whose ``take(count)`` draws the next
-``count`` sites as a (count, d) int64 array, fresh or in a caller's work
-array.  The randomness is counter-based, so the block at any offset is a
-pure function of (seed, offset) and any split into blocks gives the same
-sites.  :func:`generate`
-is one block from a fresh cursor, and :func:`stream` is an adapter that
-yields the cursor's blocks as tuples, one site at a time.  A random walk's
-draws can also be read as packed site keys, with no sites: :func:`walk_keys`
-takes the same uniforms and atom indices as the cursor.
+``count`` sites as a fresh (count, d) int64 array, which the caller owns.
+The randomness is counter-based, so the block at any offset is a pure
+function of (seed, offset) and any split into blocks gives the same sites.
+:func:`generate` is one block from a fresh cursor, and :func:`stream` is an
+adapter that yields the cursor's blocks as tuples, one site at a time.  A
+random walk's draws can also be read as packed site keys, with no sites:
+:func:`walk_keys` takes the same uniforms and atom indices as the cursor.
 """
 
 from __future__ import annotations
@@ -44,8 +43,8 @@ def as_int(x) -> int:
 
 
 def _check_probs(probs: Sequence[float]) -> None:
-    if any(p < 0 for p in probs):
-        raise ValueError("probabilities must be nonnegative")
+    if not all(math.isfinite(p) and p >= 0 for p in probs):
+        raise ValueError("probabilities must be finite and nonnegative")
     if abs(sum(probs) - 1.0) > 1e-12:
         raise ValueError(f"probabilities sum to {sum(probs)}, expected 1")
 
@@ -299,18 +298,15 @@ SourceConfig = (RandomWalkSource | CoboundarySource | WindowFunctional |
 class Cursor:
     """A position in one realization; ``take`` draws the next block of sites.
 
-    ``block(offset, count, out)`` gives the sites (or, when ``cumulative``,
-    the steps) at indices offset .. offset + count - 1 as a (count, d)
+    ``block(offset, count)`` gives the sites (or, when ``cumulative``, the
+    steps) at indices offset .. offset + count - 1 as a fresh (count, d)
     int64 array, a pure function of (config, offset); the cursor carries
     only the offset and the last position, so any split into blocks gives
     the same sites.  A finite source returns a short block once it runs
-    out.  ``out`` is None, for a fresh array, or an int64 work array of
-    shape (d + 4, count) or wider: the block is written into its rows
-    0 .. d - 1, transposed, and returned as a view of them, and the source
-    may use the other rows as scratch.  ``take`` adds the carried position
-    to a cumulative block's first step in place, then sums it in place.
-    int64 addition wraps, and wraps associatively, so the sites are those
-    of adding the position to every partial sum.
+    out.  ``take`` adds the carried position to a cumulative block's first
+    step in place, then sums it in place.  int64 addition wraps, and wraps
+    associatively, so the sites are those of adding the position to every
+    partial sum.
     """
 
     def __init__(self, d: int, block, cumulative: bool):
@@ -319,26 +315,15 @@ class Cursor:
         self._block = block
         self._pos = np.zeros(d, dtype=np.int64) if cumulative else None
 
-    def take(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
-        """The next ``count`` sites as a (count, d) int64 array, in a view
-        of ``out``'s first d rows if it is given (see :class:`Cursor`)."""
-        sites = self._block(self.offset, count, out)
+    def take(self, count: int) -> np.ndarray:
+        """The next ``count`` sites as a fresh (count, d) int64 array."""
+        sites = self._block(self.offset, count)
         if self._pos is not None and len(sites):
             sites[0] += self._pos
             np.cumsum(sites, axis=0, out=sites)
             self._pos = sites[-1].copy()
         self.offset += len(sites)
         return sites
-
-
-def _into(block: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """A (count, d) block as :meth:`Cursor.take` returns it: ``block``
-    itself, or written into ``out``'s first d rows, transposed."""
-    if out is None:
-        return block
-    view = out[:block.shape[1], :len(block)].T
-    view[...] = block
-    return view
 
 
 def _atom_indices(law: StepDistribution, seed: int, offset: int, count: int,
@@ -358,18 +343,9 @@ def _law_block(law: StepDistribution, seed: int, table: np.ndarray):
     """Blocks of i.i.d. draws of the law, each read off the per-atom
     ``table``, the atoms' coordinates (``law.support()``).  :func:`walk_keys`
     reads the same atom indices off the atoms' keys, so both draw the same
-    steps.  With a work array, the draw takes the rows after the block's
-    and each axis is gathered into its own row."""
-    def block(offset, count, out=None):
-        if out is None:
-            return np.take(table, _atom_indices(law, seed, offset, count),
-                           axis=0)
-        d = table.shape[1]
-        idx = _atom_indices(law, seed, offset, count,
-                            out[d:d + 2, :count].view(np.float64))
-        for j in range(d):
-            np.take(table[:, j], idx, out=out[j, :count], mode="clip")
-        return out[:d, :count].T
+    steps."""
+    def block(offset, count):
+        return np.take(table, _atom_indices(law, seed, offset, count), axis=0)
     return block
 
 
@@ -410,13 +386,13 @@ def _window_block(config: WindowFunctional):
             c = c * base + sym_pos[x]
         lut[c] = s
 
-    def block(offset, count, out=None):
+    def block(offset, count):
         sym = config.inverse_cdf(rng.uniforms(config.seed, count + r - 1,
                                               offset))
         code = np.zeros(count, dtype=np.int64)
         for j in range(r):
             code = code * base + sym[j:j + count]
-        return _into(lut[code], out)
+        return lut[code]
     return block
 
 
@@ -431,8 +407,8 @@ def cursor(config):
         psi = _law_block(config.law, config.seed, config.law.support())
         psi0 = psi(0, 1)[0]
 
-        def block(offset, count, out=None):
-            z = psi(offset, count, out)
+        def block(offset, count):
+            z = psi(offset, count)
             z -= psi0
             return z
         return Cursor(config.d, block, False)
@@ -440,8 +416,8 @@ def cursor(config):
         return Cursor(config.d, _window_block(config), True)
     if isinstance(config, ExplicitSource):
         sites = np.array(config.sites, dtype=np.int64)
-        return Cursor(config.d, lambda offset, count, out=None: _into(
-            sites[offset:offset + count], out), False)
+        return Cursor(config.d, lambda offset, count:
+                      sites[offset:offset + count].copy(), False)
     # rotation-driven sources live in selab.rotation; duck-type on cursor()
     make = getattr(config, "cursor", None)
     if make is not None:

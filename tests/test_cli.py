@@ -313,6 +313,42 @@ def test_parse_rejects_explicit_files_it_cannot_read(tmp_path):
                      "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("key, bad", [
+    ("field", {"variant": "discrete", "atoms": [[0, 0.5], [1, math.nan]]}),
+    ("field", {"variant": "discrete", "atoms": [[math.nan, 0.5], [1, 0.5]]}),
+    ("field", {"variant": "ma", "weights": [1, math.nan]}),
+    ("field", {"variant": "ma", "weights": [1, math.inf]}),
+    ("field", {"variant": "gaussian", "sigma": math.nan}),
+    ("field", {"variant": "gaussian", "sigma": math.inf}),
+    ("field", {"variant": "gaussian", "mu": math.inf}),
+    ("source", {"variant": "rw", "atoms": [[[1], 1.0], [[-1], math.nan]],
+                "seed": 0}),
+    ("source", dict(WINDOW, inner=[[0, 1.0], [1, math.nan]])),
+], ids=["discrete-prob", "discrete-value", "ma-nan", "ma-inf", "sigma-nan",
+        "sigma-inf", "mu-inf", "rw-prob", "window-prob"])
+def test_parse_rejects_non_finite_law_parameters(key, bad):
+    # JSON reads NaN and Infinity, and each of these plans ran: nan or
+    # -inf sups, the N(0, 1) sups, or a walk that can only step one way
+    with pytest.raises(PlanError, match=re.escape(f'"$.{key}"')):
+        parse_plan(json.dumps(dict(GC_PLAN, **{key: bad})))
+
+
+N_PLANS = {"stats": STATS_PLAN, "gc": GC_PLAN, "fclt": dict(FCLT, source=RW1),
+           "variance": dict(SOURCE_PLANS["variance"], source=RW1)}
+
+
+@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize("exp", sorted(N_PLANS))
+def test_parse_rejects_n_below_one(exp, n):
+    # fclt at n = -3 failed in numpy's allocation, at n = 0 in the ledger,
+    # and variance at n = 0 in walk_keys, all once the run had started
+    assert set(N_PLANS) == {name for name, row in cli.EXPERIMENTS.items()
+                            if "n" in row.required | row.optional}
+    with pytest.raises(PlanError, match=re.escape('"$.n"')):
+        parse_plan(json.dumps(dict(N_PLANS[exp], n=n)))
+    parse_plan(json.dumps(N_PLANS[exp]))
+
+
 def test_threads_are_at_most_one_per_core(monkeypatch):
     # replicates-many threads were started for a --threads at or above
     # replicates; this checks the count without starting a pool
@@ -556,8 +592,8 @@ def feed_sources(draw):
 @given(feed_sources(), st.data())
 @settings(max_examples=10, deadline=None)
 def test_feed_snapshots_survive_the_reused_work_array(src_n, data):
-    # checkpoints on both sides of BLOCK; every block takes the work array,
-    # which later blocks overwrite after each snapshot is taken
+    # checkpoints on both sides of BLOCK; each snapshot's sites are a view
+    # of the ledger's rows, which later blocks append to but never rewrite
     src, n = src_n
     below = data.draw(st.integers(1, ledger.BLOCK - 1))
     cps = sorted({below, data.draw(st.integers(below + 1, n)), n})
@@ -576,9 +612,8 @@ def test_feed_snapshots_survive_the_reused_work_array(src_n, data):
 
 
 def test_rw_asym_csv_bytes_do_not_depend_on_the_threads(tmp_path):
-    # each walk feeds its ledgers through a work array of its own; by the
-    # last checkpoint the sites outnumber BLOCK, so each index holds
-    # several runs
+    # each walk feeds a ledger of its own; by the last checkpoint the sites
+    # outnumber BLOCK, so each index holds several runs
     plan_obj = {"experiment": "rw-asym",
                 "source": {"variant": "rw", "simple": 3, "seed": 0},
                 "checkpoints": [1000, 10000, 40000], "replicates": 4,

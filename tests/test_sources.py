@@ -11,7 +11,6 @@ from selab import (CoboundarySource, ContinuedFraction, ExplicitSource,
                    StepDistribution, StepFunction, WindowFunctional, classify,
                    cursor, generate, minimal_lambda_indices, rng, simple_walk,
                    stream)
-from selab.selftest import garbage
 
 
 def test_step_distribution_validation():
@@ -202,19 +201,15 @@ def test_walk_increments_in_support(seed, d):
     assert all(tuple(s) in support for s in steps)
 
 
-def take_in_blocks(cur, n, sizes, out=None):
+def take_in_blocks(cur, n, sizes):
     """Concatenated cursor blocks of the given sizes (the last one cut or
-    stretched so that n sites come out).  With a work array ``out``, each
-    block is drawn into it over fresh garbage, and copied out of it."""
+    stretched so that n sites come out)."""
     parts, taken = [], 0
     for size in sizes:
         size = min(size, n - taken)
-        if out is not None:
-            out[...] = garbage(out.shape)
-        block = cur.take(size, out=out)
-        parts.append(block if out is None else block.copy())
+        parts.append(cur.take(size))
         taken += size
-    parts.append(cur.take(n - taken, out=out))
+    parts.append(cur.take(n - taken))
     return np.concatenate(parts)
 
 
@@ -286,9 +281,6 @@ def test_cursor_blocks_match_generate_and_per_step_oracle(config, n, sizes):
     assert got.dtype == np.int64 and got.shape == (n, config.d)
     assert np.array_equal(got, generate(config, n))
     assert got.tolist() == per_step_oracle(config, n)
-    reused = np.empty((config.d + 4, n), dtype=np.int64)
-    assert np.array_equal(take_in_blocks(cursor(config), n, sizes, reused),
-                          got)
 
 
 def test_explicit_cursor_runs_short_at_the_end():
@@ -320,3 +312,33 @@ def test_cumulative_cursors_leave_their_config_arrays_untouched():
                and np.array_equal(t.thresholds, thresholds)
                for t, (start, thresholds)
                in zip((law.inverse_cdf, window.inverse_cdf), tables))
+
+
+FRESH_SOURCES = {
+    "rw": RandomWalkSource(simple_walk(2), 5),
+    "coboundary": CoboundarySource(simple_walk(2), 6),
+    "window": WindowFunctional([(0, 0.5), (1, 0.5)], 2,
+                               {(0, 0): (1,), (0, 1): (0,), (1, 0): (0,),
+                                (1, 1): (-1,)}, 7),
+    "explicit": ExplicitSource([(k % 5, -k) for k in range(100)]),
+    "cocycle": RotationCocycle(GOLDEN, StepFunction.square_wave(), 0),
+    "flow": SpecialFlowSource(GOLDEN, 1, LAM1, 0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FRESH_SOURCES))
+def test_a_taken_block_is_the_callers_own(kind):
+    # each block is a fresh array: the next take neither rewrites it nor
+    # shares its memory, and writing into it leaves the cursor's later
+    # blocks as they were
+    config = FRESH_SOURCES[kind]
+    want = generate(config, 100)
+    cur = cursor(config)
+    first = cur.take(50)
+    kept = first.copy()
+    second = cur.take(30)
+    assert np.array_equal(first, kept) and np.array_equal(kept, want[:50])
+    assert not np.shares_memory(first, second)
+    first[...] = -7
+    second[...] = -7
+    assert np.array_equal(cur.take(20), want[80:])
