@@ -216,8 +216,9 @@ def parse_plan(text: str) -> dict:
     for key in ("n", "replicates", "budget", "kmax"):
         if key in obj:
             _int(obj[key], f"$.{key}")
-    if obj.get("n", 1) < 1:
-        raise PlanError("\"$.n\" must be at least 1")
+    for key, least in (("n", 1), ("budget", 1), ("kmax", 0)):
+        if obj.get(key, least) < least:
+            raise PlanError(f"\"$.{key}\" must be at least {least}")
     if "seed_base" in obj:
         _seed(obj["seed_base"], "$.seed_base")
     if "replicates" in obj and obj["replicates"] < row.min_replicates:

@@ -26,8 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from .ledger import _as_coords
-from .sources import _check_probs
+from .ledger import as_coords
+from .sources import check_probs
 
 
 class _Field:
@@ -96,7 +96,7 @@ class DiscreteField(_Field):
             raise ValueError("need at least one atom")
         if not all(math.isfinite(v) for v, _ in atoms):
             raise ValueError("atom values must be finite")
-        _check_probs([p for _, p in atoms])
+        check_probs([p for _, p in atoms])
         if len({v for v, _ in atoms}) != len(atoms):
             raise ValueError("duplicate atom values")
         object.__setattr__(self, "atoms", atoms)
@@ -161,7 +161,7 @@ class MovingAverageField(_Field):
 
     def site_values(self, seed: int, sites) -> np.ndarray:
         coords = (sites.coords if isinstance(sites, rng.Sites)
-                  else _as_coords(sites))
+                  else as_coords(sites))
         inner = rng.derive(seed, "innovations")
         xi = GaussianField(0.0, self.sigma)  # the innovations' law
         out = np.zeros(coords.shape[0])

@@ -17,7 +17,8 @@ rows and the newer run's scattered in, so no block re-packs, re-sorts or
 copies the prior sites and no merge allocates the merged run.
 :func:`feed` advances one ledger through a source's checkpoints in blocks
 of at most :data:`BLOCK` steps, and a checkpoint's snapshot is a view of
-the sites' prefix and a copy of the local times.
+the sites' prefix and a copy of the local times.  A snapshot, like the
+ledger a feed returns, has no index and is read-only.
 
 A ledger packs its keys in one layout (:func:`key_strides`) and rebuilds it
 only when a block leaves it: each axis that a block leaves doubles its
@@ -41,10 +42,10 @@ It also accumulates S_n = sum_{k<=n} M_k / k^2, whose convergence is one of
 the sufficient conditions checked by :func:`condition_report`.  Its terms
 are float64 quotients, equal to Python's ``m / (k * k)`` while k^2 is exact
 (k < 2^26.5, about 9.49e7) and within a relative 2^-52 of M_k / k^2 beyond.
-Their sum is carried exactly, as one Python int and a power of two:
-:func:`exact_sum` splits a block's terms into 53-bit integers and
-exponents and adds them per exponent.  ``pqd_partial_sum`` reads the carry
-back by one correctly rounded int division, so it is the correctly rounded
+Their sum is carried exactly, as one ``Fraction``: :func:`exact_sum`
+splits a block's terms into 53-bit integers and exponents, adds them per
+exponent and returns the block's sum.  ``pqd_partial_sum`` is the carry's
+float, one correctly rounded int division, so it is the correctly rounded
 sum of the terms for every n and any block split.
 """
 
@@ -53,6 +54,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -88,13 +90,13 @@ class LocalTimeLedger:
     (int32 first-visit numbers, int64 past 2^31 rows): a run of sorted keys
     starts at each row of ``_runs``, oldest first, and ends where the next
     one starts, each run at least ``_RATIO`` times as long as the next.  A
-    :meth:`snapshot` has no index; it builds one, in arrays of its own, if
-    it is fed.
+    :meth:`snapshot`, and the ledger that :func:`feed` returns, has no
+    index and is read-only: :meth:`record_block` on it raises ValueError.
     """
 
     __slots__ = ("d", "n", "max_count", "self_intersections", "_k", "_sites",
                  "_times", "_keys", "_nums", "_runs", "_layout", "_lo", "_hi",
-                 "_pqd_sum", "_pqd_num", "_pqd_exp")
+                 "_pqd")
 
     def __init__(self, d: int):
         if d < 1:
@@ -111,8 +113,7 @@ class LocalTimeLedger:
         self._runs: list[int] | None = []
         self._layout = None
         self._lo = self._hi = None  # each axis's bounds over the sites
-        self._pqd_sum = 0.0
-        self._pqd_num, self._pqd_exp = 0, 0  # the exact sum: num * 2^exp
+        self._pqd = Fraction(0)  # the exact sum of the terms M_k / k^2
 
     @property
     def sites(self) -> np.ndarray:
@@ -126,21 +127,27 @@ class LocalTimeLedger:
         """Room for ``rows`` distinct sites and their index entries.  The
         arrays are ``np.empty``, so their pages are touched only as sites
         are written."""
+        self._live()
         if rows > self._times.size:
             k = self._k
             sites = np.empty((rows, self.d), dtype=np.int64)
             times = np.empty(rows, dtype=np.int64)
+            # the first-visit numbers are below rows: int32 while that fits
+            keys = np.empty(rows, dtype=np.int64)
+            nums = np.empty(rows, np.int32 if rows <= 1 << 31 else np.int64)
             sites[:k], times[:k] = self.sites, self.local_times
-            keys, nums = _index_arrays(rows)
-            if self._runs is not None:
-                keys[:k], nums[:k] = self._keys[:k], self._nums[:k]
+            keys[:k], nums[:k] = self._keys[:k], self._nums[:k]
             self._sites, self._times = sites, times
             self._keys, self._nums = keys, nums
 
+    def _live(self) -> None:
+        if self._runs is None:
+            raise ValueError("a snapshot or a fed ledger is read-only")
+
     def snapshot(self) -> "LocalTimeLedger":
-        """The ledger as it stands: its sites a view of this one's, whose
-        rows later blocks never rewrite, its local times a copy, and no
-        index."""
+        """The ledger as it stands, read-only: its sites a view of this
+        one's, whose rows later blocks never rewrite, its local times a
+        copy, and no index."""
         snap = copy.copy(self)
         snap._sites, snap._times = self.sites, self.local_times.copy()
         snap._keys = snap._nums = snap._runs = None
@@ -150,7 +157,8 @@ class LocalTimeLedger:
                      ) -> None:
         """Append a (b, d) block of steps.  The block's temporaries are its
         own, and ``coords`` is only read."""
-        coords = _as_coords(coords)
+        self._live()
+        coords = as_coords(coords)
         b = coords.shape[0]
         if b == 0:
             return
@@ -164,13 +172,7 @@ class LocalTimeLedger:
         self.max_count = int(running_m[-1])
         k = np.arange(self.n + 1, self.n + b + 1, dtype=np.float64)
         k *= k
-        num, exp = exact_sum(np.divide(running_m, k, out=k))
-        if exp < self._pqd_exp:
-            self._pqd_num <<= self._pqd_exp - exp
-            self._pqd_exp = exp
-        self._pqd_num += num << (exp - self._pqd_exp)
-        # every term is at most 1, so exp < 0
-        self._pqd_sum = self._pqd_num / (1 << -self._pqd_exp)
+        self._pqd += exact_sum(np.divide(running_m, k, out=k))
         self.n += b
 
     def _occupation(self, coords: np.ndarray) -> np.ndarray:
@@ -189,8 +191,6 @@ class LocalTimeLedger:
         b = coords.shape[0]
         cols = [coords[:, j] for j in range(self.d)]
         lo, hi = [int(c.min()) for c in cols], [int(c.max()) for c in cols]
-        if self._runs is None:  # a snapshot
-            self._index()
         if self._lo is not None:
             lo = [min(a, c) for a, c in zip(self._lo, lo)]
             hi = [max(a, c) for a, c in zip(self._hi, hi)]
@@ -278,31 +278,14 @@ class LocalTimeLedger:
                                               nums[a + p:a + q].copy())
             keys[new_rows], nums[new_rows] = new_keys[lo:hi], new_nums[lo:hi]
 
-    def _packed(self, sites: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The keys of the sites numbered ``sites`` under the layout, into
-        ``out``, BLOCK sites at a time."""
-        for a in range(0, sites.size, BLOCK):
-            part = self._sites.take(sites[a:a + BLOCK], axis=0)
-            self._layout.pack(list(part.T), out[a:a + BLOCK])
-        return out
-
-    def _index(self) -> None:
-        """Index a ledger that has none, a snapshot: its sites as one run,
-        in arrays of its own."""
-        k = self._k
-        self._keys, self._nums = _index_arrays(self._times.size)
-        keys = self._packed(np.arange(k), self._keys[:k])
-        order = np.argsort(keys)
-        keys[:], self._nums[:k] = keys[order], order
-        self._runs = [0] if k else []
-
     def _relayout(self, cols: list[np.ndarray]) -> None:
         """A layout for the sites and the block's columns ``cols``, and
-        the index re-packed in it where it lies.  An axis that holds the
-        bounds within half its width keeps its digits; any other doubles
-        the larger of its old width and its bounds' span, centred on them.  Where that passes 62
-        bits the bounds themselves are the widths, and where they do too,
-        the dense ranks of each axis's coordinates."""
+        the index re-packed in it where it lies, ``BLOCK`` sites at a
+        time.  An axis that holds the bounds within half its width keeps
+        its digits; any other doubles the larger of its old width and its
+        bounds' span, centred on them.  Where that passes 62 bits the
+        bounds themselves are the widths, and where they do too, the dense
+        ranks of each axis's coordinates."""
         old, lo, hi, k = self._layout, self._lo, self._hi, self._k
         offsets = old is not None and old.ranks is None
         axes = []
@@ -321,7 +304,10 @@ class LocalTimeLedger:
         else:
             self._layout = _Layout.ranked([np.unique(np.concatenate(
                 [self._sites[:k, j], c])) for j, c in enumerate(cols)])
-        self._packed(self._nums[:k], self._keys[:k])
+        nums, keys = self._nums[:k], self._keys[:k]
+        for a in range(0, k, BLOCK):
+            part = self._sites.take(nums[a:a + BLOCK], axis=0)
+            self._layout.pack(list(part.T), keys[a:a + BLOCK])
 
     def record(self, site: Sequence[int]) -> None:
         self.record_block([tuple(site)])
@@ -333,7 +319,7 @@ class LocalTimeLedger:
     def from_trajectory(cls, sites: Sequence[Sequence[int]] | np.ndarray
                         ) -> "LocalTimeLedger":
         """The whole trajectory as one block."""
-        coords = _as_coords(sites)
+        coords = as_coords(sites)
         led = cls(coords.shape[1])
         led.record_block(coords)
         return led
@@ -350,7 +336,9 @@ class LocalTimeLedger:
 
     @property
     def pqd_partial_sum(self) -> float:
-        return self._pqd_sum
+        """The exact sum correctly rounded: a Fraction's float is one int
+        true division."""
+        return float(self._pqd)
 
     @property
     def m2_over_v(self) -> float:
@@ -360,30 +348,13 @@ class LocalTimeLedger:
 
     def checkpoint(self) -> tuple[int, int, int, float]:
         """(n, M, V, pqd_partial_sum) -- the condition-report row."""
-        return (self.n, self.max_count, self.self_intersections, self._pqd_sum)
+        return (self.n, self.max_count, self.self_intersections,
+                self.pqd_partial_sum)
 
     def snapshot_row(self) -> tuple[int, int, int, int, float, float]:
         """One CSV row: n, M, V, range, m2_over_v, pqd_partial_sum."""
         return (self.n, self.max_count, self.self_intersections,
-                self.range_card, self.m2_over_v, self._pqd_sum)
-
-    def rescan(self) -> None:
-        """Recompute every statistic from the state arrays; raise on drift."""
-        t = self.local_times
-        distinct = np.unique(pack_sites(self.sites)[0]).size == t.size
-        if not distinct or (int(np.sum(t * t)), int(t.max(initial=0)),
-                            int(t.sum())) != (self.self_intersections,
-                                              self.max_count, self.n):
-            raise AssertionError("ledger self-check failed: the running "
-                                 "statistics disagree with a full rescan")
-
-
-def _index_arrays(rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Empty key and first-visit number arrays for an index of ``rows``
-    entries: the numbers are below ``rows``, so int32 while that fits,
-    which saves a third of the index's bytes."""
-    return (np.empty(rows, dtype=np.int64),
-            np.empty(rows, dtype=np.int32 if rows <= 1 << 31 else np.int64))
+                self.range_card, self.m2_over_v, self.pqd_partial_sum)
 
 
 class _Layout:
@@ -478,7 +449,7 @@ def feed(cursor, checkpoints: Sequence[int]
     fresh array from the cursor, and the ledger copies its new sites into
     its own rows.  Each checkpoint but the last takes a
     :meth:`LocalTimeLedger.snapshot`; the last one is the ledger itself,
-    without its index.  A source that runs out first raises ValueError.
+    read-only like them.  A source that runs out first raises ValueError.
     """
     led = LocalTimeLedger(cursor.d)
     led.reserve(checkpoints[-1])
@@ -493,20 +464,21 @@ def feed(cursor, checkpoints: Sequence[int]
             led.record_block(block)
             blocks += 1
         snaps.append(led.snapshot() if c < checkpoints[-1] else led)
-    # read no more: the snapshots' sites are its own
+    # record no more: the snapshots' sites are its own
     led._keys = led._nums = led._runs = None
     return snaps, blocks
 
 
-def exact_sum(terms: np.ndarray) -> tuple[int, int]:
-    """(num, exp) with num * 2^exp the exact sum of finite float64 terms.
+def exact_sum(terms: np.ndarray) -> Fraction:
+    """The exact sum of finite float64 terms.
 
     ``np.frexp`` splits each term into a 53-bit mantissa and an exponent,
     and each mantissa into a high half of 27 bits and a low half of 26,
     both integers held in float64.  ``np.bincount`` adds the halves per
     exponent, exactly while a call has fewer than 2^26 terms, so longer
     terms go in pieces of ``_PIECE``; a Horner pass over the exponents joins
-    the sums into one Python int.  ``terms`` is only read.
+    the sums into one Python int, the numerator over a power of two.
+    ``terms`` is only read.
     """
     terms = np.asarray(terms, dtype=np.float64)
     n = terms.size
@@ -528,7 +500,7 @@ def exact_sum(terms: np.ndarray) -> tuple[int, int]:
     num = 0
     for s in reversed(sums):
         num = (num << 1) + s
-    return num, low - 53
+    return Fraction(num, 1 << (53 - low))
 
 
 def ls_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -540,8 +512,23 @@ def ls_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
             / math.fsum((a - mx) ** 2 for a in xs))
 
 
-def _as_coords(sites: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
-    coords = np.asarray(sites, dtype=np.int64)
+def as_coords(sites: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+    """``sites`` as (n, d) int64 coordinates, a 1-d input as d = 1.
+
+    A float or bool coordinate raises ValueError, as ``sources.is_int``
+    refuses one: a cut coordinate would silently describe another site.  A
+    coordinate outside int64 raises OverflowError, also where numpy reads
+    a list holding one as float64 or objects, or as uint64."""
+    coords = np.asarray(sites)
+    kind = coords.dtype.kind
+    if coords.size and kind not in "iu":
+        if kind in "fO" and not isinstance(sites, np.ndarray):
+            np.asarray(sites, dtype=np.int64)  # a Python int past int64
+        raise ValueError(f"site coordinates must be integers, not "
+                         f"{coords.dtype}")
+    if kind == "u" and coords.size and int(coords.max()) >> 63:
+        raise OverflowError("site coordinate outside int64")
+    coords = coords.astype(np.int64, copy=False)
     if coords.ndim == 1:
         coords = coords[:, None]
     return coords
@@ -570,7 +557,7 @@ def pack_sites(coords: np.ndarray) -> tuple[np.ndarray, _Layout]:
     distinct values as widths; ranks that do not fit either raise.  A lag
     moves the keys by :meth:`_Layout.shift`.
     """
-    coords = _as_coords(coords)
+    coords = as_coords(coords)
     n = coords.shape[0]
     # per column: a min over axis 0 of an (n, d) array is ~20x slower
     cols = [coords[:, j] for j in range(coords.shape[1])]
@@ -583,8 +570,7 @@ def pack_sites(coords: np.ndarray) -> tuple[np.ndarray, _Layout]:
     return layout.pack(cols, np.empty(n, dtype=np.int64)), layout
 
 
-def sort_keys(key: np.ndarray, out: np.ndarray | None = None
-              ) -> tuple[np.ndarray, np.ndarray]:
+def sort_keys(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(order, key[order]) with ``order`` the stable argsort of nonnegative
     int64 keys, from one unstable in-place ``ndarray.sort``.
 
@@ -593,8 +579,7 @@ def sort_keys(key: np.ndarray, out: np.ndarray | None = None
     row), which is the stable order, so any sort gives it.  Keys of
     2^(63 - ib) or more leave no room for the index and are first replaced
     by their dense ranks.  ``key`` is overwritten: it is packed in place and
-    left holding the sorted keys, which are returned.  ``order`` is written
-    into ``out`` if given.
+    left holding the sorted keys, which are returned.
     """
     n = key.size
     ib = (n - 1).bit_length()
@@ -607,16 +592,15 @@ def sort_keys(key: np.ndarray, out: np.ndarray | None = None
     for a in range(0, n, BLOCK):  # counters of at most BLOCK entries
         key[a:a + BLOCK] |= np.arange(a, min(a + BLOCK, n))
     key.sort()
-    order = np.bitwise_and(key, (1 << ib) - 1, out=out)
+    order = np.bitwise_and(key, (1 << ib) - 1)
     key >>= ib
     return order, key if values is None else values[key]
 
 
-def run_starts(xs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def run_starts(xs: np.ndarray) -> np.ndarray:
     """Flags of the first element of each run of equal values in a sorted
-    1-d array (none for an empty one), into the bool array ``out`` if
-    given."""
-    first = np.empty(xs.size, dtype=bool) if out is None else out
+    1-d array (none for an empty one)."""
+    first = np.empty(xs.size, dtype=bool)
     first[:1] = True
     np.not_equal(xs[1:], xs[:-1], out=first[1:])
     return first
@@ -659,7 +643,7 @@ def local_time_block(coords: Sequence[Sequence[int]] | np.ndarray
     each site together and in time order, so the occupation counts 1, 2,
     ... along each group, and a group's first row is the site's first
     visit."""
-    coords = _as_coords(coords)
+    coords = as_coords(coords)
     b = coords.shape[0]
     order, key = sort_keys(pack_sites(coords)[0])
     starts = np.flatnonzero(run_starts(key))
@@ -678,7 +662,7 @@ def brute_force_stats(sites: Sequence[Sequence[int]] | np.ndarray,
     V is obtained by counting ordered coincident pairs (i, j) with
     z_i == z_j, not from the ledger recursion.
     """
-    coords = _as_coords(sites)
+    coords = as_coords(sites)
     n = coords.shape[0]
     key, _ = pack_sites(coords)
     v = 0

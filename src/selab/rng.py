@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ledger import _as_coords, pack_sites, run_starts, sort_keys
+from .ledger import as_coords, pack_sites, run_starts, sort_keys
 
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -155,7 +155,7 @@ class Sites:
     """
 
     def __init__(self, coords):
-        coords = _as_coords(coords)
+        coords = as_coords(coords)
         self.coords = None
         n, d = coords.shape
         head = coords[:, :-1]
@@ -198,7 +198,7 @@ def hash_sites(seed: int, sites, out: np.ndarray | None = None
         h = np.take(head, sites.prefix, out=out, mode="clip")
         words = [sites.last]
     else:
-        coords = _as_coords(sites)
+        coords = as_coords(sites)
         h = np.empty(coords.shape[0], dtype=np.uint64) if out is None else out
         h.fill(h0)
         words = (_axis_words(coords[:, j], j) for j in range(coords.shape[1]))

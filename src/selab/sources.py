@@ -42,7 +42,9 @@ def as_int(x) -> int:
     return int(x)
 
 
-def _check_probs(probs: Sequence[float]) -> None:
+def check_probs(probs: Sequence[float]) -> None:
+    """ValueError unless ``probs`` are finite, nonnegative and sum to 1
+    within 1e-12: the rule of every law's probabilities, fields' too."""
     if not all(math.isfinite(p) and p >= 0 for p in probs):
         raise ValueError("probabilities must be finite and nonnegative")
     if abs(sum(probs) - 1.0) > 1e-12:
@@ -73,7 +75,7 @@ class StepDistribution:
             raise ValueError("all atoms must have the same dimension")
         if len({a for a, _ in atoms}) != len(atoms):
             raise ValueError("duplicate atoms")
-        _check_probs([p for _, p in atoms])
+        check_probs([p for _, p in atoms])
         object.__setattr__(self, "atoms", atoms)
 
     @property
@@ -242,7 +244,7 @@ class WindowFunctional:
 
     def __init__(self, inner, r, table, seed):
         inner = tuple((as_int(a), float(p)) for a, p in inner)
-        _check_probs([p for _, p in inner])
+        check_probs([p for _, p in inner])
         table = tuple((tuple(map(as_int, w)), tuple(map(as_int, s)))
                       for w, s in (table.items() if isinstance(table, dict) else table))
         r = as_int(r)

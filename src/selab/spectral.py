@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng, sources
-from .ledger import (LocalTimeLedger, find_keys, key_local_times,
+from .ledger import (LocalTimeLedger, as_coords, find_keys, key_local_times,
                      key_strides, ls_slope, pack_sites, sort_keys)
 from .sources import RandomWalkSource, StepDistribution, classify
 
@@ -61,7 +61,15 @@ def kernel_grid_mean(ledger: LocalTimeLedger, q: int) -> float:
 
 def lag_correlation(coords: np.ndarray, counts: np.ndarray,
                     lag: Sequence[int]) -> int:
-    """sum_r N(r + lag) N(r) over the visited range (distinct sites)."""
+    """sum_r N(r + lag) N(r) over the visited range (distinct sites
+    ``coords``, one count each); ValueError unless ``lag`` has one entry
+    per axis."""
+    coords = as_coords(coords)
+    if len(lag) != coords.shape[1]:
+        raise ValueError(f"lag has {len(lag)} entries, expected "
+                         f"{coords.shape[1]}")
+    if len(counts) != coords.shape[0]:
+        raise ValueError(f"{len(counts)} counts for {coords.shape[0]} sites")
     return _lag_correlations(coords, counts, [lag])[0]
 
 
@@ -554,6 +562,8 @@ def return_series(dist: StepDistribution, kmax: int,
     the Fourier grid.  Centered laws get the local-CLT tail, laws with a
     drift (exponential decay) a geometric fit to the last terms.
     """
+    if kmax < 0:
+        raise ValueError("kmax must be >= 0")
     want = _requested_lags(dist, kmax, lags)
     if all(sum(c != 0 for c in a) <= 1 for a, _ in dist.atoms):
         out = _axis_probs(dist, kmax, want)

@@ -349,6 +349,19 @@ def test_parse_rejects_n_below_one(exp, n):
     parse_plan(json.dumps(N_PLANS[exp]))
 
 
+@pytest.mark.parametrize("key, value, plan", [
+    ("kmax", -3, dict(SOURCE_PLANS["variance"], source=RW1)),
+    ("kmax", -1, dict(SOURCE_PLANS["variance"], source=RW1)),
+    ("budget", -1, {"experiment": "counterexample", "source": FLOW}),
+    ("budget", 0, {"experiment": "counterexample", "source": FLOW})])
+def test_parse_rejects_kmax_below_zero_and_budget_below_one(key, value, plan):
+    # a negative kmax failed in the run as a lag outside kmax's reach, and
+    # a negative budget as a RuntimeError about the step budget
+    with pytest.raises(PlanError, match=re.escape(f'"$.{key}"')):
+        parse_plan(json.dumps(dict(plan, **{key: value})))
+    parse_plan(json.dumps(dict(plan, **{key: 1})))
+
+
 def test_threads_are_at_most_one_per_core(monkeypatch):
     # replicates-many threads were started for a --threads at or above
     # replicates; this checks the count without starting a pool

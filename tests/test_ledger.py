@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from selab import (LocalTimeLedger, RandomWalkSource, brute_force_stats,
                    condition_report, generate, ledger, rng, simple_walk,
                    sources, trajectory_stats)
+from selab.fields import MovingAverageField
 from selab.ledger import (exact_sum, key_local_times, key_strides,
                           local_time_block, pack_sites, run_starts, sort_keys)
 from selab.selftest import (dict_local_times, feed_snapshots, ledger_blocks,
@@ -68,6 +69,48 @@ def test_dimension_and_overflow_errors():
         LocalTimeLedger(0)
 
 
+@pytest.mark.parametrize("sites", [
+    [[1.5, 2]], np.array([[1.5, 2.0]]), np.array([[2.0, 2.0]]),
+    np.array([[True, False]]), [(True, False)], [(0, 1), (2.5, 3)]],
+    ids=["float-list", "float-array", "whole-float-array", "bool-array",
+         "bool-list", "float-in-int-list"])
+def test_non_integer_coordinates_are_refused(sites):
+    # each was cut to int64, so a site 1.5 was read as the site 1
+    with pytest.raises(ValueError, match="integers"):
+        LocalTimeLedger.from_trajectory(sites)
+    with pytest.raises(ValueError, match="integers"):
+        ledger.pack_sites(sites)
+    with pytest.raises(ValueError, match="integers"):
+        rng.hash_sites(1, sites)
+    with pytest.raises(ValueError, match="integers"):
+        rng.Sites(sites)
+    with pytest.raises(ValueError, match="integers"):
+        MovingAverageField((1.0, 0.5)).site_values(1, sites)
+
+
+@pytest.mark.parametrize("sites", [
+    np.array([[1 << 63, 0]], dtype=np.uint64), [1 << 63], [(1 << 63, 0)],
+    [(1 << 64, 0)], [(-(1 << 63) - 1, 0)]],
+    ids=["uint64-array", "uint64-list", "float64-list", "object-list",
+         "below-int64"])
+def test_coordinates_outside_int64_overflow(sites):
+    # a uint64 coordinate of 2^63 or more wrapped to a negative one
+    with pytest.raises(OverflowError):
+        LocalTimeLedger.from_trajectory(sites)
+    with pytest.raises(OverflowError):
+        rng.hash_sites(1, sites)
+
+
+def test_integer_coordinates_of_any_width_are_read_exactly():
+    top = (1 << 63) - 1
+    for sites in (np.array([[top, 0]], dtype=np.uint64), [(top, -5)],
+                  np.array([[-3, 7]], dtype=np.int8), []):
+        coords = ledger.as_coords(sites)
+        assert coords.dtype == np.int64
+        assert coords.tolist() == (np.array(sites, dtype=object).reshape(
+            coords.shape).tolist())
+
+
 @given(site_lists)
 @settings(max_examples=60, deadline=None)
 def test_invariant_chain(sites):
@@ -75,7 +118,6 @@ def test_invariant_chain(sites):
     n, m, v = led.n, led.max_count, led.self_intersections
     assert n <= v <= n * m <= n * n
     assert led.range_card <= n
-    led.rescan()
 
 
 @given(site_lists)
@@ -282,17 +324,15 @@ def test_pqd_partial_sum_is_exact_far_along_the_sequence(head, start, sites,
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50))
 @settings(max_examples=200, deadline=None)
 def test_exact_sum_is_the_exact_sum(terms):
-    num, exp = exact_sum(np.array(terms, dtype=np.float64))
-    assert Fraction(num) * Fraction(2) ** exp == sum(map(Fraction, terms))
+    total = exact_sum(np.array(terms, dtype=np.float64))
+    assert total == sum(map(Fraction, terms))
 
 
 def test_exact_sum_rounds_a_near_tie_correctly():
     # 1 + 2^-53 is a tie, rounded down to 1; anything above it rounds up
     terms = np.array([1.0, 2.0**-53, 2.0**-300])
-    num, exp = exact_sum(terms)
-    assert num / (1 << -exp) == 1.0 + 2.0**-52
-    num, exp = exact_sum(terms[:2])
-    assert num / (1 << -exp) == 1.0
+    assert float(exact_sum(terms)) == 1.0 + 2.0**-52
+    assert float(exact_sum(terms[:2])) == 1.0
 
 
 @st.composite
@@ -533,24 +573,29 @@ def test_feed_snapshots_match_a_dict_through_runs_and_layouts(case):
         assert feed_snapshots(src, cps)
 
 
-def test_a_fed_snapshot_builds_its_own_index():
-    # a snapshot holds a view of the live ledger's sites and no runs: fed
-    # on, it rebuilds them and appends to a copy, and the ledger it was
-    # taken from, fed too, is not disturbed
+def test_snapshots_and_fed_ledgers_are_read_only():
+    # a snapshot holds a view of the live ledger's sites and no runs: it
+    # refuses a block, and the ledger it was taken from, fed on, leaves the
+    # snapshot's sites and local times as they were; so does the last
+    # ledger of a feed
     coords = generate(RandomWalkSource(simple_walk(2), 6), 3000)
     led = LocalTimeLedger(2)
     led.record_block(coords[:1000])
     snap = led.snapshot()
-    assert snap._keys is None and snap._nums is None
-    for a, b in ((led, coords[1000:2000]), (snap, coords[2000:])):
-        a.record_block(b)
-    assert not np.shares_memory(snap._keys, led._keys)
-    assert not np.shares_memory(snap._nums, led._nums)
-    for got, rows in ((led, coords[:2000]),
-                      (snap, np.concatenate([coords[:1000], coords[2000:]]))):
+    with pytest.raises(ValueError, match="read-only"):
+        snap.record_block(coords[2000:])
+    led.record_block(coords[1000:2000])
+    for got, rows in ((led, coords[:2000]), (snap, coords[:1000])):
         counts, v, m = dict_local_times([tuple(s) for s in rows.tolist()])
         assert list(got.counts.items()) == list(counts.items())
         assert (got.self_intersections, got.max_count) == (v[-1], m[-1])
+    snaps, _ = ledger.feed(
+        sources.cursor(RandomWalkSource(simple_walk(2), 6)), [1000, 3000])
+    for fed in snaps:
+        with pytest.raises(ValueError, match="read-only"):
+            fed.record_block(coords[:1])
+        with pytest.raises(ValueError, match="read-only"):
+            fed.record_block(coords[:0])
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50),
@@ -561,8 +606,8 @@ def test_exact_sum_in_pieces_is_the_exact_sum(terms, piece):
     # terms run the loop that joins them
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ledger, "_PIECE", piece)
-        num, exp = exact_sum(np.array(terms, dtype=np.float64))
-    assert Fraction(num) * Fraction(2) ** exp == sum(map(Fraction, terms))
+        total = exact_sum(np.array(terms, dtype=np.float64))
+    assert total == sum(map(Fraction, terms))
 
 
 @st.composite

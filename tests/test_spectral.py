@@ -45,6 +45,27 @@ def test_kernel_grid_mean_parseval():
         led.self_intersections, rel=1e-6)
 
 
+@pytest.mark.parametrize("lag, counts", [
+    ((1,), [1, 2, 3]), ((), [1, 2, 3]), ((0, 0), [1, 2, 3, 100]),
+    ((1, 0, 5), [1, 2, 3])], ids=["short-lag", "empty-lag", "extra-count",
+                                  "long-lag"])
+def test_lag_correlation_refuses_a_lag_or_counts_of_another_shape(lag,
+                                                                  counts):
+    # these answered 2 (the lag (1, 0)), 14 (lag 0), 10014 and an
+    # IndexError inside the layout's shift
+    sites = [[0, 0], [1, 0], [1, 1]]
+    assert lag_correlation(sites, [1, 2, 3], (1, 0)) == 2
+    with pytest.raises(ValueError):
+        lag_correlation(sites, counts, lag)
+
+
+def test_return_series_refuses_a_negative_kmax():
+    # it answered that lag 0 was outside the reachable range
+    with pytest.raises(ValueError, match="kmax must be >= 0"):
+        return_series(PM1, -1)
+    assert return_series(PM1, 0).probs.tolist() == [[1.0]]
+
+
 def test_lag_correlation_small():
     led = make_ledger([(0,), (1,), (0,), (3,)])
     coords = np.array(list(led.counts.keys()), dtype=np.int64)
